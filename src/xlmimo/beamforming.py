@@ -16,10 +16,11 @@ with a scheme-specific loss factor alpha in [0, 1]:
   the SINR-optimal receiver; applied through the low-rank whitening
   identity so cost stays O(M*K + K^3).
 
-The closed forms route through numerics.project_orthogonal and
-numerics.whitened_apply; sinr() evaluates the quotient directly and serves
-as the internal consistency oracle.  evaluate_scenario() computes all
-schemes for all users from one shared K x K Gram matrix, which is the
+The per-user closed forms (sinr_closed) route through
+numerics.project_orthogonal and numerics.whitened_apply; sinr() evaluates
+the quotient directly and serves as the internal consistency oracle.
+evaluate_scenario() gets every user's SINR under all schemes from one
+K x K Gram matrix and one K x K Cholesky inverse per scheme; it is the
 algebraically identical fast path used by the parameter sweeps.
 """
 
@@ -89,14 +90,7 @@ def response_matrix(
     upw_cfg: ch.UpwConfig | None = None,
 ) -> np.ndarray:
     """Stack per-user response vectors into an M x K matrix."""
-    if model == ch.PNUSW:
-        columns = [ch.pnusw_response(geom, loc).entries for loc in users]
-    elif model == ch.UPW:
-        cfg = upw_cfg if upw_cfg is not None else ch.UpwConfig.matched_to(geom)
-        columns = [ch.upw_response(geom, loc, cfg).entries for loc in users]
-    else:
-        raise ValueError(f"unknown channel model {model!r}")
-    return np.column_stack(columns)
+    return np.column_stack([ch.response(geom, loc, model, upw_cfg).entries for loc in users])
 
 
 @dataclass(frozen=True)
@@ -310,11 +304,22 @@ def solve_user(scenario: Scenario, scheme: str, k: int, a: np.ndarray | None = N
 
 
 def evaluate_scenario(a: np.ndarray, snr) -> dict[str, np.ndarray]:
-    """Per-user SINRs of all schemes from one shared K x K Gram matrix.
+    """Per-user SINRs of all schemes from one Gram matrix and one inverse each.
 
-    Algebraically identical to calling sinr_closed per user but reuses the
-    Gram matrix, so large sweeps run in O(M*K^2) instead of O(M*K^3).  ZF
-    entries are 0.0 where zero forcing is infeasible.
+    With G = A^H A and P = diag(snr), every user's SINR comes from the
+    diagonal of a single K x K Cholesky inverse per scheme:
+
+    * MRC:  gamma_k = p_k G_kk / (sum_{i != k} p_i |G_ik|^2 / G_kk + 1);
+    * ZF:   gamma_k = p_k / [G^-1]_kk, where 1 / [G^-1]_kk is the power of
+      a_k left after projecting out the interferers;
+    * MMSE: gamma_k = 1 / [W^-1]_kk - 1 with W = I + P^1/2 G P^1/2, whose
+      eigenvalues are all at least 1.
+
+    ZF entries are 0.0 where zero forcing is infeasible: for a user whose
+    projected power is at most ZF_COLLINEAR_TOL of its own, and for every
+    user when G fails the condition gate of hermitian_solve, as it does
+    for M < K.  Then some channel lies in the span of the others, so each
+    user either is that channel or has linearly dependent interferers.
     """
     a = np.asarray(a, dtype=complex)
     snr = np.asarray(snr, dtype=float)
@@ -322,37 +327,26 @@ def evaluate_scenario(a: np.ndarray, snr) -> dict[str, np.ndarray]:
     if snr.shape != (k_users,):
         raise ValueError(f"expected {k_users} SNRs, got shape {snr.shape}")
     if a.shape[0] < k_users:
-        raise ValueError(
-            f"zero forcing requires M >= K, got M={a.shape[0]}, K={k_users}"
-        )
+        # zero rows leave A^H A unchanged and give gram a tall matrix
+        a = np.vstack([a, np.zeros((k_users - a.shape[0], k_users))])
     g = gram(a)
-    powers = np.diag(g).real.copy()
+    powers = g.diagonal().real
     if np.any(powers <= 0.0):
         raise DegenerateChannelError("a user has a zero channel")
 
-    out = {scheme: np.empty(k_users) for scheme in SCHEMES}
-    for k in range(k_users):
-        others = [i for i in range(k_users) if i != k]
-        g_k = g[others, k]
-        p_others = snr[others]
-        coupling = g_k.real**2 + g_k.imag**2
+    coupling = g.real**2 + g.imag**2
+    np.fill_diagonal(coupling, 0.0)
+    weighted = (coupling * snr).sum(axis=1) / powers
+    out = {"mrc": snr * powers / (weighted + 1.0)}
 
-        weighted = math.fsum(p_others * coupling / powers[k])
-        out["mrc"][k] = snr[k] * powers[k] / (weighted + 1.0)
+    eye = np.eye(k_users)
+    try:
+        residual = 1.0 / hermitian_solve(g, eye).diagonal().real
+        out["zf"] = np.where(residual > ZF_COLLINEAR_TOL * powers, snr * residual, 0.0)
+    except NearSingularError:
+        out["zf"] = np.zeros(k_users)
 
-        h = g[np.ix_(others, others)]
-        try:
-            quad = cdot(g_k, hermitian_solve(h, g_k)).real
-            residual = powers[k] - quad
-            if residual <= ZF_COLLINEAR_TOL * powers[k]:
-                out["zf"][k] = 0.0
-            else:
-                out["zf"][k] = snr[k] * residual
-        except NearSingularError:
-            out["zf"][k] = 0.0
-
-        h_w = h.copy()
-        h_w[np.diag_indices(len(others))] += 1.0 / p_others
-        quad_w = cdot(g_k, hermitian_solve(h_w, g_k)).real
-        out["mmse"][k] = snr[k] * max(powers[k] - quad_w, 0.0)
+    root = np.sqrt(snr)
+    w = eye + root[:, None] * g * root[None, :]
+    out["mmse"] = np.maximum(1.0 / hermitian_solve(w, eye).diagonal().real - 1.0, 0.0)
     return out

@@ -135,8 +135,22 @@ def upw_response(geom: ArrayGeometry, loc: UserLocation, cfg: UpwConfig) -> Resp
     return ResponseVector(entries=common * np.exp(1j * ramp), model=UPW, geom=geom)
 
 
+def response(
+    geom: ArrayGeometry, loc: UserLocation, model: str, cfg: UpwConfig | None = None
+) -> ResponseVector:
+    """Response vector of one user under the named model.
+
+    The plane-wave model uses cfg, or the matched config when cfg is None.
+    """
+    if model == PNUSW:
+        return pnusw_response(geom, loc)
+    if model == UPW:
+        return upw_response(geom, loc, cfg if cfg is not None else UpwConfig.matched_to(geom))
+    raise ValueError(f"unknown channel model {model!r}")
+
+
 def channel_power(a) -> float:
-    """Total channel power |a|^2, exactly rounded."""
+    """Total channel power |a|^2."""
     entries = a.entries if isinstance(a, ResponseVector) else np.asarray(a)
     return vector_power(entries)
 

@@ -258,6 +258,12 @@ def _number_list(values, path: str) -> list[float]:
     return [_as_float(v, path) for v in values]
 
 
+def _user_region(region: dict) -> xp.UserRegion:
+    return xp.UserRegion(
+        r=tuple(region["r_m"]), theta=tuple(region["theta_rad"]), phi=tuple(region["phi_rad"])
+    )
+
+
 def _resolve_sweep(experiment: str, sweep: dict) -> dict:
     """Turn start/stop/step ranges into explicit value lists so reruns are pinned."""
     if experiment in ("corr-vs-m", "sinr-vs-m"):
@@ -320,6 +326,10 @@ def _resolve_sweep(experiment: str, sweep: dict) -> dict:
         for key, pair in resolved_region.items():
             if len(pair) != 2:
                 raise ConfigError(f"sweep.region.{key} must be a [min, max] pair")
+        try:
+            _user_region(resolved_region)
+        except ValueError as exc:
+            raise ConfigError(f"sweep.region: {exc}") from None
         return {
             "sides": sides,
             "n_users": n_users,
@@ -489,14 +499,9 @@ def dispatch(cfg: RunConfig) -> xp.SweepResult:
             cfg.snr_linear(), models=models, upw_cfg=upw_cfg,
         )
     if cfg.experiment == "sumrate-vs-m":
-        region = xp.UserRegion(
-            r=tuple(cfg.sweep["region"]["r_m"]),
-            theta=tuple(cfg.sweep["region"]["theta_rad"]),
-            phi=tuple(cfg.sweep["region"]["phi_rad"]),
-        )
         return xp.sumrate_vs_m(
-            cfg.geometry, region, cfg.sweep["n_users"], cfg.snr_linear(),
-            cfg.sweep["sides"], seed=cfg.seed, n_drops=cfg.sweep["n_drops"],
+            cfg.geometry, _user_region(cfg.sweep["region"]), cfg.sweep["n_users"],
+            cfg.snr_linear(), cfg.sweep["sides"], seed=cfg.seed, n_drops=cfg.sweep["n_drops"],
             models=models, upw_cfg=upw_cfg,
         )
     raise ConfigError(f"unknown experiment {cfg.experiment!r}")
@@ -597,12 +602,10 @@ def main(argv=None) -> int:
             model=args.model,
             seed=args.seed,
         )
+        csv_file = run(cfg, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-
-    try:
-        csv_file = run(cfg, args.out)
     except (
         DegenerateGeometryError,
         DegenerateChannelError,

@@ -22,16 +22,28 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import channel as ch
-from .beamforming import SCHEMES, evaluate_scenario, response_matrix, sinr_closed, sum_rate
+from .beamforming import SCHEMES, evaluate_scenario, response_matrix, sum_rate
+from .errors import ConfigError, DegenerateGeometryError
 from .geometry import ArrayGeometry, UserLocation, Vector3, cartesian_to_spherical
+from .numerics import vector_power
 
 THREADS_ENV = "XLMIMO_THREADS"
+
+# sample_users rejects draws with a direction cosine u_x below MIN_U_X (nearly
+# in the array plane, hence a nearly zero channel) and gives up after
+# MAX_REJECTIONS consecutive rejections.
+MIN_U_X = 1e-3
+MAX_REJECTIONS = 10_000
 
 
 def thread_count(explicit: int | None = None) -> int:
     """Worker cap: explicit argument, else XLMIMO_THREADS, else 1."""
     if explicit is None:
-        explicit = int(os.environ.get(THREADS_ENV, "1"))
+        text = os.environ.get(THREADS_ENV, "1")
+        try:
+            explicit = int(text)
+        except ValueError:
+            raise ConfigError(f"{THREADS_ENV} must be an integer, got {text!r}") from None
     return max(1, int(explicit))
 
 
@@ -51,7 +63,6 @@ class SweepResult:
     axis_name: str
     columns: list[str]
     rows: list[tuple]
-    metadata: dict
 
 
 @dataclass(frozen=True)
@@ -72,27 +83,45 @@ class UserRegion:
             raise ValueError("theta range must lie in [0, pi]")
         if not (-math.pi / 2 <= self.phi[0] and self.phi[1] <= math.pi / 2):
             raise ValueError("phi range must lie in [-pi/2, pi/2]")
+        # u_x = sin(theta) cos(phi); each factor peaks inside its range or at an end
+        theta_lo, theta_hi = self.theta
+        phi_lo, phi_hi = self.phi
+        sin_max = 1.0 if theta_lo <= math.pi / 2 <= theta_hi else max(map(math.sin, self.theta))
+        cos_max = 1.0 if phi_lo <= 0.0 <= phi_hi else max(map(math.cos, self.phi))
+        if sin_max * cos_max < MIN_U_X:
+            raise ValueError(
+                f"every direction in the region has u_x < {MIN_U_X} (nearly in the array plane)"
+            )
 
 
 def sample_users(region: UserRegion, count: int, seed) -> list[UserLocation]:
     """Draw users uniformly per spherical coordinate; deterministic in seed.
 
-    Draws with direction cosine u_x below 1e-3 (nearly in the array plane,
-    hence a nearly zero channel) are rejected and redrawn.
+    Draws with direction cosine u_x below MIN_U_X (nearly in the array
+    plane, hence a nearly zero channel) are rejected and redrawn; after
+    MAX_REJECTIONS rejections in a row DegenerateGeometryError is raised.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
     rng = np.random.default_rng(seed)
     users: list[UserLocation] = []
+    rejected = 0
     while len(users) < count:
         loc = UserLocation(
             r=rng.uniform(*region.r),
             theta=rng.uniform(*region.theta),
             phi=rng.uniform(*region.phi),
         )
-        if loc.u_x < 1e-3:
+        if loc.u_x >= MIN_U_X:
+            users.append(loc)
+            rejected = 0
             continue
-        users.append(loc)
+        rejected += 1
+        if rejected >= MAX_REJECTIONS:
+            raise DegenerateGeometryError(
+                f"{MAX_REJECTIONS} consecutive draws had u_x < {MIN_U_X}; "
+                "the region is nearly in the array plane"
+            )
     return users
 
 
@@ -100,25 +129,35 @@ def _to_db(x: float) -> float:
     return -math.inf if x <= 0.0 else 10.0 * math.log10(x)
 
 
-def _geom_meta(geom: ArrayGeometry) -> dict:
-    return {
-        "num_y": geom.num_y,
-        "num_z": geom.num_z,
-        "spacing_m": geom.spacing,
-        "element_area_m2": geom.element_area,
-        "wavelength_m": geom.wavelength,
-    }
-
-
-def _user_meta(loc: UserLocation) -> dict:
-    return {"r_m": loc.r, "theta_rad": loc.theta, "phi_rad": loc.phi}
-
-
 def _check_models(models) -> tuple[str, ...]:
     models = tuple(models)
     if not models or any(m not in ch.VALID_MODELS for m in models):
         raise ValueError(f"models must be drawn from {ch.VALID_MODELS}, got {models!r}")
     return models
+
+
+def nested_responses(geoms, users, model: str, upw_cfg: ch.UpwConfig | None = None):
+    """M x K response matrices for a sweep over geoms, building one array.
+
+    The largest geometry is built once.  Centered element indices of one
+    parity nest, so a geometry of the same parity on both axes and no
+    larger on either is a centered sub-grid of it whose indices, distances
+    and phase ramps are bitwise those of a direct build: it gets its
+    centered sub-block.  Any other geometry is built directly.  All
+    geometries must share spacing, element area and wavelength.  Returns a
+    function from a geometry in geoms to its response matrix.
+    """
+    big = max(geoms, key=lambda g: g.num_elements)
+    a_big = response_matrix(big, users, model, upw_cfg).reshape(big.num_z, big.num_y, -1)
+
+    def build(g: ArrayGeometry) -> np.ndarray:
+        dy, dz = big.num_y - g.num_y, big.num_z - g.num_z
+        if min(dy, dz) < 0 or dy % 2 or dz % 2:
+            return response_matrix(g, users, model, upw_cfg)
+        block = a_big[dz // 2 : dz // 2 + g.num_z, dy // 2 : dy // 2 + g.num_y]
+        return block.reshape(g.num_elements, -1)
+
+    return build
 
 
 def sweep_correlation_vs_m(
@@ -134,33 +173,23 @@ def sweep_correlation_vs_m(
     models = _check_models(models)
     cfg = upw_cfg if upw_cfg is not None else ch.UpwConfig.matched_to(geom)
     mz_values = sorted(int(v) for v in mz_values)
+    geoms = [replace(geom, num_z=mz) for mz in mz_values]
+    builds = {model: nested_responses(geoms, (loc1, loc2), model, cfg) for model in models}
 
-    def point(mz: int) -> tuple:
-        g = replace(geom, num_z=mz)
-        row = [g.num_elements, mz]
+    def point(g: ArrayGeometry) -> tuple:
+        row = [g.num_elements, g.num_z]
         for model in models:
-            if model == ch.PNUSW:
-                rho = ch.correlation(ch.pnusw_response(g, loc1), ch.pnusw_response(g, loc2))
-            else:
-                rho = ch.correlation(
-                    ch.upw_response(g, loc1, cfg), ch.upw_response(g, loc2, cfg)
-                )
-            row.append(rho)
+            a = builds[model](g)
+            row.append(ch.correlation(
+                ch.ResponseVector(a[:, 0], model, g), ch.ResponseVector(a[:, 1], model, g)
+            ))
         return tuple(row)
 
-    rows = _pmap(point, mz_values, threads)
+    rows = _pmap(point, geoms, threads)
     return SweepResult(
         axis_name="m",
         columns=["m", "m_z"] + [f"{model}_rho_linear" for model in models],
         rows=rows,
-        metadata={
-            "experiment": "corr-vs-m",
-            "geometry": _geom_meta(geom),
-            "users": [_user_meta(loc1), _user_meta(loc2)],
-            "beta0": cfg.beta0,
-            "mz_values": mz_values,
-            "models": list(models),
-        },
     )
 
 
@@ -178,22 +207,13 @@ def sweep_correlation_vs_distance(
     cfg = upw_cfg if upw_cfg is not None else ch.UpwConfig.matched_to(geom)
     theta2, phi2 = direction2
     separations = sorted(float(s) for s in separations)
-    ref = {}
-    for model in models:
-        if model == ch.PNUSW:
-            ref[model] = ch.pnusw_response(geom, loc1)
-        else:
-            ref[model] = ch.upw_response(geom, loc1, cfg)
+    ref = {model: ch.response(geom, loc1, model, cfg) for model in models}
 
     def point(sep: float) -> tuple:
         loc2 = UserLocation(r=loc1.r + sep, theta=theta2, phi=phi2)
         row = [sep, loc2.r]
         for model in models:
-            if model == ch.PNUSW:
-                rho = ch.correlation(ref[model], ch.pnusw_response(geom, loc2))
-            else:
-                rho = ch.correlation(ref[model], ch.upw_response(geom, loc2, cfg))
-            row.append(rho)
+            row.append(ch.correlation(ref[model], ch.response(geom, loc2, model, cfg)))
         return tuple(row)
 
     rows = _pmap(point, separations, threads)
@@ -201,15 +221,6 @@ def sweep_correlation_vs_distance(
         axis_name="separation_m",
         columns=["separation_m", "r2_m"] + [f"{model}_rho_linear" for model in models],
         rows=rows,
-        metadata={
-            "experiment": "corr-vs-dist",
-            "geometry": _geom_meta(geom),
-            "users": [_user_meta(loc1)],
-            "direction2": {"theta_rad": theta2, "phi_rad": phi2},
-            "beta0": cfg.beta0,
-            "separations_m": separations,
-            "models": list(models),
-        },
     )
 
 
@@ -231,32 +242,22 @@ def sweep_sinr_vs_m(
     mz_values = sorted(int(v) for v in mz_values)
     if not 0 <= user_index < len(users):
         raise IndexError(f"user index {user_index} out of range for K={len(users)}")
+    geoms = [replace(geom, num_z=mz) for mz in mz_values]
+    builds = {model: nested_responses(geoms, users, model, cfg) for model in models}
 
-    def point(mz: int) -> tuple:
-        g = replace(geom, num_z=mz)
-        row = [g.num_elements, mz]
+    def point(g: ArrayGeometry) -> tuple:
+        row = [g.num_elements, g.num_z]
         for model in models:
-            a = response_matrix(g, users, model, cfg)
-            gammas = evaluate_scenario(a, snr)
+            gammas = evaluate_scenario(builds[model](g), snr)
             row.extend(_to_db(gammas[scheme][user_index]) for scheme in SCHEMES)
         return tuple(row)
 
-    rows = _pmap(point, mz_values, threads)
+    rows = _pmap(point, geoms, threads)
     return SweepResult(
         axis_name="m",
         columns=["m", "m_z"]
         + [f"{model}_{scheme}_sinr_db" for model in models for scheme in SCHEMES],
         rows=rows,
-        metadata={
-            "experiment": "sinr-vs-m",
-            "geometry": _geom_meta(geom),
-            "users": [_user_meta(u) for u in users],
-            "snr_linear": [float(p) for p in snr],
-            "beta0": cfg.beta0,
-            "user_index": user_index,
-            "mz_values": mz_values,
-            "models": list(models),
-        },
     )
 
 
@@ -282,12 +283,8 @@ def heatmap_snr_loss(
         raise ValueError("the loss-factor map is a two-user experiment")
     x_values = sorted(float(x) for x in x_values)
     y_values = sorted(float(y) for y in y_values)
-    ref = {}
-    for model in models:
-        if model == ch.PNUSW:
-            ref[model] = ch.pnusw_response(geom, loc1).entries
-        else:
-            ref[model] = ch.upw_response(geom, loc1, cfg).entries
+    ref = {model: response_matrix(geom, [loc1], model, cfg) for model in models}
+    single = {model: snr[0] * vector_power(ref[model][:, 0]) for model in models}
 
     def point(cell: tuple[float, float]) -> tuple:
         x, y = cell
@@ -296,13 +293,9 @@ def heatmap_snr_loss(
         loc2 = cartesian_to_spherical(Vector3(x, y, 0.0))
         row = [x, y]
         for model in models:
-            if model == ch.PNUSW:
-                a2 = ch.pnusw_response(geom, loc2).entries
-            else:
-                a2 = ch.upw_response(geom, loc2, cfg).entries
-            a = np.column_stack([ref[model], a2])
-            _, alpha = sinr_closed("mmse", a, snr, 0)
-            row.append(alpha)
+            a = np.hstack([ref[model], response_matrix(geom, [loc2], model, cfg)])
+            gamma = evaluate_scenario(a, snr)["mmse"][0]
+            row.append(min(max(1.0 - gamma / single[model], 0.0), 1.0))
         return tuple(row)
 
     cells = [(x, y) for x in x_values for y in y_values]
@@ -311,16 +304,6 @@ def heatmap_snr_loss(
         axis_name="x_m",
         columns=["x_m", "y_m"] + [f"{model}_mmse_alpha_linear" for model in models],
         rows=rows,
-        metadata={
-            "experiment": "snr-loss-heatmap",
-            "geometry": _geom_meta(geom),
-            "users": [_user_meta(loc1)],
-            "snr_linear": [float(p) for p in snr],
-            "beta0": cfg.beta0,
-            "x_values_m": x_values,
-            "y_values_m": y_values,
-            "models": list(models),
-        },
     )
 
 
@@ -365,10 +348,10 @@ def sumrate_vs_m(
     def run_drop(drop: int) -> np.ndarray:
         users = sample_users(region, num_users, (seed, drop))
         rates = np.empty((len(geoms), len(models), len(SCHEMES)))
-        for gi, g in enumerate(geoms):
-            for mi, model in enumerate(models):
-                a = response_matrix(g, users, model, cfg)
-                gammas = evaluate_scenario(a, snr)
+        for mi, model in enumerate(models):
+            build = nested_responses(geoms, users, model, cfg)
+            for gi, g in enumerate(geoms):
+                gammas = evaluate_scenario(build(g), snr)
                 for si, scheme in enumerate(SCHEMES):
                     rates[gi, mi, si] = sum_rate(gammas[scheme])
         return rates
@@ -398,20 +381,4 @@ def sumrate_vs_m(
         axis_name="m",
         columns=["m", "m_y", "m_z"] + metric_columns,
         rows=rows,
-        metadata={
-            "experiment": "sumrate-vs-m",
-            "geometry": _geom_meta(geom),
-            "region": {
-                "r_m": list(region.r),
-                "theta_rad": list(region.theta),
-                "phi_rad": list(region.phi),
-            },
-            "num_users": num_users,
-            "snr_linear": [float(p) for p in snr],
-            "beta0": cfg.beta0,
-            "m_pairs": [list(p) for p in pairs],
-            "seed": seed,
-            "n_drops": n_drops,
-            "models": list(models),
-        },
     )

@@ -1,11 +1,15 @@
 """Deterministic complex reductions and small structured Hermitian solves.
 
-Channel powers and inner products accumulate through exactly rounded float
-summation (math.fsum), so every reduction is independent of evaluation
-order, array chunking, and thread count.  The solves only ever factor
-matrices sized by the user count; nothing here allocates or factors an
-M x M matrix, keeping the zero-forcing / covariance-whitening paths at
-O(M*K + K^3) per application.
+Channel powers and inner products are numpy pairwise sums over the
+elementwise products, and the Gram matrix of two or more columns is one
+BLAS ``A^H A`` product.  Neither result depends on the BLAS or Python
+thread count, so every output is bitwise reproducible on one machine; the
+level-1 BLAS dot products (``np.vdot``, ``np.dot`` on vectors) are avoided
+because their last bits change with the BLAS thread count.  Across
+machines results agree to rounding.  compensated_sum (exactly rounded
+``math.fsum``) is kept as the test oracle for these reductions.  The solves
+only ever factor matrices sized by the user count; nothing here allocates
+or factors an M x M matrix.
 """
 
 from __future__ import annotations
@@ -28,36 +32,35 @@ def compensated_sum(values) -> float:
 
 
 def cdot(x, y) -> complex:
-    """Inner product conj(x) . y with exactly rounded accumulation."""
-    prod = np.conj(x) * np.asarray(y)
-    if np.iscomplexobj(prod):
-        return complex(compensated_sum(prod.real), compensated_sum(prod.imag))
-    return complex(compensated_sum(prod), 0.0)
+    """Inner product conj(x) . y as a pairwise sum."""
+    return complex(np.sum(np.conj(x) * np.asarray(y)))
 
 
 def vector_power(x) -> float:
-    """Squared two-norm of a vector with exactly rounded accumulation."""
+    """Squared two-norm of a vector as a pairwise sum."""
     x = np.asarray(x)
     if np.iscomplexobj(x):
-        return compensated_sum(x.real * x.real + x.imag * x.imag)
-    return compensated_sum(x * x)
+        return float(np.sum(x.real * x.real + x.imag * x.imag))
+    return float(np.sum(x * x))
 
 
 def gram(a: np.ndarray) -> np.ndarray:
-    """Hermitian Gram matrix conj(A).T @ A of an M x n matrix, n <= M."""
+    """Hermitian Gram matrix conj(A).T @ A of an M x n matrix, n <= M.
+
+    The result is exactly Hermitian with a real diagonal.  A single column
+    goes through vector_power, because BLAS turns a one-column product
+    into a dot product whose rounding depends on the thread count.
+    """
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2:
         raise ValueError(f"expected a matrix, got shape {a.shape}")
     m, n = a.shape
     if n > m:
         raise ValueError(f"more columns than rows ({n} > {m})")
-    out = np.empty((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(i):
-            out[i, j] = cdot(a[:, i], a[:, j])
-            out[j, i] = out[i, j].conjugate()
-        out[i, i] = vector_power(a[:, i])
-    return out
+    if n == 1:
+        return np.array([[vector_power(a[:, 0])]], dtype=complex)
+    g = a.conj().T @ a
+    return (g + g.conj().T) / 2.0
 
 
 def hermitian_solve(h: np.ndarray, b: np.ndarray) -> np.ndarray:

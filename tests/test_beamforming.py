@@ -7,6 +7,7 @@ import pytest
 
 from xlmimo.beamforming import (
     SCHEMES,
+    ZF_COLLINEAR_TOL,
     BeamformerReport,
     Scenario,
     evaluate_scenario,
@@ -21,7 +22,11 @@ from xlmimo.beamforming import (
     zf,
 )
 from xlmimo.channel import UpwConfig
-from xlmimo.errors import DegenerateChannelError, ZeroForcingInfeasibleError
+from xlmimo.errors import (
+    DegenerateChannelError,
+    NearSingularError,
+    ZeroForcingInfeasibleError,
+)
 from xlmimo.geometry import ArrayGeometry, UserLocation
 from xlmimo.numerics import cdot, vector_power
 
@@ -45,6 +50,18 @@ def complex_randn(rng, *shape):
 def random_channels(rng, m, k):
     """Random dense channel matrix with O(1) column norms."""
     return complex_randn(rng, m, k) / math.sqrt(m)
+
+
+def near_collinear_channels(rng, residual, extra, m=64):
+    """Unit a_0 plus a_1 whose orthogonal part carries `residual` of its power,
+    followed by `extra` random users."""
+    a0 = complex_randn(rng, m)
+    u = complex_randn(rng, m)
+    u -= a0 * (cdot(a0, u) / cdot(a0, a0))
+    a0 /= math.sqrt(vector_power(a0))
+    u /= math.sqrt(vector_power(u))
+    a1 = math.sqrt(1.0 - residual) * np.exp(0.3j) * a0 + math.sqrt(residual) * u
+    return np.column_stack([a0, a1] + [complex_randn(rng, m) / 8.0 for _ in range(extra)])
 
 
 def vectors_with_correlation(rho, n2=4.0):
@@ -294,6 +311,71 @@ class TestEvaluateScenario:
             for scheme in SCHEMES:
                 gamma, _ = sinr_closed(scheme, a, snr, user)
                 assert res[scheme][user] == pytest.approx(gamma, rel=1e-10)
+
+    def test_single_inverse_matches_per_user_forms_on_random_cases(self):
+        rng = np.random.default_rng(12)
+        for _ in range(100):
+            m = int(rng.integers(4, 200))
+            k = int(rng.integers(1, min(11, m + 1)))
+            a = random_channels(rng, m, k)
+            snr = 10 ** rng.uniform(-1, 9, size=k)
+            res = evaluate_scenario(a, snr)
+            for user in range(k):
+                for scheme in SCHEMES:
+                    gamma, _ = sinr_closed(scheme, a, snr, user)
+                    assert res[scheme][user] == pytest.approx(gamma, rel=1e-10)
+
+    @pytest.mark.parametrize("extra", [0, 2])
+    def test_near_collinear_users_on_both_sides_of_the_zf_tolerance(self, extra):
+        # The Gram squares the condition number, so ZF loses about
+        # eps / residual relative (1e-6 at residual 1e-10) on the K x K path.
+        rng = np.random.default_rng(13)
+        for residual in (100.0 * ZF_COLLINEAR_TOL, 0.01 * ZF_COLLINEAR_TOL):
+            a = near_collinear_channels(rng, residual, extra)
+            snr = np.full(a.shape[1], 1e6)
+            res = evaluate_scenario(a, snr)
+            for user in range(a.shape[1]):
+                gamma, _ = sinr_closed("mmse", a, snr, user)
+                assert res["mmse"][user] == pytest.approx(gamma, rel=1e-8)
+                if residual > ZF_COLLINEAR_TOL:
+                    gamma, _ = sinr_closed("zf", a, snr, user)
+                    assert res["zf"][user] == pytest.approx(gamma, rel=1e-4)
+                else:
+                    with pytest.raises((ZeroForcingInfeasibleError, NearSingularError)):
+                        sinr_closed("zf", a, snr, user)
+                    assert res["zf"][user] == 0.0
+
+    def test_plane_wave_users_sharing_a_direction(self):
+        # users 0 and 1 share a direction, so user 2's interferers are collinear
+        geom = make_geom(num_y=6, num_z=7)
+        users = (
+            UserLocation(25.0, math.pi / 2, 0.0),
+            UserLocation(250.0, math.pi / 2, 0.0),
+            UserLocation(60.0, 1.2, 0.4),
+        )
+        a = response_matrix(geom, users, "upw")
+        snr = np.full(3, PBAR)
+        res = evaluate_scenario(a, snr)
+        for user in range(3):
+            assert res["zf"][user] == 0.0
+            with pytest.raises((ZeroForcingInfeasibleError, NearSingularError)):
+                sinr_closed("zf", a, snr, user)
+            gamma, _ = sinr_closed("mmse", a, snr, user)
+            assert res["mmse"][user] == pytest.approx(gamma, rel=1e-9)
+
+    def test_fewer_elements_than_users_rules_out_zero_forcing_only(self):
+        rng = np.random.default_rng(14)
+        a = random_channels(rng, 2, 3)
+        snr = np.array([3.0, 5.0, 7.0])
+        res = evaluate_scenario(a, snr)
+        assert np.array_equal(res["zf"], np.zeros(3))
+        for user in range(3):
+            abar = np.delete(a, user, axis=1)
+            cov = np.eye(2) + (abar * np.delete(snr, user)) @ abar.conj().T
+            dense = snr[user] * (a[:, user].conj() @ np.linalg.inv(cov) @ a[:, user]).real
+            assert res["mmse"][user] == pytest.approx(dense, rel=1e-10)
+            gamma, _ = sinr_closed("mrc", a, snr, user)
+            assert res["mrc"][user] == pytest.approx(gamma, rel=1e-12)
 
     def test_single_user_all_schemes_equal(self):
         rng = np.random.default_rng(11)

@@ -206,6 +206,17 @@ class TestMain:
         assert code == 1
         assert "config error" in capsys.readouterr().err
 
+    def test_bad_thread_count_is_a_config_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("XLMIMO_THREADS", "abc")
+        code = main([
+            "--experiment", "corr-vs-m",
+            "--out", str(tmp_path / "x.csv"),
+            "--set", "geometry.num_y=4",
+            "--set", "sweep.mz_values=[5]",
+        ])
+        assert code == 1
+        assert "config error: XLMIMO_THREADS" in capsys.readouterr().err
+
     def test_numerical_error_exit_code(self, tmp_path, capsys):
         # a user pinned to the z axis has an exactly zero spherical channel
         code = main([
@@ -249,3 +260,46 @@ class TestSidecarPath:
 
     def test_appends_for_other_suffixes(self):
         assert sidecar_path("out/run.data") == "out/run.data.json"
+
+
+class TestSamplingRegion:
+    """Regions nearly in the array plane end the run quickly instead of hanging."""
+
+    def sumrate(self, run_python, tmp_path, theta, phi):
+        return run_python([
+            "-m", "xlmimo.cli", "--experiment", "sumrate-vs-m",
+            "--out", str(tmp_path / "s.csv"),
+            "--set", f"sweep.region.theta_rad={theta}",
+            "--set", f"sweep.region.phi_rad={phi}",
+        ], timeout=60.0)
+
+    def test_degenerate_region_is_rejected_when_parsed(self, run_python, tmp_path):
+        proc = self.sumrate(run_python, tmp_path, "[0,0]", "[0.5,1.0]")
+        assert proc.returncode == 1
+        assert "config error: sweep.region" in proc.stderr
+
+    def test_nearly_degenerate_region_gives_up_sampling(self, run_python, tmp_path):
+        phi_lo = math.pi / 2 - math.asin(1e-3) - 1e-12
+        proc = self.sumrate(run_python, tmp_path, '["pi/2","pi/2"]', f'[{phi_lo!r},"pi/2"]')
+        assert proc.returncode == 2
+        assert "numerical error" in proc.stderr and "consecutive" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "experiment, overrides",
+    [
+        ("sumrate-vs-m", ["sweep.sides=[10,120]", "sweep.n_drops=1"]),
+        ("corr-vs-m", ["sweep.mz_values=[11,1001]"]),
+    ],
+)
+def test_csv_is_byte_identical_across_blas_threads(run_python, tmp_path, experiment, overrides):
+    tables = []
+    for threads in (1, 2):
+        out = tmp_path / f"t{threads}.csv"
+        args = ["-m", "xlmimo.cli", "--experiment", experiment, "--out", str(out)]
+        for item in overrides:
+            args += ["--set", item]
+        proc = run_python(args, blas_threads=threads)
+        assert proc.returncode == 0, proc.stderr
+        tables.append(out.read_bytes())
+    assert tables[0] == tables[1]

@@ -7,10 +7,13 @@ import pytest
 
 from xlmimo.beamforming import evaluate_scenario, response_matrix, sum_rate
 from xlmimo.channel import UpwConfig, channel_power, upw_response
+from xlmimo.errors import ConfigError, DegenerateGeometryError
 from xlmimo.experiments import (
+    MIN_U_X,
     SweepResult,
     UserRegion,
     heatmap_snr_loss,
+    nested_responses,
     sample_users,
     sumrate_vs_m,
     sweep_correlation_vs_distance,
@@ -73,6 +76,62 @@ class TestSampleUsers:
             UserRegion(r=(10.0, 5.0), theta=(0.0, 1.0), phi=(0.0, 1.0))
         with pytest.raises(ValueError):
             UserRegion(r=(1.0, 2.0), theta=(0.0, 4.0), phi=(0.0, 1.0))
+        # every direction has u_x = sin(theta) cos(phi) < MIN_U_X
+        with pytest.raises(ValueError, match="u_x"):
+            UserRegion(r=(1.0, 2.0), theta=(0.0, 0.0), phi=(0.0, 1.0))
+        with pytest.raises(ValueError, match="u_x"):
+            UserRegion(r=(1.0, 2.0), theta=(0.5, 2.5), phi=(math.pi / 2, math.pi / 2))
+        with pytest.raises(ValueError, match="u_x"):
+            UserRegion(r=(1.0, 2.0), theta=(3.1412, math.pi), phi=(-0.5, 0.5))
+
+    def test_nearly_degenerate_region_gives_up(self):
+        # the region allows u_x >= MIN_U_X on a sliver of ~1e-9 of its phi range
+        phi_lo = math.pi / 2 - math.asin(MIN_U_X) - 1e-12
+        region = UserRegion(
+            r=(50.0, 60.0), theta=(math.pi / 2, math.pi / 2), phi=(phi_lo, math.pi / 2)
+        )
+        with pytest.raises(DegenerateGeometryError, match="consecutive"):
+            sample_users(region, 2, 0)
+
+
+class TestNestedResponses:
+    USERS = sample_users(
+        UserRegion(r=(50.0, 100.0), theta=(0.2, 1.2), phi=(-0.6, 0.8)), 3, 7
+    )
+
+    def assert_direct(self, geoms, model):
+        build = nested_responses(geoms, self.USERS, model)
+        for g in geoms:
+            assert build(g).tobytes() == response_matrix(g, self.USERS, model).tobytes()
+
+    @pytest.mark.parametrize("model", ["pnusw", "upw"])
+    @pytest.mark.parametrize("sides", [[4, 10, 16], [5, 11, 17]], ids=["even", "odd"])
+    def test_sub_blocks_equal_direct_builds_bitwise(self, model, sides):
+        self.assert_direct([make_geom(s, s + 4) for s in sides], model)
+        self.assert_direct([make_geom(10, mz) for mz in sides], model)
+
+    @pytest.mark.parametrize("model", ["pnusw", "upw"])
+    def test_geometries_that_do_not_nest_are_built_directly(self, model):
+        # mixed parity, and a geometry longer than the largest one on z
+        self.assert_direct([make_geom(s, s) for s in (4, 5, 9, 10)], model)
+        self.assert_direct([make_geom(2, 30), make_geom(10, 10)], model)
+
+    def test_mixed_parity_sum_rate_matches_direct_builds(self):
+        region = UserRegion(r=(50.0, 100.0), theta=(0.1, 1.0), phi=(0.3, 1.0))
+        snr = np.full(3, PBAR)
+        sides = [4, 5, 10]
+        res = sumrate_vs_m(make_geom(), region, 3, snr, sides, seed=6, n_drops=2)
+        for row, side in zip(res.rows, sides):
+            for model in ("pnusw", "upw"):
+                rates = {scheme: [] for scheme in ("mrc", "zf", "mmse")}
+                for drop in range(2):
+                    users = sample_users(region, 3, (6, drop))
+                    a = response_matrix(make_geom(side, side), users, model)
+                    for scheme, gammas in evaluate_scenario(a, snr).items():
+                        rates[scheme].append(sum_rate(gammas))
+                for scheme, values in rates.items():
+                    got = row[res.columns.index(f"{model}_{scheme}_sumrate_bpshz")]
+                    assert got == pytest.approx(np.mean(values), rel=1e-15)
 
 
 class TestCorrelationVsM:
@@ -239,6 +298,9 @@ class TestDeterminismUnderThreads:
         monkeypatch.setenv("XLMIMO_THREADS", "6")
         assert thread_count() == 6
         assert thread_count(2) == 2
+        monkeypatch.setenv("XLMIMO_THREADS", "abc")
+        with pytest.raises(ConfigError, match="XLMIMO_THREADS"):
+            thread_count()
 
     def test_sweeps_identical_across_thread_counts(self):
         region = UserRegion(r=(50.0, 100.0), theta=(0.1, 1.0), phi=(0.3, 1.0))

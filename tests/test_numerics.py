@@ -40,6 +40,51 @@ class TestReductions:
         assert vector_power(x) == pytest.approx(cdot(x, x).real, rel=1e-15)
 
 
+class TestOracle:
+    """Pairwise-sum and BLAS reductions against the exactly rounded fsum oracle.
+
+    Errors are measured against |x| |y|, the scale of an inner product's
+    rounding error, so near-orthogonal columns are held to the same bound.
+    """
+
+    def test_reductions_match_compensated_sum_at_sweep_size(self):
+        rng = np.random.default_rng(13)
+        a = complex_randn(rng, 40_000, 10)
+        g = gram(a)
+        powers = [compensated_sum(a[:, i].real ** 2 + a[:, i].imag ** 2) for i in range(10)]
+        for i in range(10):
+            assert vector_power(a[:, i]) == pytest.approx(powers[i], rel=1e-12)
+            assert vector_power(a[:, i].real) == pytest.approx(
+                compensated_sum(a[:, i].real ** 2), rel=1e-12
+            )
+            for j in range(10):
+                prod = np.conj(a[:, i]) * a[:, j]
+                exact = complex(compensated_sum(prod.real), compensated_sum(prod.imag))
+                scale = math.sqrt(powers[i] * powers[j])
+                assert abs(g[i, j] - exact) <= 1e-12 * scale
+                assert abs(cdot(a[:, i], a[:, j]) - exact) <= 1e-12 * scale
+
+
+KERNEL_DIGEST = """
+import hashlib
+import numpy as np
+from xlmimo.numerics import cdot, gram, vector_power
+rng = np.random.default_rng(2021)
+a = rng.standard_normal((40_000, 10)) + 1j * rng.standard_normal((40_000, 10))
+out = [gram(a), gram(a[:10_010, :2]), gram(a[:, :1]), cdot(a[:, 0], a[:, 1]), vector_power(a[:, 3])]
+print(hashlib.sha256(b"".join(np.asarray(x).tobytes() for x in out)).hexdigest())
+"""
+
+
+def test_reductions_are_bitwise_identical_across_blas_threads(run_python):
+    digests = []
+    for threads in (1, 2):
+        proc = run_python(["-c", KERNEL_DIGEST], blas_threads=threads)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout)
+    assert digests[0] == digests[1]
+
+
 class TestGram:
     def test_single_unit_column(self):
         a = np.array([[0.6], [0.8j]])
@@ -63,7 +108,7 @@ class TestGram:
         rng = np.random.default_rng(3)
         a = complex_randn(rng, 40, 5)
         g = gram(a)
-        assert np.allclose(g, g.conj().T)
+        assert np.array_equal(g, g.conj().T)
         assert np.linalg.eigvalsh(g).min() >= -1e-10
 
     def test_rejects_wide_matrices(self):
