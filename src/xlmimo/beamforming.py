@@ -84,13 +84,16 @@ class Scenario:
 
 
 def response_matrix(
-    geom: ArrayGeometry,
-    users,
-    model: str,
-    upw_cfg: ch.UpwConfig | None = None,
+    geom: ArrayGeometry, users, model: str, upw_cfg: ch.UpwConfig | None = None
 ) -> np.ndarray:
-    """Stack per-user response vectors into an M x K matrix."""
-    return np.column_stack([ch.response(geom, loc, model, upw_cfg).entries for loc in users])
+    """M x K matrix whose k-th column is user k's channel vector, all built in one pass.
+
+    It is the transposed view of a K x M array, so each column is contiguous.
+    """
+    block = ch._response_block(geom, users, model, upw_cfg)
+    if not np.isfinite(block).all():
+        raise ValueError("channel entries must be finite")
+    return block.reshape(len(block), geom.num_elements).T
 
 
 @dataclass(frozen=True)

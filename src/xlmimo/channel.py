@@ -28,14 +28,13 @@ filled in by their limits.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateChannelError, DimensionMismatchError
-from .geometry import ArrayGeometry, UserLocation, element_distance, element_distances
+from .errors import DegenerateChannelError, DegenerateGeometryError, DimensionMismatchError
+from .geometry import ArrayGeometry, UserLocation, _warn_if_near, element_distance
 from .numerics import cdot, vector_power
 
 PNUSW = "pnusw"
@@ -85,8 +84,9 @@ class ResponseVector:
             )
         if self.model not in VALID_MODELS:
             raise ValueError(f"unknown channel model {self.model!r}")
-        if not np.all(np.isfinite(entries.real)) or not np.all(np.isfinite(entries.imag)):
+        if not np.isfinite(entries).all():
             raise ValueError("channel entries must be finite")
+        object.__setattr__(self, "_power", vector_power(entries))
 
     @property
     def geom_digest(self) -> str:
@@ -96,7 +96,8 @@ class ResponseVector:
         return self.entries.shape[0]
 
     def power(self) -> float:
-        return channel_power(self)
+        """Channel power |a|^2, summed once at construction."""
+        return self._power
 
 
 def pnusw_gain(geom: ArrayGeometry, loc: UserLocation, m_y: float, m_z: float) -> float:
@@ -107,60 +108,79 @@ def pnusw_gain(geom: ArrayGeometry, loc: UserLocation, m_y: float, m_z: float) -
     return scale * (loc.r / dist) ** 3
 
 
-def pnusw_gains(geom: ArrayGeometry, loc: UserLocation) -> np.ndarray:
-    """Spherical-model power gains for every element, flattened m_z-outer."""
-    dist = element_distances(geom, loc)
-    eps = geom.spacing / loc.r
-    scale = geom.occupation_ratio * eps * eps * loc.u_x / (4.0 * math.pi)
-    return scale * (loc.r / dist) ** 3
+def _response_block(
+    geom: ArrayGeometry, users, model: str, cfg: UpwConfig | None = None
+) -> np.ndarray:
+    """Responses of K users as one (K, N_z, N_y) array, built in one broadcast pass.
 
+    pnusw: with e = spacing / r and f(m) = m^2 e^2 - 2 e u m per axis, t = (1 + f_z) + f_y
+    is the squared distance over r^2 and, with s = sqrt(t), an entry is
+    sqrt(scale) / (s sqrt(s)) * exp(-j 2 pi r s / wavelength).  upw: an entry is
+    (common * e^{j c u_z m_z}) * e^{j c u_y m_y} with c = 2 pi spacing / wavelength.
+    Entries depend only on the user and their own (m_y, m_z), so the centered sub-grid
+    of a larger same-parity array is bitwise a direct build.  Callers check finiteness.
+    """
+    if model not in VALID_MODELS:
+        raise ValueError(f"unknown channel model {model!r}")
+    params = np.array([(loc.r, loc.u_x, loc.u_y, loc.u_z) for loc in users], dtype=float)
+    r, u_x, u_y, u_z = params.reshape(-1, 4).T[:, :, None]  # K x 1 columns
+    m_y, m_z = geom.indices_y(), geom.indices_z()
+    out = np.empty((len(r), geom.num_z, geom.num_y), dtype=complex)
+    if model == UPW:
+        beta0 = (cfg or UpwConfig.matched_to(geom)).beta0
+        c = 2.0 * math.pi * geom.spacing / geom.wavelength
+        common = (math.sqrt(beta0) / r) * np.exp(-2j * math.pi * r / geom.wavelength)
+        along_z = common * np.exp(1j * ((c * u_z) * m_z))
+        return np.multiply(along_z[:, :, None], np.exp(1j * ((c * u_y) * m_y))[:, None, :], out=out)
 
-def pnusw_response(geom: ArrayGeometry, loc: UserLocation) -> ResponseVector:
-    """Spherical-wavefront response: sqrt(gain) * exp(-j 2 pi distance / wavelength)."""
-    dist = element_distances(geom, loc)
-    eps = geom.spacing / loc.r
-    scale = geom.occupation_ratio * eps * eps * loc.u_x / (4.0 * math.pi)
-    amp = np.sqrt(scale * (loc.r / dist) ** 3)
-    phase = (-2.0 * math.pi / geom.wavelength) * dist
-    return ResponseVector(entries=amp * np.exp(1j * phase), model=PNUSW, geom=geom)
-
-
-def upw_response(geom: ArrayGeometry, loc: UserLocation, cfg: UpwConfig) -> ResponseVector:
-    """Plane-wave response: common amplitude and a linear phase ramp."""
-    my, mz = geom.index_grid()
-    ramp = (2.0 * math.pi * geom.spacing / geom.wavelength) * (my * loc.u_y + mz * loc.u_z)
-    common = (math.sqrt(cfg.beta0) / loc.r) * cmath.exp(
-        -2j * math.pi * loc.r / geom.wavelength
-    )
-    return ResponseVector(entries=common * np.exp(1j * ramp), model=UPW, geom=geom)
+    e = geom.spacing / r
+    _warn_if_near(float(e.max(initial=0.0)))
+    f_y = (m_y * m_y) * (e * e) - (2.0 * e * u_y) * m_y
+    f_z = 1.0 + ((m_z * m_z) * (e * e) - (2.0 * e * u_z) * m_z)
+    s = np.add(f_z[:, :, None], f_y[:, None, :])
+    if s.min() <= 0.0:
+        raise DegenerateGeometryError("a user is numerically coincident with an array element")
+    np.sqrt(s, out=s)
+    amp = np.sqrt(s)
+    amp *= s
+    scale = geom.occupation_ratio * e * e * u_x / (4.0 * math.pi)
+    np.divide(np.sqrt(scale)[:, :, None], amp, out=amp)
+    s *= (-2.0 * math.pi / geom.wavelength * r)[:, :, None]
+    np.cos(s, out=out.real)
+    np.sin(s, out=out.imag)
+    out.real *= amp
+    out.imag *= amp
+    return out
 
 
 def response(
     geom: ArrayGeometry, loc: UserLocation, model: str, cfg: UpwConfig | None = None
 ) -> ResponseVector:
-    """Response vector of one user under the named model.
+    """Response vector of one user; the plane-wave model uses cfg, or the matched config."""
+    return ResponseVector(_response_block(geom, (loc,), model, cfg).reshape(-1), model, geom)
 
-    The plane-wave model uses cfg, or the matched config when cfg is None.
-    """
-    if model == PNUSW:
-        return pnusw_response(geom, loc)
-    if model == UPW:
-        return upw_response(geom, loc, cfg if cfg is not None else UpwConfig.matched_to(geom))
-    raise ValueError(f"unknown channel model {model!r}")
+
+def pnusw_response(geom: ArrayGeometry, loc: UserLocation) -> ResponseVector:
+    """Spherical-wavefront response: sqrt(gain) * exp(-j 2 pi distance / wavelength)."""
+    return response(geom, loc, PNUSW)
+
+
+def upw_response(geom: ArrayGeometry, loc: UserLocation, cfg: UpwConfig) -> ResponseVector:
+    """Plane-wave response: common amplitude and a linear phase ramp."""
+    return response(geom, loc, UPW, cfg)
 
 
 def channel_power(a) -> float:
     """Total channel power |a|^2."""
-    entries = a.entries if isinstance(a, ResponseVector) else np.asarray(a)
-    return vector_power(entries)
+    return a.power() if isinstance(a, ResponseVector) else vector_power(np.asarray(a))
 
 
 def correlation(a_k: ResponseVector, a_i: ResponseVector) -> float:
     """Normalized squared inner product of two users' channel vectors, in [0, 1]."""
     if a_k.geom_digest != a_i.geom_digest or len(a_k) != len(a_i):
         raise DimensionMismatchError("channel vectors belong to different geometries")
-    p_k = channel_power(a_k)
-    p_i = channel_power(a_i)
+    p_k = a_k.power()
+    p_i = a_i.power()
     if p_k <= 0.0 or p_i <= 0.0:
         raise DegenerateChannelError("correlation undefined for a zero-power channel")
     inner = cdot(a_k.entries, a_i.entries)

@@ -99,18 +99,11 @@ def _defaults(experiment: str) -> dict:
         {"r_m": 25.0, "theta_rad": "pi/2", "phi_rad": 0.0},
         {"r_m": 250.0, "theta_rad": "pi/2", "phi_rad": 0.0},
     ]
-    if experiment == "corr-vs-m":
+    if experiment in ("corr-vs-m", "sinr-vs-m"):
         base["users"] = two_users_same_direction
         base["sweep"] = {"mz_start": 11, "mz_stop": 1001, "mz_step": 10, "mz_values": None}
-    elif experiment == "sinr-vs-m":
-        base["users"] = two_users_same_direction
-        base["sweep"] = {
-            "mz_start": 11,
-            "mz_stop": 1001,
-            "mz_step": 10,
-            "mz_values": None,
-            "user_index": 0,
-        }
+        if experiment == "sinr-vs-m":
+            base["sweep"]["user_index"] = 0
     elif experiment == "corr-vs-dist":
         geometry.update(num_y=200, num_z=200)
         base["users"] = [{"r_m": 50.0, "theta_rad": "pi/2", "phi_rad": 0.0}]
@@ -196,7 +189,8 @@ def _apply_override(tree: dict, dotted: str, value) -> None:
 
 
 def _as_int(value, path: str, minimum: int | None = None) -> int:
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or value != int(value):
+    integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not integral:
         raise ConfigError(f"config key '{path}' must be an integer, got {value!r}")
     value = int(value)
     if minimum is not None and value < minimum:
@@ -205,16 +199,19 @@ def _as_int(value, path: str, minimum: int | None = None) -> int:
 
 
 def _as_float(value, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"config key '{path}' must be a number, got {value!r}")
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ConfigError(f"config key '{path}' must be a finite number, got {value!r}")
     return float(value)
 
 
 def _as_angle(value, path: str) -> float:
     try:
-        return parse_angle(value)
+        angle = parse_angle(value)
     except ConfigError:
-        raise ConfigError(f"config key '{path}': cannot parse angle {value!r}") from None
+        angle = math.nan
+    if not math.isfinite(angle):
+        raise ConfigError(f"config key '{path}': cannot parse angle {value!r}")
+    return angle
 
 
 def _build_geometry(node: dict) -> ArrayGeometry:
@@ -282,6 +279,10 @@ def _resolve_sweep(experiment: str, sweep: dict) -> dict:
         direction = sweep["direction2"]
         theta = _as_angle(direction["theta_rad"], "sweep.direction2.theta_rad")
         phi = _as_angle(direction["phi_rad"], "sweep.direction2.phi_rad")
+        try:
+            UserLocation(r=1.0, theta=theta, phi=phi)
+        except ValueError as exc:
+            raise ConfigError(f"sweep.direction2: {exc}") from None
         if sweep["separations_m"] is not None:
             seps = _number_list(sweep["separations_m"], "sweep.separations_m")
         else:

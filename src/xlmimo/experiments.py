@@ -148,14 +148,14 @@ def nested_responses(geoms, users, model: str, upw_cfg: ch.UpwConfig | None = No
     function from a geometry in geoms to its response matrix.
     """
     big = max(geoms, key=lambda g: g.num_elements)
-    a_big = response_matrix(big, users, model, upw_cfg).reshape(big.num_z, big.num_y, -1)
+    a_big = response_matrix(big, users, model, upw_cfg).T.reshape(-1, big.num_z, big.num_y)
 
     def build(g: ArrayGeometry) -> np.ndarray:
         dy, dz = big.num_y - g.num_y, big.num_z - g.num_z
         if min(dy, dz) < 0 or dy % 2 or dz % 2:
             return response_matrix(g, users, model, upw_cfg)
-        block = a_big[dz // 2 : dz // 2 + g.num_z, dy // 2 : dy // 2 + g.num_y]
-        return block.reshape(g.num_elements, -1)
+        block = a_big[:, dz // 2 : dz // 2 + g.num_z, dy // 2 : dy // 2 + g.num_y]
+        return block.reshape(len(block), g.num_elements).T
 
     return build
 
@@ -171,10 +171,9 @@ def sweep_correlation_vs_m(
 ) -> SweepResult:
     """Correlation of two fixed users as the z-axis element count grows."""
     models = _check_models(models)
-    cfg = upw_cfg if upw_cfg is not None else ch.UpwConfig.matched_to(geom)
     mz_values = sorted(int(v) for v in mz_values)
     geoms = [replace(geom, num_z=mz) for mz in mz_values]
-    builds = {model: nested_responses(geoms, (loc1, loc2), model, cfg) for model in models}
+    builds = {model: nested_responses(geoms, (loc1, loc2), model, upw_cfg) for model in models}
 
     def point(g: ArrayGeometry) -> tuple:
         row = [g.num_elements, g.num_z]
@@ -204,16 +203,15 @@ def sweep_correlation_vs_distance(
 ) -> SweepResult:
     """Correlation versus range separation; user 2 sits at r1 + separation."""
     models = _check_models(models)
-    cfg = upw_cfg if upw_cfg is not None else ch.UpwConfig.matched_to(geom)
     theta2, phi2 = direction2
     separations = sorted(float(s) for s in separations)
-    ref = {model: ch.response(geom, loc1, model, cfg) for model in models}
+    ref = {model: ch.response(geom, loc1, model, upw_cfg) for model in models}
 
     def point(sep: float) -> tuple:
         loc2 = UserLocation(r=loc1.r + sep, theta=theta2, phi=phi2)
         row = [sep, loc2.r]
         for model in models:
-            row.append(ch.correlation(ref[model], ch.response(geom, loc2, model, cfg)))
+            row.append(ch.correlation(ref[model], ch.response(geom, loc2, model, upw_cfg)))
         return tuple(row)
 
     rows = _pmap(point, separations, threads)
@@ -238,12 +236,11 @@ def sweep_sinr_vs_m(
     models = _check_models(models)
     users = tuple(users)
     snr = np.asarray(snr, dtype=float)
-    cfg = upw_cfg if upw_cfg is not None else ch.UpwConfig.matched_to(geom)
     mz_values = sorted(int(v) for v in mz_values)
     if not 0 <= user_index < len(users):
         raise IndexError(f"user index {user_index} out of range for K={len(users)}")
     geoms = [replace(geom, num_z=mz) for mz in mz_values]
-    builds = {model: nested_responses(geoms, users, model, cfg) for model in models}
+    builds = {model: nested_responses(geoms, users, model, upw_cfg) for model in models}
 
     def point(g: ArrayGeometry) -> tuple:
         row = [g.num_elements, g.num_z]
@@ -277,14 +274,13 @@ def heatmap_snr_loss(
     missing values.  Long-form rows: (x, y, one loss factor per model).
     """
     models = _check_models(models)
-    cfg = upw_cfg if upw_cfg is not None else ch.UpwConfig.matched_to(geom)
     snr = np.asarray(snr, dtype=float)
     if snr.shape != (2,):
         raise ValueError("the loss-factor map is a two-user experiment")
     x_values = sorted(float(x) for x in x_values)
     y_values = sorted(float(y) for y in y_values)
-    ref = {model: response_matrix(geom, [loc1], model, cfg) for model in models}
-    single = {model: snr[0] * vector_power(ref[model][:, 0]) for model in models}
+    ref = {model: response_matrix(geom, [loc1], model, upw_cfg)[:, 0] for model in models}
+    single = {model: snr[0] * vector_power(ref[model]) for model in models}
 
     def point(cell: tuple[float, float]) -> tuple:
         x, y = cell
@@ -293,8 +289,8 @@ def heatmap_snr_loss(
         loc2 = cartesian_to_spherical(Vector3(x, y, 0.0))
         row = [x, y]
         for model in models:
-            a = np.hstack([ref[model], response_matrix(geom, [loc2], model, cfg)])
-            gamma = evaluate_scenario(a, snr)["mmse"][0]
+            a2 = response_matrix(geom, [loc2], model, upw_cfg)[:, 0]
+            gamma = evaluate_scenario(np.vstack([ref[model], a2]).T, snr)["mmse"][0]
             row.append(min(max(1.0 - gamma / single[model], 0.0), 1.0))
         return tuple(row)
 
@@ -342,14 +338,13 @@ def sumrate_vs_m(
     pairs.sort(key=lambda p: p[0] * p[1])
     if num_users > min(p[0] * p[1] for p in pairs):
         raise ValueError("num_users exceeds the smallest array size in the sweep")
-    cfg = upw_cfg if upw_cfg is not None else ch.UpwConfig.matched_to(geom)
     geoms = [replace(geom, num_y=ny, num_z=nz) for ny, nz in pairs]
 
     def run_drop(drop: int) -> np.ndarray:
         users = sample_users(region, num_users, (seed, drop))
         rates = np.empty((len(geoms), len(models), len(SCHEMES)))
         for mi, model in enumerate(models):
-            build = nested_responses(geoms, users, model, cfg)
+            build = nested_responses(geoms, users, model, upw_cfg)
             for gi, g in enumerate(geoms):
                 gammas = evaluate_scenario(build(g), snr)
                 for si, scheme in enumerate(SCHEMES):

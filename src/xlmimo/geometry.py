@@ -20,8 +20,10 @@ the user and the element at index (m_y, m_z) is
     r * sqrt(1 - 2*m_y*e*u_y - 2*m_z*e*u_z + (m_y^2 + m_z^2) * e^2)
 
 with e = spacing / r, which equals the Euclidean distance between the two
-points; both forms are implemented and the Euclidean one serves as the
-test oracle.
+points.  element_distance evaluates this form for one element and serves,
+with the Euclidean form, as the oracle for the vectorized response builder
+in channel, which computes the same radicand in a separable order and so
+agrees to rounding, not bit for bit.
 """
 
 from __future__ import annotations
@@ -117,11 +119,6 @@ class ArrayGeometry:
     def indices_z(self) -> np.ndarray:
         """Centered element indices along z, ascending."""
         return np.arange(self.num_z) - (self.num_z - 1) / 2.0
-
-    def index_grid(self) -> tuple[np.ndarray, np.ndarray]:
-        """Flattened (m_y, m_z) index pairs, m_z outermost and m_y innermost."""
-        mz, my = np.meshgrid(self.indices_z(), self.indices_y(), indexing="ij")
-        return my.ravel(), mz.ravel()
 
     def digest(self) -> str:
         """Short stable identifier used to match channel vectors to geometries."""
@@ -224,7 +221,6 @@ def element_distance(geom: ArrayGeometry, loc: UserLocation, m_y: float, m_z: fl
     m_z = _checked_index(geom.num_z, m_z, "m_z")
     eps = geom.spacing / loc.r
     _warn_if_near(eps)
-    # Same operation order as the vectorized path so both agree bitwise.
     radicand = (
         1.0
         - (2.0 * eps * loc.u_y) * m_y
@@ -236,21 +232,3 @@ def element_distance(geom: ArrayGeometry, loc: UserLocation, m_y: float, m_z: fl
             f"user at r={loc.r} coincides with element ({m_y}, {m_z})"
         )
     return loc.r * math.sqrt(radicand)
-
-
-def element_distances(geom: ArrayGeometry, loc: UserLocation) -> np.ndarray:
-    """Distances from the user to every element, flattened m_z-outer."""
-    my, mz = geom.index_grid()
-    eps = geom.spacing / loc.r
-    _warn_if_near(eps)
-    radicand = (
-        1.0
-        - (2.0 * eps * loc.u_y) * my
-        - (2.0 * eps * loc.u_z) * mz
-        + (my * my + mz * mz) * (eps * eps)
-    )
-    if np.any(radicand <= 0.0):
-        raise DegenerateGeometryError(
-            f"user at r={loc.r} is numerically coincident with an array element"
-        )
-    return loc.r * np.sqrt(radicand)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import zpotrf, zpotrs
 
 from .errors import NearSingularError
 
@@ -79,16 +79,18 @@ def hermitian_solve(h: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise ValueError(f"right-hand side has {b.shape[0]} rows, expected {n}")
     if n == 0:
         return np.zeros(b.shape, dtype=complex)
+    if not (np.isfinite(h).all() and np.isfinite(b).all()):
+        raise ValueError("array must not contain infs or NaNs")
     scale = float(np.max(np.abs(h)))
     if scale > 0 and float(np.max(np.abs(h - h.conj().T))) > 1e-10 * scale:
         raise ValueError("matrix is not Hermitian within tolerance 1e-10")
-    try:
-        factor = cho_factor(h, lower=True)
-    except np.linalg.LinAlgError as exc:
+    # the LAPACK routines behind scipy's cho_factor/cho_solve, without their wrappers
+    factor, info = zpotrf(h, lower=1, clean=0)
+    if info != 0:
         raise NearSingularError(
-            f"matrix is not numerically positive definite: {exc}"
-        ) from exc
-    diag = np.abs(np.diag(factor[0]))
+            f"matrix is not numerically positive definite (leading minor {info})"
+        )
+    diag = np.abs(np.diag(factor))
     dmin = float(diag.min())
     cond = math.inf if dmin == 0.0 else float((diag.max() / dmin) ** 2)
     if cond > MAX_CONDITION:
@@ -97,7 +99,7 @@ def hermitian_solve(h: np.ndarray, b: np.ndarray) -> np.ndarray:
             "user channels are numerically collinear",
             cond_estimate=cond,
         )
-    return cho_solve(factor, b)
+    return zpotrs(factor, b, lower=1)[0]
 
 
 def project_orthogonal(abar: np.ndarray, x: np.ndarray) -> np.ndarray:

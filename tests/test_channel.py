@@ -14,15 +14,17 @@ from xlmimo.channel import (
     channel_power,
     correlation,
     pnusw_gain,
-    pnusw_gains,
     pnusw_response,
     upw_correlation_closed,
     upw_response,
 )
-from xlmimo.errors import DegenerateChannelError, DimensionMismatchError
+from xlmimo.beamforming import response_matrix
+from xlmimo.errors import DegenerateChannelError, DegenerateGeometryError, DimensionMismatchError
 from xlmimo.geometry import (
     ArrayGeometry,
+    NearArrayWarning,
     UserLocation,
+    element_distance,
     element_position,
     user_position,
 )
@@ -36,6 +38,11 @@ def make_geom(num_y=11, num_z=11, spacing=D, area=AREA, wavelength=LAM):
     return ArrayGeometry(
         num_y=num_y, num_z=num_z, spacing=spacing, element_area=area, wavelength=wavelength
     )
+
+
+def flat_indices(geom):
+    """(m_y, m_z) of every element in flat order: m_z outermost, m_y innermost."""
+    return [(m_y, m_z) for m_z in geom.indices_z() for m_y in geom.indices_y()]
 
 
 def geometric_gain_oracle(geom, loc, m_y, m_z):
@@ -130,7 +137,8 @@ class TestPnuswResponse:
         geom = make_geom(num_y=4, num_z=3)
         loc = UserLocation(40.0, 1.2, -0.4)
         a = pnusw_response(geom, loc)
-        assert np.abs(a.entries) ** 2 == pytest.approx(pnusw_gains(geom, loc), rel=1e-12)
+        gains = [pnusw_gain(geom, loc, y, z) for y, z in flat_indices(geom)]
+        assert np.abs(a.entries) ** 2 == pytest.approx(gains, rel=1e-12)
 
     def test_power_matches_double_loop_oracle(self):
         geom = make_geom(num_y=10, num_z=10)
@@ -144,6 +152,85 @@ class TestPnuswResponse:
     def test_power_positive_off_plane(self):
         geom = make_geom()
         assert channel_power(pnusw_response(geom, UserLocation(60.0, 1.0, 1.0))) > 0.0
+
+
+def random_users(rng, count):
+    return [
+        UserLocation(rng.uniform(15.0, 300.0), rng.uniform(0.05, 3.09), rng.uniform(-1.5, 1.5))
+        for _ in range(count)
+    ]
+
+
+class TestResponseMatrix:
+    """The one vectorized builder behind every response, against per-element oracles."""
+
+    SHAPES = [(1, 1), (7, 13), (8, 12), (10, 1001)]
+
+    @pytest.mark.parametrize("num_y, num_z", SHAPES)
+    def test_pnusw_entries_match_scalar_gain_and_distance(self, num_y, num_z):
+        geom = make_geom(num_y=num_y, num_z=num_z)
+        users = random_users(np.random.default_rng(num_y * num_z), 3)
+        a = response_matrix(geom, users, "pnusw")
+        for k, loc in enumerate(users):
+            oracle = np.array([
+                math.sqrt(pnusw_gain(geom, loc, y, z))
+                * cmath.exp(-2j * math.pi * element_distance(geom, loc, y, z) / LAM)
+                for y, z in flat_indices(geom)
+            ])
+            assert np.max(np.abs(a[:, k] - oracle) / np.abs(oracle)) <= 1e-10
+
+    @pytest.mark.parametrize("num_y, num_z", SHAPES)
+    def test_upw_entries_match_direct_ramp(self, num_y, num_z):
+        geom = make_geom(num_y=num_y, num_z=num_z)
+        cfg = UpwConfig(beta0=2.5e-4)
+        users = random_users(np.random.default_rng(num_y + num_z), 3)
+        a = response_matrix(geom, users, "upw", cfg)
+        my, mz = np.array(flat_indices(geom)).T
+        for k, loc in enumerate(users):
+            ramp = 2.0 * math.pi * D / LAM * (my * loc.u_y + mz * loc.u_z)
+            common = math.sqrt(cfg.beta0) / loc.r * cmath.exp(-2j * math.pi * loc.r / LAM)
+            oracle = common * np.exp(1j * ramp)
+            assert np.max(np.abs(a[:, k] - oracle) / np.abs(oracle)) <= 1e-10
+
+    @pytest.mark.parametrize("model", ["pnusw", "upw"])
+    def test_columns_equal_single_user_builds_bitwise(self, model):
+        geom = make_geom(num_y=7, num_z=13)
+        users = random_users(np.random.default_rng(80), 80)
+        a = response_matrix(geom, users, model)
+        single = pnusw_response if model == "pnusw" else (
+            lambda g, loc: upw_response(g, loc, UpwConfig.matched_to(g))
+        )
+        for k, loc in enumerate(users):
+            assert a[:, k].tobytes() == response_matrix(geom, [loc], model).tobytes()
+            assert a[:, k].tobytes() == single(geom, loc).entries.tobytes()
+
+    @pytest.mark.filterwarnings("ignore::xlmimo.geometry.NearArrayWarning")
+    def test_any_user_on_an_element_is_degenerate(self):
+        geom = make_geom()
+        on_element = UserLocation(geom.spacing, math.pi / 2, math.pi / 2)
+        users = [UserLocation(30.0, 1.0, 0.2), on_element, UserLocation(60.0, 1.2, -0.3)]
+        with pytest.raises(DegenerateGeometryError, match="coincident"):
+            response_matrix(geom, users, "pnusw")
+
+    def test_any_user_near_the_array_warns(self):
+        geom = make_geom()
+        users = [UserLocation(30.0, 1.0, 0.2), UserLocation(5 * geom.spacing, math.pi / 2, 0.0)]
+        with pytest.warns(NearArrayWarning):
+            response_matrix(geom, users, "pnusw")
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_entries_are_rejected(self):
+        geom = make_geom(num_y=2, num_z=2)
+        cfg = UpwConfig(beta0=1e300)
+        users = [UserLocation(30.0, 1.0, 0.2), UserLocation(1e-300, 1.0, 0.2)]
+        with pytest.raises(ValueError, match="finite"):
+            response_matrix(geom, users, "upw", cfg)
+        with pytest.raises(ValueError, match="finite"):
+            upw_response(geom, users[1], cfg)
+
+    def test_unknown_model_is_rejected(self):
+        with pytest.raises(ValueError, match="unknown channel model"):
+            response_matrix(make_geom(), [UserLocation(30.0, 1.0, 0.2)], "fsw")
 
 
 class TestUpwResponse:

@@ -286,6 +286,27 @@ class TestSamplingRegion:
 
 
 @pytest.mark.parametrize(
+    "experiment, override",
+    [
+        ("snr-loss-heatmap", "sweep.x_values_m=[NaN]"),
+        ("corr-vs-dist", "sweep.separations_m=[NaN]"),
+        ("corr-vs-dist", "sweep.separation_step=Infinity"),
+        ("sinr-vs-m", "snr_db=NaN"),
+        ("sumrate-vs-m", "sweep.n_drops=NaN"),
+        ("corr-vs-dist", "sweep.direction2.theta_rad=NaN"),
+        ("corr-vs-dist", "sweep.direction2.theta_rad=5"),
+    ],
+)
+def test_bad_config_numbers_are_config_errors(run_python, tmp_path, experiment, override):
+    proc = run_python([
+        "-m", "xlmimo.cli", "--experiment", experiment,
+        "--out", str(tmp_path / "t.csv"), "--set", override,
+    ], timeout=60.0)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("config error:") and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
     "experiment, overrides",
     [
         ("sumrate-vs-m", ["sweep.sides=[10,120]", "sweep.n_drops=1"]),

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from xlmimo.beamforming import response_matrix
+from xlmimo.channel import pnusw_gain
 from xlmimo.errors import DegenerateGeometryError
 from xlmimo.geometry import (
     ArrayGeometry,
@@ -15,7 +17,6 @@ from xlmimo.geometry import (
     Vector3,
     cartesian_to_spherical,
     element_distance,
-    element_distances,
     element_position,
     user_position,
 )
@@ -95,9 +96,12 @@ class TestIndexGrid:
 
     def test_flat_order_is_mz_outer_my_inner(self):
         g = make_geom(num_y=3, num_z=2)
-        my, mz = g.index_grid()
-        assert np.array_equal(my, [-1, 0, 1, -1, 0, 1])
-        assert np.array_equal(mz, [-0.5, -0.5, -0.5, 0.5, 0.5, 0.5])
+        loc = UserLocation(2.0, 1.0, 0.4)  # close enough that every element's gain differs
+        gains = np.abs(response_matrix(g, [loc], "pnusw")[:, 0]) ** 2
+        order = [(-1, -0.5), (0, -0.5), (1, -0.5), (-1, 0.5), (0, 0.5), (1, 0.5)]
+        oracle = [pnusw_gain(g, loc, m_y, m_z) for m_y, m_z in order]
+        assert gains == pytest.approx(oracle, rel=1e-12)
+        assert len(set(oracle)) == len(order)
 
 
 class TestElementPosition:
@@ -238,20 +242,11 @@ class TestElementDistance:
         got = element_distance(geom, loc, m_y, m_z)
         assert got == pytest.approx(oracle, rel=1e-12)
 
-    def test_vectorized_matches_scalar(self):
-        g = make_geom(num_y=4, num_z=3)
-        loc = UserLocation(18.0, 1.1, -0.7)
-        my, mz = g.index_grid()
-        scalar = np.array(
-            [element_distance(g, loc, a, b) for a, b in zip(my, mz)]
-        )
-        assert np.array_equal(element_distances(g, loc), scalar)
-
     def test_close_range_warning(self):
         g = make_geom()
         with pytest.warns(NearArrayWarning):
-            element_distances(g, UserLocation(5 * g.spacing, math.pi / 2, 0.0))
+            element_distance(g, UserLocation(5 * g.spacing, math.pi / 2, 0.0), 0, 0)
 
     def test_no_warning_at_realistic_range(self, recwarn):
-        element_distances(make_geom(), UserLocation(25.0, math.pi / 2, 0.0))
+        element_distance(make_geom(), UserLocation(25.0, math.pi / 2, 0.0), 0, 0)
         assert not [w for w in recwarn.list if w.category is NearArrayWarning]

@@ -5,6 +5,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 
 from xlmimo.errors import NearSingularError
 from xlmimo.numerics import (
@@ -133,6 +134,24 @@ class TestHermitianSolve:
         b = complex_randn(rng, 6, 2)
         x = hermitian_solve(h, b)
         assert np.linalg.norm(h @ x - b) <= 1e-10 * np.linalg.norm(b)
+
+    @pytest.mark.parametrize("k", [2, 10])
+    def test_matches_scipy_cholesky_bitwise(self, k):
+        rng = np.random.default_rng(k)
+        h = gram(complex_randn(rng, 3 * k, k)) + np.eye(k)
+        for b in (np.eye(k), complex_randn(rng, k)):
+            oracle = cho_solve(cho_factor(h, lower=True), b)
+            assert hermitian_solve(h, b).tobytes() == oracle.astype(complex).tobytes()
+
+    def test_rejects_non_finite_input(self):
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            hermitian_solve(np.array([[1.0, 0.0], [0.0, np.nan]]), np.ones(2))
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            hermitian_solve(np.eye(2), np.array([1.0, np.inf]))
+
+    def test_indefinite_raises(self):
+        with pytest.raises(NearSingularError, match="positive definite"):
+            hermitian_solve(np.diag([1.0, -1.0]), np.ones(2))
 
     def test_empty_system(self):
         assert hermitian_solve(np.zeros((0, 0)), np.zeros((0,))).shape == (0,)
