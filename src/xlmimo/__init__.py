@@ -16,7 +16,6 @@ from .beamforming import (
     mrc,
     response_matrix,
     sinr,
-    sinr_closed,
     solve_user,
     sum_rate,
     two_user_sinrs,
@@ -80,7 +79,6 @@ __all__ = [
     "response_matrix",
     "sample_users",
     "sinr",
-    "sinr_closed",
     "solve_user",
     "sum_rate",
     "two_user_sinrs",

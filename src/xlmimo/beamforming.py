@@ -11,17 +11,20 @@ with a scheme-specific loss factor alpha in [0, 1]:
 * MRC: v = a_k / |a_k|; alpha = S / (S + 1) with
   S = sum_{i != k} p_i rho_ki |a_i|^2.
 * ZF:  v is the normalized projection of a_k onto the orthogonal
-  complement of the interferers' span; alpha is the projected power loss.
-* MMSE: v proportional to C_k^-1 a_k with C_k = sum p_i a_i a_i^H + I,
-  the SINR-optimal receiver; applied through the low-rank whitening
-  identity so cost stays O(M*K + K^3).
+  complement of the interferers' span, which is A G^-1 e_k with
+  G = A^H A; alpha is the projected power loss.
+* MMSE: v proportional to C_k^-1 a_k with C_k = sum_{i != k} p_i a_i a_i^H
+  + I, the SINR-optimal receiver.  By Sherman-Morrison C_k^-1 a_k is
+  parallel to C^-1 a_k, and by the push-through identity
+  C^-1 A P^1/2 = A P^1/2 W^-1 with W = I + P^1/2 G P^1/2, so v is
+  A P^1/2 W^-1 e_k.
 
-The per-user closed forms (sinr_closed) route through
-numerics.project_orthogonal and numerics.whitened_apply; sinr() evaluates
-the quotient directly and serves as the internal consistency oracle.
-evaluate_scenario() gets every user's SINR under all schemes from one
-K x K Gram matrix and one K x K Cholesky inverse per scheme; it is the
-algebraically identical fast path used by the parameter sweeps.
+Every SINR, loss factor and beamformer comes from one K x K step per
+scenario (_factorize): the Gram matrix G and the Cholesky inverses of G
+and W.  evaluate_scenario() reads all users' SINRs off their diagonals;
+zf() and mmse() multiply A by one of their columns.  Nothing forms or
+factors an M x M matrix.  sinr() evaluates the quotient directly and
+serves as the consistency oracle for the beamformers.
 """
 
 from __future__ import annotations
@@ -38,12 +41,12 @@ from .errors import (
     ZeroForcingInfeasibleError,
 )
 from .geometry import ArrayGeometry, UserLocation
-from .numerics import cdot, gram, hermitian_solve, project_orthogonal, vector_power, whitened_apply
+from .numerics import cdot, gram, hermitian_solve, vector_power
 
 SCHEMES = ("mrc", "zf", "mmse")
 
-# Zero forcing is declared infeasible when the projected channel keeps less
-# than this fraction of its power (condition ~1e12, the double-precision
+# Zero forcing is declared infeasible when the projected channel keeps at
+# most this fraction of its power (condition ~1e12, the double-precision
 # collinearity limit with headroom).
 ZF_COLLINEAR_TOL = 1e-12
 
@@ -74,10 +77,6 @@ class Scenario:
         if self.model == ch.UPW and self.upw_cfg is None:
             object.__setattr__(self, "upw_cfg", ch.UpwConfig.matched_to(self.geom))
 
-    @property
-    def num_users(self) -> int:
-        return len(self.users)
-
     def response_matrix(self) -> np.ndarray:
         """M x K matrix whose k-th column is user k's channel vector."""
         return response_matrix(self.geom, self.users, self.model, self.upw_cfg)
@@ -92,7 +91,7 @@ def response_matrix(
     """
     block = ch._response_block(geom, users, model, upw_cfg)
     if not np.isfinite(block).all():
-        raise ValueError("channel entries must be finite")
+        raise DegenerateChannelError("channel entries must be finite")
     return block.reshape(len(block), geom.num_elements).T
 
 
@@ -130,52 +129,77 @@ def _unit_canonical(w: np.ndarray, a_k: np.ndarray) -> np.ndarray:
 def mrc(a_k: np.ndarray) -> np.ndarray:
     """Maximal-ratio combining: the user's own channel direction."""
     a_k = np.asarray(a_k, dtype=complex)
-    power = vector_power(a_k)
-    if power <= 0.0:
-        raise DegenerateChannelError("MRC undefined for a zero channel")
-    return a_k / math.sqrt(power)
+    return _unit_canonical(a_k, a_k)
 
 
-def _split_interferers(a: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    keep = [i for i in range(a.shape[1]) if i != k]
-    return a[:, keep], np.asarray(keep, dtype=int)
+def _factorize(a: np.ndarray, snr=None):
+    """The K x K step behind every SINR and beamformer of one scenario.
+
+    Returns (G, G^-1, residual, W^-1) with G = A^H A and
+    W = I + P^1/2 G P^1/2.  residual[k] = 1 / [G^-1]_kk is the power of
+    a_k left after projecting out the interferers, or 0.0 where zero
+    forcing is infeasible: at most ZF_COLLINEAR_TOL of the user's own
+    power, and for every user when G fails the condition gate of
+    hermitian_solve (then G^-1 is None), as it does for M < K.  Then some
+    channel lies in the span of the others, so each user either is that
+    channel or has linearly dependent interferers.  W^-1 is None without
+    snr, which must hold K positive finite SNRs.
+    """
+    a = np.asarray(a, dtype=complex)
+    k_users = a.shape[1]
+    if a.shape[0] < k_users:
+        # zero rows leave A^H A unchanged and give gram a tall matrix
+        a = np.vstack([a, np.zeros((k_users - a.shape[0], k_users))])
+    g = gram(a)
+    powers = g.diagonal().real
+    if np.any(powers <= 0.0):
+        raise DegenerateChannelError("a user has a zero channel")
+    eye = np.eye(k_users)
+    try:
+        g_inv = hermitian_solve(g, eye)
+        residual = 1.0 / g_inv.diagonal().real
+        residual = np.where(residual > ZF_COLLINEAR_TOL * powers, residual, 0.0)
+    except NearSingularError:
+        g_inv, residual = None, np.zeros(k_users)
+    if snr is None:
+        return g, g_inv, residual, None
+    if snr.shape != (k_users,) or not np.all(np.isfinite(snr) & (snr > 0.0)):
+        raise ValueError(f"expected {k_users} positive finite SNRs, got {snr!r}")
+    root = np.sqrt(snr)
+    return g, g_inv, residual, hermitian_solve(eye + root[:, None] * g * root[None, :], eye)
+
+
+def _check_user(a: np.ndarray, k: int) -> None:
+    if not 0 <= k < a.shape[1]:
+        raise IndexError(f"user index {k} out of range for K={a.shape[1]}")
 
 
 def zf(a: np.ndarray, k: int) -> np.ndarray:
     """Zero-forcing beamformer for user k: null every interferer.
 
-    Raises NearSingularError when interferer channels are rank deficient
-    and ZeroForcingInfeasibleError when a_k is numerically inside their
-    span (e.g. plane-wave users sharing one direction).
+    Raises ZeroForcingInfeasibleError exactly where evaluate_scenario
+    reports a ZF SINR of 0: when a_k is numerically inside the interferer
+    span (e.g. plane-wave users sharing one direction), when the
+    interferers are rank deficient, and when M < K.
     """
     a = np.asarray(a, dtype=complex)
-    m, k_users = a.shape
-    if m < k_users:
-        raise ValueError(f"zero forcing requires M >= K, got M={m}, K={k_users}")
-    if not 0 <= k < k_users:
-        raise IndexError(f"user index {k} out of range for K={k_users}")
-    a_k = a[:, k]
-    abar, _ = _split_interferers(a, k)
-    projected = project_orthogonal(abar, a_k)
-    if vector_power(projected) <= ZF_COLLINEAR_TOL * vector_power(a_k):
+    _check_user(a, k)
+    _, g_inv, residual, _ = _factorize(a)
+    if residual[k] == 0.0:
         raise ZeroForcingInfeasibleError(
-            f"user {k}'s channel lies in the interferer span; zero forcing is infeasible"
+            f"zero forcing is infeasible for user {k}: with M={a.shape[0]} and "
+            f"K={a.shape[1]} its channel lies in the span of the others"
         )
-    return _unit_canonical(projected, a_k)
+    return _unit_canonical(a @ g_inv[:, k], a[:, k])
 
 
 def mmse(a: np.ndarray, snr, k: int) -> np.ndarray:
-    """SINR-optimal beamformer for user k: whitened channel direction."""
+    """SINR-optimal beamformer for user k: A P^1/2 W^-1 e_k, normalized."""
     a = np.asarray(a, dtype=complex)
     snr = np.asarray(snr, dtype=float)
-    if not 0 <= k < a.shape[1]:
-        raise IndexError(f"user index {k} out of range for K={a.shape[1]}")
-    a_k = a[:, k]
-    if vector_power(a_k) <= 0.0:
-        raise DegenerateChannelError("MMSE undefined for a zero channel")
-    abar, others = _split_interferers(a, k)
-    w = whitened_apply(abar, snr[others], a_k)
-    return _unit_canonical(w, a_k)
+    _check_user(a, k)
+    *_, w_inv = _factorize(a, snr)
+    return _unit_canonical(a @ (np.sqrt(snr) * w_inv[:, k]), a[:, k])
 
 
 def sinr(v: np.ndarray, a: np.ndarray, snr, k: int) -> float:
@@ -191,55 +215,6 @@ def sinr(v: np.ndarray, a: np.ndarray, snr, k: int) -> float:
         snr[i] * gains[i] for i in range(a.shape[1]) if i != k
     )
     return snr[k] * gains[k] / (interference + 1.0)
-
-
-def sinr_closed(scheme: str, a: np.ndarray, snr, k: int) -> tuple[float, float]:
-    """Closed-form (sinr, loss_factor) for one scheme and user.
-
-    ZF raises ZeroForcingInfeasibleError (or NearSingularError for rank-
-    deficient interferers); sweep-level callers map those to sinr 0.
-    """
-    a = np.asarray(a, dtype=complex)
-    snr = np.asarray(snr, dtype=float)
-    if not 0 <= k < a.shape[1]:
-        raise IndexError(f"user index {k} out of range for K={a.shape[1]}")
-    a_k = a[:, k]
-    p_k = vector_power(a_k)
-    if p_k <= 0.0:
-        raise DegenerateChannelError(f"user {k} has a zero channel")
-    single = snr[k] * p_k
-
-    if scheme == "mrc":
-        weighted = math.fsum(
-            snr[i] * abs(cdot(a_k, a[:, i])) ** 2 / p_k
-            for i in range(a.shape[1])
-            if i != k
-        )
-        alpha = weighted / (weighted + 1.0)
-        return single / (weighted + 1.0), alpha
-
-    abar, others = _split_interferers(a, k)
-    if scheme == "zf":
-        if a.shape[0] < a.shape[1]:
-            raise ValueError(
-                f"zero forcing requires M >= K, got M={a.shape[0]}, K={a.shape[1]}"
-            )
-        projected_power = vector_power(project_orthogonal(abar, a_k))
-        if projected_power <= ZF_COLLINEAR_TOL * p_k:
-            raise ZeroForcingInfeasibleError(
-                f"user {k}'s channel lies in the interferer span"
-            )
-        alpha = min(max(1.0 - projected_power / p_k, 0.0), 1.0)
-        return snr[k] * projected_power, alpha
-
-    if scheme == "mmse":
-        w = whitened_apply(abar, snr[others], a_k)
-        quad = cdot(a_k, w).real
-        quad = min(max(quad, 0.0), p_k)
-        alpha = min(max(1.0 - quad / p_k, 0.0), 1.0)
-        return snr[k] * quad, alpha
-
-    raise ValueError(f"unknown beamforming scheme {scheme!r}")
 
 
 def two_user_sinrs(a1, a2, p1: float, p2: float) -> tuple[float, float, float]:
@@ -269,7 +244,8 @@ def sum_rate(gammas) -> float:
 def solve_user(scenario: Scenario, scheme: str, k: int, a: np.ndarray | None = None) -> BeamformerReport:
     """Build the beamformer for one user and report SINR and loss factor.
 
-    Zero-forcing infeasibility (including rank-deficient interferers) is
+    The SINR is evaluate_scenario's entry for the user, and the loss factor
+    is alpha = 1 - sinr / (p_k |a_k|^2).  Zero-forcing infeasibility is
     reported as sinr 0 with the infeasible flag instead of raising.
     """
     if scheme not in SCHEMES:
@@ -277,40 +253,26 @@ def solve_user(scenario: Scenario, scheme: str, k: int, a: np.ndarray | None = N
     if a is None:
         a = scenario.response_matrix()
     snr = np.asarray(scenario.snr, dtype=float)
+    _check_user(a, k)
     single = snr[k] * vector_power(a[:, k])
-    try:
-        gamma, alpha = sinr_closed(scheme, a, snr, k)
-        if scheme == "mrc":
-            v = mrc(a[:, k])
-        elif scheme == "zf":
-            v = zf(a, k)
-        else:
-            v = mmse(a, snr, k)
-    except (ZeroForcingInfeasibleError, NearSingularError):
-        return BeamformerReport(
-            scheme=scheme,
-            user=k,
-            beamformer=None,
-            sinr=0.0,
-            loss_factor=1.0,
-            single_user_snr=single,
-            infeasible=True,
-        )
-    return BeamformerReport(
-        scheme=scheme,
-        user=k,
-        beamformer=v,
-        sinr=gamma,
-        loss_factor=alpha,
-        single_user_snr=single,
-    )
+    gamma = float(evaluate_scenario(a, snr)[scheme][k])
+    if scheme == "zf" and gamma == 0.0:
+        return BeamformerReport(scheme, k, None, 0.0, 1.0, single, infeasible=True)
+    if scheme == "mrc":
+        v = mrc(a[:, k])
+    elif scheme == "zf":
+        v = zf(a, k)
+    else:
+        v = mmse(a, snr, k)
+    alpha = min(max(1.0 - gamma / single, 0.0), 1.0)
+    return BeamformerReport(scheme, k, v, gamma, alpha, single)
 
 
 def evaluate_scenario(a: np.ndarray, snr) -> dict[str, np.ndarray]:
     """Per-user SINRs of all schemes from one Gram matrix and one inverse each.
 
     With G = A^H A and P = diag(snr), every user's SINR comes from the
-    diagonal of a single K x K Cholesky inverse per scheme:
+    diagonal of a single K x K Cholesky inverse per scheme (_factorize):
 
     * MRC:  gamma_k = p_k G_kk / (sum_{i != k} p_i |G_ik|^2 / G_kk + 1);
     * ZF:   gamma_k = p_k / [G^-1]_kk, where 1 / [G^-1]_kk is the power of
@@ -318,38 +280,16 @@ def evaluate_scenario(a: np.ndarray, snr) -> dict[str, np.ndarray]:
     * MMSE: gamma_k = 1 / [W^-1]_kk - 1 with W = I + P^1/2 G P^1/2, whose
       eigenvalues are all at least 1.
 
-    ZF entries are 0.0 where zero forcing is infeasible: for a user whose
-    projected power is at most ZF_COLLINEAR_TOL of its own, and for every
-    user when G fails the condition gate of hermitian_solve, as it does
-    for M < K.  Then some channel lies in the span of the others, so each
-    user either is that channel or has linearly dependent interferers.
+    ZF entries are 0.0 where zero forcing is infeasible (see _factorize).
     """
-    a = np.asarray(a, dtype=complex)
     snr = np.asarray(snr, dtype=float)
-    k_users = a.shape[1]
-    if snr.shape != (k_users,):
-        raise ValueError(f"expected {k_users} SNRs, got shape {snr.shape}")
-    if a.shape[0] < k_users:
-        # zero rows leave A^H A unchanged and give gram a tall matrix
-        a = np.vstack([a, np.zeros((k_users - a.shape[0], k_users))])
-    g = gram(a)
+    g, _, residual, w_inv = _factorize(a, snr)
     powers = g.diagonal().real
-    if np.any(powers <= 0.0):
-        raise DegenerateChannelError("a user has a zero channel")
-
     coupling = g.real**2 + g.imag**2
     np.fill_diagonal(coupling, 0.0)
     weighted = (coupling * snr).sum(axis=1) / powers
-    out = {"mrc": snr * powers / (weighted + 1.0)}
-
-    eye = np.eye(k_users)
-    try:
-        residual = 1.0 / hermitian_solve(g, eye).diagonal().real
-        out["zf"] = np.where(residual > ZF_COLLINEAR_TOL * powers, snr * residual, 0.0)
-    except NearSingularError:
-        out["zf"] = np.zeros(k_users)
-
-    root = np.sqrt(snr)
-    w = eye + root[:, None] * g * root[None, :]
-    out["mmse"] = np.maximum(1.0 / hermitian_solve(w, eye).diagonal().real - 1.0, 0.0)
-    return out
+    return {
+        "mrc": snr * powers / (weighted + 1.0),
+        "zf": snr * residual,
+        "mmse": np.maximum(1.0 / w_inv.diagonal().real - 1.0, 0.0),
+    }

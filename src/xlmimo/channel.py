@@ -85,7 +85,7 @@ class ResponseVector:
         if self.model not in VALID_MODELS:
             raise ValueError(f"unknown channel model {self.model!r}")
         if not np.isfinite(entries).all():
-            raise ValueError("channel entries must be finite")
+            raise DegenerateChannelError("channel entries must be finite")
         object.__setattr__(self, "_power", vector_power(entries))
 
     @property

@@ -54,6 +54,9 @@ DEFAULT_SPACING = DEFAULT_WAVELENGTH / 2.0
 DEFAULT_ELEMENT_AREA = DEFAULT_WAVELENGTH**2 / (4.0 * math.pi)
 DEFAULT_SNR_DB = 50.0
 
+# Most points one sweep may have, checked before any sweep axis is built.
+_MAX_SWEEP_POINTS = 100_000
+
 _ANGLE_RE = re.compile(
     r"^\s*([+-]?)(\d+(?:\.\d+)?)?\s*pi\s*(?:/\s*(\d+(?:\.\d+)?))?\s*$", re.IGNORECASE
 )
@@ -252,7 +255,13 @@ def _build_users(entries) -> list[UserLocation]:
 def _number_list(values, path: str) -> list[float]:
     if not isinstance(values, list) or not values:
         raise ConfigError(f"config key '{path}' must be a non-empty list of numbers")
+    _check_points(len(values), path)
     return [_as_float(v, path) for v in values]
+
+
+def _check_points(count, path: str) -> None:
+    if not count <= _MAX_SWEEP_POINTS:
+        raise ConfigError(f"{path} gives {count:.4g} sweep points, more than {_MAX_SWEEP_POINTS}")
 
 
 def _user_region(region: dict) -> xp.UserRegion:
@@ -265,12 +274,15 @@ def _resolve_sweep(experiment: str, sweep: dict) -> dict:
     """Turn start/stop/step ranges into explicit value lists so reruns are pinned."""
     if experiment in ("corr-vs-m", "sinr-vs-m"):
         if sweep["mz_values"] is not None:
-            values = [_as_int(v, "sweep.mz_values", minimum=1) for v in sweep["mz_values"]]
+            values = _number_list(sweep["mz_values"], "sweep.mz_values")
+            values = [_as_int(v, "sweep.mz_values", minimum=1) for v in values]
         else:
             start = _as_int(sweep["mz_start"], "sweep.mz_start", minimum=1)
             stop = _as_int(sweep["mz_stop"], "sweep.mz_stop", minimum=start)
             step = _as_int(sweep["mz_step"], "sweep.mz_step", minimum=1)
-            values = list(range(start, stop + 1, step))
+            values = range(start, stop + 1, step)
+            _check_points(len(values), "sweep.mz_start/mz_stop/mz_step")
+            values = list(values)
         out = {"mz_values": values}
         if experiment == "sinr-vs-m":
             out["user_index"] = _as_int(sweep["user_index"], "sweep.user_index", minimum=0)
@@ -291,7 +303,9 @@ def _resolve_sweep(experiment: str, sweep: dict) -> dict:
             step = _as_float(sweep["separation_step"], "sweep.separation_step")
             if step <= 0 or stop < start:
                 raise ConfigError("separation sweep needs step > 0 and stop >= start")
-            seps = [start + i * step for i in range(int((stop - start) / step + 1e-9) + 1)]
+            span = (stop - start) / step + 1e-9
+            _check_points(span + 1, "sweep.separation_start/stop/step")
+            seps = [start + i * step for i in range(int(span) + 1)]
         if any(s < 0 for s in seps):
             raise ConfigError("sweep.separations_m must be non-negative")
         return {
@@ -308,12 +322,16 @@ def _resolve_sweep(experiment: str, sweep: dict) -> dict:
                 start = _as_float(sweep[f"{axis}_start"], f"sweep.{axis}_start")
                 stop = _as_float(sweep[f"{axis}_stop"], f"sweep.{axis}_stop")
                 points = _as_int(sweep[f"{axis}_points"], f"sweep.{axis}_points", minimum=1)
+                _check_points(points, f"sweep.{axis}_points")
                 out[f"{axis}_values_m"] = [float(v) for v in np.linspace(start, stop, points)]
+        _check_points(len(out["x_values_m"]) * len(out["y_values_m"]), "the x-y grid")
         return out
     if experiment == "sumrate-vs-m":
-        sides = [_as_int(v, "sweep.sides", minimum=1) for v in sweep["sides"]]
+        sides = _number_list(sweep["sides"], "sweep.sides")
+        sides = [_as_int(v, "sweep.sides", minimum=1) for v in sides]
         n_users = _as_int(sweep["n_users"], "sweep.n_users", minimum=1)
         n_drops = _as_int(sweep["n_drops"], "sweep.n_drops", minimum=1)
+        _check_points(n_drops, "sweep.n_drops")
         if n_users > min(s * s for s in sides):
             raise ConfigError("sweep.n_users exceeds the smallest array in sweep.sides")
         region = sweep["region"]
@@ -358,7 +376,13 @@ class RunConfig:
 
     def snr_linear(self) -> list[float]:
         """Per-user transmit SNR: reference SNR (dB) divided by beta0."""
-        return [10.0 ** (db / 10.0) / self.beta0 for db in self.snr_db]
+        try:
+            snr = [10.0 ** (db / 10.0) / self.beta0 for db in self.snr_db]
+        except OverflowError:
+            snr = [math.inf]
+        if not all(0.0 < p < math.inf for p in snr):
+            raise ConfigError("snr_db and beta0 give a transmit SNR that is 0 or not finite")
+        return snr
 
     def resolved(self) -> dict:
         return {

@@ -6,7 +6,7 @@ class DegenerateGeometryError(ValueError):
 
 
 class DegenerateChannelError(ValueError):
-    """Channel vector has zero power and cannot be used downstream."""
+    """Channel vector has zero power or non-finite entries and cannot be used downstream."""
 
 
 class DimensionMismatchError(ValueError):

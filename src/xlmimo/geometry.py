@@ -194,7 +194,7 @@ def cartesian_to_spherical(p) -> UserLocation:
     conversion is deterministic and round-trips through user_position.
     """
     x, y, z = (float(v) for v in p)
-    r = math.sqrt(x * x + y * y + z * z)
+    r = math.hypot(x, y, z)
     if r == 0.0:
         raise DegenerateGeometryError("cannot assign angles to the origin")
     if x < 0.0:

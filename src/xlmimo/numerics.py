@@ -1,4 +1,4 @@
-"""Deterministic complex reductions and small structured Hermitian solves.
+"""Deterministic complex reductions, the Gram matrix and K x K Hermitian solves.
 
 Channel powers and inner products are numpy pairwise sums over the
 elementwise products, and the Gram matrix of two or more columns is one
@@ -7,9 +7,10 @@ thread count, so every output is bitwise reproducible on one machine; the
 level-1 BLAS dot products (``np.vdot``, ``np.dot`` on vectors) are avoided
 because their last bits change with the BLAS thread count.  Across
 machines results agree to rounding.  compensated_sum (exactly rounded
-``math.fsum``) is kept as the test oracle for these reductions.  The solves
-only ever factor matrices sized by the user count; nothing here allocates
-or factors an M x M matrix.
+``math.fsum``) is kept as the test oracle for these reductions.
+hermitian_solve factors only matrices sized by the user count (the Gram
+matrix and its MMSE counterpart); nothing here allocates or factors an
+M x M matrix.
 """
 
 from __future__ import annotations
@@ -101,47 +102,3 @@ def hermitian_solve(h: np.ndarray, b: np.ndarray) -> np.ndarray:
         )
     return zpotrs(factor, b, lower=1)[0]
 
-
-def project_orthogonal(abar: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Component of x orthogonal to the columns of abar (M x n, n small).
-
-    Computes x - abar @ (abar^H abar)^-1 abar^H x without ever forming the
-    M x M projector.  Raises NearSingularError when the columns of abar are
-    numerically rank deficient.
-    """
-    abar = np.asarray(abar, dtype=complex)
-    x = np.asarray(x, dtype=complex)
-    if abar.ndim != 2 or abar.shape[0] != x.shape[0]:
-        raise ValueError(f"shape mismatch: abar {abar.shape} vs x {x.shape}")
-    n = abar.shape[1]
-    if n == 0:
-        return x.copy()
-    rhs = np.array([cdot(abar[:, j], x) for j in range(n)])
-    coef = hermitian_solve(gram(abar), rhs)
-    return x - (abar * coef).sum(axis=1)
-
-
-def whitened_apply(abar: np.ndarray, weights, x: np.ndarray) -> np.ndarray:
-    """Apply the inverse of C = I + sum_i w_i a_i a_i^H to x, matrix free.
-
-    Uses the low-rank inversion identity
-    C^-1 x = x - abar @ (diag(1/w) + abar^H abar)^-1 abar^H x,
-    whose inner matrix is positive definite for any positive weights.
-    """
-    abar = np.asarray(abar, dtype=complex)
-    x = np.asarray(x, dtype=complex)
-    weights = np.asarray(weights, dtype=float)
-    if abar.ndim != 2 or abar.shape[0] != x.shape[0]:
-        raise ValueError(f"shape mismatch: abar {abar.shape} vs x {x.shape}")
-    n = abar.shape[1]
-    if weights.shape != (n,):
-        raise ValueError(f"expected {n} weights, got shape {weights.shape}")
-    if np.any(weights <= 0.0) or not np.all(np.isfinite(weights)):
-        raise ValueError("weights must be positive and finite")
-    if n == 0:
-        return x.copy()
-    rhs = np.array([cdot(abar[:, j], x) for j in range(n)])
-    h = gram(abar)
-    h[np.diag_indices(n)] += 1.0 / weights
-    coef = hermitian_solve(h, rhs)
-    return x - (abar * coef).sum(axis=1)

@@ -12,11 +12,11 @@ import pytest
 
 from xlmimo.beamforming import (
     SCHEMES,
+    evaluate_scenario,
     mmse,
     mrc,
     response_matrix,
     sinr,
-    sinr_closed,
     two_user_sinrs,
     zf,
 )
@@ -211,8 +211,8 @@ def test_c06_snr_loss_map_spot_checks():
     for model, ref in (("pnusw", pnusw_response(geom, user1).entries),
                        ("upw", upw_response(geom, user1, cfg).entries)):
         a = np.column_stack([ref, ref])
-        _, alpha = sinr_closed("mmse", a, snr, 0)
         power = vector_power(ref)
+        alpha = 1.0 - evaluate_scenario(a, snr)["mmse"][0] / (PBAR * power)
         expected = PBAR * power / (1.0 + PBAR * power)
         assert alpha == pytest.approx(expected, rel=1e-9)
 
@@ -302,10 +302,9 @@ def test_c09_dense_oracle_equivalence():
         dense_zf = snr[user] * (a_k.conj() @ projector @ a_k).real
         cov = np.eye(m) + (abar * np.delete(snr, user)) @ abar.conj().T
         dense_mmse = snr[user] * (a_k.conj() @ np.linalg.inv(cov) @ a_k).real
-        got_zf, _ = sinr_closed("zf", a, snr, user)
-        got_mmse, _ = sinr_closed("mmse", a, snr, user)
-        assert got_zf == pytest.approx(dense_zf, rel=1e-9)
-        assert got_mmse == pytest.approx(dense_mmse, rel=1e-9)
+        res = evaluate_scenario(a, snr)
+        assert res["zf"][user] == pytest.approx(dense_zf, rel=1e-9)
+        assert res["mmse"][user] == pytest.approx(dense_mmse, rel=1e-9)
     budget.done("100 random cases, ZF and MMSE")
 
 

@@ -2,8 +2,10 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
 from xlmimo.beamforming import (
     SCHEMES,
@@ -15,18 +17,13 @@ from xlmimo.beamforming import (
     mrc,
     response_matrix,
     sinr,
-    sinr_closed,
     solve_user,
     sum_rate,
     two_user_sinrs,
     zf,
 )
 from xlmimo.channel import UpwConfig
-from xlmimo.errors import (
-    DegenerateChannelError,
-    NearSingularError,
-    ZeroForcingInfeasibleError,
-)
+from xlmimo.errors import DegenerateChannelError, ZeroForcingInfeasibleError
 from xlmimo.geometry import ArrayGeometry, UserLocation
 from xlmimo.numerics import cdot, vector_power
 
@@ -62,6 +59,44 @@ def near_collinear_channels(rng, residual, extra, m=64):
     u /= math.sqrt(vector_power(u))
     a1 = math.sqrt(1.0 - residual) * np.exp(0.3j) * a0 + math.sqrt(residual) * u
     return np.column_stack([a0, a1] + [complex_randn(rng, m) / 8.0 for _ in range(extra)])
+
+
+def qr_sinrs(a, snr):
+    """ZF and MMSE SINRs of every user from Householder QR, with no Gram matrix.
+
+    With A = Q_A R_A, [G^-1]_kk is the squared norm of row k of R_A^-1, so
+    ZF_k = p_k / |row k of R_A^-1|^2; with [A P^1/2; I] = Q R, R^H R = W and
+    MMSE_k = 1 / |row k of R^-1|^2 - 1.  ZF is None for M < K.
+    """
+    k_users = a.shape[1]
+    eye = np.eye(k_users)
+
+    def inverse_row_powers(r):
+        return np.sum(np.abs(solve_triangular(r, eye)) ** 2, axis=1)
+
+    r = np.linalg.qr(np.vstack([a * np.sqrt(snr), eye]), mode="r")
+    out = {"mmse": 1.0 / inverse_row_powers(r) - 1.0, "zf": None}
+    if a.shape[0] >= k_users:
+        out["zf"] = snr / inverse_row_powers(np.linalg.qr(a, mode="r"))
+    return out
+
+
+def direct_mrc(a, snr, k):
+    return sinr(mrc(a[:, k]), a, snr, k)
+
+
+def mp_zf_sinrs(a, snr):
+    """ZF SINRs p_k / [G^-1]_kk in 50-digit arithmetic."""
+    with mpmath.workdps(50):
+        m = mpmath.matrix([[mpmath.mpc(complex(z)) for z in row] for row in a])
+        g_inv = mpmath.inverse(m.H * m)
+        return [float(snr[k] / mpmath.re(g_inv[k, k])) for k in range(a.shape[1])]
+
+
+def report_for(a, snr, scheme, k):
+    """solve_user's report for user k of explicit channels a."""
+    users = [UserLocation(30.0, 1.2, 0.0)] * len(snr)
+    return solve_user(Scenario(make_geom(1, 1), users, snr, "pnusw"), scheme, k, a)
 
 
 def vectors_with_correlation(rho, n2=4.0):
@@ -130,7 +165,7 @@ class TestZf:
 
     def test_requires_enough_elements(self):
         rng = np.random.default_rng(2)
-        with pytest.raises(ValueError, match="M >= K"):
+        with pytest.raises(ZeroForcingInfeasibleError, match="M=3 and K=4"):
             zf(random_channels(rng, 3, 4), 0)
 
 
@@ -185,33 +220,36 @@ class TestSinr:
 
 
 class TestSinrClosed:
+    """Closed-form SINRs and loss factors, as solve_user reports them."""
+
     def test_mrc_orthogonal_channels_lose_nothing(self):
         a = np.eye(6, 2).astype(complex) * 2.0
-        gamma, alpha = sinr_closed("mrc", a, [5.0, 7.0], 0)
-        assert alpha == 0.0
-        assert gamma == pytest.approx(5.0 * 4.0, rel=1e-12)
+        report = report_for(a, [5.0, 7.0], "mrc", 0)
+        assert report.loss_factor == 0.0
+        assert report.sinr == pytest.approx(5.0 * 4.0, rel=1e-12)
 
     def test_zf_two_user_loss_is_the_correlation(self):
         for rho in (0.0, 0.1, 0.5, 0.9, 0.999):
             a1, a2 = vectors_with_correlation(rho)
-            a = np.column_stack([a1, a2])
-            gamma, alpha = sinr_closed("zf", a, [2.0, 3.0], 0)
-            assert alpha == pytest.approx(rho, abs=1e-12)
-            assert gamma == pytest.approx(2.0 * (1.0 - rho), rel=1e-10)
+            report = report_for(np.column_stack([a1, a2]), [2.0, 3.0], "zf", 0)
+            assert report.loss_factor == pytest.approx(rho, abs=1e-12)
+            assert report.sinr == pytest.approx(2.0 * (1.0 - rho), rel=1e-10)
 
     def test_mmse_collinear_loss_factor(self):
         a1, a2 = vectors_with_correlation(1.0, n2=9.0)
         a = np.column_stack([a1, a2])
         p2 = 4.0
-        gamma, alpha = sinr_closed("mmse", a, [2.0, p2], 0)
+        report = report_for(a, [2.0, p2], "mmse", 0)
         expected_alpha = p2 * 9.0 / (1.0 + p2 * 9.0)
-        assert alpha == pytest.approx(expected_alpha, rel=1e-12)
-        assert gamma == pytest.approx(2.0 * (1.0 - expected_alpha), rel=1e-10)
+        assert report.loss_factor == pytest.approx(expected_alpha, rel=1e-12)
+        assert report.sinr == pytest.approx(2.0 * (1.0 - expected_alpha), rel=1e-10)
 
     def test_zf_collinear_raises_infeasible(self):
         a1, a2 = vectors_with_correlation(1.0)
+        a = np.column_stack([a1, a2])
         with pytest.raises(ZeroForcingInfeasibleError):
-            sinr_closed("zf", np.column_stack([a1, a2]), [1.0, 1.0], 0)
+            zf(a, 0)
+        assert report_for(a, [1.0, 1.0], "zf", 0).infeasible
 
     def test_closed_matches_direct_for_all_schemes(self):
         rng = np.random.default_rng(6)
@@ -222,14 +260,10 @@ class TestSinrClosed:
             snr = rng.uniform(0.5, 100.0, size=k)
             for user in range(k):
                 for scheme in SCHEMES:
-                    gamma, alpha = sinr_closed(scheme, a, snr, user)
-                    v = {
-                        "mrc": mrc(a[:, user]),
-                        "zf": zf(a, user),
-                        "mmse": mmse(a, snr, user),
-                    }[scheme]
-                    assert gamma == pytest.approx(sinr(v, a, snr, user), rel=1e-10)
-                    assert 0.0 <= alpha <= 1.0
+                    report = report_for(a, snr, scheme, user)
+                    direct = sinr(report.beamformer, a, snr, user)
+                    assert report.sinr == pytest.approx(direct, rel=1e-10)
+                    assert 0.0 <= report.loss_factor <= 1.0
 
     def test_decomposition_identity(self):
         rng = np.random.default_rng(7)
@@ -239,8 +273,10 @@ class TestSinrClosed:
             for user in range(3):
                 single = snr[user] * vector_power(a[:, user])
                 for scheme in SCHEMES:
-                    gamma, alpha = sinr_closed(scheme, a, snr, user)
-                    assert gamma == pytest.approx(single * (1.0 - alpha), rel=1e-10)
+                    report = report_for(a, snr, scheme, user)
+                    assert report.sinr == pytest.approx(
+                        single * (1.0 - report.loss_factor), rel=1e-10
+                    )
 
 
 class TestOrdering:
@@ -295,10 +331,9 @@ class TestDenseOracle:
             dense_zf = snr[user] * (a_k.conj() @ projector @ a_k).real
             cov = np.eye(m) + (abar * np.delete(snr, user)) @ abar.conj().T
             dense_mmse = snr[user] * (a_k.conj() @ np.linalg.inv(cov) @ a_k).real
-            got_zf, _ = sinr_closed("zf", a, snr, user)
-            got_mmse, _ = sinr_closed("mmse", a, snr, user)
-            assert got_zf == pytest.approx(dense_zf, rel=1e-9)
-            assert got_mmse == pytest.approx(dense_mmse, rel=1e-9)
+            res = evaluate_scenario(a, snr)
+            assert res["zf"][user] == pytest.approx(dense_zf, rel=1e-9)
+            assert res["mmse"][user] == pytest.approx(dense_mmse, rel=1e-9)
 
 
 class TestEvaluateScenario:
@@ -307,10 +342,11 @@ class TestEvaluateScenario:
         a = random_channels(rng, 50, 6)
         snr = rng.uniform(1.0, 50.0, size=6)
         res = evaluate_scenario(a, snr)
+        oracle = qr_sinrs(a, snr)
         for user in range(6):
-            for scheme in SCHEMES:
-                gamma, _ = sinr_closed(scheme, a, snr, user)
-                assert res[scheme][user] == pytest.approx(gamma, rel=1e-10)
+            assert res["mrc"][user] == pytest.approx(direct_mrc(a, snr, user), rel=1e-10)
+            for scheme in ("zf", "mmse"):
+                assert res[scheme][user] == pytest.approx(oracle[scheme][user], rel=1e-10)
 
     def test_single_inverse_matches_per_user_forms_on_random_cases(self):
         rng = np.random.default_rng(12)
@@ -320,10 +356,11 @@ class TestEvaluateScenario:
             a = random_channels(rng, m, k)
             snr = 10 ** rng.uniform(-1, 9, size=k)
             res = evaluate_scenario(a, snr)
+            oracle = qr_sinrs(a, snr)
             for user in range(k):
-                for scheme in SCHEMES:
-                    gamma, _ = sinr_closed(scheme, a, snr, user)
-                    assert res[scheme][user] == pytest.approx(gamma, rel=1e-10)
+                assert res["mrc"][user] == pytest.approx(direct_mrc(a, snr, user), rel=1e-10)
+                for scheme in ("zf", "mmse"):
+                    assert res[scheme][user] == pytest.approx(oracle[scheme][user], rel=1e-10)
 
     @pytest.mark.parametrize("extra", [0, 2])
     def test_near_collinear_users_on_both_sides_of_the_zf_tolerance(self, extra):
@@ -334,16 +371,80 @@ class TestEvaluateScenario:
             a = near_collinear_channels(rng, residual, extra)
             snr = np.full(a.shape[1], 1e6)
             res = evaluate_scenario(a, snr)
+            oracle = qr_sinrs(a, snr)
             for user in range(a.shape[1]):
-                gamma, _ = sinr_closed("mmse", a, snr, user)
-                assert res["mmse"][user] == pytest.approx(gamma, rel=1e-8)
+                assert res["mmse"][user] == pytest.approx(oracle["mmse"][user], rel=1e-8)
                 if residual > ZF_COLLINEAR_TOL:
-                    gamma, _ = sinr_closed("zf", a, snr, user)
-                    assert res["zf"][user] == pytest.approx(gamma, rel=1e-4)
+                    assert res["zf"][user] == pytest.approx(oracle["zf"][user], rel=1e-4)
                 else:
-                    with pytest.raises((ZeroForcingInfeasibleError, NearSingularError)):
-                        sinr_closed("zf", a, snr, user)
+                    with pytest.raises(ZeroForcingInfeasibleError):
+                        zf(a, user)
                     assert res["zf"][user] == 0.0
+
+    @pytest.mark.parametrize("extra", [0, 2])
+    def test_near_collinear_zf_matches_extended_precision(self, extra):
+        rng = np.random.default_rng(15)
+        residual = 100.0 * ZF_COLLINEAR_TOL
+        a = near_collinear_channels(rng, residual, extra)
+        snr = np.full(a.shape[1], 1e6)
+        res = evaluate_scenario(a, snr)
+        exact = mp_zf_sinrs(a, snr)
+        for user in range(a.shape[1]):
+            assert res["zf"][user] == pytest.approx(exact[user], rel=1e-4)
+            assert sinr(zf(a, user), a, snr, user) == pytest.approx(exact[user], rel=1e-4)
+            if extra == 0:
+                assert res["zf"][user] == pytest.approx(snr[user] * residual, rel=1e-4)
+                assert exact[user] == pytest.approx(snr[user] * residual, rel=1e-4)
+
+    def test_zf_raises_exactly_where_zf_sinr_is_zero(self):
+        rng = np.random.default_rng(16)
+        geom = make_geom(num_y=6, num_z=7)
+        plane_wave = response_matrix(geom, (
+            UserLocation(25.0, math.pi / 2, 0.0),
+            UserLocation(250.0, math.pi / 2, 0.0),
+            UserLocation(60.0, 1.2, 0.4),
+        ), "upw")
+        cases = [
+            plane_wave,
+            near_collinear_channels(rng, 0.01 * ZF_COLLINEAR_TOL, 0),
+            near_collinear_channels(rng, 100.0 * ZF_COLLINEAR_TOL, 2),
+            random_channels(rng, 2, 3),
+            random_channels(rng, 5, 3),
+        ]
+        for a in cases:
+            res = evaluate_scenario(a, np.full(a.shape[1], PBAR))
+            for user in range(a.shape[1]):
+                try:
+                    zf(a, user)
+                    raised = False
+                except ZeroForcingInfeasibleError:
+                    raised = True
+                assert raised == (res["zf"][user] == 0.0)
+
+    def test_zf_tolerance_applies_where_the_condition_gate_passes(self):
+        # residual 0.5 * tol: cond(G) ~ 2e12 passes hermitian_solve's gate
+        # (MAX_CONDITION ~ 4.5e12), so only ZF_COLLINEAR_TOL rules ZF out
+        rng = np.random.default_rng(17)
+        a = near_collinear_channels(rng, 0.5 * ZF_COLLINEAR_TOL, 0)
+        assert np.array_equal(evaluate_scenario(a, np.full(2, 1e6))["zf"], np.zeros(2))
+        for user in range(2):
+            with pytest.raises(ZeroForcingInfeasibleError):
+                zf(a, user)
+
+    def test_solve_user_reports_evaluate_scenario_bitwise(self):
+        geom = make_geom(num_y=5, num_z=6)
+        scenario = Scenario(
+            geom=geom,
+            users=(UserLocation(25.0, 1.5, 0.1), UserLocation(70.0, 1.3, -0.4),
+                   UserLocation(40.0, 1.1, 0.3)),
+            snr=(PBAR, 0.5 * PBAR, 2.0 * PBAR),
+            model="pnusw",
+        )
+        a = scenario.response_matrix()
+        res = evaluate_scenario(a, np.asarray(scenario.snr))
+        for scheme in SCHEMES:
+            for user in range(3):
+                assert solve_user(scenario, scheme, user).sinr == res[scheme][user]
 
     def test_plane_wave_users_sharing_a_direction(self):
         # users 0 and 1 share a direction, so user 2's interferers are collinear
@@ -356,12 +457,12 @@ class TestEvaluateScenario:
         a = response_matrix(geom, users, "upw")
         snr = np.full(3, PBAR)
         res = evaluate_scenario(a, snr)
+        oracle = qr_sinrs(a, snr)
         for user in range(3):
             assert res["zf"][user] == 0.0
-            with pytest.raises((ZeroForcingInfeasibleError, NearSingularError)):
-                sinr_closed("zf", a, snr, user)
-            gamma, _ = sinr_closed("mmse", a, snr, user)
-            assert res["mmse"][user] == pytest.approx(gamma, rel=1e-9)
+            with pytest.raises(ZeroForcingInfeasibleError):
+                zf(a, user)
+            assert res["mmse"][user] == pytest.approx(oracle["mmse"][user], rel=1e-9)
 
     def test_fewer_elements_than_users_rules_out_zero_forcing_only(self):
         rng = np.random.default_rng(14)
@@ -374,8 +475,7 @@ class TestEvaluateScenario:
             cov = np.eye(2) + (abar * np.delete(snr, user)) @ abar.conj().T
             dense = snr[user] * (a[:, user].conj() @ np.linalg.inv(cov) @ a[:, user]).real
             assert res["mmse"][user] == pytest.approx(dense, rel=1e-10)
-            gamma, _ = sinr_closed("mrc", a, snr, user)
-            assert res["mrc"][user] == pytest.approx(gamma, rel=1e-12)
+            assert res["mrc"][user] == pytest.approx(direct_mrc(a, snr, user), rel=1e-12)
 
     def test_single_user_all_schemes_equal(self):
         rng = np.random.default_rng(11)

@@ -295,6 +295,8 @@ class TestSamplingRegion:
         ("sumrate-vs-m", "sweep.n_drops=NaN"),
         ("corr-vs-dist", "sweep.direction2.theta_rad=NaN"),
         ("corr-vs-dist", "sweep.direction2.theta_rad=5"),
+        ("sinr-vs-m", "snr_db=4000"),
+        ("sinr-vs-m", "snr_db=-4000"),
     ],
 )
 def test_bad_config_numbers_are_config_errors(run_python, tmp_path, experiment, override):
@@ -304,6 +306,46 @@ def test_bad_config_numbers_are_config_errors(run_python, tmp_path, experiment, 
     ], timeout=60.0)
     assert proc.returncode == 1, proc.stderr
     assert proc.stderr.startswith("config error:") and "Traceback" not in proc.stderr
+
+
+def run_with_overrides(run_python, tmp_path, experiment, overrides, **kwargs):
+    args = ["-m", "xlmimo.cli", "--experiment", experiment, "--out", str(tmp_path / "t.csv")]
+    for item in overrides:
+        args += ["--set", item]
+    return run_python(args, timeout=60.0, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "experiment, overrides",
+    [
+        ("snr-loss-heatmap", ["sweep.x_values_m=[1e200]", "sweep.y_values_m=[0]"]),
+        ("corr-vs-m", ["users.0.r_m=1e-300", "sweep.mz_values=[11]"]),
+        ("corr-vs-dist", ["users.0.r_m=1e-300", "sweep.separations_m=[1]"]),
+    ],
+)
+def test_extreme_user_positions_are_numerical_errors(run_python, tmp_path, experiment, overrides):
+    proc = run_with_overrides(run_python, tmp_path, experiment, overrides)
+    assert proc.returncode == 2, proc.stderr
+    assert "numerical error:" in proc.stderr and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "experiment, overrides",
+    [
+        ("corr-vs-dist", ["sweep.separation_stop=1e12"]),
+        ("corr-vs-dist", ["sweep.separation_step=1e-300"]),
+        ("sinr-vs-m", ["sweep.mz_stop=1000000000000"]),
+        ("snr-loss-heatmap", ["sweep.y_points=1000000000000"]),
+        ("snr-loss-heatmap", ["sweep.x_points=1000", "sweep.y_points=1000"]),
+        ("sumrate-vs-m", ["sweep.n_drops=1000000000"]),
+    ],
+)
+def test_oversized_sweeps_are_config_errors(run_python, tmp_path, experiment, overrides):
+    proc = run_with_overrides(
+        run_python, tmp_path, experiment, overrides, memory_limit=3 * 2**30
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("config error:") and "sweep points" in proc.stderr
 
 
 @pytest.mark.parametrize(

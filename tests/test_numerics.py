@@ -7,16 +7,15 @@ import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve
 
-from xlmimo.errors import NearSingularError
+from xlmimo.beamforming import evaluate_scenario, mmse, mrc, zf
+from xlmimo.errors import NearSingularError, ZeroForcingInfeasibleError
 from xlmimo.numerics import (
     MAX_CONDITION,
     cdot,
     compensated_sum,
     gram,
     hermitian_solve,
-    project_orthogonal,
     vector_power,
-    whitened_apply,
 )
 
 
@@ -169,85 +168,96 @@ class TestHermitianSolve:
         assert excinfo.value.cond_estimate > MAX_CONDITION
 
 
+def with_user(x, abar):
+    """Channel matrix [x | abar]: user 0 is x, its interferers are abar's columns."""
+    return np.column_stack([x, abar]).astype(complex)
+
+
 class TestProjectOrthogonal:
+    """Projection of a user's channel off its interferers' span.
+
+    zf() builds it as A G^-1 e_k from the K x K solve, normalized.
+    """
+
     def test_standard_basis_column(self):
         abar = np.zeros((4, 1), dtype=complex)
         abar[0, 0] = 1.0
         x = np.array([1.0, 1.0, 0.0, 0.0], dtype=complex)
-        assert project_orthogonal(abar, x) == pytest.approx(
-            np.array([0.0, 1.0, 0.0, 0.0])
-        )
+        assert zf(with_user(x, abar), 0) == pytest.approx(np.array([0.0, 1.0, 0.0, 0.0]))
 
     def test_already_orthogonal_is_unchanged(self):
         rng = np.random.default_rng(5)
         abar = complex_randn(rng, 30, 3)
-        x = complex_randn(rng, 30)
-        x = project_orthogonal(abar, x)
-        again = project_orthogonal(abar, x)
+        x = zf(with_user(complex_randn(rng, 30), abar), 0)
+        again = zf(with_user(x, abar), 0)
         assert np.linalg.norm(again - x) <= 1e-12 * np.linalg.norm(x)
 
     def test_orthogonality_residuals(self):
         rng = np.random.default_rng(6)
         abar = complex_randn(rng, 200, 4)
-        x = complex_randn(rng, 200)
-        out = project_orthogonal(abar, x)
-        norm_x = math.sqrt(vector_power(x))
+        out = zf(with_user(complex_randn(rng, 200), abar), 0)
         for j in range(4):
-            assert abs(cdot(abar[:, j], out)) <= 1e-10 * norm_x * np.linalg.norm(abar[:, j])
+            assert abs(cdot(abar[:, j], out)) <= 1e-10 * np.linalg.norm(abar[:, j])
 
     def test_no_interferers_returns_copy(self):
         x = np.array([1.0 + 1j, 2.0])
-        out = project_orthogonal(np.zeros((2, 0), dtype=complex), x)
-        assert np.array_equal(out, x)
-        assert out is not x
+        assert zf(x[:, None], 0) == pytest.approx(mrc(x), rel=1e-15)
 
     def test_rank_deficient_columns_raise(self):
         rng = np.random.default_rng(7)
         col = complex_randn(rng, 20)
-        abar = np.column_stack([col, 2.0 * col])
-        with pytest.raises(NearSingularError):
-            project_orthogonal(abar, complex_randn(rng, 20))
+        a = with_user(complex_randn(rng, 20), np.column_stack([col, 2.0 * col]))
+        with pytest.raises(ZeroForcingInfeasibleError):
+            zf(a, 0)
+        assert np.array_equal(evaluate_scenario(a, np.ones(3))["zf"], np.zeros(3))
 
 
 class TestWhitenedApply:
+    """Whitening of a user's channel by C_k = I + sum_{i != k} p_i a_i a_i^H.
+
+    mmse() builds C_k^-1 a_k up to scale as A P^1/2 W^-1 e_k, and
+    evaluate_scenario() reads p_k a_k^H C_k^-1 a_k off the diagonal of W^-1.
+    """
+
     def test_no_interferers_is_identity(self):
         x = np.array([1.0, 2.0 - 1j])
-        assert np.array_equal(whitened_apply(np.zeros((2, 0)), [], x), x)
+        assert mmse(x[:, None], [3.0], 0) == pytest.approx(mrc(x), rel=1e-15)
 
     def test_single_unit_interferer_halves_its_direction(self):
-        abar = np.zeros((5, 1), dtype=complex)
-        abar[0, 0] = 1.0
-        x = abar[:, 0].copy()
-        assert whitened_apply(abar, [1.0], x) == pytest.approx(x / 2.0)
+        a = np.zeros((5, 2), dtype=complex)
+        a[0, :] = 1.0
+        # C_0 = I + e_0 e_0^H, so p_0 e_0^H C_0^-1 e_0 = p_0 / 2
+        assert evaluate_scenario(a, [6.0, 1.0])["mmse"][0] == pytest.approx(3.0, rel=1e-14)
 
     def test_matrix_free_residual(self):
         rng = np.random.default_rng(8)
         abar = complex_randn(rng, 500, 9)
         weights = rng.uniform(0.1, 10.0, size=9)
         x = complex_randn(rng, 500)
-        out = whitened_apply(abar, weights, x)
-        # apply C = I + sum_i w_i a_i a_i^H without forming it
+        out = mmse(with_user(x, abar), np.concatenate([[1.0], weights]), 0)
+        # apply C = I + sum_i w_i a_i a_i^H without forming it: C out is parallel to x
         back = out + (abar * (weights * np.array([cdot(abar[:, j], out) for j in range(9)]))).sum(axis=1)
-        assert np.linalg.norm(back - x) <= 1e-9 * np.linalg.norm(x)
+        parallel = x * (cdot(x, back) / vector_power(x))
+        assert np.linalg.norm(back - parallel) <= 1e-9 * np.linalg.norm(back)
 
     def test_vanishing_weights_approach_identity(self):
         rng = np.random.default_rng(9)
         abar = complex_randn(rng, 50, 3)
         abar /= np.linalg.norm(abar, axis=0)
         x = complex_randn(rng, 50)
-        out = whitened_apply(abar, [1e-12] * 3, x)
-        assert np.linalg.norm(out - x) <= 1e-9 * np.linalg.norm(x)
+        out = mmse(with_user(x, abar), [1.0] + [1e-12] * 3, 0)
+        assert np.linalg.norm(out - mrc(x)) <= 1e-9
 
     def test_rejects_bad_weights(self):
-        abar = np.ones((3, 1), dtype=complex)
+        a = np.eye(3, 2, dtype=complex)
         with pytest.raises(ValueError):
-            whitened_apply(abar, [0.0], np.ones(3))
+            mmse(a, [1.0, 0.0], 0)
         with pytest.raises(ValueError):
-            whitened_apply(abar, [-1.0], np.ones(3))
+            evaluate_scenario(a, [1.0, -1.0])
 
 
 class TestDenseEquivalence:
-    """Structured paths match explicit dense projector / inverse constructions."""
+    """zf() and mmse() match explicit dense projector / inverse constructions."""
 
     def test_projection_matches_dense(self):
         rng = np.random.default_rng(10)
@@ -256,8 +266,9 @@ class TestDenseEquivalence:
             n = rng.integers(1, 8)
             abar = complex_randn(rng, m, n)
             x = complex_randn(rng, m)
-            dense = np.eye(m) - abar @ np.linalg.inv(abar.conj().T @ abar) @ abar.conj().T
-            assert project_orthogonal(abar, x) == pytest.approx(dense @ x, rel=1e-9, abs=1e-9)
+            dense = (np.eye(m) - abar @ np.linalg.inv(abar.conj().T @ abar) @ abar.conj().T) @ x
+            dense /= np.linalg.norm(dense)
+            assert zf(with_user(x, abar), 0) == pytest.approx(dense, rel=1e-9, abs=1e-9)
 
     def test_whitening_matches_dense_inverse(self):
         rng = np.random.default_rng(11)
@@ -267,18 +278,17 @@ class TestDenseEquivalence:
             abar = complex_randn(rng, m, n)
             weights = rng.uniform(0.05, 20.0, size=n)
             x = complex_randn(rng, m)
-            cov = np.eye(m) + (abar * weights) @ abar.conj().T
-            assert whitened_apply(abar, weights, x) == pytest.approx(
-                np.linalg.inv(cov) @ x, rel=1e-9, abs=1e-9
-            )
+            dense = np.linalg.inv(np.eye(m) + (abar * weights) @ abar.conj().T) @ x
+            dense /= np.linalg.norm(dense)
+            out = mmse(with_user(x, abar), np.concatenate([[2.0], weights]), 0)
+            assert out == pytest.approx(dense, rel=1e-9, abs=1e-9)
 
 
 class TestCost:
     def test_large_apply_runs_in_seconds(self):
         rng = np.random.default_rng(12)
-        abar = complex_randn(rng, 40_000, 9)
-        x = complex_randn(rng, 40_000)
+        a = with_user(complex_randn(rng, 40_000), complex_randn(rng, 40_000, 9))
         start = time.perf_counter()
-        whitened_apply(abar, np.full(9, 2.0), x)
-        project_orthogonal(abar, x)
+        mmse(a, np.full(10, 2.0), 0)
+        zf(a, 0)
         assert time.perf_counter() - start < 5.0
