@@ -88,10 +88,6 @@ class ResponseVector:
             raise DegenerateChannelError("channel entries must be finite")
         object.__setattr__(self, "_power", vector_power(entries))
 
-    @property
-    def geom_digest(self) -> str:
-        return self.geom.digest()
-
     def __len__(self) -> int:
         return self.entries.shape[0]
 
@@ -177,7 +173,7 @@ def channel_power(a) -> float:
 
 def correlation(a_k: ResponseVector, a_i: ResponseVector) -> float:
     """Normalized squared inner product of two users' channel vectors, in [0, 1]."""
-    if a_k.geom_digest != a_i.geom_digest or len(a_k) != len(a_i):
+    if a_k.geom != a_i.geom:
         raise DimensionMismatchError("channel vectors belong to different geometries")
     p_k = a_k.power()
     p_i = a_i.power()

@@ -1,12 +1,13 @@
 """Command-line front end: JSON config in, CSV table plus JSON sidecar out.
 
-Each experiment ships with defaults reproducing its reference setup
-(wavelength 0.1256 m, half-wavelength spacing, element area
-wavelength^2 / (4 pi), 50 dB reference SNR), so
-``xlmimo --experiment corr-vs-m`` runs out of the box.  Any key can be
-overridden from a JSON config file or with repeated
-``--set dotted.path=value`` flags; angles accept radians or fractions of
-pi such as ``pi/2`` or ``-2pi/3``.
+One table, ``_EXPERIMENTS``, holds all the CLI knows about each experiment:
+its default users and sweep blocks, its sweep resolver, its largest response
+block and its call into ``experiments``.  The defaults reproduce the
+reference setup (wavelength 0.1256 m, half-wavelength spacing, element area
+wavelength^2 / (4 pi), 50 dB reference SNR), so ``xlmimo --experiment
+corr-vs-m`` runs out of the box.  Any key can be overridden from a JSON
+config file or with repeated ``--set dotted.path=value`` flags; angles
+accept radians or fractions of pi such as ``pi/2`` or ``-2pi/3``.
 
 The sidecar written next to the CSV embeds the fully resolved config;
 feeding it back through ``--config`` reproduces the CSV byte for byte.
@@ -25,6 +26,8 @@ import os
 import re
 import sys
 import time
+from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -41,14 +44,6 @@ from .errors import (
 )
 from .geometry import ArrayGeometry, UserLocation
 
-EXPERIMENTS = (
-    "corr-vs-m",
-    "corr-vs-dist",
-    "sinr-vs-m",
-    "snr-loss-heatmap",
-    "sumrate-vs-m",
-)
-
 DEFAULT_WAVELENGTH = 0.1256
 DEFAULT_SPACING = DEFAULT_WAVELENGTH / 2.0
 DEFAULT_ELEMENT_AREA = DEFAULT_WAVELENGTH**2 / (4.0 * math.pi)
@@ -56,6 +51,9 @@ DEFAULT_SNR_DB = 50.0
 
 # Most points one sweep may have, checked before any sweep axis is built.
 _MAX_SWEEP_POINTS = 100_000
+# Most entries (elements x users) of the largest response block a sweep may
+# build: 1 GiB of complex128, which admits a 1000 x 1000 array with 64 users.
+_MAX_BLOCK_ENTRIES = 2**26
 
 _ANGLE_RE = re.compile(
     r"^\s*([+-]?)(\d+(?:\.\d+)?)?\s*pi\s*(?:/\s*(\d+(?:\.\d+)?))?\s*$", re.IGNORECASE
@@ -80,91 +78,20 @@ def parse_angle(value) -> float:
     raise ConfigError(f"cannot parse angle {value!r} (use radians or e.g. 'pi/2')")
 
 
-def _defaults(experiment: str) -> dict:
-    geometry = {
-        "num_y": 10,
-        "num_z": 11,
-        "spacing_m": DEFAULT_SPACING,
-        "element_area_m2": DEFAULT_ELEMENT_AREA,
-        "wavelength_m": DEFAULT_WAVELENGTH,
-    }
-    base = {
-        "experiment": experiment,
-        "model": "both",
-        "seed": 1,
-        "snr_db": DEFAULT_SNR_DB,
-        "beta0": None,
-        "geometry": geometry,
-        "users": [],
-        "sweep": {},
-    }
-    two_users_same_direction = [
-        {"r_m": 25.0, "theta_rad": "pi/2", "phi_rad": 0.0},
-        {"r_m": 250.0, "theta_rad": "pi/2", "phi_rad": 0.0},
-    ]
-    if experiment in ("corr-vs-m", "sinr-vs-m"):
-        base["users"] = two_users_same_direction
-        base["sweep"] = {"mz_start": 11, "mz_stop": 1001, "mz_step": 10, "mz_values": None}
-        if experiment == "sinr-vs-m":
-            base["sweep"]["user_index"] = 0
-    elif experiment == "corr-vs-dist":
-        geometry.update(num_y=200, num_z=200)
-        base["users"] = [{"r_m": 50.0, "theta_rad": "pi/2", "phi_rad": 0.0}]
-        base["sweep"] = {
-            "direction2": {"theta_rad": "pi/2", "phi_rad": 0.0},
-            "separation_start": 0.0,
-            "separation_stop": 200.0,
-            "separation_step": 1.0,
-            "separations_m": None,
-        }
-    elif experiment == "snr-loss-heatmap":
-        geometry.update(num_y=200, num_z=200)
-        base["users"] = [{"r_m": 100.0, "theta_rad": "pi/2", "phi_rad": 0.0}]
-        base["sweep"] = {
-            "x_start": 50.0,
-            "x_stop": 150.0,
-            "x_points": 11,
-            "x_values_m": None,
-            "y_start": -50.0,
-            "y_stop": 50.0,
-            "y_points": 11,
-            "y_values_m": None,
-        }
-    elif experiment == "sumrate-vs-m":
-        base["sweep"] = {
-            "sides": [10, 20, 40, 80, 140, 200],
-            "n_users": 10,
-            "n_drops": 100,
-            "region": {
-                "r_m": [50.0, 100.0],
-                "theta_rad": [0.0, "pi/3"],
-                "phi_rad": ["pi/6", "pi/3"],
-            },
-        }
-    else:
-        raise ConfigError(
-            f"unknown experiment {experiment!r}; choose one of {', '.join(EXPERIMENTS)}"
-        )
-    return base
-
-
 def _merge(defaults, provided, path: str = ""):
     """Overlay a provided config onto the defaults, rejecting unknown keys."""
-    if isinstance(defaults, dict) and not isinstance(provided, (dict, type(None))):
-        raise ConfigError(f"config key '{path or '(root)'}' must be an object")
-    if isinstance(defaults, dict):
-        provided = provided or {}
-        out = {}
-        for key in provided:
-            if key not in defaults:
-                raise ConfigError(f"unknown config key '{path}{key}'")
-        for key, dval in defaults.items():
-            if key in provided:
-                out[key] = _merge(dval, provided[key], f"{path}{key}.")
-            else:
-                out[key] = copy.deepcopy(dval)
-        return out
-    return copy.deepcopy(provided)
+    if not isinstance(defaults, dict):
+        return copy.deepcopy(provided)
+    if not isinstance(provided, (dict, type(None))):
+        raise ConfigError(f"config key '{path.rstrip('.') or '(root)'}' must be an object")
+    provided = provided or {}
+    for key in provided:
+        if key not in defaults:
+            raise ConfigError(f"unknown config key '{path}{key}'")
+    return {
+        key: _merge(dval, provided.get(key, dval), f"{path}{key}.")
+        for key, dval in defaults.items()
+    }
 
 
 def _apply_override(tree: dict, dotted: str, value) -> None:
@@ -172,31 +99,22 @@ def _apply_override(tree: dict, dotted: str, value) -> None:
     if parts[0] == "experiment":
         raise ConfigError("use --experiment to choose the experiment")
     node = tree
-    for part in parts[:-1]:
-        try:
-            node = node[int(part)] if isinstance(node, list) else node[part]
-        except (KeyError, IndexError, ValueError):
-            raise ConfigError(f"unknown config key '{dotted}'") from None
-    last = parts[-1]
     try:
-        if isinstance(node, list):
-            node[int(last)] = value
-        elif isinstance(node, dict):
-            if last not in node:
-                raise KeyError(last)
-            node[last] = value
-        else:
-            raise KeyError(last)
-    except (KeyError, IndexError, ValueError):
+        for part in parts[:-1]:
+            node = node[int(part)] if isinstance(node, list) else node[part]
+        key = int(parts[-1]) if isinstance(node, list) else parts[-1]
+        current = node[key]
+    except (KeyError, IndexError, ValueError, TypeError):
         raise ConfigError(f"unknown config key '{dotted}'") from None
+    node[key] = _merge(current, value, f"{dotted}.")
 
 
-def _as_int(value, path: str, minimum: int | None = None) -> int:
+def _as_int(value, path: str, minimum: int) -> int:
     integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
     if isinstance(value, bool) or not integral:
         raise ConfigError(f"config key '{path}' must be an integer, got {value!r}")
     value = int(value)
-    if minimum is not None and value < minimum:
+    if value < minimum:
         raise ConfigError(f"config key '{path}' must be >= {minimum}, got {value}")
     return value
 
@@ -270,106 +188,106 @@ def _user_region(region: dict) -> xp.UserRegion:
     )
 
 
-def _resolve_sweep(experiment: str, sweep: dict) -> dict:
-    """Turn start/stop/step ranges into explicit value lists so reruns are pinned."""
-    if experiment in ("corr-vs-m", "sinr-vs-m"):
-        if sweep["mz_values"] is not None:
-            values = _number_list(sweep["mz_values"], "sweep.mz_values")
-            values = [_as_int(v, "sweep.mz_values", minimum=1) for v in values]
-        else:
-            start = _as_int(sweep["mz_start"], "sweep.mz_start", minimum=1)
-            stop = _as_int(sweep["mz_stop"], "sweep.mz_stop", minimum=start)
-            step = _as_int(sweep["mz_step"], "sweep.mz_step", minimum=1)
-            values = range(start, stop + 1, step)
-            _check_points(len(values), "sweep.mz_start/mz_stop/mz_step")
-            values = list(values)
-        out = {"mz_values": values}
-        if experiment == "sinr-vs-m":
-            out["user_index"] = _as_int(sweep["user_index"], "sweep.user_index", minimum=0)
-        return out
-    if experiment == "corr-vs-dist":
-        direction = sweep["direction2"]
-        theta = _as_angle(direction["theta_rad"], "sweep.direction2.theta_rad")
-        phi = _as_angle(direction["phi_rad"], "sweep.direction2.phi_rad")
-        try:
-            UserLocation(r=1.0, theta=theta, phi=phi)
-        except ValueError as exc:
-            raise ConfigError(f"sweep.direction2: {exc}") from None
-        if sweep["separations_m"] is not None:
-            seps = _number_list(sweep["separations_m"], "sweep.separations_m")
-        else:
-            start = _as_float(sweep["separation_start"], "sweep.separation_start")
-            stop = _as_float(sweep["separation_stop"], "sweep.separation_stop")
-            step = _as_float(sweep["separation_step"], "sweep.separation_step")
-            if step <= 0 or stop < start:
-                raise ConfigError("separation sweep needs step > 0 and stop >= start")
-            span = (stop - start) / step + 1e-9
-            _check_points(span + 1, "sweep.separation_start/stop/step")
-            seps = [start + i * step for i in range(int(span) + 1)]
-        if any(s < 0 for s in seps):
-            raise ConfigError("sweep.separations_m must be non-negative")
-        return {
-            "direction2": {"theta_rad": theta, "phi_rad": phi},
-            "separations_m": seps,
-        }
-    if experiment == "snr-loss-heatmap":
-        out = {}
-        for axis in ("x", "y"):
-            explicit = sweep[f"{axis}_values_m"]
-            if explicit is not None:
-                out[f"{axis}_values_m"] = _number_list(explicit, f"sweep.{axis}_values_m")
-            else:
-                start = _as_float(sweep[f"{axis}_start"], f"sweep.{axis}_start")
-                stop = _as_float(sweep[f"{axis}_stop"], f"sweep.{axis}_stop")
-                points = _as_int(sweep[f"{axis}_points"], f"sweep.{axis}_points", minimum=1)
-                _check_points(points, f"sweep.{axis}_points")
-                out[f"{axis}_values_m"] = [float(v) for v in np.linspace(start, stop, points)]
-        _check_points(len(out["x_values_m"]) * len(out["y_values_m"]), "the x-y grid")
-        return out
-    if experiment == "sumrate-vs-m":
-        sides = _number_list(sweep["sides"], "sweep.sides")
-        sides = [_as_int(v, "sweep.sides", minimum=1) for v in sides]
-        n_users = _as_int(sweep["n_users"], "sweep.n_users", minimum=1)
-        n_drops = _as_int(sweep["n_drops"], "sweep.n_drops", minimum=1)
-        _check_points(n_drops, "sweep.n_drops")
-        if n_users > min(s * s for s in sides):
-            raise ConfigError("sweep.n_users exceeds the smallest array in sweep.sides")
-        region = sweep["region"]
-        resolved_region = {
-            "r_m": _number_list(region["r_m"], "sweep.region.r_m"),
-            "theta_rad": [
-                _as_angle(v, "sweep.region.theta_rad") for v in region["theta_rad"]
-            ],
-            "phi_rad": [_as_angle(v, "sweep.region.phi_rad") for v in region["phi_rad"]],
-        }
-        for key, pair in resolved_region.items():
-            if len(pair) != 2:
-                raise ConfigError(f"sweep.region.{key} must be a [min, max] pair")
-        try:
-            _user_region(resolved_region)
-        except ValueError as exc:
-            raise ConfigError(f"sweep.region: {exc}") from None
-        return {
-            "sides": sides,
-            "n_users": n_users,
-            "n_drops": n_drops,
-            "region": resolved_region,
-        }
-    raise ConfigError(f"unknown experiment {experiment!r}")
+def _resolve_mz(sweep: dict, users: list) -> dict:
+    if sweep["mz_values"] is not None:
+        values = _number_list(sweep["mz_values"], "sweep.mz_values")
+        values = [_as_int(v, "sweep.mz_values", minimum=1) for v in values]
+    else:
+        start = _as_int(sweep["mz_start"], "sweep.mz_start", minimum=1)
+        stop = _as_int(sweep["mz_stop"], "sweep.mz_stop", minimum=start)
+        step = _as_int(sweep["mz_step"], "sweep.mz_step", minimum=1)
+        values = range(start, stop + 1, step)
+        _check_points(len(values), "sweep.mz_start/mz_stop/mz_step")
+        values = list(values)
+    out = {"mz_values": values}
+    if "user_index" in sweep:
+        out["user_index"] = _as_int(sweep["user_index"], "sweep.user_index", minimum=0)
+        if out["user_index"] >= len(users):
+            raise ConfigError("sweep.user_index is out of range for the users block")
+    return out
 
 
+def _resolve_separations(sweep: dict, users: list) -> dict:
+    direction = sweep["direction2"]
+    theta = _as_angle(direction["theta_rad"], "sweep.direction2.theta_rad")
+    phi = _as_angle(direction["phi_rad"], "sweep.direction2.phi_rad")
+    try:
+        UserLocation(r=1.0, theta=theta, phi=phi)
+    except ValueError as exc:
+        raise ConfigError(f"sweep.direction2: {exc}") from None
+    if sweep["separations_m"] is not None:
+        seps = _number_list(sweep["separations_m"], "sweep.separations_m")
+    else:
+        start = _as_float(sweep["separation_start"], "sweep.separation_start")
+        stop = _as_float(sweep["separation_stop"], "sweep.separation_stop")
+        step = _as_float(sweep["separation_step"], "sweep.separation_step")
+        if step <= 0 or stop < start:
+            raise ConfigError("separation sweep needs step > 0 and stop >= start")
+        span = (stop - start) / step + 1e-9
+        _check_points(span + 1, "sweep.separation_start/stop/step")
+        seps = [start + i * step for i in range(int(span) + 1)]
+    if any(s < 0 for s in seps):
+        raise ConfigError("sweep.separations_m must be non-negative")
+    return {
+        "direction2": {"theta_rad": theta, "phi_rad": phi},
+        "separations_m": seps,
+    }
+
+
+def _resolve_grid(sweep: dict, users: list) -> dict:
+    out = {}
+    for axis in ("x", "y"):
+        explicit = sweep[f"{axis}_values_m"]
+        if explicit is not None:
+            out[f"{axis}_values_m"] = _number_list(explicit, f"sweep.{axis}_values_m")
+        else:
+            start = _as_float(sweep[f"{axis}_start"], f"sweep.{axis}_start")
+            stop = _as_float(sweep[f"{axis}_stop"], f"sweep.{axis}_stop")
+            points = _as_int(sweep[f"{axis}_points"], f"sweep.{axis}_points", minimum=1)
+            _check_points(points, f"sweep.{axis}_points")
+            out[f"{axis}_values_m"] = [float(v) for v in np.linspace(start, stop, points)]
+    _check_points(len(out["x_values_m"]) * len(out["y_values_m"]), "the x-y grid")
+    return out
+
+
+def _resolve_drops(sweep: dict, users: list) -> dict:
+    sides = _number_list(sweep["sides"], "sweep.sides")
+    sides = [_as_int(v, "sweep.sides", minimum=1) for v in sides]
+    n_users = _as_int(sweep["n_users"], "sweep.n_users", minimum=1)
+    n_drops = _as_int(sweep["n_drops"], "sweep.n_drops", minimum=1)
+    _check_points(n_drops, "sweep.n_drops")
+    if n_users > min(s * s for s in sides):
+        raise ConfigError("sweep.n_users exceeds the smallest array in sweep.sides")
+    resolved_region = {}
+    for key, pair in sweep["region"].items():
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise ConfigError(f"sweep.region.{key} must be a [min, max] pair")
+        parse = _as_float if key == "r_m" else _as_angle
+        resolved_region[key] = [parse(v, f"sweep.region.{key}") for v in pair]
+    try:
+        _user_region(resolved_region)
+    except ValueError as exc:
+        raise ConfigError(f"sweep.region: {exc}") from None
+    return {
+        "sides": sides,
+        "n_users": n_users,
+        "n_drops": n_drops,
+        "region": resolved_region,
+    }
+
+
+@dataclass(frozen=True)
 class RunConfig:
     """Fully resolved, validated run configuration."""
 
-    def __init__(self, experiment, model, seed, snr_db, beta0, geometry, users, sweep):
-        self.experiment = experiment
-        self.model = model
-        self.seed = seed
-        self.snr_db = snr_db
-        self.beta0 = beta0
-        self.geometry = geometry
-        self.users = users
-        self.sweep = sweep
+    experiment: str
+    model: str
+    seed: int
+    snr_db: list
+    beta0: float
+    geometry: ArrayGeometry
+    users: list
+    sweep: dict
 
     def models(self) -> tuple[str, ...]:
         return ("pnusw", "upw") if self.model == "both" else (self.model,)
@@ -405,24 +323,123 @@ class RunConfig:
         }
 
 
-def _expected_user_count(experiment: str, users: list, sweep: dict) -> int:
-    if experiment in ("corr-vs-m", "sinr-vs-m"):
-        if len(users) != 2:
-            raise ConfigError(f"{experiment} needs exactly 2 users, got {len(users)}")
-        return 2
-    if experiment == "corr-vs-dist":
-        if len(users) != 1:
-            raise ConfigError(f"{experiment} needs exactly 1 user, got {len(users)}")
-        return 1
-    if experiment == "snr-loss-heatmap":
-        if len(users) != 1:
-            raise ConfigError(f"{experiment} needs exactly 1 fixed user, got {len(users)}")
-        return 2
-    if experiment == "sumrate-vs-m":
-        if users:
-            raise ConfigError("sumrate-vs-m samples its users; remove the users block")
-        return sweep["n_users"]
-    raise ConfigError(f"unknown experiment {experiment!r}")
+class _Experiment(NamedTuple):
+    """Everything the CLI knows about one experiment."""
+
+    users: list  # default users block; a config's users block must be as long
+    sweep: dict  # default sweep block
+    resolve: Callable[[dict, list], dict]  # (sweep block, users) -> explicit lists; pins reruns
+    block: Callable[[ArrayGeometry, dict], tuple[int, int]]  # largest; one SNR per user
+    run: Callable[..., xp.SweepResult]  # (cfg, models=, upw_cfg=) -> the sweep's table
+    geometry: dict = {}  # overrides of the default geometry block
+
+
+_TWO_USERS_SAME_DIRECTION = [
+    {"r_m": 25.0, "theta_rad": "pi/2", "phi_rad": 0.0},
+    {"r_m": 250.0, "theta_rad": "pi/2", "phi_rad": 0.0},
+]
+_MZ_SWEEP = {"mz_start": 11, "mz_stop": 1001, "mz_step": 10, "mz_values": None}
+
+_EXPERIMENTS = {
+    "corr-vs-m": _Experiment(
+        users=_TWO_USERS_SAME_DIRECTION,
+        sweep=_MZ_SWEEP,
+        resolve=_resolve_mz,
+        block=lambda geom, sweep: (geom.num_y * max(sweep["mz_values"]), 2),
+        run=lambda cfg, **common: xp.sweep_correlation_vs_m(
+            cfg.geometry, cfg.users[0], cfg.users[1], cfg.sweep["mz_values"], **common
+        ),
+    ),
+    "corr-vs-dist": _Experiment(
+        users=[{"r_m": 50.0, "theta_rad": "pi/2", "phi_rad": 0.0}],
+        sweep={
+            "direction2": {"theta_rad": "pi/2", "phi_rad": 0.0},
+            "separation_start": 0.0,
+            "separation_stop": 200.0,
+            "separation_step": 1.0,
+            "separations_m": None,
+        },
+        resolve=_resolve_separations,
+        block=lambda geom, sweep: (geom.num_elements, 1),
+        run=lambda cfg, **common: xp.sweep_correlation_vs_distance(
+            cfg.geometry, cfg.users[0],
+            (cfg.sweep["direction2"]["theta_rad"], cfg.sweep["direction2"]["phi_rad"]),
+            cfg.sweep["separations_m"], **common,
+        ),
+        geometry={"num_y": 200, "num_z": 200},
+    ),
+    "sinr-vs-m": _Experiment(
+        users=_TWO_USERS_SAME_DIRECTION,
+        sweep={**_MZ_SWEEP, "user_index": 0},
+        resolve=_resolve_mz,
+        block=lambda geom, sweep: (geom.num_y * max(sweep["mz_values"]), 2),
+        run=lambda cfg, **common: xp.sweep_sinr_vs_m(
+            cfg.geometry, cfg.users, cfg.snr_linear(), cfg.sweep["mz_values"],
+            user_index=cfg.sweep["user_index"], **common,
+        ),
+    ),
+    "snr-loss-heatmap": _Experiment(
+        users=[{"r_m": 100.0, "theta_rad": "pi/2", "phi_rad": 0.0}],
+        sweep={
+            "x_start": 50.0,
+            "x_stop": 150.0,
+            "x_points": 11,
+            "x_values_m": None,
+            "y_start": -50.0,
+            "y_stop": 50.0,
+            "y_points": 11,
+            "y_values_m": None,
+        },
+        resolve=_resolve_grid,
+        # each grid cell stacks the fixed user's response and the moved user's
+        block=lambda geom, sweep: (geom.num_elements, 2),
+        run=lambda cfg, **common: xp.heatmap_snr_loss(
+            cfg.geometry, cfg.users[0], cfg.sweep["x_values_m"], cfg.sweep["y_values_m"],
+            cfg.snr_linear(), **common,
+        ),
+        geometry={"num_y": 200, "num_z": 200},
+    ),
+    "sumrate-vs-m": _Experiment(
+        users=[],
+        sweep={
+            "sides": [10, 20, 40, 80, 140, 200],
+            "n_users": 10,
+            "n_drops": 100,
+            "region": {
+                "r_m": [50.0, 100.0],
+                "theta_rad": [0.0, "pi/3"],
+                "phi_rad": ["pi/6", "pi/3"],
+            },
+        },
+        resolve=_resolve_drops,
+        block=lambda geom, sweep: (max(sweep["sides"]) ** 2, sweep["n_users"]),
+        run=lambda cfg, **common: xp.sumrate_vs_m(
+            cfg.geometry, _user_region(cfg.sweep["region"]), cfg.sweep["n_users"],
+            cfg.snr_linear(), cfg.sweep["sides"], seed=cfg.seed,
+            n_drops=cfg.sweep["n_drops"], **common,
+        ),
+    ),
+}
+
+
+def _defaults(experiment: str, spec: _Experiment) -> dict:
+    return {
+        "experiment": experiment,
+        "model": "both",
+        "seed": 1,
+        "snr_db": DEFAULT_SNR_DB,
+        "beta0": None,
+        "geometry": {
+            "num_y": 10,
+            "num_z": 11,
+            "spacing_m": DEFAULT_SPACING,
+            "element_area_m2": DEFAULT_ELEMENT_AREA,
+            "wavelength_m": DEFAULT_WAVELENGTH,
+            **spec.geometry,
+        },
+        "users": spec.users,
+        "sweep": spec.sweep,
+    }
 
 
 def parse_config(
@@ -442,15 +459,19 @@ def parse_config(
             raise ConfigError(f"cannot read config {path!r}: {exc}") from None
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config {path!r} is not valid JSON: {exc}") from None
+        if isinstance(raw, dict) and set(raw) >= {"config", "run"}:
+            raw = raw["config"]
         if not isinstance(raw, dict):
             raise ConfigError(f"config {path!r} must contain a JSON object")
-        if set(raw) >= {"config", "run"}:
-            raw = raw["config"]
 
     experiment = experiment or raw.get("experiment")
-    if experiment is None:
-        raise ConfigError("no experiment selected (use --experiment or the config file)")
-    merged = _merge(_defaults(experiment), raw)
+    spec = _EXPERIMENTS.get(experiment) if isinstance(experiment, str) else None
+    if spec is None:
+        raise ConfigError(
+            f"unknown experiment {experiment!r}; choose one of {', '.join(_EXPERIMENTS)} "
+            "with --experiment or the config file"
+        )
+    merged = _merge(_defaults(experiment, spec), raw)
 
     for dotted, value in overrides:
         _apply_override(merged, dotted, value)
@@ -464,27 +485,30 @@ def parse_config(
     seed_value = _as_int(merged["seed"], "seed", minimum=0)
     geometry = _build_geometry(merged["geometry"])
     users = _build_users(merged["users"])
-    sweep = _resolve_sweep(experiment, merged["sweep"])
-    num_snr = _expected_user_count(experiment, users, sweep)
+    sweep = spec.resolve(merged["sweep"], users)
+    if len(users) != len(spec.users):
+        noun = "user" if len(spec.users) == 1 else "users"
+        raise ConfigError(f"{experiment} needs {len(spec.users)} {noun}, got {len(users)}")
+    elements, num_snr = spec.block(geometry, sweep)
+    if elements * num_snr > _MAX_BLOCK_ENTRIES:
+        raise ConfigError(
+            f"a {elements} x {num_snr} response block (elements x users) has more than "
+            f"{_MAX_BLOCK_ENTRIES} entries"
+        )
 
     snr_db = merged["snr_db"]
-    if isinstance(snr_db, list):
-        snr_db = [_as_float(v, "snr_db") for v in snr_db]
-        if len(snr_db) != num_snr:
-            raise ConfigError(f"snr_db lists {len(snr_db)} values for {num_snr} users")
-    else:
-        snr_db = [_as_float(snr_db, "snr_db")] * num_snr
+    if not isinstance(snr_db, list):
+        snr_db = [snr_db] * num_snr
+    snr_db = [_as_float(v, "snr_db") for v in snr_db]
+    if len(snr_db) != num_snr:
+        raise ConfigError(f"snr_db lists {len(snr_db)} values for {num_snr} users")
 
     beta0 = merged["beta0"]
     if beta0 is None:
         beta0 = geometry.element_area / (4.0 * math.pi)
-    else:
-        beta0 = _as_float(beta0, "beta0")
-        if beta0 <= 0:
-            raise ConfigError(f"beta0 must be positive, got {beta0}")
-
-    if experiment == "sinr-vs-m" and sweep["user_index"] >= len(users):
-        raise ConfigError("sweep.user_index is out of range for the users block")
+    beta0 = _as_float(beta0, "beta0")
+    if beta0 <= 0:
+        raise ConfigError(f"beta0 must be positive, got {beta0}")
 
     return RunConfig(
         experiment=experiment,
@@ -499,37 +523,9 @@ def parse_config(
 
 
 def dispatch(cfg: RunConfig) -> xp.SweepResult:
-    models = cfg.models()
-    upw_cfg = UpwConfig(beta0=cfg.beta0)
-    if cfg.experiment == "corr-vs-m":
-        return xp.sweep_correlation_vs_m(
-            cfg.geometry, cfg.users[0], cfg.users[1], cfg.sweep["mz_values"],
-            models=models, upw_cfg=upw_cfg,
-        )
-    if cfg.experiment == "corr-vs-dist":
-        direction = cfg.sweep["direction2"]
-        return xp.sweep_correlation_vs_distance(
-            cfg.geometry, cfg.users[0],
-            (direction["theta_rad"], direction["phi_rad"]),
-            cfg.sweep["separations_m"], models=models, upw_cfg=upw_cfg,
-        )
-    if cfg.experiment == "sinr-vs-m":
-        return xp.sweep_sinr_vs_m(
-            cfg.geometry, cfg.users, cfg.snr_linear(), cfg.sweep["mz_values"],
-            user_index=cfg.sweep["user_index"], models=models, upw_cfg=upw_cfg,
-        )
-    if cfg.experiment == "snr-loss-heatmap":
-        return xp.heatmap_snr_loss(
-            cfg.geometry, cfg.users[0], cfg.sweep["x_values_m"], cfg.sweep["y_values_m"],
-            cfg.snr_linear(), models=models, upw_cfg=upw_cfg,
-        )
-    if cfg.experiment == "sumrate-vs-m":
-        return xp.sumrate_vs_m(
-            cfg.geometry, _user_region(cfg.sweep["region"]), cfg.sweep["n_users"],
-            cfg.snr_linear(), cfg.sweep["sides"], seed=cfg.seed, n_drops=cfg.sweep["n_drops"],
-            models=models, upw_cfg=upw_cfg,
-        )
-    raise ConfigError(f"unknown experiment {cfg.experiment!r}")
+    return _EXPERIMENTS[cfg.experiment].run(
+        cfg, models=cfg.models(), upw_cfg=UpwConfig(beta0=cfg.beta0)
+    )
 
 
 def _cell(value) -> str:
@@ -552,8 +548,7 @@ def write_csv(path: str, columns, rows) -> None:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_cell(v) for v in row])
+    writer.writerows([_cell(v) for v in row] for row in rows)
     _write_atomic(path, buffer.getvalue())
 
 
@@ -599,7 +594,7 @@ def main(argv=None) -> int:
         prog="xlmimo",
         description="Run an uplink sweep and write its CSV table plus JSON sidecar.",
     )
-    parser.add_argument("--experiment", choices=EXPERIMENTS, help="experiment to run")
+    parser.add_argument("--experiment", choices=_EXPERIMENTS, help="experiment to run")
     parser.add_argument(
         "--config", help="JSON config file, or the sidecar of a previous run"
     )

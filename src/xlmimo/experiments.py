@@ -36,20 +36,18 @@ MIN_U_X = 1e-3
 MAX_REJECTIONS = 10_000
 
 
-def thread_count(explicit: int | None = None) -> int:
-    """Worker cap: explicit argument, else XLMIMO_THREADS, else 1."""
-    if explicit is None:
-        text = os.environ.get(THREADS_ENV, "1")
-        try:
-            explicit = int(text)
-        except ValueError:
-            raise ConfigError(f"{THREADS_ENV} must be an integer, got {text!r}") from None
-    return max(1, int(explicit))
+def thread_count() -> int:
+    """Worker cap: XLMIMO_THREADS, else 1."""
+    text = os.environ.get(THREADS_ENV, "1")
+    try:
+        return max(1, int(text))
+    except ValueError:
+        raise ConfigError(f"{THREADS_ENV} must be an integer, got {text!r}") from None
 
 
-def _pmap(fn, items, threads: int | None):
+def _pmap(fn, items):
     items = list(items)
-    workers = thread_count(threads)
+    workers = thread_count()
     if workers <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
     with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -60,7 +58,6 @@ def _pmap(fn, items, threads: int | None):
 class SweepResult:
     """Tabular sweep output: ordered columns (axis first) and sorted rows."""
 
-    axis_name: str
     columns: list[str]
     rows: list[tuple]
 
@@ -167,7 +164,6 @@ def sweep_correlation_vs_m(
     mz_values,
     models=ch.VALID_MODELS,
     upw_cfg: ch.UpwConfig | None = None,
-    threads: int | None = None,
 ) -> SweepResult:
     """Correlation of two fixed users as the z-axis element count grows."""
     models = _check_models(models)
@@ -184,9 +180,8 @@ def sweep_correlation_vs_m(
             ))
         return tuple(row)
 
-    rows = _pmap(point, geoms, threads)
+    rows = _pmap(point, geoms)
     return SweepResult(
-        axis_name="m",
         columns=["m", "m_z"] + [f"{model}_rho_linear" for model in models],
         rows=rows,
     )
@@ -199,7 +194,6 @@ def sweep_correlation_vs_distance(
     separations,
     models=ch.VALID_MODELS,
     upw_cfg: ch.UpwConfig | None = None,
-    threads: int | None = None,
 ) -> SweepResult:
     """Correlation versus range separation; user 2 sits at r1 + separation."""
     models = _check_models(models)
@@ -214,9 +208,8 @@ def sweep_correlation_vs_distance(
             row.append(ch.correlation(ref[model], ch.response(geom, loc2, model, upw_cfg)))
         return tuple(row)
 
-    rows = _pmap(point, separations, threads)
+    rows = _pmap(point, separations)
     return SweepResult(
-        axis_name="separation_m",
         columns=["separation_m", "r2_m"] + [f"{model}_rho_linear" for model in models],
         rows=rows,
     )
@@ -230,7 +223,6 @@ def sweep_sinr_vs_m(
     user_index: int = 0,
     models=ch.VALID_MODELS,
     upw_cfg: ch.UpwConfig | None = None,
-    threads: int | None = None,
 ) -> SweepResult:
     """SINR of one user under each scheme as the z-axis element count grows."""
     models = _check_models(models)
@@ -249,9 +241,8 @@ def sweep_sinr_vs_m(
             row.extend(_to_db(gammas[scheme][user_index]) for scheme in SCHEMES)
         return tuple(row)
 
-    rows = _pmap(point, geoms, threads)
+    rows = _pmap(point, geoms)
     return SweepResult(
-        axis_name="m",
         columns=["m", "m_z"]
         + [f"{model}_{scheme}_sinr_db" for model in models for scheme in SCHEMES],
         rows=rows,
@@ -266,7 +257,6 @@ def heatmap_snr_loss(
     snr,
     models=ch.VALID_MODELS,
     upw_cfg: ch.UpwConfig | None = None,
-    threads: int | None = None,
 ) -> SweepResult:
     """MMSE SNR loss factor of user 1 versus user 2's position on the x-y plane.
 
@@ -295,9 +285,8 @@ def heatmap_snr_loss(
         return tuple(row)
 
     cells = [(x, y) for x in x_values for y in y_values]
-    rows = _pmap(point, cells, threads)
+    rows = _pmap(point, cells)
     return SweepResult(
-        axis_name="x_m",
         columns=["x_m", "y_m"] + [f"{model}_mmse_alpha_linear" for model in models],
         rows=rows,
     )
@@ -313,7 +302,6 @@ def sumrate_vs_m(
     n_drops: int = 100,
     models=ch.VALID_MODELS,
     upw_cfg: ch.UpwConfig | None = None,
-    threads: int | None = None,
 ) -> SweepResult:
     """Mean sum rate over random user drops versus total element count.
 
@@ -351,7 +339,7 @@ def sumrate_vs_m(
                     rates[gi, mi, si] = sum_rate(gammas[scheme])
         return rates
 
-    stacked = np.stack(_pmap(run_drop, range(n_drops), threads))
+    stacked = np.stack(_pmap(run_drop, range(n_drops)))
     mean = stacked.mean(axis=0)
     if n_drops > 1:
         stderr = stacked.std(axis=0, ddof=1) / math.sqrt(n_drops)
@@ -373,7 +361,6 @@ def sumrate_vs_m(
             metric_columns.append(f"{model}_{scheme}_sumrate_bpshz")
             metric_columns.append(f"{model}_{scheme}_sumrate_stderr_bpshz")
     return SweepResult(
-        axis_name="m",
         columns=["m", "m_y", "m_z"] + metric_columns,
         rows=rows,
     )

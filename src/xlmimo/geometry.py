@@ -28,7 +28,6 @@ agrees to rounding, not bit for bit.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import warnings
 from dataclasses import dataclass
@@ -119,14 +118,6 @@ class ArrayGeometry:
     def indices_z(self) -> np.ndarray:
         """Centered element indices along z, ascending."""
         return np.arange(self.num_z) - (self.num_z - 1) / 2.0
-
-    def digest(self) -> str:
-        """Short stable identifier used to match channel vectors to geometries."""
-        raw = (
-            f"{self.num_y},{self.num_z},{self.spacing!r},"
-            f"{self.element_area!r},{self.wavelength!r}"
-        )
-        return hashlib.sha1(raw.encode()).hexdigest()[:12]
 
 
 @dataclass(frozen=True)

@@ -105,6 +105,36 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="snr_db"):
             parse_config(str(path))
 
+    @pytest.mark.parametrize(
+        "experiment, override, message",
+        [
+            ("corr-vs-m", ("seed.x.y", 1), "unknown config key 'seed.x.y'"),
+            ("corr-vs-m", ("geometry", 5), "'geometry' must be an object"),
+            ("sumrate-vs-m", ("sweep.region.theta_rad", 5), r"theta_rad must be a \[min, max\]"),
+        ],
+        ids=["key-below-a-number", "block-set-to-a-number", "pair-set-to-a-number"],
+    )
+    def test_override_of_the_wrong_shape_is_diagnosed(self, experiment, override, message):
+        with pytest.raises(ConfigError, match=message):
+            parse_config(experiment=experiment, overrides=[override])
+
+    def test_array_bound_admits_a_1000_square_with_64_users(self):
+        overrides = [("sweep.sides", [1000]), ("sweep.n_users", 64)]
+        assert parse_config(experiment="sumrate-vs-m", overrides=overrides).sweep["n_users"] == 64
+
+    def test_sidecar_config_block_must_be_an_object(self, tmp_path):
+        path = tmp_path / "side.json"
+        path.write_text(json.dumps({"config": 5, "run": {}}))
+        with pytest.raises(ConfigError, match="JSON object"):
+            parse_config(str(path))
+
+    @pytest.mark.parametrize("name", ["corr-vs-x", ["corr-vs-m"]])
+    def test_unknown_experiment_is_diagnosed(self, tmp_path, name):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"experiment": name}))
+        with pytest.raises(ConfigError, match="unknown experiment"):
+            parse_config(str(path))
+
     def test_resolved_config_round_trips(self):
         cfg = parse_config(experiment="snr-loss-heatmap")
         resolved = cfg.resolved()
@@ -117,6 +147,22 @@ SMALL_CORR = [
     ("geometry.num_y", 4),
     ("sweep.mz_values", [5, 9, 15]),
 ]
+
+# Small overrides per experiment; range-style sweeps are left as ranges so that
+# re-ingesting the sidecar also checks their resolution into explicit lists.
+SMALL = {
+    "corr-vs-m": SMALL_CORR,
+    "corr-vs-dist": [
+        ("geometry.num_y", 4), ("geometry.num_z", 4),
+        ("sweep.separation_stop", 10.0), ("sweep.separation_step", 5.0),
+    ],
+    "sinr-vs-m": [("geometry.num_y", 4), ("sweep.mz_stop", 31)],
+    "snr-loss-heatmap": [
+        ("geometry.num_y", 4), ("geometry.num_z", 4),
+        ("sweep.x_points", 3), ("sweep.y_points", 2),
+    ],
+    "sumrate-vs-m": [("sweep.sides", [4, 6]), ("sweep.n_users", 2), ("sweep.n_drops", 2)],
+}
 
 
 class TestRun:
@@ -146,8 +192,9 @@ class TestRun:
         run(cfg, str(second))
         assert first.read_bytes() == second.read_bytes()
 
-    def test_sidecar_reingests_to_identical_csv(self, tmp_path):
-        cfg = parse_config(experiment="corr-vs-m", overrides=SMALL_CORR)
+    @pytest.mark.parametrize("experiment", sorted(SMALL))
+    def test_sidecar_reingests_to_identical_csv(self, tmp_path, experiment):
+        cfg = parse_config(experiment=experiment, overrides=SMALL[experiment])
         first = tmp_path / "a.csv"
         run(cfg, str(first))
         cfg2 = parse_config(str(tmp_path / "a.json"))
@@ -346,6 +393,22 @@ def test_oversized_sweeps_are_config_errors(run_python, tmp_path, experiment, ov
     )
     assert proc.returncode == 1, proc.stderr
     assert proc.stderr.startswith("config error:") and "sweep points" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "experiment, overrides",
+    [
+        ("corr-vs-dist", ["geometry.num_y=1000000"]),
+        ("sumrate-vs-m", ["sweep.sides=[20000]", "sweep.n_users=1", "sweep.n_drops=1"]),
+        ("corr-vs-m", ["sweep.mz_values=[10000000]"]),
+    ],
+)
+def test_oversized_arrays_are_config_errors(run_python, tmp_path, experiment, overrides):
+    proc = run_with_overrides(
+        run_python, tmp_path, experiment, overrides, memory_limit=3 * 2**30
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("config error:") and "response block" in proc.stderr
 
 
 @pytest.mark.parametrize(

@@ -297,22 +297,18 @@ class TestDeterminismUnderThreads:
         assert thread_count() == 1
         monkeypatch.setenv("XLMIMO_THREADS", "6")
         assert thread_count() == 6
-        assert thread_count(2) == 2
         monkeypatch.setenv("XLMIMO_THREADS", "abc")
         with pytest.raises(ConfigError, match="XLMIMO_THREADS"):
             thread_count()
 
-    def test_sweeps_identical_across_thread_counts(self):
+    def test_sweeps_identical_across_thread_counts(self, monkeypatch):
         region = UserRegion(r=(50.0, 100.0), theta=(0.1, 1.0), phi=(0.3, 1.0))
         kwargs = dict(seed=13, n_drops=6)
-        serial = sumrate_vs_m(make_geom(), region, 3, [PBAR] * 3, [4, 8], threads=1, **kwargs)
-        threaded = sumrate_vs_m(make_geom(), region, 3, [PBAR] * 3, [4, 8], threads=4, **kwargs)
+        monkeypatch.setenv("XLMIMO_THREADS", "1")
+        serial = sumrate_vs_m(make_geom(), region, 3, [PBAR] * 3, [4, 8], **kwargs)
+        corr_serial = sweep_correlation_vs_m(make_geom(), *SAME_DIRECTION, mz_values=[11, 51, 91])
+        monkeypatch.setenv("XLMIMO_THREADS", "4")
+        threaded = sumrate_vs_m(make_geom(), region, 3, [PBAR] * 3, [4, 8], **kwargs)
+        corr_threaded = sweep_correlation_vs_m(make_geom(), *SAME_DIRECTION, mz_values=[11, 51, 91])
         assert serial.rows == threaded.rows
-
-        corr_serial = sweep_correlation_vs_m(
-            make_geom(), *SAME_DIRECTION, mz_values=[11, 51, 91], threads=1
-        )
-        corr_threaded = sweep_correlation_vs_m(
-            make_geom(), *SAME_DIRECTION, mz_values=[11, 51, 91], threads=4
-        )
         assert corr_serial.rows == corr_threaded.rows

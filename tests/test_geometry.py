@@ -78,11 +78,11 @@ class TestArrayGeometry:
         assert g.aperture_y == pytest.approx(10 * D)
         assert g.aperture_z == pytest.approx(200 * D)
 
-    def test_digest_distinguishes_geometries(self):
+    def test_equality_distinguishes_geometries(self):
         g1 = make_geom(num_y=11)
         g2 = make_geom(num_y=13)
-        assert g1.digest() == make_geom(num_y=11).digest()
-        assert g1.digest() != g2.digest()
+        assert g1 == make_geom(num_y=11)
+        assert g1 != g2
 
 
 class TestIndexGrid:
