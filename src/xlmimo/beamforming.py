@@ -217,6 +217,15 @@ def sinr(v: np.ndarray, a: np.ndarray, snr, k: int) -> float:
     return snr[k] * gains[k] / (interference + 1.0)
 
 
+def _mmse_loss(q2: float, rho: float) -> float:
+    """MMSE loss factor of user 1 beside one interferer: q2 rho / (1 + q2), q2 = p2 |a_2|^2.
+
+    Above q2 = 1 it is evaluated as rho / (1 + 1 / q2), so that an
+    overflowed q2 = inf gives the limit rho instead of inf / inf.
+    """
+    return q2 * rho / (1.0 + q2) if q2 <= 1.0 else rho / (1.0 + 1.0 / q2)
+
+
 def two_user_sinrs(a1, a2, p1: float, p2: float) -> tuple[float, float, float]:
     """Closed-form (MRC, ZF, MMSE) SINRs of user 1 in a two-user scenario."""
     a1 = np.asarray(a1, dtype=complex)
@@ -229,7 +238,7 @@ def two_user_sinrs(a1, a2, p1: float, p2: float) -> tuple[float, float, float]:
     rho = min((inner.real**2 + inner.imag**2) / (n1 * n2), 1.0)
     gamma_mrc = p1 * n1 / (p2 * n2 * rho + 1.0)
     gamma_zf = p1 * n1 * (1.0 - rho)
-    gamma_mmse = p1 * n1 * (1.0 - p2 * n2 * rho / (1.0 + p2 * n2))
+    gamma_mmse = p1 * n1 * (1.0 - _mmse_loss(p2 * n2, rho))
     return gamma_mrc, gamma_zf, gamma_mmse
 
 

@@ -200,6 +200,19 @@ def _dirichlet_magnitude(count: int, x: float) -> float:
     return abs(math.sin(math.pi * numerator_arg) / math.sin(math.pi * frac))
 
 
+def _upw_power(geom: ArrayGeometry, loc: UserLocation, cfg: UpwConfig | None = None) -> float:
+    """Plane-wave channel power in closed form, M beta0 / r^2, without building a response.
+
+    Raises DegenerateChannelError when it is 0 or not finite (r^2 beyond the
+    float range either way).
+    """
+    beta0 = (cfg or UpwConfig.matched_to(geom)).beta0
+    power = geom.num_elements * beta0 / loc.r / loc.r
+    if not 0.0 < power < math.inf:
+        raise DegenerateChannelError("a user has a zero or non-finite channel")
+    return power
+
+
 def upw_correlation_closed(
     geom: ArrayGeometry, loc_k: UserLocation, loc_i: UserLocation
 ) -> float:

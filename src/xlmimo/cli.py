@@ -391,7 +391,7 @@ _EXPERIMENTS = {
             "y_values_m": None,
         },
         resolve=_resolve_grid,
-        # each grid cell stacks the fixed user's response and the moved user's
+        # two users, so two SNRs; a cell builds at most the moved user's response
         block=lambda geom, sweep: (geom.num_elements, 2),
         run=lambda cfg, **common: xp.heatmap_snr_loss(
             cfg.geometry, cfg.users[0], cfg.sweep["x_values_m"], cfg.sweep["y_values_m"],
@@ -589,8 +589,15 @@ def _parse_set_flag(item: str) -> tuple[str, object]:
     return key.strip(), value
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """argparse whose usage errors are config errors (exit 1), not argparse's exit 2."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="xlmimo",
         description="Run an uplink sweep and write its CSV table plus JSON sidecar.",
     )
@@ -611,9 +618,9 @@ def main(argv=None) -> int:
         metavar="KEY=VALUE",
         help="override any config key by dotted path, e.g. --set geometry.num_y=10",
     )
-    args = parser.parse_args(argv)
 
     try:
+        args = parser.parse_args(argv)
         overrides = [_parse_set_flag(item) for item in args.overrides]
         cfg = parse_config(
             args.config,

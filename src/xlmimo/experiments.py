@@ -22,10 +22,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import channel as ch
-from .beamforming import SCHEMES, evaluate_scenario, response_matrix, sum_rate
+from .beamforming import SCHEMES, _mmse_loss, evaluate_scenario, response_matrix, sum_rate
 from .errors import ConfigError, DegenerateGeometryError
 from .geometry import ArrayGeometry, UserLocation, Vector3, cartesian_to_spherical
-from .numerics import vector_power
 
 THREADS_ENV = "XLMIMO_THREADS"
 
@@ -260,29 +259,42 @@ def heatmap_snr_loss(
 ) -> SweepResult:
     """MMSE SNR loss factor of user 1 versus user 2's position on the x-y plane.
 
+    Every cell reads the paper's two-user closed form alpha = q2 rho / (1 + q2),
+    with q2 = p2 |a_2|^2 and rho the correlation of the two users' channels, so
+    no cell stacks, factors or solves anything.  pnusw builds user 2's response
+    and correlates it with user 1's, which is built once.  upw builds nothing:
+    rho is the Dirichlet-kernel closed form and |a_2|^2 = M beta0 / r2^2.  A
+    channel whose power is 0 or not finite raises DegenerateChannelError.
+
     Grid points with x <= 0 (outside the front half space) are emitted as
     missing values.  Long-form rows: (x, y, one loss factor per model).
     """
     models = _check_models(models)
     snr = np.asarray(snr, dtype=float)
-    if snr.shape != (2,):
-        raise ValueError("the loss-factor map is a two-user experiment")
+    if snr.shape != (2,) or not np.all(np.isfinite(snr) & (snr > 0.0)):
+        raise ValueError(f"the loss-factor map needs two positive finite SNRs, got {snr!r}")
+    p2 = float(snr[1])
     x_values = sorted(float(x) for x in x_values)
     y_values = sorted(float(y) for y in y_values)
-    ref = {model: response_matrix(geom, [loc1], model, upw_cfg)[:, 0] for model in models}
-    single = {model: snr[0] * vector_power(ref[model]) for model in models}
+    if ch.UPW in models:
+        ch._upw_power(geom, loc1, upw_cfg)  # user 1 must have a channel too
+    ref = ch.response(geom, loc1, ch.PNUSW) if ch.PNUSW in models else None
+
+    def loss(model: str, loc2: UserLocation) -> float:
+        if model == ch.UPW:
+            rho = ch.upw_correlation_closed(geom, loc1, loc2)
+            power = ch._upw_power(geom, loc2, upw_cfg)
+        else:
+            a2 = ch.response(geom, loc2, model)
+            rho, power = ch.correlation(ref, a2), a2.power()
+        return _mmse_loss(p2 * power, rho)
 
     def point(cell: tuple[float, float]) -> tuple:
         x, y = cell
         if x <= 0.0:
             return (x, y) + (None,) * len(models)
         loc2 = cartesian_to_spherical(Vector3(x, y, 0.0))
-        row = [x, y]
-        for model in models:
-            a2 = response_matrix(geom, [loc2], model, upw_cfg)[:, 0]
-            gamma = evaluate_scenario(np.vstack([ref[model], a2]).T, snr)["mmse"][0]
-            row.append(min(max(1.0 - gamma / single[model], 0.0), 1.0))
-        return tuple(row)
+        return (x, y) + tuple(loss(model, loc2) for model in models)
 
     cells = [(x, y) for x in x_values for y in y_values]
     rows = _pmap(point, cells)

@@ -11,6 +11,7 @@ from xlmimo.beamforming import (
     SCHEMES,
     ZF_COLLINEAR_TOL,
     BeamformerReport,
+    _mmse_loss,
     Scenario,
     evaluate_scenario,
     mmse,
@@ -569,6 +570,11 @@ class TestTwoUserForms:
     def test_degenerate_channel_rejected(self):
         with pytest.raises(DegenerateChannelError):
             two_user_sinrs(np.zeros(3, dtype=complex), np.ones(3, dtype=complex), 1.0, 1.0)
+
+    @pytest.mark.parametrize("q2", [0.0, 1e-300, 0.5, 1.0, 1.0 + 2e-16, 3.0, 1e300, math.inf])
+    def test_mmse_loss_is_q2_rho_over_one_plus_q2(self, q2):
+        expected = 0.3 if q2 == math.inf else 0.3 * q2 / (1.0 + q2)
+        assert _mmse_loss(q2, 0.3) == pytest.approx(expected, rel=1e-15, abs=0.0)
 
 
 class TestSumRate:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from xlmimo.channel import (
     ResponseVector,
     UpwConfig,
+    _upw_power,
     channel_power,
     correlation,
     pnusw_gain,
@@ -19,6 +20,7 @@ from xlmimo.channel import (
     upw_response,
 )
 from xlmimo.beamforming import response_matrix
+from xlmimo.numerics import vector_power
 from xlmimo.errors import DegenerateChannelError, DegenerateGeometryError, DimensionMismatchError
 from xlmimo.geometry import (
     ArrayGeometry,
@@ -339,6 +341,21 @@ class TestCorrelation:
         rho = correlation(a, b)
         assert 0.0 <= rho <= 1.0
         assert correlation(a, a) == pytest.approx(1.0, abs=1e-9)
+
+
+class TestUpwPowerClosed:
+    @pytest.mark.parametrize("num_y, num_z", [(10, 11), (20, 20), (9, 7), (200, 200)])
+    def test_matches_the_built_response(self, num_y, num_z):
+        geom = make_geom(num_y=num_y, num_z=num_z)
+        for cfg in (None, UpwConfig(beta0=2.5e-4)):
+            for loc in (UserLocation(80.0, 1.0, 0.7), UserLocation(94.3, math.pi / 2, -0.56)):
+                built = response_matrix(geom, [loc], "upw", cfg)[:, 0]
+                assert _upw_power(geom, loc, cfg) == pytest.approx(vector_power(built), rel=1e-12)
+
+    @pytest.mark.parametrize("r", [1e200, 1e-200])
+    def test_zero_or_infinite_power_is_degenerate(self, r):
+        with pytest.raises(DegenerateChannelError, match="zero or non-finite"):
+            _upw_power(make_geom(), UserLocation(r, math.pi / 2, 0.0))
 
 
 class TestUpwCorrelationClosed:

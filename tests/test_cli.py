@@ -368,12 +368,43 @@ def run_with_overrides(run_python, tmp_path, experiment, overrides, **kwargs):
         ("snr-loss-heatmap", ["sweep.x_values_m=[1e200]", "sweep.y_values_m=[0]"]),
         ("corr-vs-m", ["users.0.r_m=1e-300", "sweep.mz_values=[11]"]),
         ("corr-vs-dist", ["users.0.r_m=1e-300", "sweep.separations_m=[1]"]),
+        ("snr-loss-heatmap", ["model=upw", "sweep.x_values_m=[1e200]", "sweep.y_values_m=[0]"]),
+        ("snr-loss-heatmap", ["model=upw", "sweep.x_values_m=[1e-200]", "sweep.y_values_m=[0]"]),
+        ("snr-loss-heatmap", ["model=upw", "users.0.r_m=1e200"]),
     ],
 )
 def test_extreme_user_positions_are_numerical_errors(run_python, tmp_path, experiment, overrides):
     proc = run_with_overrides(run_python, tmp_path, experiment, overrides)
     assert proc.returncode == 2, proc.stderr
     assert "numerical error:" in proc.stderr and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("model", ["both", "upw"])
+def test_heatmap_runs_at_extreme_snr(run_python, tmp_path, model):
+    proc = run_with_overrides(
+        run_python, tmp_path, "snr-loss-heatmap", ["snr_db=200", f"model={model}"]
+    )
+    assert proc.returncode == 0, proc.stderr
+    rows = (tmp_path / "t.csv").read_text().splitlines()[1:]
+    alphas = [float(v) for row in rows for v in row.split(",")[2:]]
+    assert len(alphas) == 121 * (2 if model == "both" else 1)
+    assert all(0.0 <= alpha <= 1.0 for alpha in alphas)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["--experiment", "bogus"], ["--experiment", "corr-vs-m", "--seed", "abc"], ["--bogus"]],
+)
+def test_usage_errors_are_config_errors(run_python, args):
+    proc = run_python(["-m", "xlmimo.cli", *args], timeout=60.0)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("config error:") and "Traceback" not in proc.stderr
+
+
+def test_help_exits_zero(run_python):
+    proc = run_python(["-m", "xlmimo.cli", "--help"], timeout=60.0)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: xlmimo")
 
 
 @pytest.mark.parametrize(

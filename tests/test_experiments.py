@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -21,7 +22,8 @@ from xlmimo.experiments import (
     sweep_sinr_vs_m,
     thread_count,
 )
-from xlmimo.geometry import ArrayGeometry, UserLocation
+from xlmimo.geometry import ArrayGeometry, UserLocation, Vector3, cartesian_to_spherical
+from xlmimo.numerics import vector_power
 
 LAM = 0.1256
 D = LAM / 2.0
@@ -210,6 +212,48 @@ class TestSinrVsM:
         assert res.rows[0][2] == pytest.approx(10 * math.log10(gammas["mrc"][0]), rel=1e-12)
 
 
+def mp_mmse_loss(geom, loc1, loc2, p2, model):
+    """q2 rho / (1 + q2) from element-by-element sums in the working mpmath precision.
+
+    Each user sits at r (u_x, u_y, u_z) from its float coordinates.  pnusw entries
+    are sqrt(area x / (4 pi dist^3)) exp(-j 2 pi dist / wavelength); the area
+    factors cancel in rho and are applied to |a_2|^2 only.
+    """
+    d = mpmath.mpf(geom.spacing)
+    k = 2 * mpmath.pi / mpmath.mpf(geom.wavelength)
+    if model == "upw":
+        delta = [mpmath.mpf(u1) - mpmath.mpf(u2) for u1, u2 in
+                 ((loc1.u_y, loc2.u_y), (loc1.u_z, loc2.u_z))]
+        sums = [mpmath.fsum(mpmath.expj(k * d * du * mpmath.mpf(m)) for m in idx)
+                for du, idx in zip(delta, (geom.indices_y(), geom.indices_z()))]
+        rho = abs(sums[0] * sums[1]) ** 2 / geom.num_elements**2
+        beta0 = mpmath.mpf(geom.element_area) / (4 * mpmath.pi)
+        q2 = p2 * geom.num_elements * beta0 / mpmath.mpf(loc2.r) ** 2
+        return q2 * rho / (1 + q2)
+
+    def squared_offsets(loc):
+        r = mpmath.mpf(loc.r)
+        qx, qy, qz = (r * mpmath.mpf(u) for u in (loc.u_x, loc.u_y, loc.u_z))
+        along_y = [(qy - mpmath.mpf(m) * d) ** 2 for m in geom.indices_y()]
+        along_z = [qx * qx + (qz - mpmath.mpf(m) * d) ** 2 for m in geom.indices_z()]
+        return qx, along_y, along_z
+
+    x1, y1, z1 = squared_offsets(loc1)
+    x2, y2, z2 = squared_offsets(loc2)
+    n1 = n2 = mpmath.mpf(0)
+    inner = mpmath.mpc(0)
+    for a1, a2 in zip(z1, z2):
+        for b1, b2 in zip(y1, y2):
+            s1, s2 = a1 + b1, a2 + b2
+            r1, r2 = mpmath.sqrt(s1), mpmath.sqrt(s2)
+            n1 += 1 / (s1 * r1)
+            n2 += 1 / (s2 * r2)
+            inner += mpmath.expj(k * (r1 - r2)) / mpmath.sqrt(s1 * r1 * s2 * r2)
+    rho = abs(inner) ** 2 / (n1 * n2)
+    q2 = p2 * mpmath.mpf(geom.element_area) / (4 * mpmath.pi) * x2 * n2
+    return q2 * rho / (1 + q2)
+
+
 class TestHeatmap:
     def test_colocated_cell_matches_closed_form(self):
         geom = make_geom(num_y=16, num_z=16)
@@ -229,6 +273,43 @@ class TestHeatmap:
         assert cells[-10.0][2] is None and cells[-10.0][3] is None
         assert cells[0.0][2] is None
         assert cells[50.0][2] is not None
+
+    @pytest.mark.parametrize("snr", [[PBAR], [PBAR, 0.0], [PBAR, -1.0], [PBAR, math.inf], [math.nan, PBAR]])
+    def test_needs_two_positive_finite_snrs(self, snr):
+        geom = make_geom(num_y=4, num_z=4)
+        with pytest.raises(ValueError, match="two positive finite SNRs"):
+            heatmap_snr_loss(geom, UserLocation(100.0, math.pi / 2, 0.0), [50.0], [0.0], snr)
+
+    @pytest.mark.parametrize("side", [20, 200])
+    def test_matches_the_stacked_two_user_solve(self, side):
+        # The stacked path reads alpha as 1 - gamma / (p1 |a_1|^2), which cancels to an
+        # absolute error of a few 1e-15 (1.2e-9 relative at the upw cell (140, -30),
+        # where mpmath sides with the closed form); hence abs=1e-13 beside rel=1e-9.
+        geom = make_geom(num_y=side, num_z=side)
+        loc1 = UserLocation(100.0, math.pi / 2, 0.0)
+        snr = np.array([PBAR, PBAR])
+        xs, ys = np.linspace(50.0, 150.0, 11), np.linspace(-50.0, 50.0, 11)
+        res = heatmap_snr_loss(geom, loc1, xs, ys, snr)
+        for x, y, *alphas in res.rows:
+            loc2 = cartesian_to_spherical(Vector3(x, y, 0.0))
+            for model, alpha in zip(("pnusw", "upw"), alphas):
+                a = response_matrix(geom, [loc1, loc2], model)
+                gamma = evaluate_scenario(a, snr)["mmse"][0]
+                stacked = 1.0 - gamma / (snr[0] * vector_power(a[:, 0]))
+                assert alpha == pytest.approx(stacked, rel=1e-9, abs=1e-13), (x, y, model)
+
+    @pytest.mark.parametrize(
+        "model, x, y",
+        [("upw", 80.0, -50.0), ("upw", 140.0, -30.0), ("pnusw", 80.0, -50.0)],
+    )
+    def test_matches_mpmath_at_default_size(self, model, x, y):
+        geom = make_geom(num_y=200, num_z=200)
+        loc1 = UserLocation(100.0, math.pi / 2, 0.0)
+        loc2 = cartesian_to_spherical(Vector3(x, y, 0.0))
+        alpha = heatmap_snr_loss(geom, loc1, [x], [y], [PBAR, PBAR], models=(model,)).rows[0][2]
+        with mpmath.workdps(50):
+            expected = mp_mmse_loss(geom, loc1, loc2, mpmath.mpf(PBAR), model)
+        assert alpha == pytest.approx(float(expected), rel=1e-9, abs=0.0)
 
     def test_rows_cover_grid_in_order(self):
         geom = make_geom(num_y=4, num_z=4)
