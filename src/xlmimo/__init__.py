@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 
 from .beamforming import (
     BeamformerReport,
-    Scenario,
     evaluate_scenario,
     mmse,
     mrc,
@@ -24,12 +23,10 @@ from .beamforming import (
 from .channel import (
     ResponseVector,
     UpwConfig,
-    channel_power,
     correlation,
     pnusw_gain,
-    pnusw_response,
+    response,
     upw_correlation_closed,
-    upw_response,
 )
 from .errors import (
     ConfigError,
@@ -59,7 +56,6 @@ __all__ = [
     "DimensionMismatchError",
     "NearSingularError",
     "ResponseVector",
-    "Scenario",
     "SweepResult",
     "UpwConfig",
     "UserLocation",
@@ -67,7 +63,6 @@ __all__ = [
     "Vector3",
     "ZeroForcingInfeasibleError",
     "cartesian_to_spherical",
-    "channel_power",
     "correlation",
     "element_distance",
     "element_position",
@@ -75,7 +70,7 @@ __all__ = [
     "mmse",
     "mrc",
     "pnusw_gain",
-    "pnusw_response",
+    "response",
     "response_matrix",
     "sample_users",
     "sinr",
@@ -83,7 +78,6 @@ __all__ = [
     "sum_rate",
     "two_user_sinrs",
     "upw_correlation_closed",
-    "upw_response",
     "user_position",
     "zf",
 ]

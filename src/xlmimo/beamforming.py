@@ -30,6 +30,7 @@ serves as the consistency oracle for the beamformers.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +41,7 @@ from .errors import (
     NearSingularError,
     ZeroForcingInfeasibleError,
 )
-from .geometry import ArrayGeometry, UserLocation
+from .geometry import ArrayGeometry
 from .numerics import cdot, gram, hermitian_solve, vector_power
 
 SCHEMES = ("mrc", "zf", "mmse")
@@ -50,36 +51,9 @@ SCHEMES = ("mrc", "zf", "mmse")
 # collinearity limit with headroom).
 ZF_COLLINEAR_TOL = 1e-12
 
-
-@dataclass(frozen=True)
-class Scenario:
-    """Immutable multi-user uplink setup: geometry, users, SNRs, channel model."""
-
-    geom: ArrayGeometry
-    users: tuple[UserLocation, ...]
-    snr: tuple[float, ...]
-    model: str
-    upw_cfg: ch.UpwConfig | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "users", tuple(self.users))
-        object.__setattr__(self, "snr", tuple(float(p) for p in self.snr))
-        if len(self.users) < 1:
-            raise ValueError("a scenario needs at least one user")
-        if len(self.snr) != len(self.users):
-            raise ValueError(
-                f"{len(self.snr)} SNRs for {len(self.users)} users"
-            )
-        if any(not (p > 0 and math.isfinite(p)) for p in self.snr):
-            raise ValueError("transmit SNRs must be positive and finite")
-        if self.model not in ch.VALID_MODELS:
-            raise ValueError(f"unknown channel model {self.model!r}")
-        if self.model == ch.UPW and self.upw_cfg is None:
-            object.__setattr__(self, "upw_cfg", ch.UpwConfig.matched_to(self.geom))
-
-    def response_matrix(self) -> np.ndarray:
-        """M x K matrix whose k-th column is user k's channel vector."""
-        return response_matrix(self.geom, self.users, self.model, self.upw_cfg)
+# Largest channel power |a_k|^2 whose squared Gram entries |G_ik|^2 <= G_kk G_ii
+# stay finite.
+_MAX_POWER = math.sqrt(sys.float_info.max)
 
 
 def response_matrix(
@@ -143,7 +117,8 @@ def _factorize(a: np.ndarray, snr=None):
     hermitian_solve (then G^-1 is None), as it does for M < K.  Then some
     channel lies in the span of the others, so each user either is that
     channel or has linearly dependent interferers.  W^-1 is None without
-    snr, which must hold K positive finite SNRs.
+    snr, which must hold K positive finite SNRs.  A channel power of 0 or
+    above _MAX_POWER raises DegenerateChannelError.
     """
     a = np.asarray(a, dtype=complex)
     k_users = a.shape[1]
@@ -152,8 +127,8 @@ def _factorize(a: np.ndarray, snr=None):
         a = np.vstack([a, np.zeros((k_users - a.shape[0], k_users))])
     g = gram(a)
     powers = g.diagonal().real
-    if np.any(powers <= 0.0):
-        raise DegenerateChannelError("a user has a zero channel")
+    if not np.all((powers > 0.0) & (powers <= _MAX_POWER)):
+        raise DegenerateChannelError("a user's channel power is zero or too large to square")
     eye = np.eye(k_users)
     try:
         g_inv = hermitian_solve(g, eye)
@@ -250,8 +225,8 @@ def sum_rate(gammas) -> float:
     return math.fsum(math.log2(1.0 + g) for g in gammas)
 
 
-def solve_user(scenario: Scenario, scheme: str, k: int, a: np.ndarray | None = None) -> BeamformerReport:
-    """Build the beamformer for one user and report SINR and loss factor.
+def solve_user(a: np.ndarray, snr, scheme: str, k: int) -> BeamformerReport:
+    """Build the beamformer for user k of channels a and report SINR and loss factor.
 
     The SINR is evaluate_scenario's entry for the user, and the loss factor
     is alpha = 1 - sinr / (p_k |a_k|^2).  Zero-forcing infeasibility is
@@ -259,12 +234,11 @@ def solve_user(scenario: Scenario, scheme: str, k: int, a: np.ndarray | None = N
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown beamforming scheme {scheme!r}")
-    if a is None:
-        a = scenario.response_matrix()
-    snr = np.asarray(scenario.snr, dtype=float)
+    a = np.asarray(a, dtype=complex)
+    snr = np.asarray(snr, dtype=float)
     _check_user(a, k)
-    single = snr[k] * vector_power(a[:, k])
     gamma = float(evaluate_scenario(a, snr)[scheme][k])
+    single = snr[k] * vector_power(a[:, k])
     if scheme == "zf" and gamma == 0.0:
         return BeamformerReport(scheme, k, None, 0.0, 1.0, single, infeasible=True)
     if scheme == "mrc":

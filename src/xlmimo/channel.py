@@ -129,23 +129,25 @@ def _response_block(
         along_z = common * np.exp(1j * ((c * u_z) * m_z))
         return np.multiply(along_z[:, :, None], np.exp(1j * ((c * u_y) * m_y))[:, None, :], out=out)
 
-    e = geom.spacing / r
-    _warn_if_near(float(e.max(initial=0.0)))
-    f_y = (m_y * m_y) * (e * e) - (2.0 * e * u_y) * m_y
-    f_z = 1.0 + ((m_z * m_z) * (e * e) - (2.0 * e * u_z) * m_z)
-    s = np.add(f_z[:, :, None], f_y[:, None, :])
-    if s.min() <= 0.0:
-        raise DegenerateGeometryError("a user is numerically coincident with an array element")
-    np.sqrt(s, out=s)
-    amp = np.sqrt(s)
-    amp *= s
-    scale = geom.occupation_ratio * e * e * u_x / (4.0 * math.pi)
-    np.divide(np.sqrt(scale)[:, :, None], amp, out=amp)
-    s *= (-2.0 * math.pi / geom.wavelength * r)[:, :, None]
-    np.cos(s, out=out.real)
-    np.sin(s, out=out.imag)
-    out.real *= amp
-    out.imag *= amp
+    # overflow here leaves a non-finite entry, which the callers' finite check reports
+    with np.errstate(all="ignore"):
+        e = geom.spacing / r
+        _warn_if_near(float(e.max(initial=0.0)))
+        f_y = (m_y * m_y) * (e * e) - (2.0 * e * u_y) * m_y
+        f_z = 1.0 + ((m_z * m_z) * (e * e) - (2.0 * e * u_z) * m_z)
+        s = np.add(f_z[:, :, None], f_y[:, None, :])
+        if s.min() <= 0.0:
+            raise DegenerateGeometryError("a user is numerically coincident with an array element")
+        np.sqrt(s, out=s)
+        amp = np.sqrt(s)
+        amp *= s
+        scale = geom.occupation_ratio * e * e * u_x / (4.0 * math.pi)
+        np.divide(np.sqrt(scale)[:, :, None], amp, out=amp)
+        s *= (-2.0 * math.pi / geom.wavelength * r)[:, :, None]
+        np.cos(s, out=out.real)
+        np.sin(s, out=out.imag)
+        out.real *= amp
+        out.imag *= amp
     return out
 
 
@@ -156,32 +158,16 @@ def response(
     return ResponseVector(_response_block(geom, (loc,), model, cfg).reshape(-1), model, geom)
 
 
-def pnusw_response(geom: ArrayGeometry, loc: UserLocation) -> ResponseVector:
-    """Spherical-wavefront response: sqrt(gain) * exp(-j 2 pi distance / wavelength)."""
-    return response(geom, loc, PNUSW)
-
-
-def upw_response(geom: ArrayGeometry, loc: UserLocation, cfg: UpwConfig) -> ResponseVector:
-    """Plane-wave response: common amplitude and a linear phase ramp."""
-    return response(geom, loc, UPW, cfg)
-
-
-def channel_power(a) -> float:
-    """Total channel power |a|^2."""
-    return a.power() if isinstance(a, ResponseVector) else vector_power(np.asarray(a))
-
-
 def correlation(a_k: ResponseVector, a_i: ResponseVector) -> float:
     """Normalized squared inner product of two users' channel vectors, in [0, 1]."""
     if a_k.geom != a_i.geom:
         raise DimensionMismatchError("channel vectors belong to different geometries")
-    p_k = a_k.power()
-    p_i = a_i.power()
-    if p_k <= 0.0 or p_i <= 0.0:
-        raise DegenerateChannelError("correlation undefined for a zero-power channel")
     inner = cdot(a_k.entries, a_i.entries)
-    rho = (inner.real * inner.real + inner.imag * inner.imag) / (p_k * p_i)
-    return min(max(rho, 0.0), 1.0)
+    overlap = inner.real * inner.real + inner.imag * inner.imag
+    norms = a_k.power() * a_i.power()
+    if not (overlap < math.inf and 0.0 < norms < math.inf):
+        raise DegenerateChannelError("correlation undefined: channel powers zero or out of range")
+    return min(max(overlap / norms, 0.0), 1.0)
 
 
 def _dirichlet_magnitude(count: int, x: float) -> float:

@@ -504,18 +504,17 @@ def parse_config(
         raise ConfigError(f"snr_db lists {len(snr_db)} values for {num_snr} users")
 
     beta0 = merged["beta0"]
-    if beta0 is None:
-        beta0 = geometry.element_area / (4.0 * math.pi)
-    beta0 = _as_float(beta0, "beta0")
-    if beta0 <= 0:
-        raise ConfigError(f"beta0 must be positive, got {beta0}")
+    try:
+        upw = UpwConfig.matched_to(geometry) if beta0 is None else UpwConfig(_as_float(beta0, "beta0"))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
     return RunConfig(
         experiment=experiment,
         model=merged["model"],
         seed=seed_value,
         snr_db=snr_db,
-        beta0=beta0,
+        beta0=upw.beta0,
         geometry=geometry,
         users=users,
         sweep=sweep,

@@ -22,11 +22,9 @@ from xlmimo.beamforming import (
 )
 from xlmimo.channel import (
     UpwConfig,
-    channel_power,
     correlation,
-    pnusw_response,
+    response,
     upw_correlation_closed,
-    upw_response,
 )
 from xlmimo.cli import dispatch, main, parse_config, run
 from xlmimo.experiments import (
@@ -131,7 +129,7 @@ def test_c02_upw_closed_correlation_matches_direct_sum():
     worst = 0.0
     for geom, u1, u2 in pairs[:500]:
         cfg = UpwConfig.matched_to(geom)
-        direct = correlation(upw_response(geom, u1, cfg), upw_response(geom, u2, cfg))
+        direct = correlation(response(geom, u1, "upw", cfg), response(geom, u2, "upw", cfg))
         closed = upw_correlation_closed(geom, u1, u2)
         assert closed == pytest.approx(direct, abs=1e-9)
         worst = max(worst, abs(closed - direct))
@@ -208,8 +206,8 @@ def test_c06_snr_loss_map_spot_checks():
     cfg = UpwConfig.matched_to(geom)
 
     # co-located user 2: loss factor hits the fully-correlated closed form
-    for model, ref in (("pnusw", pnusw_response(geom, user1).entries),
-                       ("upw", upw_response(geom, user1, cfg).entries)):
+    for model, ref in (("pnusw", response(geom, user1, "pnusw").entries),
+                       ("upw", response(geom, user1, "upw", cfg).entries)):
         a = np.column_stack([ref, ref])
         power = vector_power(ref)
         alpha = 1.0 - evaluate_scenario(a, snr)["mmse"][0] / (PBAR * power)
@@ -279,7 +277,7 @@ def test_c08_power_bound_and_monotonicity():
         for chain in ([11, 51, 101, 201, 301, 401], [10, 50, 100, 200, 400]):
             previous = 0.0
             for side in chain:
-                power = channel_power(pnusw_response(make_geom(side, side), user))
+                power = response(make_geom(side, side), user, "pnusw").power()
                 assert power > previous  # nested growth adds positive gains
                 assert power < bound
                 previous = power

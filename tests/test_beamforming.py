@@ -12,7 +12,6 @@ from xlmimo.beamforming import (
     ZF_COLLINEAR_TOL,
     BeamformerReport,
     _mmse_loss,
-    Scenario,
     evaluate_scenario,
     mmse,
     mrc,
@@ -92,12 +91,6 @@ def mp_zf_sinrs(a, snr):
         m = mpmath.matrix([[mpmath.mpc(complex(z)) for z in row] for row in a])
         g_inv = mpmath.inverse(m.H * m)
         return [float(snr[k] / mpmath.re(g_inv[k, k])) for k in range(a.shape[1])]
-
-
-def report_for(a, snr, scheme, k):
-    """solve_user's report for user k of explicit channels a."""
-    users = [UserLocation(30.0, 1.2, 0.0)] * len(snr)
-    return solve_user(Scenario(make_geom(1, 1), users, snr, "pnusw"), scheme, k, a)
 
 
 def vectors_with_correlation(rho, n2=4.0):
@@ -225,14 +218,14 @@ class TestSinrClosed:
 
     def test_mrc_orthogonal_channels_lose_nothing(self):
         a = np.eye(6, 2).astype(complex) * 2.0
-        report = report_for(a, [5.0, 7.0], "mrc", 0)
+        report = solve_user(a, [5.0, 7.0], "mrc", 0)
         assert report.loss_factor == 0.0
         assert report.sinr == pytest.approx(5.0 * 4.0, rel=1e-12)
 
     def test_zf_two_user_loss_is_the_correlation(self):
         for rho in (0.0, 0.1, 0.5, 0.9, 0.999):
             a1, a2 = vectors_with_correlation(rho)
-            report = report_for(np.column_stack([a1, a2]), [2.0, 3.0], "zf", 0)
+            report = solve_user(np.column_stack([a1, a2]), [2.0, 3.0], "zf", 0)
             assert report.loss_factor == pytest.approx(rho, abs=1e-12)
             assert report.sinr == pytest.approx(2.0 * (1.0 - rho), rel=1e-10)
 
@@ -240,7 +233,7 @@ class TestSinrClosed:
         a1, a2 = vectors_with_correlation(1.0, n2=9.0)
         a = np.column_stack([a1, a2])
         p2 = 4.0
-        report = report_for(a, [2.0, p2], "mmse", 0)
+        report = solve_user(a, [2.0, p2], "mmse", 0)
         expected_alpha = p2 * 9.0 / (1.0 + p2 * 9.0)
         assert report.loss_factor == pytest.approx(expected_alpha, rel=1e-12)
         assert report.sinr == pytest.approx(2.0 * (1.0 - expected_alpha), rel=1e-10)
@@ -250,7 +243,7 @@ class TestSinrClosed:
         a = np.column_stack([a1, a2])
         with pytest.raises(ZeroForcingInfeasibleError):
             zf(a, 0)
-        assert report_for(a, [1.0, 1.0], "zf", 0).infeasible
+        assert solve_user(a, [1.0, 1.0], "zf", 0).infeasible
 
     def test_closed_matches_direct_for_all_schemes(self):
         rng = np.random.default_rng(6)
@@ -261,7 +254,7 @@ class TestSinrClosed:
             snr = rng.uniform(0.5, 100.0, size=k)
             for user in range(k):
                 for scheme in SCHEMES:
-                    report = report_for(a, snr, scheme, user)
+                    report = solve_user(a, snr, scheme, user)
                     direct = sinr(report.beamformer, a, snr, user)
                     assert report.sinr == pytest.approx(direct, rel=1e-10)
                     assert 0.0 <= report.loss_factor <= 1.0
@@ -274,7 +267,7 @@ class TestSinrClosed:
             for user in range(3):
                 single = snr[user] * vector_power(a[:, user])
                 for scheme in SCHEMES:
-                    report = report_for(a, snr, scheme, user)
+                    report = solve_user(a, snr, scheme, user)
                     assert report.sinr == pytest.approx(
                         single * (1.0 - report.loss_factor), rel=1e-10
                     )
@@ -433,19 +426,14 @@ class TestEvaluateScenario:
                 zf(a, user)
 
     def test_solve_user_reports_evaluate_scenario_bitwise(self):
-        geom = make_geom(num_y=5, num_z=6)
-        scenario = Scenario(
-            geom=geom,
-            users=(UserLocation(25.0, 1.5, 0.1), UserLocation(70.0, 1.3, -0.4),
-                   UserLocation(40.0, 1.1, 0.3)),
-            snr=(PBAR, 0.5 * PBAR, 2.0 * PBAR),
-            model="pnusw",
-        )
-        a = scenario.response_matrix()
-        res = evaluate_scenario(a, np.asarray(scenario.snr))
+        users = (UserLocation(25.0, 1.5, 0.1), UserLocation(70.0, 1.3, -0.4),
+                 UserLocation(40.0, 1.1, 0.3))
+        a = response_matrix(make_geom(num_y=5, num_z=6), users, "pnusw")
+        snr = (PBAR, 0.5 * PBAR, 2.0 * PBAR)
+        res = evaluate_scenario(a, np.asarray(snr))
         for scheme in SCHEMES:
             for user in range(3):
-                assert solve_user(scenario, scheme, user).sinr == res[scheme][user]
+                assert solve_user(a, snr, scheme, user).sinr == res[scheme][user]
 
     def test_plane_wave_users_sharing_a_direction(self):
         # users 0 and 1 share a direction, so user 2's interferers are collinear
@@ -478,6 +466,16 @@ class TestEvaluateScenario:
             assert res["mmse"][user] == pytest.approx(dense, rel=1e-10)
             assert res["mrc"][user] == pytest.approx(direct_mrc(a, snr, user), rel=1e-12)
 
+    def test_powers_whose_square_overflows_are_rejected(self):
+        rng = np.random.default_rng(15)
+        a = random_channels(rng, 16, 3)
+        snr = np.full(3, 1e-100)
+        scale = 1e75 / math.sqrt(vector_power(a[:, 0]))  # user 0's power 1e150
+        res = evaluate_scenario(a * scale, snr)
+        assert res["mrc"][0] > 0.0
+        with pytest.raises(DegenerateChannelError, match="too large"):
+            evaluate_scenario(a * (1e3 * scale), snr)
+
     def test_single_user_all_schemes_equal(self):
         rng = np.random.default_rng(11)
         a = random_channels(rng, 16, 1)
@@ -502,34 +500,30 @@ class TestEvaluateScenario:
 class TestScenarioAndReports:
     def test_scenario_validation(self):
         geom = make_geom(num_y=3, num_z=3)
-        user = UserLocation(30.0, 1.2, 0.0)
-        with pytest.raises(ValueError):
-            Scenario(geom=geom, users=(), snr=(), model="pnusw")
-        with pytest.raises(ValueError):
-            Scenario(geom=geom, users=(user,), snr=(1.0, 2.0), model="pnusw")
-        with pytest.raises(ValueError):
-            Scenario(geom=geom, users=(user,), snr=(-1.0,), model="pnusw")
-        with pytest.raises(ValueError):
-            Scenario(geom=geom, users=(user,), snr=(1.0,), model="nope")
+        users = (UserLocation(30.0, 1.2, 0.0), UserLocation(60.0, 1.0, 0.4))
+        a = response_matrix(geom, users, "pnusw")
+        with pytest.raises(IndexError, match="out of range"):
+            solve_user(a[:, :0], (), "mmse", 0)
+        with pytest.raises(ValueError, match="SNRs"):
+            solve_user(a, (1.0,), "mmse", 1)
+        with pytest.raises(ValueError, match="SNRs"):
+            solve_user(a, (1.0, 2.0, 3.0), "mmse", 0)
+        with pytest.raises(ValueError, match="SNRs"):
+            solve_user(a, (1.0, -1.0), "mrc", 0)
+        with pytest.raises(ValueError, match="unknown channel model"):
+            response_matrix(geom, users, "nope")
 
     def test_upw_scenario_gets_matched_config(self):
         geom = make_geom(num_y=3, num_z=3)
-        scenario = Scenario(
-            geom=geom, users=(UserLocation(30.0, 1.2, 0.0),), snr=(1.0,), model="upw"
-        )
-        assert scenario.upw_cfg == UpwConfig.matched_to(geom)
+        users = (UserLocation(30.0, 1.2, 0.0), UserLocation(60.0, 1.0, 0.4))
+        matched = response_matrix(geom, users, "upw", UpwConfig.matched_to(geom))
+        assert response_matrix(geom, users, "upw").tobytes() == matched.tobytes()
 
     def test_report_invariants(self):
-        geom = make_geom(num_y=5, num_z=5)
-        scenario = Scenario(
-            geom=geom,
-            users=(UserLocation(25.0, 1.5, 0.1), UserLocation(70.0, 1.3, -0.4)),
-            snr=(PBAR, PBAR),
-            model="pnusw",
-        )
-        a = scenario.response_matrix()
+        users = (UserLocation(25.0, 1.5, 0.1), UserLocation(70.0, 1.3, -0.4))
+        a = response_matrix(make_geom(num_y=5, num_z=5), users, "pnusw")
         for scheme in SCHEMES:
-            report = solve_user(scenario, scheme, 0, a)
+            report = solve_user(a, (PBAR, PBAR), scheme, 0)
             assert isinstance(report, BeamformerReport)
             assert not report.infeasible
             assert vector_power(report.beamformer) == pytest.approx(1.0, abs=1e-12)
@@ -539,17 +533,9 @@ class TestScenarioAndReports:
             assert 0.0 <= report.loss_factor <= 1.0
 
     def test_infeasible_report(self):
-        geom = make_geom(num_y=4, num_z=4)
-        scenario = Scenario(
-            geom=geom,
-            users=(
-                UserLocation(25.0, math.pi / 2, 0.0),
-                UserLocation(250.0, math.pi / 2, 0.0),
-            ),
-            snr=(PBAR, PBAR),
-            model="upw",
-        )
-        report = solve_user(scenario, "zf", 0)
+        users = (UserLocation(25.0, math.pi / 2, 0.0), UserLocation(250.0, math.pi / 2, 0.0))
+        a = response_matrix(make_geom(num_y=4, num_z=4), users, "upw")
+        report = solve_user(a, (PBAR, PBAR), "zf", 0)
         assert report.infeasible
         assert report.beamformer is None
         assert report.sinr == 0.0

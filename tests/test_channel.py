@@ -12,12 +12,10 @@ from xlmimo.channel import (
     ResponseVector,
     UpwConfig,
     _upw_power,
-    channel_power,
     correlation,
     pnusw_gain,
-    pnusw_response,
+    response,
     upw_correlation_closed,
-    upw_response,
 )
 from xlmimo.beamforming import response_matrix
 from xlmimo.numerics import vector_power
@@ -84,7 +82,7 @@ class TestResponseVectorType:
 
     def test_vector_keeps_its_geometry(self):
         geom = make_geom()
-        a = pnusw_response(geom, UserLocation(30.0, 1.0, 0.5))
+        a = response(geom, UserLocation(30.0, 1.0, 0.5), "pnusw")
         assert a.geom == geom
         assert len(a) == geom.num_elements
 
@@ -129,7 +127,7 @@ class TestPnuswResponse:
     def test_single_element_entry(self):
         geom = make_geom(num_y=1, num_z=1)
         loc = UserLocation(25.0, math.pi / 2, 0.0)
-        a = pnusw_response(geom, loc)
+        a = response(geom, loc, "pnusw")
         expected = math.sqrt(AREA / (4 * math.pi * 25.0**2)) * cmath.exp(
             -2j * math.pi * 25.0 / LAM
         )
@@ -138,7 +136,7 @@ class TestPnuswResponse:
     def test_entry_magnitudes_are_gains(self):
         geom = make_geom(num_y=4, num_z=3)
         loc = UserLocation(40.0, 1.2, -0.4)
-        a = pnusw_response(geom, loc)
+        a = response(geom, loc, "pnusw")
         gains = [pnusw_gain(geom, loc, y, z) for y, z in flat_indices(geom)]
         assert np.abs(a.entries) ** 2 == pytest.approx(gains, rel=1e-12)
 
@@ -149,11 +147,11 @@ class TestPnuswResponse:
         for m_z in geom.indices_z():
             for m_y in geom.indices_y():
                 oracle += pnusw_gain(geom, loc, m_y, m_z)
-        assert channel_power(pnusw_response(geom, loc)) == pytest.approx(oracle, rel=1e-12)
+        assert response(geom, loc, "pnusw").power() == pytest.approx(oracle, rel=1e-12)
 
     def test_power_positive_off_plane(self):
         geom = make_geom()
-        assert channel_power(pnusw_response(geom, UserLocation(60.0, 1.0, 1.0))) > 0.0
+        assert response(geom, UserLocation(60.0, 1.0, 1.0), "pnusw").power() > 0.0
 
 
 def random_users(rng, count):
@@ -199,12 +197,9 @@ class TestResponseMatrix:
         geom = make_geom(num_y=7, num_z=13)
         users = random_users(np.random.default_rng(80), 80)
         a = response_matrix(geom, users, model)
-        single = pnusw_response if model == "pnusw" else (
-            lambda g, loc: upw_response(g, loc, UpwConfig.matched_to(g))
-        )
         for k, loc in enumerate(users):
             assert a[:, k].tobytes() == response_matrix(geom, [loc], model).tobytes()
-            assert a[:, k].tobytes() == single(geom, loc).entries.tobytes()
+            assert a[:, k].tobytes() == response(geom, loc, model, UpwConfig.matched_to(geom)).entries.tobytes()
 
     @pytest.mark.filterwarnings("ignore::xlmimo.geometry.NearArrayWarning")
     def test_any_user_on_an_element_is_degenerate(self):
@@ -228,7 +223,7 @@ class TestResponseMatrix:
         with pytest.raises(ValueError, match="finite"):
             response_matrix(geom, users, "upw", cfg)
         with pytest.raises(ValueError, match="finite"):
-            upw_response(geom, users[1], cfg)
+            response(geom, users[1], "upw", cfg)
 
     def test_unknown_model_is_rejected(self):
         with pytest.raises(ValueError, match="unknown channel model"):
@@ -240,7 +235,7 @@ class TestUpwResponse:
         geom = make_geom(num_y=3, num_z=3)
         cfg = UpwConfig.matched_to(geom)
         loc = UserLocation(25.0, math.pi / 2, 0.0)
-        a = upw_response(geom, loc, cfg)
+        a = response(geom, loc, "upw", cfg)
         expected = (math.sqrt(cfg.beta0) / 25.0) * cmath.exp(-2j * math.pi * 25.0 / LAM)
         assert a.entries == pytest.approx(np.full(9, expected), rel=1e-12)
 
@@ -248,7 +243,7 @@ class TestUpwResponse:
         geom = make_geom(num_y=6, num_z=7)
         cfg = UpwConfig(beta0=2.5e-4)
         loc = UserLocation(80.0, 1.0, 0.7)
-        assert channel_power(upw_response(geom, loc, cfg)) == pytest.approx(
+        assert response(geom, loc, "upw", cfg).power() == pytest.approx(
             geom.num_elements * cfg.beta0 / loc.r**2, rel=1e-12
         )
 
@@ -257,7 +252,7 @@ class TestUpwResponse:
         geom = make_geom(num_y=3, num_z=1)
         cfg = UpwConfig.matched_to(geom)
         loc = UserLocation(30.0, math.pi / 2, math.pi / 2)
-        a = upw_response(geom, loc, cfg).entries
+        a = response(geom, loc, "upw", cfg).entries
         assert a[0] / a[1] == pytest.approx(-1.0, rel=1e-12)
         assert a[2] / a[1] == pytest.approx(-1.0, rel=1e-12)
 
@@ -266,15 +261,15 @@ class TestChannelPower:
     def test_single_entry(self):
         geom = make_geom(num_y=1, num_z=1)
         a = ResponseVector(entries=np.array([3.0 - 4.0j]), model="upw", geom=geom)
-        assert channel_power(a) == pytest.approx(25.0, rel=1e-15)
+        assert a.power() == pytest.approx(25.0, rel=1e-15)
 
     def test_accepts_plain_arrays(self):
-        assert channel_power(np.array([1.0, 1.0j])) == pytest.approx(2.0)
+        assert vector_power(np.array([1.0, 1.0j])) == pytest.approx(2.0)
 
     def test_grows_with_array_and_respects_aperture_bound(self):
         loc = UserLocation(50.0, math.pi / 2, 0.0)
-        small = channel_power(pnusw_response(make_geom(num_y=101, num_z=101), loc))
-        large = channel_power(pnusw_response(make_geom(num_y=201, num_z=201), loc))
+        small = response(make_geom(num_y=101, num_z=101), loc, "pnusw").power()
+        large = response(make_geom(num_y=201, num_z=201), loc, "pnusw").power()
         xi = make_geom().occupation_ratio
         assert large > small
         assert large < xi / 2.0
@@ -283,9 +278,18 @@ class TestChannelPower:
 class TestCorrelation:
     def test_collinear_vectors(self):
         geom = make_geom(num_y=4, num_z=3)
-        a = pnusw_response(geom, UserLocation(30.0, 1.3, 0.2))
+        a = response(geom, UserLocation(30.0, 1.3, 0.2), "pnusw")
         b = ResponseVector(entries=(0.5 - 2.0j) * a.entries, model=a.model, geom=geom)
         assert correlation(a, b) == pytest.approx(1.0, abs=1e-12)
+
+    def test_powers_whose_product_leaves_the_float_range_are_rejected(self):
+        geom = make_geom(num_y=2, num_z=2)
+        a = ResponseVector(entries=np.full(4, 1e100 + 0j), model="upw", geom=geom)
+        b = ResponseVector(entries=np.full(4, 1e-100 + 0j), model="upw", geom=geom)
+        assert correlation(a, b) == pytest.approx(1.0, rel=1e-12)
+        for big_or_small in (a, b):
+            with pytest.raises(DegenerateChannelError, match="out of range"):
+                correlation(big_or_small, big_or_small)
 
     def test_orthogonal_vectors(self):
         geom = make_geom(num_y=2, num_z=1)
@@ -298,27 +302,27 @@ class TestCorrelation:
         u2 = UserLocation(250.0, math.pi / 2, 0.0)
         small = make_geom(num_y=10, num_z=11)
         large = make_geom(num_y=10, num_z=1001)
-        rho_small = correlation(pnusw_response(small, u1), pnusw_response(small, u2))
-        rho_large = correlation(pnusw_response(large, u1), pnusw_response(large, u2))
+        rho_small = correlation(response(small, u1, "pnusw"), response(small, u2, "pnusw"))
+        rho_large = correlation(response(large, u1, "pnusw"), response(large, u2, "pnusw"))
         assert rho_large < rho_small
 
     def test_mismatched_geometries_rejected(self):
-        a = pnusw_response(make_geom(num_y=3, num_z=3), UserLocation(30.0, 1.0, 0.0))
-        b = pnusw_response(make_geom(num_y=9, num_z=1), UserLocation(30.0, 1.0, 0.0))
+        a = response(make_geom(num_y=3, num_z=3), UserLocation(30.0, 1.0, 0.0), "pnusw")
+        b = response(make_geom(num_y=9, num_z=1), UserLocation(30.0, 1.0, 0.0), "pnusw")
         with pytest.raises(DimensionMismatchError):
             correlation(a, b)
 
     def test_zero_power_channel_rejected(self):
         geom = make_geom(num_y=3, num_z=3)
-        on_axis = pnusw_response(geom, UserLocation(30.0, 0.0, 0.0))
-        other = pnusw_response(geom, UserLocation(30.0, 1.0, 0.0))
+        on_axis = response(geom, UserLocation(30.0, 0.0, 0.0), "pnusw")
+        other = response(geom, UserLocation(30.0, 1.0, 0.0), "pnusw")
         with pytest.raises(DegenerateChannelError):
             correlation(on_axis, other)
 
     def test_common_phase_leaves_correlation_unchanged(self):
         geom = make_geom(num_y=5, num_z=4)
-        a = pnusw_response(geom, UserLocation(30.0, 1.2, 0.3))
-        b = pnusw_response(geom, UserLocation(90.0, 1.4, 0.1))
+        a = response(geom, UserLocation(30.0, 1.2, 0.3), "pnusw")
+        b = response(geom, UserLocation(90.0, 1.4, 0.1), "pnusw")
         rho = correlation(a, b)
         twist = cmath.exp(0.7j)
         a2 = ResponseVector(entries=twist * a.entries, model=a.model, geom=geom)
@@ -336,8 +340,8 @@ class TestCorrelation:
     )
     def test_cauchy_schwarz_bounds(self, r1, r2, t1, t2, p1, p2):
         geom = make_geom(num_y=6, num_z=5)
-        a = pnusw_response(geom, UserLocation(r1, t1, p1))
-        b = pnusw_response(geom, UserLocation(r2, t2, p2))
+        a = response(geom, UserLocation(r1, t1, p1), "pnusw")
+        b = response(geom, UserLocation(r2, t2, p2), "pnusw")
         rho = correlation(a, b)
         assert 0.0 <= rho <= 1.0
         assert correlation(a, a) == pytest.approx(1.0, abs=1e-9)
@@ -380,7 +384,7 @@ class TestUpwCorrelationClosed:
         for _ in range(50):
             u1 = UserLocation(rng.uniform(20, 200), rng.uniform(0.3, 2.8), rng.uniform(-1.4, 1.4))
             u2 = UserLocation(rng.uniform(20, 200), rng.uniform(0.3, 2.8), rng.uniform(-1.4, 1.4))
-            direct = correlation(upw_response(geom, u1, cfg), upw_response(geom, u2, cfg))
+            direct = correlation(response(geom, u1, "upw", cfg), response(geom, u2, "upw", cfg))
             assert upw_correlation_closed(geom, u1, u2) == pytest.approx(direct, abs=1e-9)
 
     def test_near_integer_arguments_match_direct(self):
@@ -390,6 +394,6 @@ class TestUpwCorrelationClosed:
         for delta in (0.0, 1e-13, 1e-10, 3e-9, 1e-8):
             # delta u_y = 2 - delta, so (d/lambda) * delta u_y sits next to 1
             u2 = UserLocation(40.0, math.pi / 2, -math.asin(1.0 - delta))
-            direct = correlation(upw_response(geom, u1, cfg), upw_response(geom, u2, cfg))
+            direct = correlation(response(geom, u1, "upw", cfg), response(geom, u2, "upw", cfg))
             closed = upw_correlation_closed(geom, u1, u2)
             assert closed == pytest.approx(direct, abs=1e-9)

@@ -344,6 +344,8 @@ class TestSamplingRegion:
         ("corr-vs-dist", "sweep.direction2.theta_rad=5"),
         ("sinr-vs-m", "snr_db=4000"),
         ("sinr-vs-m", "snr_db=-4000"),
+        ("corr-vs-m", "beta0=0"),
+        ("corr-vs-m", "geometry.element_area_m2=5e-324"),
     ],
 )
 def test_bad_config_numbers_are_config_errors(run_python, tmp_path, experiment, override):
@@ -371,12 +373,27 @@ def run_with_overrides(run_python, tmp_path, experiment, overrides, **kwargs):
         ("snr-loss-heatmap", ["model=upw", "sweep.x_values_m=[1e200]", "sweep.y_values_m=[0]"]),
         ("snr-loss-heatmap", ["model=upw", "sweep.x_values_m=[1e-200]", "sweep.y_values_m=[0]"]),
         ("snr-loss-heatmap", ["model=upw", "users.0.r_m=1e200"]),
+        ("snr-loss-heatmap", ["model=pnusw", "sweep.x_values_m=[1e-200]", "sweep.y_values_m=[0]"]),
+        ("corr-vs-m", ["beta0=1e300"]),
+        ("corr-vs-dist", ["beta0=1e300"]),
+        ("sinr-vs-m", ["beta0=1e300"]),
+        ("sumrate-vs-m", ["beta0=1e300", "sweep.sides=[10]", "sweep.n_drops=1"]),
+        ("corr-vs-m", ["beta0=1e-300"]),
     ],
 )
 def test_extreme_user_positions_are_numerical_errors(run_python, tmp_path, experiment, overrides):
     proc = run_with_overrides(run_python, tmp_path, experiment, overrides)
     assert proc.returncode == 2, proc.stderr
     assert "numerical error:" in proc.stderr and "Traceback" not in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+
+
+def test_heatmap_keeps_its_table_at_extreme_beta0(run_python, tmp_path):
+    proc = run_with_overrides(run_python, tmp_path, "snr-loss-heatmap", ["beta0=1e300"])
+    assert proc.returncode == 0, proc.stderr
+    rows = (tmp_path / "t.csv").read_text().splitlines()[1:]
+    alphas = [float(v) for row in rows for v in row.split(",")[2:]]
+    assert len(alphas) == 2 * 121 and all(0.0 <= alpha <= 1.0 for alpha in alphas)
 
 
 @pytest.mark.parametrize("model", ["both", "upw"])

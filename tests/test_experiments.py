@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from xlmimo.beamforming import evaluate_scenario, response_matrix, sum_rate
-from xlmimo.channel import UpwConfig, channel_power, upw_response
+from xlmimo.channel import UpwConfig, response
 from xlmimo.errors import ConfigError, DegenerateGeometryError
 from xlmimo.experiments import (
     MIN_U_X,
@@ -259,7 +259,7 @@ class TestHeatmap:
         geom = make_geom(num_y=16, num_z=16)
         loc1 = UserLocation(100.0, math.pi / 2, 0.0)
         res = heatmap_snr_loss(geom, loc1, [100.0], [0.0], [PBAR, PBAR])
-        power = channel_power(upw_response(geom, loc1, UpwConfig.matched_to(geom)))
+        power = response(geom, loc1, "upw", UpwConfig.matched_to(geom)).power()
         expected_upw = PBAR * power / (1.0 + PBAR * power)
         row = res.rows[0]
         assert row[3] == pytest.approx(expected_upw, rel=1e-9)
