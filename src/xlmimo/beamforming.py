@@ -20,11 +20,13 @@ with a scheme-specific loss factor alpha in [0, 1]:
   A P^1/2 W^-1 e_k.
 
 Every SINR, loss factor and beamformer comes from one K x K step per
-scenario (_factorize): the Gram matrix G and the Cholesky inverses of G
-and W.  evaluate_scenario() reads all users' SINRs off their diagonals;
-zf() and mmse() multiply A by one of their columns.  Nothing forms or
-factors an M x M matrix.  sinr() evaluates the quotient directly and
-serves as the consistency oracle for the beamformers.
+scenario (_factorize), which takes the Gram matrix G and forms the
+Cholesky inverses of G and W.  evaluate_scenario() reads all users' SINRs
+off their diagonals, from gram(A) or from a G the caller already holds
+(the M-sweeps accumulate it without forming A); zf() and mmse() multiply
+A by one of their columns.  Nothing forms or factors an M x M matrix.
+sinr() evaluates the quotient directly and serves as the consistency
+oracle for the beamformers.
 """
 
 from __future__ import annotations
@@ -106,26 +108,21 @@ def mrc(a_k: np.ndarray) -> np.ndarray:
     return _unit_canonical(a_k, a_k)
 
 
-def _factorize(a: np.ndarray, snr=None):
+def _factorize(g: np.ndarray, snr=None):
     """The K x K step behind every SINR and beamformer of one scenario.
 
-    Returns (G, G^-1, residual, W^-1) with G = A^H A and
-    W = I + P^1/2 G P^1/2.  residual[k] = 1 / [G^-1]_kk is the power of
-    a_k left after projecting out the interferers, or 0.0 where zero
-    forcing is infeasible: at most ZF_COLLINEAR_TOL of the user's own
-    power, and for every user when G fails the condition gate of
-    hermitian_solve (then G^-1 is None), as it does for M < K.  Then some
-    channel lies in the span of the others, so each user either is that
-    channel or has linearly dependent interferers.  W^-1 is None without
-    snr, which must hold K positive finite SNRs.  A channel power of 0 or
-    above _MAX_POWER raises DegenerateChannelError.
+    Takes the Gram matrix G = A^H A and returns (G^-1, residual, H, W^-1)
+    with H = P^1/2 G P^1/2 and W = I + H.  residual[k] = 1 / [G^-1]_kk is
+    the power of a_k left after projecting out the interferers, or 0.0
+    where zero forcing is infeasible: at most ZF_COLLINEAR_TOL of the
+    user's own power, and for every user when G fails the condition gate
+    of hermitian_solve (then G^-1 is None), as it does for M < K.  Then
+    some channel lies in the span of the others, so each user either is
+    that channel or has linearly dependent interferers.  H and W^-1 are
+    None without snr, which must hold K positive finite SNRs.  A channel
+    power of 0 or above _MAX_POWER raises DegenerateChannelError.
     """
-    a = np.asarray(a, dtype=complex)
-    k_users = a.shape[1]
-    if a.shape[0] < k_users:
-        # zero rows leave A^H A unchanged and give gram a tall matrix
-        a = np.vstack([a, np.zeros((k_users - a.shape[0], k_users))])
-    g = gram(a)
+    k_users = g.shape[0]
     powers = g.diagonal().real
     if not np.all((powers > 0.0) & (powers <= _MAX_POWER)):
         raise DegenerateChannelError("a user's channel power is zero or too large to square")
@@ -137,11 +134,14 @@ def _factorize(a: np.ndarray, snr=None):
     except NearSingularError:
         g_inv, residual = None, np.zeros(k_users)
     if snr is None:
-        return g, g_inv, residual, None
+        return g_inv, residual, None, None
     if snr.shape != (k_users,) or not np.all(np.isfinite(snr) & (snr > 0.0)):
         raise ValueError(f"expected {k_users} positive finite SNRs, got {snr!r}")
     root = np.sqrt(snr)
-    return g, g_inv, residual, hermitian_solve(eye + root[:, None] * g * root[None, :], eye)
+    h = root[:, None] * g * root[None, :]
+    # p_k G_kk exactly, as in the MRC SINR, so MMSE equals MRC where interference vanishes
+    np.fill_diagonal(h, snr * powers)
+    return g_inv, residual, h, hermitian_solve(eye + h, eye)
 
 
 def _check_user(a: np.ndarray, k: int) -> None:
@@ -159,7 +159,7 @@ def zf(a: np.ndarray, k: int) -> np.ndarray:
     """
     a = np.asarray(a, dtype=complex)
     _check_user(a, k)
-    _, g_inv, residual, _ = _factorize(a)
+    g_inv, residual, _, _ = _factorize(gram(a))
     if residual[k] == 0.0:
         raise ZeroForcingInfeasibleError(
             f"zero forcing is infeasible for user {k}: with M={a.shape[0]} and "
@@ -173,7 +173,7 @@ def mmse(a: np.ndarray, snr, k: int) -> np.ndarray:
     a = np.asarray(a, dtype=complex)
     snr = np.asarray(snr, dtype=float)
     _check_user(a, k)
-    *_, w_inv = _factorize(a, snr)
+    *_, w_inv = _factorize(gram(a), snr)
     return _unit_canonical(a @ (np.sqrt(snr) * w_inv[:, k]), a[:, k])
 
 
@@ -251,28 +251,36 @@ def solve_user(a: np.ndarray, snr, scheme: str, k: int) -> BeamformerReport:
     return BeamformerReport(scheme, k, v, gamma, alpha, single)
 
 
-def evaluate_scenario(a: np.ndarray, snr) -> dict[str, np.ndarray]:
+def evaluate_scenario(a: np.ndarray | None, snr, *, g=None) -> dict[str, np.ndarray]:
     """Per-user SINRs of all schemes from one Gram matrix and one inverse each.
 
     With G = A^H A and P = diag(snr), every user's SINR comes from the
     diagonal of a single K x K Cholesky inverse per scheme (_factorize):
 
-    * MRC:  gamma_k = p_k G_kk / (sum_{i != k} p_i |G_ik|^2 / G_kk + 1);
+    * MRC:  gamma_k = p_k G_kk / (sum_{i != k} p_i |G_ik / sqrt(G_kk)|^2 + 1),
+      whose squares stay within G_ii and so cannot underflow to 0;
     * ZF:   gamma_k = p_k / [G^-1]_kk, where 1 / [G^-1]_kk is the power of
       a_k left after projecting out the interferers;
-    * MMSE: gamma_k = 1 / [W^-1]_kk - 1 with W = I + P^1/2 G P^1/2, whose
-      eigenvalues are all at least 1.
+    * MMSE: gamma_k = [H W^-1]_kk / [W^-1]_kk with H = P^1/2 G P^1/2 and
+      W = I + H.  It equals 1 / [W^-1]_kk - 1, since H W^-1 = I - W^-1,
+      without that form's cancellation when gamma_k is small.
 
     ZF entries are 0.0 where zero forcing is infeasible (see _factorize).
+    Callers that already hold G (the nested M-sweeps accumulate it without
+    the whole of A) pass it as g, and a is then not read.
     """
     snr = np.asarray(snr, dtype=float)
-    g, _, residual, w_inv = _factorize(a, snr)
+    if g is None:
+        g = gram(a)
+    _, residual, h, w_inv = _factorize(g, snr)
     powers = g.diagonal().real
-    coupling = g.real**2 + g.imag**2
+    scaled = g / np.sqrt(powers)[:, None]
+    coupling = scaled.real**2 + scaled.imag**2
     np.fill_diagonal(coupling, 0.0)
-    weighted = (coupling * snr).sum(axis=1) / powers
+    weighted = (coupling * snr).sum(axis=1)
+    mmse_gain = (h * w_inv.T).sum(axis=1).real
     return {
         "mrc": snr * powers / (weighted + 1.0),
         "zf": snr * residual,
-        "mmse": np.maximum(1.0 / w_inv.diagonal().real - 1.0, 0.0),
+        "mmse": np.maximum(mmse_gain / w_inv.diagonal().real, 0.0),
     }

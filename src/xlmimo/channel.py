@@ -158,32 +158,46 @@ def response(
     return ResponseVector(_response_block(geom, (loc,), model, cfg).reshape(-1), model, geom)
 
 
-def correlation(a_k: ResponseVector, a_i: ResponseVector) -> float:
-    """Normalized squared inner product of two users' channel vectors, in [0, 1]."""
-    if a_k.geom != a_i.geom:
-        raise DimensionMismatchError("channel vectors belong to different geometries")
-    inner = cdot(a_k.entries, a_i.entries)
+def _correlation_from(inner: complex, power_k: float, power_i: float) -> float:
+    """Correlation |inner|^2 / (power_k power_i) of two channels, clipped to [0, 1].
+
+    Takes Python numbers, which overflow without numpy's warnings.  Raises
+    DegenerateChannelError when |inner|^2 overflows or the product of powers
+    leaves (0, inf), where the quotient would be NaN or meaningless.
+    """
     overlap = inner.real * inner.real + inner.imag * inner.imag
-    norms = a_k.power() * a_i.power()
+    norms = power_k * power_i
     if not (overlap < math.inf and 0.0 < norms < math.inf):
         raise DegenerateChannelError("correlation undefined: channel powers zero or out of range")
     return min(max(overlap / norms, 0.0), 1.0)
 
 
-def _dirichlet_magnitude(count: int, x: float) -> float:
-    """|sin(pi*count*x) / sin(pi*x)| with the removable singularity filled in.
+def correlation(a_k: ResponseVector, a_i: ResponseVector) -> float:
+    """Normalized squared inner product of two users' channel vectors, in [0, 1]."""
+    if a_k.geom != a_i.geom:
+        raise DimensionMismatchError("channel vectors belong to different geometries")
+    return _correlation_from(cdot(a_k.entries, a_i.entries), a_k.power(), a_i.power())
 
-    Both sine arguments are reduced by their nearest integer multiple of pi
-    before evaluation (an exact float subtraction, magnitude unchanged since
-    count is an integer), which keeps the ratio accurate arbitrarily close
-    to the singular points instead of losing the tiny residual to rounding.
+
+def _dirichlet(count: int, x):
+    """Signed Dirichlet kernel sin(pi*count*x) / sin(pi*x), elementwise, singularities filled in.
+
+    It is the sum of e^{j 2 pi x m} over the count centered indices m.  With
+    x = n + f for the nearest integer n, and count*f = n' + f' likewise, it
+    equals (-1)^(n (count - 1) + n') sin(pi f') / sin(pi f).  Both reductions
+    are exact float subtractions, which keeps the ratio accurate arbitrarily
+    close to the singular points (grating lobes, where it is +-count) instead
+    of losing the tiny residual to rounding.
     """
-    frac = x - round(x)
-    if abs(frac) < 1e-12:
-        return float(count)
+    n = np.round(x)
+    frac = x - n
     numerator_arg = count * frac
-    numerator_arg -= round(numerator_arg)
-    return abs(math.sin(math.pi * numerator_arg) / math.sin(math.pi * frac))
+    n_num = np.round(numerator_arg)
+    numerator_arg -= n_num
+    sign = 1.0 - 2.0 * ((n * (count - 1) + n_num) % 2.0)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        ratio = np.sin(np.pi * numerator_arg) / np.sin(np.pi * frac)
+    return sign * np.where(np.abs(frac) < 1e-12, float(count), ratio)
 
 
 def _upw_power(geom: ArrayGeometry, loc: UserLocation, cfg: UpwConfig | None = None) -> float:
@@ -199,12 +213,35 @@ def _upw_power(geom: ArrayGeometry, loc: UserLocation, cfg: UpwConfig | None = N
     return power
 
 
+def _upw_gram(geom: ArrayGeometry, users, cfg: UpwConfig | None = None) -> np.ndarray:
+    """Plane-wave Gram matrix A^H A of K users in closed form, without building A.
+
+    G_ki = beta0 / (r_k r_i) e^{-j 2 pi (r_i - r_k) / lambda} D_{N_y}(x_y) D_{N_z}(x_z),
+    with x = (d / lambda)(u_i - u_k) per axis and D the signed Dirichlet kernel;
+    the diagonal is _upw_power's M beta0 / r^2.  The phase reads each range
+    modulo lambda (fmod is exact), so it stays accurate however many
+    wavelengths away the users are.  The result is exactly Hermitian.
+    """
+    beta0 = (cfg or UpwConfig.matched_to(geom)).beta0
+    params = np.array([(loc.r, loc.u_y, loc.u_z) for loc in users], dtype=float)
+    r, u_y, u_z = params.reshape(-1, 3).T
+    d_norm = geom.spacing / geom.wavelength
+    amplitude = math.sqrt(beta0) / r
+    cycles = np.fmod(r, geom.wavelength) / geom.wavelength
+    g = (amplitude[:, None] * amplitude[None, :]) * (
+        _dirichlet(geom.num_y, d_norm * (u_y[None, :] - u_y[:, None]))
+        * _dirichlet(geom.num_z, d_norm * (u_z[None, :] - u_z[:, None]))
+    ) * np.exp(-2j * math.pi * (cycles[None, :] - cycles[:, None]))
+    np.fill_diagonal(g, [_upw_power(geom, loc, cfg) for loc in users])
+    return g
+
+
 def upw_correlation_closed(
     geom: ArrayGeometry, loc_k: UserLocation, loc_i: UserLocation
 ) -> float:
     """Plane-wave correlation in closed form: product of squared Dirichlet kernels."""
     d_norm = geom.spacing / geom.wavelength
-    f_y = _dirichlet_magnitude(geom.num_y, d_norm * (loc_k.u_y - loc_i.u_y))
-    f_z = _dirichlet_magnitude(geom.num_z, d_norm * (loc_k.u_z - loc_i.u_z))
+    f_y = _dirichlet(geom.num_y, d_norm * (loc_k.u_y - loc_i.u_y))
+    f_z = _dirichlet(geom.num_z, d_norm * (loc_k.u_z - loc_i.u_z))
     rho = (f_y * f_z / geom.num_elements) ** 2
-    return min(rho, 1.0)
+    return float(min(rho, 1.0))

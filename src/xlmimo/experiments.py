@@ -6,6 +6,12 @@ the first column is the sweep axis, metric columns are named
 the axis.  All internal math is linear; dB conversion happens once, when a
 row is materialized.
 
+The three M-sweeps (correlation, SINR and sum rate versus the element
+count) read every array's K x K Gram matrix from one step (_nested_grams):
+the plane-wave Gram is the paper's Dirichlet-kernel closed form and builds
+nothing, and the spherical-wave model builds the largest array once and
+sums each nested array's Gram ring by ring, so every element is read once.
+
 Sweep points and random user drops are independent, so they may be mapped
 over a thread pool; per-drop random streams derive from (seed, drop index)
 and results are reduced in list order, which keeps every table
@@ -25,6 +31,7 @@ from . import channel as ch
 from .beamforming import SCHEMES, _mmse_loss, evaluate_scenario, response_matrix, sum_rate
 from .errors import ConfigError, DegenerateGeometryError
 from .geometry import ArrayGeometry, UserLocation, Vector3, cartesian_to_spherical
+from .numerics import gram
 
 THREADS_ENV = "XLMIMO_THREADS"
 
@@ -132,28 +139,51 @@ def _check_models(models) -> tuple[str, ...]:
     return models
 
 
-def nested_responses(geoms, users, model: str, upw_cfg: ch.UpwConfig | None = None):
-    """M x K response matrices for a sweep over geoms, building one array.
+def _nested_grams(geoms, users, model: str, upw_cfg: ch.UpwConfig | None = None) -> list:
+    """The K x K Gram matrix A^H A of every geometry of a sweep, in order.
 
-    The largest geometry is built once.  Centered element indices of one
-    parity nest, so a geometry of the same parity on both axes and no
-    larger on either is a centered sub-grid of it whose indices, distances
-    and phase ramps are bitwise those of a direct build: it gets its
-    centered sub-block.  Any other geometry is built directly.  All
-    geometries must share spacing, element area and wavelength.  Returns a
-    function from a geometry in geoms to its response matrix.
+    upw builds nothing: each Gram is the closed form channel._upw_gram.
+    pnusw builds the largest geometry once.  Centered element indices of one
+    parity nest, so a geometry of the same parity on both axes and no larger
+    on either is a centered sub-grid of it, whose entries are bitwise those of
+    a direct build.  Such a geometry that contains the previous such one
+    (no smaller on either axis) gets that one's Gram plus the Grams of the at
+    most four strips of elements added around it, so the nested geometries of
+    a sweep read each element once.  Any other nested geometry takes the Gram
+    of its whole sub-block, and a geometry that does not nest is built
+    directly.  All geometries must share spacing, element area and wavelength.
     """
+    if model == ch.UPW:
+        return [ch._upw_gram(g, users, upw_cfg) for g in geoms]
     big = max(geoms, key=lambda g: g.num_elements)
-    a_big = response_matrix(big, users, model, upw_cfg).T.reshape(-1, big.num_z, big.num_y)
+    a_big = response_matrix(big, users, model).T.reshape(-1, big.num_z, big.num_y)
 
-    def build(g: ArrayGeometry) -> np.ndarray:
+    def block_gram(z0: int, z1: int, y0: int, y1: int) -> np.ndarray:
+        part = a_big[:, z0:z1, y0:y1]
+        return gram(part.reshape(len(part), -1).T)
+
+    grams, window, acc = [], None, None
+    for g in geoms:
         dy, dz = big.num_y - g.num_y, big.num_z - g.num_z
         if min(dy, dz) < 0 or dy % 2 or dz % 2:
-            return response_matrix(g, users, model, upw_cfg)
-        block = a_big[:, dz // 2 : dz // 2 + g.num_z, dy // 2 : dy // 2 + g.num_y]
-        return block.reshape(len(block), g.num_elements).T
-
-    return build
+            grams.append(gram(response_matrix(g, users, model)))
+            continue
+        z0, y0 = dz // 2, dy // 2
+        z1, y1 = z0 + g.num_z, y0 + g.num_y
+        if window is None or window[0] < z0 or window[2] < y0:  # previous one not inside
+            acc = block_gram(z0, z1, y0, y1)
+        else:
+            pz0, pz1, py0, py1 = window
+            # rows above and below the previous window, then columns left and right of it
+            strips = (
+                (z0, pz0, y0, y1), (pz1, z1, y0, y1), (pz0, pz1, y0, py0), (pz0, pz1, py1, y1)
+            )
+            for zs, ze, ys, ye in strips:
+                if zs < ze and ys < ye:
+                    acc = acc + block_gram(zs, ze, ys, ye)
+        window = (z0, z1, y0, y1)
+        grams.append(acc)
+    return grams
 
 
 def sweep_correlation_vs_m(
@@ -168,18 +198,16 @@ def sweep_correlation_vs_m(
     models = _check_models(models)
     mz_values = sorted(int(v) for v in mz_values)
     geoms = [replace(geom, num_z=mz) for mz in mz_values]
-    builds = {model: nested_responses(geoms, (loc1, loc2), model, upw_cfg) for model in models}
+    grams = {model: _nested_grams(geoms, (loc1, loc2), model, upw_cfg) for model in models}
 
-    def point(g: ArrayGeometry) -> tuple:
-        row = [g.num_elements, g.num_z]
+    def point(gi: int) -> tuple:
+        row = [geoms[gi].num_elements, geoms[gi].num_z]
         for model in models:
-            a = builds[model](g)
-            row.append(ch.correlation(
-                ch.ResponseVector(a[:, 0], model, g), ch.ResponseVector(a[:, 1], model, g)
-            ))
+            g = grams[model][gi].tolist()
+            row.append(ch._correlation_from(g[0][1], g[0][0].real, g[1][1].real))
         return tuple(row)
 
-    rows = _pmap(point, geoms)
+    rows = _pmap(point, range(len(geoms)))
     return SweepResult(
         columns=["m", "m_z"] + [f"{model}_rho_linear" for model in models],
         rows=rows,
@@ -231,16 +259,16 @@ def sweep_sinr_vs_m(
     if not 0 <= user_index < len(users):
         raise IndexError(f"user index {user_index} out of range for K={len(users)}")
     geoms = [replace(geom, num_z=mz) for mz in mz_values]
-    builds = {model: nested_responses(geoms, users, model, upw_cfg) for model in models}
+    grams = {model: _nested_grams(geoms, users, model, upw_cfg) for model in models}
 
-    def point(g: ArrayGeometry) -> tuple:
-        row = [g.num_elements, g.num_z]
+    def point(gi: int) -> tuple:
+        row = [geoms[gi].num_elements, geoms[gi].num_z]
         for model in models:
-            gammas = evaluate_scenario(builds[model](g), snr)
+            gammas = evaluate_scenario(None, snr, g=grams[model][gi])
             row.extend(_to_db(gammas[scheme][user_index]) for scheme in SCHEMES)
         return tuple(row)
 
-    rows = _pmap(point, geoms)
+    rows = _pmap(point, range(len(geoms)))
     return SweepResult(
         columns=["m", "m_z"]
         + [f"{model}_{scheme}_sinr_db" for model in models for scheme in SCHEMES],
@@ -344,9 +372,8 @@ def sumrate_vs_m(
         users = sample_users(region, num_users, (seed, drop))
         rates = np.empty((len(geoms), len(models), len(SCHEMES)))
         for mi, model in enumerate(models):
-            build = nested_responses(geoms, users, model, upw_cfg)
-            for gi, g in enumerate(geoms):
-                gammas = evaluate_scenario(build(g), snr)
+            for gi, g in enumerate(_nested_grams(geoms, users, model, upw_cfg)):
+                gammas = evaluate_scenario(None, snr, g=g)
                 for si, scheme in enumerate(SCHEMES):
                     rates[gi, mi, si] = sum_rate(gammas[scheme])
         return rates

@@ -2,7 +2,9 @@
 
 Channel powers and inner products are numpy pairwise sums over the
 elementwise products, and the Gram matrix of two or more columns is one
-BLAS ``A^H A`` product.  Neither result depends on the BLAS or Python
+BLAS ``A^H A`` product, for any number of rows: the nested M-sweeps sum it
+over strips of elements, some narrower than the user count.  Neither
+result depends on the BLAS or Python
 thread count, so every output is bitwise reproducible on one machine; the
 level-1 BLAS dot products (``np.vdot``, ``np.dot`` on vectors) are avoided
 because their last bits change with the BLAS thread count.  Across
@@ -46,19 +48,18 @@ def vector_power(x) -> float:
 
 
 def gram(a: np.ndarray) -> np.ndarray:
-    """Hermitian Gram matrix conj(A).T @ A of an M x n matrix, n <= M.
+    """Hermitian Gram matrix conj(A).T @ A of any M x n matrix, M < n included.
 
-    The result is exactly Hermitian with a real diagonal.  A single column
+    The result is exactly Hermitian with a real diagonal.  Any M is taken
+    so that a Gram can be summed from the Grams of disjoint sets of rows,
+    however few each holds.  A single column
     goes through vector_power, because BLAS turns a one-column product
     into a dot product whose rounding depends on the thread count.
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2:
         raise ValueError(f"expected a matrix, got shape {a.shape}")
-    m, n = a.shape
-    if n > m:
-        raise ValueError(f"more columns than rows ({n} > {m})")
-    if n == 1:
+    if a.shape[1] == 1:
         return np.array([[vector_power(a[:, 0])]], dtype=complex)
     g = a.conj().T @ a
     return (g + g.conj().T) / 2.0

@@ -25,7 +25,7 @@ from xlmimo.beamforming import (
 from xlmimo.channel import UpwConfig
 from xlmimo.errors import DegenerateChannelError, ZeroForcingInfeasibleError
 from xlmimo.geometry import ArrayGeometry, UserLocation
-from xlmimo.numerics import cdot, vector_power
+from xlmimo.numerics import cdot, gram, hermitian_solve, vector_power
 
 LAM = 0.1256
 D = LAM / 2.0
@@ -495,6 +495,65 @@ class TestEvaluateScenario:
         assert res["zf"][0] == 0.0
         assert res["zf"][1] == 0.0
         assert res["mmse"][0] > 0.0
+
+    @pytest.mark.parametrize("model", ["pnusw", "upw"])
+    def test_low_snr_mmse_matches_mpmath(self, model):
+        # The default sinr-vs-m pair at m_z = 11.  Read as 1 / [W^-1]_kk - 1, the
+        # MMSE SINR lost 4e-11 of itself at -50 dB and all of it below -160 dB.
+        geom = make_geom(num_y=10, num_z=11)
+        users = (UserLocation(25.0, math.pi / 2, 0.0), UserLocation(250.0, math.pi / 2, 0.0))
+        a = response_matrix(geom, users, model)
+        with mpmath.workdps(60):
+            cols = [[mpmath.mpc(complex(z)) for z in a[:, k]] for k in range(2)]
+            g = [[mpmath.fsum(mpmath.conj(x) * y for x, y in zip(cols[k], cols[i]))
+                  for i in range(2)] for k in range(2)]
+            for ref_db in range(-50, -201, -30):
+                snr = np.full(2, 10.0 ** (ref_db / 10.0) / BETA0)
+                res = evaluate_scenario(a, snr)
+                for k, j in ((0, 1), (1, 0)):
+                    p_k, p_j = mpmath.mpf(snr[k]), mpmath.mpf(snr[j])
+                    exact = p_k * mpmath.re(
+                        g[k][k] - p_j * abs(g[k][j]) ** 2 / (1 + p_j * g[j][j])
+                    )
+                    assert res["mmse"][k] == pytest.approx(float(exact), rel=1e-13, abs=0.0), ref_db
+
+    def test_random_scenarios_agree_with_the_old_sinr_forms(self):
+        # MRC summed p_i |G_ik|^2 / G_kk and MMSE read 1 / [W^-1]_kk - 1 before;
+        # at 50 dB with unit-scale channels neither underflows nor cancels
+        rng = np.random.default_rng(17)
+        for _ in range(50):
+            k = int(rng.integers(2, 9))
+            a = random_channels(rng, int(rng.integers(2 * k, 300)), k)
+            snr = np.full(k, 1e5)
+            g = gram(a)
+            powers = g.diagonal().real
+            coupling = np.abs(g) ** 2
+            np.fill_diagonal(coupling, 0.0)
+            old_mrc = snr * powers / ((coupling * snr).sum(axis=1) / powers + 1.0)
+            root = np.sqrt(snr)
+            w_inv = hermitian_solve(np.eye(k) + root[:, None] * g * root[None, :], np.eye(k))
+            res = evaluate_scenario(a, snr)
+            assert res["mrc"] == pytest.approx(old_mrc, rel=1e-12)
+            assert res["mmse"] == pytest.approx(1.0 / w_inv.diagonal().real - 1.0, rel=1e-12)
+
+    def test_mmse_equals_mrc_where_interference_vanishes(self):
+        # far below the noise W = I to double precision, so both read p_k G_kk
+        rng = np.random.default_rng(19)
+        for _ in range(20):
+            a = random_channels(rng, 30, 5)
+            res = evaluate_scenario(a, rng.uniform(1e-30, 1e-28, size=5))
+            assert np.array_equal(res["mmse"], res["mrc"])
+
+    def test_mrc_keeps_interference_at_tiny_channel_powers(self):
+        # G ~ 1e-304, so |G_ik|^2 underflows to 0 and MRC once dropped all
+        # interference; SINRs depend on A and P only through p_i a_i
+        rng = np.random.default_rng(18)
+        a = random_channels(rng, 40, 4)
+        snr = rng.uniform(1.0, 50.0, size=4)
+        tiny = evaluate_scenario(a * 1e-152, snr * 1e304)
+        for scheme, gammas in evaluate_scenario(a, snr).items():
+            assert tiny[scheme] == pytest.approx(gammas, rel=1e-12)
+        assert np.all(tiny["mrc"] <= tiny["mmse"])
 
 
 class TestScenarioAndReports:

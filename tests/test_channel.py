@@ -3,6 +3,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,14 +12,16 @@ from hypothesis import strategies as st
 from xlmimo.channel import (
     ResponseVector,
     UpwConfig,
+    _dirichlet,
+    _upw_gram,
     _upw_power,
     correlation,
     pnusw_gain,
     response,
     upw_correlation_closed,
 )
-from xlmimo.beamforming import response_matrix
-from xlmimo.numerics import vector_power
+from xlmimo.beamforming import evaluate_scenario, response_matrix
+from xlmimo.numerics import gram, vector_power
 from xlmimo.errors import DegenerateChannelError, DegenerateGeometryError, DimensionMismatchError
 from xlmimo.geometry import (
     ArrayGeometry,
@@ -360,6 +363,86 @@ class TestUpwPowerClosed:
     def test_zero_or_infinite_power_is_degenerate(self, r):
         with pytest.raises(DegenerateChannelError, match="zero or non-finite"):
             _upw_power(make_geom(), UserLocation(r, math.pi / 2, 0.0))
+
+
+def mp_upw_gram(geom, users, beta0):
+    """Plane-wave A^H A as 50-digit sums over every element, from the float user coordinates."""
+    with mpmath.workdps(50):
+        k = 2 * mpmath.pi / mpmath.mpf(geom.wavelength)
+        d = mpmath.mpf(geom.spacing)
+        cols = [
+            [
+                mpmath.sqrt(mpmath.mpf(beta0)) / mpmath.mpf(loc.r)
+                * mpmath.expj(k * (d * (mpmath.mpf(loc.u_y) * mpmath.mpf(m_y)
+                                        + mpmath.mpf(loc.u_z) * mpmath.mpf(m_z))
+                                   - mpmath.mpf(loc.r)))
+                for m_y, m_z in flat_indices(geom)
+            ]
+            for loc in users
+        ]
+        return np.array([
+            [complex(mpmath.fsum(mpmath.conj(x) * y for x, y in zip(col_k, col_i)))
+             for col_i in cols]
+            for col_k in cols
+        ])
+
+
+class TestUpwGram:
+    """The closed-form plane-wave Gram against built responses and mpmath sums."""
+
+    def assert_close(self, got, want, rel=1e-13):
+        scale = np.sqrt(np.outer(want.diagonal().real, want.diagonal().real))
+        assert np.all(np.abs(got - want) <= rel * scale)
+
+    @pytest.mark.parametrize(
+        "num_y, num_z", [(7, 9), (8, 10), (4, 15)], ids=["odd", "even", "rect"]
+    )
+    def test_matches_built_responses_and_mpmath(self, num_y, num_z):
+        geom = make_geom(num_y=num_y, num_z=num_z)
+        rng = np.random.default_rng(num_y * num_z)
+        angles = [(rng.uniform(0.3, 2.8), rng.uniform(-1.4, 1.4)) for _ in range(3)]
+        # The build's own phase 2 pi r / lambda rounds to ~1e-12 rad at r / lambda ~ 800,
+        # so it is compared on users a few meters out; mpmath also takes distant ones.
+        near = [UserLocation(rng.uniform(2.0, 6.0), t, p) for t, p in angles]
+        far = [UserLocation(rng.uniform(50.0, 170.0), t, p) for t, p in angles]
+        for cfg in (None, UpwConfig(beta0=2.5e-4)):
+            beta0 = (cfg or UpwConfig.matched_to(geom)).beta0
+            for users in (near, far):
+                g = _upw_gram(geom, users, cfg)
+                assert np.array_equal(g, g.conj().T)
+                self.assert_close(g, mp_upw_gram(geom, users, beta0))
+            built = gram(response_matrix(geom, near, "upw", cfg))
+            self.assert_close(_upw_gram(geom, near, cfg), built)
+
+    @pytest.mark.parametrize("num_y", [8, 7])
+    def test_grating_lobes_keep_the_kernel_sign(self, num_y):
+        # d = lambda and u_y = +-1/2 put (d / lambda) delta u_y at an integer, where
+        # D_N = N (-1)^(N - 1): negative for an even count
+        geom = make_geom(num_y=num_y, num_z=3, spacing=LAM)
+        phi = math.asin(0.5)
+        users = [UserLocation(3.0, math.pi / 2, phi), UserLocation(4.5, math.pi / 2, -phi)]
+        assert _dirichlet(num_y, -1.0) == (-num_y if num_y % 2 == 0 else num_y)
+        g = _upw_gram(geom, users)
+        self.assert_close(g, mp_upw_gram(geom, users, UpwConfig.matched_to(geom).beta0))
+        self.assert_close(g, gram(response_matrix(geom, users, "upw")))
+        # a full grating lobe makes the two channels collinear, so ZF is infeasible
+        res = evaluate_scenario(None, np.full(2, 1e5), g=g)
+        assert np.array_equal(res["zf"], np.zeros(2))
+
+    def test_users_sharing_a_direction_give_a_rank_one_gram(self):
+        geom = make_geom(num_y=10, num_z=11)
+        users = [UserLocation(r, 1.1, 0.4) for r in (2.0, 3.7, 5.5)]
+        g = _upw_gram(geom, users)
+        self.assert_close(g, gram(response_matrix(geom, users, "upw")))
+        beta0 = UpwConfig.matched_to(geom).beta0
+        self.assert_close(g, mp_upw_gram(geom, users, beta0))
+        # fully correlated users far out: their relative phase must not lose the
+        # ~1e-13 of a cycle that r / lambda ~ 1000 rounds away
+        far = [UserLocation(r, 1.1, 0.4) for r in (60.0, 117.3, 171.9)]
+        self.assert_close(_upw_gram(geom, far), mp_upw_gram(geom, far, beta0))
+        res = evaluate_scenario(None, np.full(3, 1e5), g=g)
+        assert np.array_equal(res["zf"], np.zeros(3))
+        assert np.all(res["mmse"] > 0.0)
 
 
 class TestUpwCorrelationClosed:

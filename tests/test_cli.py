@@ -464,6 +464,8 @@ def test_oversized_arrays_are_config_errors(run_python, tmp_path, experiment, ov
     [
         ("sumrate-vs-m", ["sweep.sides=[10,120]", "sweep.n_drops=1"]),
         ("corr-vs-m", ["sweep.mz_values=[11,1001]"]),
+        ("sumrate-vs-m", ["sweep.n_drops=2"]),
+        ("sinr-vs-m", []),
     ],
 )
 def test_csv_is_byte_identical_across_blas_threads(run_python, tmp_path, experiment, overrides):
@@ -477,3 +479,26 @@ def test_csv_is_byte_identical_across_blas_threads(run_python, tmp_path, experim
         assert proc.returncode == 0, proc.stderr
         tables.append(out.read_bytes())
     assert tables[0] == tables[1]
+
+
+@pytest.mark.parametrize(
+    "experiment, overrides",
+    [
+        ("sinr-vs-m", [("snr_db", -200), ("sweep.mz_values", [11, 101])]),
+        ("sinr-vs-m", [("beta0", 1e-300), ("sweep.mz_values", [11])]),
+        ("sumrate-vs-m", [("beta0", 1e-300), ("sweep.sides", [10]), ("sweep.n_drops", 1)]),
+    ],
+)
+def test_mmse_is_finite_and_at_least_mrc_at_tiny_powers(tmp_path, experiment, overrides):
+    # MMSE read 0 at -200 dB (1 / [W^-1]_kk - 1 cancelled), and at beta0 = 1e-300
+    # plane-wave MRC rose above MMSE (|G_ik|^2 underflowed to 0)
+    out = tmp_path / "t.csv"
+    run(parse_config(experiment=experiment, overrides=overrides), str(out))
+    header, *rows = [line.split(",") for line in out.read_text().splitlines()]
+    metric = "sinr_db" if experiment == "sinr-vs-m" else "sumrate_bpshz"
+    for row in rows:
+        cells = dict(zip(header, map(float, row)))
+        for model in ("pnusw", "upw"):
+            mrc, mmse = cells[f"{model}_mrc_{metric}"], cells[f"{model}_mmse_{metric}"]
+            assert math.isfinite(mmse)
+            assert mmse >= mrc - 1e-9 * abs(mrc), (model, row)

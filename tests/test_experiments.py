@@ -6,15 +6,16 @@ import mpmath
 import numpy as np
 import pytest
 
+import xlmimo.experiments as xp
 from xlmimo.beamforming import evaluate_scenario, response_matrix, sum_rate
-from xlmimo.channel import UpwConfig, response
+from xlmimo.channel import UpwConfig, _upw_gram, response
 from xlmimo.errors import ConfigError, DegenerateGeometryError
 from xlmimo.experiments import (
     MIN_U_X,
     SweepResult,
     UserRegion,
+    _nested_grams,
     heatmap_snr_loss,
-    nested_responses,
     sample_users,
     sumrate_vs_m,
     sweep_correlation_vs_distance,
@@ -23,7 +24,7 @@ from xlmimo.experiments import (
     thread_count,
 )
 from xlmimo.geometry import ArrayGeometry, UserLocation, Vector3, cartesian_to_spherical
-from xlmimo.numerics import vector_power
+from xlmimo.numerics import compensated_sum, gram, vector_power
 
 LAM = 0.1256
 D = LAM / 2.0
@@ -96,29 +97,104 @@ class TestSampleUsers:
             sample_users(region, 2, 0)
 
 
+def oracle_gram(a):
+    """A^H A with every entry an exactly rounded compensated_sum of its products."""
+    k = a.shape[1]
+    out = np.empty((k, k), dtype=complex)
+    for i in range(k):
+        for j in range(k):
+            prod = np.conj(a[:, i]) * a[:, j]
+            out[i, j] = complex(compensated_sum(prod.real), compensated_sum(prod.imag))
+    return out
+
+
+def ring_grams(geoms, users):
+    """pnusw Grams of a chain of nested geometries, each ring strip read from a direct build.
+
+    The first geometry's Gram is its whole direct build's; each later one adds,
+    to the previous Gram, the Grams of its own direct build's rows above and
+    below and columns left and right of the previous (centered) geometry.
+    """
+    grams = []
+    for prev, g in zip([None] + geoms[:-1], geoms):
+        direct = response_matrix(g, users, "pnusw").T.reshape(len(users), g.num_z, g.num_y)
+        if prev is None:
+            grams.append(gram(direct.reshape(len(users), -1).T))
+            continue
+        z0, y0 = (g.num_z - prev.num_z) // 2, (g.num_y - prev.num_y) // 2
+        z1, y1 = z0 + prev.num_z, y0 + prev.num_y
+        acc = grams[-1]
+        for part in (direct[:, :z0], direct[:, z1:], direct[:, z0:z1, :y0], direct[:, z0:z1, y1:]):
+            if part.size:
+                acc = acc + gram(part.reshape(len(users), -1).T)
+        grams.append(acc)
+    return grams
+
+
 class TestNestedResponses:
+    """The nested-Gram step against ring strips of direct builds and the fsum oracle."""
+
     USERS = sample_users(
         UserRegion(r=(50.0, 100.0), theta=(0.2, 1.2), phi=(-0.6, 0.8)), 3, 7
     )
 
-    def assert_direct(self, geoms, model):
-        build = nested_responses(geoms, self.USERS, model)
-        for g in geoms:
-            assert build(g).tobytes() == response_matrix(g, self.USERS, model).tobytes()
+    def assert_oracle(self, geoms, grams):
+        for g, got in zip(geoms, grams):
+            exact = oracle_gram(response_matrix(g, self.USERS, "pnusw"))
+            scale = np.sqrt(np.outer(exact.diagonal().real, exact.diagonal().real))
+            assert np.all(np.abs(got - exact) <= 1e-12 * scale), g
 
     @pytest.mark.parametrize("model", ["pnusw", "upw"])
     @pytest.mark.parametrize("sides", [[4, 10, 16], [5, 11, 17]], ids=["even", "odd"])
     def test_sub_blocks_equal_direct_builds_bitwise(self, model, sides):
-        self.assert_direct([make_geom(s, s + 4) for s in sides], model)
-        self.assert_direct([make_geom(10, mz) for mz in sides], model)
+        for geoms in ([make_geom(s, s + 4) for s in sides], [make_geom(10, mz) for mz in sides]):
+            grams = _nested_grams(geoms, self.USERS, model)
+            if model == "upw":
+                for g, got in zip(geoms, grams):
+                    assert np.array_equal(got, _upw_gram(g, self.USERS))
+                continue
+            for got, want in zip(grams, ring_grams(geoms, self.USERS)):
+                assert got.tobytes() == want.tobytes()
+            self.assert_oracle(geoms, grams)
 
     @pytest.mark.parametrize("model", ["pnusw", "upw"])
     def test_geometries_that_do_not_nest_are_built_directly(self, model):
-        # mixed parity, and a geometry longer than the largest one on z
-        self.assert_direct([make_geom(s, s) for s in (4, 5, 9, 10)], model)
-        self.assert_direct([make_geom(2, 30), make_geom(10, 10)], model)
+        # mixed parity, a geometry longer than the largest one on z, and a
+        # nested geometry narrower than the one before it; each chain lists
+        # the geometries that add a ring, and every other one has the Gram
+        # of a direct build
+        for geoms, rings in (
+            ([make_geom(s, s) for s in (4, 5, 9, 10)], {3}),
+            ([make_geom(2, 30), make_geom(10, 10)], set()),
+            ([make_geom(8, 2), make_geom(2, 8), make_geom(10, 10)], {2}),
+        ):
+            grams = _nested_grams(geoms, self.USERS, model)
+            for i, (g, got) in enumerate(zip(geoms, grams)):
+                if model == "upw":
+                    assert np.array_equal(got, _upw_gram(g, self.USERS))
+                elif i not in rings:
+                    direct = gram(response_matrix(g, self.USERS, model))
+                    assert got.tobytes() == direct.tobytes()
+            if model == "pnusw":
+                self.assert_oracle(geoms, grams)
+
+    def test_m_sweeps_build_only_the_largest_spherical_wave_array(self, monkeypatch):
+        built = []
+
+        def recording(geom, users, model, upw_cfg=None):
+            built.append((model, geom.num_y, geom.num_z))
+            return response_matrix(geom, users, model, upw_cfg)
+
+        monkeypatch.setattr(xp, "response_matrix", recording)
+        region = UserRegion(r=(50.0, 100.0), theta=(0.1, 1.0), phi=(0.3, 1.0))
+        sumrate_vs_m(make_geom(), region, 3, np.full(3, PBAR), [4, 8, 10], seed=6, n_drops=1)
+        sweep_sinr_vs_m(make_geom(), SAME_DIRECTION, [PBAR, PBAR], mz_values=[11, 21])
+        sweep_correlation_vs_m(make_geom(), *SAME_DIRECTION, mz_values=[11, 21])
+        assert built == [("pnusw", 10, 10), ("pnusw", 10, 21), ("pnusw", 10, 21)]
 
     def test_mixed_parity_sum_rate_matches_direct_builds(self):
+        # sides 4 and 5 take whole direct Grams and side 10 adds its ring to
+        # side 4's, read from direct builds; upw is the closed-form Gram
         region = UserRegion(r=(50.0, 100.0), theta=(0.1, 1.0), phi=(0.3, 1.0))
         snr = np.full(3, PBAR)
         sides = [4, 5, 10]
@@ -128,8 +204,14 @@ class TestNestedResponses:
                 rates = {scheme: [] for scheme in ("mrc", "zf", "mmse")}
                 for drop in range(2):
                     users = sample_users(region, 3, (6, drop))
-                    a = response_matrix(make_geom(side, side), users, model)
-                    for scheme, gammas in evaluate_scenario(a, snr).items():
+                    geom = make_geom(side, side)
+                    if model == "upw":
+                        g = _upw_gram(geom, users)
+                    elif side == 5:
+                        g = gram(response_matrix(geom, users, model))
+                    else:
+                        g = ring_grams([make_geom(s, s) for s in (4, 10)], users)[side == 10]
+                    for scheme, gammas in evaluate_scenario(None, snr, g=g).items():
                         rates[scheme].append(sum_rate(gammas))
                 for scheme, values in rates.items():
                     got = row[res.columns.index(f"{model}_{scheme}_sumrate_bpshz")]

@@ -111,9 +111,13 @@ class TestGram:
         assert np.array_equal(g, g.conj().T)
         assert np.linalg.eigvalsh(g).min() >= -1e-10
 
-    def test_rejects_wide_matrices(self):
-        with pytest.raises(ValueError):
-            gram(np.ones((2, 3), dtype=complex))
+    def test_wide_matrices_match_zero_padded_tall_ones(self):
+        # zero rows leave A^H A unchanged, so a strip with fewer elements than
+        # users needs no padding
+        rng = np.random.default_rng(16)
+        wide = complex_randn(rng, 2, 3)
+        tall = np.vstack([wide, np.zeros((1, 3))])
+        assert np.array_equal(gram(wide), gram(tall))
 
 
 class TestHermitianSolve:
