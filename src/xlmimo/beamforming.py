@@ -24,7 +24,9 @@ scenario (_factorize), which takes the Gram matrix G and forms the
 Cholesky inverses of G and W.  evaluate_scenario() reads all users' SINRs
 off their diagonals, from gram(A) or from a G the caller already holds
 (the M-sweeps accumulate it without forming A); zf() and mmse() multiply
-A by one of their columns.  Nothing forms or factors an M x M matrix.
+A by one of their columns.  Both K x K steps also take an (n, K, K) stack
+of Grams sharing one SNR vector, such as every array of an M-sweep, and
+factor each stack in one call.  Nothing forms or factors an M x M matrix.
 sinr() evaluates the quotient directly and serves as the consistency
 oracle for the beamformers.
 """
@@ -108,31 +110,48 @@ def mrc(a_k: np.ndarray) -> np.ndarray:
     return _unit_canonical(a_k, a_k)
 
 
-def _factorize(g: np.ndarray, snr=None):
-    """The K x K step behind every SINR and beamformer of one scenario.
+def _diagonal(x: np.ndarray) -> np.ndarray:
+    """Writable view of the diagonal of a K x K matrix, or of each matrix of a stack."""
+    return np.einsum("...ii->...i", x)
 
-    Takes the Gram matrix G = A^H A and returns (G^-1, residual, H, W^-1)
-    with H = P^1/2 G P^1/2 and W = I + H.  residual[k] = 1 / [G^-1]_kk is
+
+def _gram_inverse(g: np.ndarray) -> np.ndarray:
+    """G^-1 of one Gram matrix or of each of a stack, all NaN where G fails the gate.
+
+    A stack that fails is redone one matrix at a time, so one infeasible
+    Gram never affects another.
+    """
+    try:
+        return hermitian_solve(g, np.eye(g.shape[-1]))
+    except NearSingularError:
+        if g.ndim == 2:
+            return np.full(g.shape, np.nan, dtype=complex)
+        return np.stack([_gram_inverse(one) for one in g])
+
+
+def _factorize(g: np.ndarray, snr=None):
+    """The K x K step behind every SINR and beamformer of one scenario, or of a stack.
+
+    Takes the Gram matrix G = A^H A, or an (n, K, K) stack of them, and
+    returns (G^-1, residual, H, W^-1) with H = P^1/2 G P^1/2 and W = I + H,
+    each with the stack's leading axis.  residual[k] = 1 / [G^-1]_kk is
     the power of a_k left after projecting out the interferers, or 0.0
     where zero forcing is infeasible: at most ZF_COLLINEAR_TOL of the
     user's own power, and for every user when G fails the condition gate
-    of hermitian_solve (then G^-1 is None), as it does for M < K.  Then
+    of hermitian_solve (then that G^-1 is NaN), as it does for M < K.  Then
     some channel lies in the span of the others, so each user either is
     that channel or has linearly dependent interferers.  H and W^-1 are
-    None without snr, which must hold K positive finite SNRs.  A channel
+    None without snr, which must hold K positive finite SNRs.  The W stack
+    is one solve, and raises NearSingularError if any W fails.  A channel
     power of 0 or above _MAX_POWER raises DegenerateChannelError.
     """
-    k_users = g.shape[0]
-    powers = g.diagonal().real
+    k_users = g.shape[-1]
+    powers = _diagonal(g).real
     if not np.all((powers > 0.0) & (powers <= _MAX_POWER)):
         raise DegenerateChannelError("a user's channel power is zero or too large to square")
-    eye = np.eye(k_users)
-    try:
-        g_inv = hermitian_solve(g, eye)
-        residual = 1.0 / g_inv.diagonal().real
-        residual = np.where(residual > ZF_COLLINEAR_TOL * powers, residual, 0.0)
-    except NearSingularError:
-        g_inv, residual = None, np.zeros(k_users)
+    g_inv = _gram_inverse(g)
+    residual = 1.0 / _diagonal(g_inv).real
+    residual = np.where(residual > ZF_COLLINEAR_TOL * powers, residual, 0.0)
     if snr is None:
         return g_inv, residual, None, None
     if snr.shape != (k_users,) or not np.all(np.isfinite(snr) & (snr > 0.0)):
@@ -140,7 +159,8 @@ def _factorize(g: np.ndarray, snr=None):
     root = np.sqrt(snr)
     h = root[:, None] * g * root[None, :]
     # p_k G_kk exactly, as in the MRC SINR, so MMSE equals MRC where interference vanishes
-    np.fill_diagonal(h, snr * powers)
+    _diagonal(h)[...] = snr * powers
+    eye = np.eye(k_users)
     return g_inv, residual, h, hermitian_solve(eye + h, eye)
 
 
@@ -267,20 +287,22 @@ def evaluate_scenario(a: np.ndarray | None, snr, *, g=None) -> dict[str, np.ndar
 
     ZF entries are 0.0 where zero forcing is infeasible (see _factorize).
     Callers that already hold G (the nested M-sweeps accumulate it without
-    the whole of A) pass it as g, and a is then not read.
+    the whole of A) pass it as g, and a is then not read.  g may also be an
+    (n, K, K) stack sharing one snr; every entry is then (n, K), and row i
+    is bitwise what g[i] alone gives.
     """
     snr = np.asarray(snr, dtype=float)
     if g is None:
         g = gram(a)
     _, residual, h, w_inv = _factorize(g, snr)
-    powers = g.diagonal().real
-    scaled = g / np.sqrt(powers)[:, None]
+    powers = _diagonal(g).real
+    scaled = g / np.sqrt(powers)[..., None]
     coupling = scaled.real**2 + scaled.imag**2
-    np.fill_diagonal(coupling, 0.0)
-    weighted = (coupling * snr).sum(axis=1)
-    mmse_gain = (h * w_inv.T).sum(axis=1).real
+    _diagonal(coupling)[...] = 0.0
+    weighted = (coupling * snr).sum(axis=-1)
+    mmse_gain = (h * np.swapaxes(w_inv, -2, -1)).sum(axis=-1).real
     return {
         "mrc": snr * powers / (weighted + 1.0),
         "zf": snr * residual,
-        "mmse": np.maximum(mmse_gain / w_inv.diagonal().real, 0.0),
+        "mmse": np.maximum(mmse_gain / _diagonal(w_inv).real, 0.0),
     }

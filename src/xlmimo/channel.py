@@ -179,15 +179,17 @@ def correlation(a_k: ResponseVector, a_i: ResponseVector) -> float:
     return _correlation_from(cdot(a_k.entries, a_i.entries), a_k.power(), a_i.power())
 
 
-def _dirichlet(count: int, x):
+def _dirichlet(count, x):
     """Signed Dirichlet kernel sin(pi*count*x) / sin(pi*x), elementwise, singularities filled in.
 
-    It is the sum of e^{j 2 pi x m} over the count centered indices m.  With
-    x = n + f for the nearest integer n, and count*f = n' + f' likewise, it
-    equals (-1)^(n (count - 1) + n') sin(pi f') / sin(pi f).  Both reductions
-    are exact float subtractions, which keeps the ratio accurate arbitrarily
-    close to the singular points (grating lobes, where it is +-count) instead
-    of losing the tiny residual to rounding.
+    count is an element count, or an integer array of them that broadcasts
+    against x.  The kernel is the sum of e^{j 2 pi x m} over the count
+    centered indices m.  With x = n + f for the nearest integer n, and
+    count*f = n' + f' likewise, it equals
+    (-1)^(n (count - 1) + n') sin(pi f') / sin(pi f).  Both reductions are
+    exact float subtractions, which keeps the ratio accurate arbitrarily
+    close to the singular points (grating lobes, where it is +-count)
+    instead of losing the tiny residual to rounding.
     """
     n = np.round(x)
     frac = x - n
@@ -197,43 +199,62 @@ def _dirichlet(count: int, x):
     sign = 1.0 - 2.0 * ((n * (count - 1) + n_num) % 2.0)
     with np.errstate(invalid="ignore", divide="ignore"):
         ratio = np.sin(np.pi * numerator_arg) / np.sin(np.pi * frac)
-    return sign * np.where(np.abs(frac) < 1e-12, float(count), ratio)
+    return sign * np.where(np.abs(frac) < 1e-12, count, ratio)
+
+
+def _upw_powers(num_elements, beta0: float, r):
+    """Plane-wave channel power M beta0 / r^2, elementwise over counts and ranges.
+
+    Raises DegenerateChannelError when any power is 0 or not finite (r^2
+    beyond the float range either way).
+    """
+    with np.errstate(over="ignore"):
+        powers = num_elements * beta0 / r / r
+    if not np.all((powers > 0.0) & (powers < math.inf)):
+        raise DegenerateChannelError("a user has a zero or non-finite channel")
+    return powers
 
 
 def _upw_power(geom: ArrayGeometry, loc: UserLocation, cfg: UpwConfig | None = None) -> float:
-    """Plane-wave channel power in closed form, M beta0 / r^2, without building a response.
-
-    Raises DegenerateChannelError when it is 0 or not finite (r^2 beyond the
-    float range either way).
-    """
+    """Plane-wave channel power of one user in closed form, without building a response."""
     beta0 = (cfg or UpwConfig.matched_to(geom)).beta0
-    power = geom.num_elements * beta0 / loc.r / loc.r
-    if not 0.0 < power < math.inf:
-        raise DegenerateChannelError("a user has a zero or non-finite channel")
-    return power
+    return float(_upw_powers(geom.num_elements, beta0, loc.r))
 
 
-def _upw_gram(geom: ArrayGeometry, users, cfg: UpwConfig | None = None) -> np.ndarray:
+def _upw_gram(geoms, users, cfg: UpwConfig | None = None) -> np.ndarray:
     """Plane-wave Gram matrix A^H A of K users in closed form, without building A.
 
     G_ki = beta0 / (r_k r_i) e^{-j 2 pi (r_i - r_k) / lambda} D_{N_y}(x_y) D_{N_z}(x_z),
     with x = (d / lambda)(u_i - u_k) per axis and D the signed Dirichlet kernel;
-    the diagonal is _upw_power's M beta0 / r^2.  The phase reads each range
-    modulo lambda (fmod is exact), so it stays accurate however many
-    wavelengths away the users are.  The result is exactly Hermitian.
+    the diagonal is the power M beta0 / r^2 (_upw_powers).  The phase reads
+    each range modulo lambda (fmod is exact), so it stays accurate however
+    many wavelengths away the users are.  The result is exactly Hermitian.
+
+    geoms is one ArrayGeometry, giving the K x K matrix, or a sequence of
+    geometries that share spacing, element area and wavelength, giving the
+    (n, K, K) stack of their Grams in one broadcast; each matrix of the
+    stack is bitwise the one its geometry gives alone.
     """
+    stack = [geoms] if isinstance(geoms, ArrayGeometry) else list(geoms)
+    geom = stack[0]
+    if len({(g.spacing, g.element_area, g.wavelength) for g in stack}) > 1:
+        raise ValueError("stacked geometries must share spacing, element area and wavelength")
     beta0 = (cfg or UpwConfig.matched_to(geom)).beta0
     params = np.array([(loc.r, loc.u_y, loc.u_z) for loc in users], dtype=float)
     r, u_y, u_z = params.reshape(-1, 3).T
+    num_y, num_z, num_elements = np.array(
+        [(g.num_y, g.num_z, g.num_elements) for g in stack]
+    ).T[:, :, None, None]
+    powers = _upw_powers(num_elements[:, 0], beta0, r)
     d_norm = geom.spacing / geom.wavelength
     amplitude = math.sqrt(beta0) / r
     cycles = np.fmod(r, geom.wavelength) / geom.wavelength
     g = (amplitude[:, None] * amplitude[None, :]) * (
-        _dirichlet(geom.num_y, d_norm * (u_y[None, :] - u_y[:, None]))
-        * _dirichlet(geom.num_z, d_norm * (u_z[None, :] - u_z[:, None]))
+        _dirichlet(num_y, d_norm * (u_y[None, :] - u_y[:, None]))
+        * _dirichlet(num_z, d_norm * (u_z[None, :] - u_z[:, None]))
     ) * np.exp(-2j * math.pi * (cycles[None, :] - cycles[:, None]))
-    np.fill_diagonal(g, [_upw_power(geom, loc, cfg) for loc in users])
-    return g
+    np.einsum("...ii->...i", g)[...] = powers
+    return g[0] if isinstance(geoms, ArrayGeometry) else g
 
 
 def upw_correlation_closed(

@@ -139,10 +139,10 @@ def _check_models(models) -> tuple[str, ...]:
     return models
 
 
-def _nested_grams(geoms, users, model: str, upw_cfg: ch.UpwConfig | None = None) -> list:
-    """The K x K Gram matrix A^H A of every geometry of a sweep, in order.
+def _nested_grams(geoms, users, model: str, upw_cfg: ch.UpwConfig | None = None) -> np.ndarray:
+    """The (n, K, K) stack of the Gram matrices A^H A of a sweep's geometries, in order.
 
-    upw builds nothing: each Gram is the closed form channel._upw_gram.
+    upw builds nothing: the stack is one broadcast of the closed form channel._upw_gram.
     pnusw builds the largest geometry once.  Centered element indices of one
     parity nest, so a geometry of the same parity on both axes and no larger
     on either is a centered sub-grid of it, whose entries are bitwise those of
@@ -154,7 +154,7 @@ def _nested_grams(geoms, users, model: str, upw_cfg: ch.UpwConfig | None = None)
     directly.  All geometries must share spacing, element area and wavelength.
     """
     if model == ch.UPW:
-        return [ch._upw_gram(g, users, upw_cfg) for g in geoms]
+        return ch._upw_gram(geoms, users, upw_cfg)
     big = max(geoms, key=lambda g: g.num_elements)
     a_big = response_matrix(big, users, model).T.reshape(-1, big.num_z, big.num_y)
 
@@ -183,7 +183,7 @@ def _nested_grams(geoms, users, model: str, upw_cfg: ch.UpwConfig | None = None)
                     acc = acc + block_gram(zs, ze, ys, ye)
         window = (z0, z1, y0, y1)
         grams.append(acc)
-    return grams
+    return np.stack(grams)
 
 
 def sweep_correlation_vs_m(
@@ -259,16 +259,15 @@ def sweep_sinr_vs_m(
     if not 0 <= user_index < len(users):
         raise IndexError(f"user index {user_index} out of range for K={len(users)}")
     geoms = [replace(geom, num_z=mz) for mz in mz_values]
-    grams = {model: _nested_grams(geoms, users, model, upw_cfg) for model in models}
-
-    def point(gi: int) -> tuple:
-        row = [geoms[gi].num_elements, geoms[gi].num_z]
-        for model in models:
-            gammas = evaluate_scenario(None, snr, g=grams[model][gi])
-            row.extend(_to_db(gammas[scheme][user_index]) for scheme in SCHEMES)
-        return tuple(row)
-
-    rows = _pmap(point, range(len(geoms)))
+    per_model = [
+        evaluate_scenario(None, snr, g=_nested_grams(geoms, users, model, upw_cfg))
+        for model in models
+    ]
+    columns = [gammas[scheme][:, user_index] for gammas in per_model for scheme in SCHEMES]
+    rows = [
+        (g.num_elements, g.num_z) + tuple(_to_db(column[gi]) for column in columns)
+        for gi, g in enumerate(geoms)
+    ]
     return SweepResult(
         columns=["m", "m_z"]
         + [f"{model}_{scheme}_sinr_db" for model in models for scheme in SCHEMES],
@@ -372,10 +371,9 @@ def sumrate_vs_m(
         users = sample_users(region, num_users, (seed, drop))
         rates = np.empty((len(geoms), len(models), len(SCHEMES)))
         for mi, model in enumerate(models):
-            for gi, g in enumerate(_nested_grams(geoms, users, model, upw_cfg)):
-                gammas = evaluate_scenario(None, snr, g=g)
-                for si, scheme in enumerate(SCHEMES):
-                    rates[gi, mi, si] = sum_rate(gammas[scheme])
+            gammas = evaluate_scenario(None, snr, g=_nested_grams(geoms, users, model, upw_cfg))
+            for si, scheme in enumerate(SCHEMES):
+                rates[:, mi, si] = [sum_rate(row) for row in gammas[scheme]]
         return rates
 
     stacked = np.stack(_pmap(run_drop, range(n_drops)))

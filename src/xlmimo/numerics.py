@@ -11,8 +11,9 @@ because their last bits change with the BLAS thread count.  Across
 machines results agree to rounding.  compensated_sum (exactly rounded
 ``math.fsum``) is kept as the test oracle for these reductions.
 hermitian_solve factors only matrices sized by the user count (the Gram
-matrix and its MMSE counterpart); nothing here allocates or factors an
-M x M matrix.
+matrix and its MMSE counterpart), one at a time or a whole stack of them in
+one call, with numpy's Cholesky and triangular solves; nothing here
+allocates or factors an M x M matrix.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg.lapack import zpotrf, zpotrs
 
 from .errors import NearSingularError
 
@@ -66,40 +66,47 @@ def gram(a: np.ndarray) -> np.ndarray:
 
 
 def hermitian_solve(h: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve H X = B for Hermitian positive definite H via Cholesky.
+    """Solve H X = B for Hermitian positive definite H, or a stack of them, via Cholesky.
 
-    Raises NearSingularError when H is numerically indefinite or its
-    condition estimate (from the Cholesky factor diagonal) exceeds
-    MAX_CONDITION; the estimate rides along on the exception.
+    h is one n x n matrix or an (..., n, n) stack, and b one length-n vector
+    or n-row matrix shared by every system; X has shape h.shape[:-2] +
+    b.shape.  H = L L^H, then L Y = B and L^H X = Y; each matrix of a stack
+    takes the LAPACK calls it would take alone, so its solution is bitwise
+    that of a one-matrix call.  Every system is solved, or NearSingularError
+    is raised when some H is numerically indefinite or its condition
+    estimate (from the Cholesky factor diagonal) exceeds MAX_CONDITION; the
+    worst estimate rides along.
     """
     h = np.asarray(h, dtype=complex)
     b = np.asarray(b, dtype=complex)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {h.shape}")
-    n = h.shape[0]
-    if b.shape[0] != n:
-        raise ValueError(f"right-hand side has {b.shape[0]} rows, expected {n}")
+    if h.ndim < 2 or h.shape[-1] != h.shape[-2]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {h.shape}")
+    n = h.shape[-1]
+    if b.ndim not in (1, 2) or b.shape[0] != n:
+        raise ValueError(f"right-hand side has shape {b.shape}, expected {n} rows")
+    out_shape = h.shape[:-2] + b.shape
     if n == 0:
-        return np.zeros(b.shape, dtype=complex)
+        return np.zeros(out_shape, dtype=complex)
     if not (np.isfinite(h).all() and np.isfinite(b).all()):
         raise ValueError("array must not contain infs or NaNs")
-    scale = float(np.max(np.abs(h)))
-    if scale > 0 and float(np.max(np.abs(h - h.conj().T))) > 1e-10 * scale:
+    scale = np.abs(h).max(axis=(-2, -1))
+    skew = np.abs(h - np.swapaxes(h, -2, -1).conj()).max(axis=(-2, -1))
+    if np.any(skew > 1e-10 * scale):
         raise ValueError("matrix is not Hermitian within tolerance 1e-10")
-    # the LAPACK routines behind scipy's cho_factor/cho_solve, without their wrappers
-    factor, info = zpotrf(h, lower=1, clean=0)
-    if info != 0:
-        raise NearSingularError(
-            f"matrix is not numerically positive definite (leading minor {info})"
-        )
-    diag = np.abs(np.diag(factor))
-    dmin = float(diag.min())
-    cond = math.inf if dmin == 0.0 else float((diag.max() / dmin) ** 2)
+    try:
+        factor = np.linalg.cholesky(h)
+    except np.linalg.LinAlgError:
+        raise NearSingularError("matrix is not numerically positive definite") from None
+    diag = np.abs(np.diagonal(factor, axis1=-2, axis2=-1))
+    # a factor's diagonal is positive, but the spread of its entries may overflow
+    with np.errstate(over="ignore"):
+        cond = float(((diag.max(axis=-1) / diag.min(axis=-1)) ** 2).max(initial=0.0))
     if cond > MAX_CONDITION:
         raise NearSingularError(
             f"condition estimate {cond:.3e} exceeds {MAX_CONDITION:.3e}; "
             "user channels are numerically collinear",
             cond_estimate=cond,
         )
-    return zpotrs(factor, b, lower=1)[0]
-
+    rhs = np.broadcast_to(b.reshape(n, -1), h.shape[:-2] + (n, b.size // n))
+    y = np.linalg.solve(factor, rhs)
+    return np.linalg.solve(np.swapaxes(factor, -2, -1).conj(), y).reshape(out_shape)

@@ -22,8 +22,9 @@ from xlmimo.beamforming import (
     two_user_sinrs,
     zf,
 )
-from xlmimo.channel import UpwConfig
-from xlmimo.errors import DegenerateChannelError, ZeroForcingInfeasibleError
+from xlmimo.channel import UpwConfig, _upw_gram
+from xlmimo.errors import DegenerateChannelError, NearSingularError, ZeroForcingInfeasibleError
+from xlmimo.experiments import UserRegion, sample_users
 from xlmimo.geometry import ArrayGeometry, UserLocation
 from xlmimo.numerics import cdot, gram, hermitian_solve, vector_power
 
@@ -554,6 +555,89 @@ class TestEvaluateScenario:
         for scheme, gammas in evaluate_scenario(a, snr).items():
             assert tiny[scheme] == pytest.approx(gammas, rel=1e-12)
         assert np.all(tiny["mrc"] <= tiny["mmse"])
+
+
+def assert_rows_bitwise(stacked, grams, snr):
+    """Row i of a stacked evaluate_scenario is bitwise the one-matrix call on grams[i]."""
+    for i, g in enumerate(grams):
+        for scheme, gammas in evaluate_scenario(None, snr, g=g).items():
+            assert stacked[scheme].shape == (len(grams), len(snr))
+            assert stacked[scheme][i].tobytes() == gammas.tobytes(), (i, scheme)
+
+
+class TestStackedScenarios:
+    """evaluate_scenario on an (n, K, K) stack of Grams: one call, per-matrix results."""
+
+    def test_feasible_and_rank_deficient_grams_mixed(self):
+        rng = np.random.default_rng(22)
+        deficient = {1, 4, 5}
+        grams = []
+        for i in range(8):
+            if i == 4:  # two equal columns, enough elements
+                a = random_channels(rng, 40, 10)
+                a[:, 7] = a[:, 2]
+            else:  # fewer elements than users where deficient
+                a = random_channels(rng, 6 if i in deficient else 40, 10)
+            grams.append(gram(a))
+        snr = rng.uniform(1.0, 1e5, size=10)
+        stacked = evaluate_scenario(None, snr, g=np.stack(grams))
+        assert_rows_bitwise(stacked, grams, snr)
+        for i in range(8):
+            assert np.all(stacked["zf"][i] == 0.0) == (i in deficient)
+            assert np.all(stacked["zf"][i] > 0.0) == (i not in deficient)
+            assert np.all(stacked["mmse"][i] >= stacked["mrc"][i])
+
+    def test_all_infeasible_plane_wave_stack(self):
+        # the default sinr-vs-m pair shares a direction: every Gram is rank 1
+        users = (UserLocation(25.0, math.pi / 2, 0.0), UserLocation(250.0, math.pi / 2, 0.0))
+        grams = _upw_gram([make_geom(num_y=10, num_z=mz) for mz in (11, 21, 51, 101)], users)
+        snr = np.full(2, PBAR)
+        stacked = evaluate_scenario(None, snr, g=grams)
+        assert_rows_bitwise(stacked, grams, snr)
+        assert np.array_equal(stacked["zf"], np.zeros((4, 2)))
+        assert np.all(stacked["mmse"] > 0.0)
+
+    def test_one_matrix_stack(self):
+        rng = np.random.default_rng(23)
+        g = gram(random_channels(rng, 30, 4))
+        snr = rng.uniform(1.0, 1e3, size=4)
+        stacked = evaluate_scenario(None, snr, g=g[None])
+        assert_rows_bitwise(stacked, [g], snr)
+        a = random_channels(rng, 3, 4)
+        assert_rows_bitwise(evaluate_scenario(None, snr, g=gram(a)[None]), [gram(a)], snr)
+
+    def test_a_failing_w_stack_raises_like_one_w(self):
+        # plane-wave users sharing a direction at 200 dB: W = I + H is numerically
+        # singular, and the stack raises as its matrix does alone
+        users = [UserLocation(r, 1.2, 0.3) for r in (55.0, 70.0, 90.0)]
+        grams = _upw_gram([make_geom(4, 4), make_geom(6, 6)], users)
+        snr = np.full(3, 1e20 / BETA0)
+        with pytest.raises(NearSingularError):
+            evaluate_scenario(None, snr, g=grams[0])
+        with pytest.raises(NearSingularError):
+            evaluate_scenario(None, snr, g=grams)
+
+    def test_near_collinear_plane_wave_mmse_matches_mpmath(self):
+        # Default sum-rate drop 62 (seed 0) on the 20 x 20 array: cond(W) ~ 2e4.
+        # Its user-5 MMSE SINR moved by 2e-12 of itself when the K x K solve
+        # changed LAPACK path; held to cond(W) eps against 60-digit arithmetic.
+        region = UserRegion(
+            r=(50.0, 100.0), theta=(0.0, math.pi / 3), phi=(math.pi / 6, math.pi / 3)
+        )
+        users = sample_users(region, 10, (0, 62))
+        sides = (10, 20, 40)
+        grams = _upw_gram([make_geom(s, s) for s in sides], users)
+        snr = np.full(10, PBAR)
+        got = evaluate_scenario(None, snr, g=grams)["mmse"][1, 5]
+        g = grams[1]
+        root = np.sqrt(snr)
+        w = np.eye(10) + root[:, None] * g * root[None, :]
+        with mpmath.workdps(60):
+            p = [mpmath.sqrt(mpmath.mpf(x)) for x in snr]
+            w_mp = mpmath.matrix([[p[i] * mpmath.mpc(complex(g[i, j])) * p[j] + (i == j)
+                                   for j in range(10)] for i in range(10)])
+            exact = float(1 / mpmath.re(mpmath.inverse(w_mp)[5, 5]) - 1)
+        assert got == pytest.approx(exact, rel=np.linalg.cond(w) * np.finfo(float).eps, abs=0.0)
 
 
 class TestScenarioAndReports:

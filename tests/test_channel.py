@@ -445,6 +445,35 @@ class TestUpwGram:
         assert np.all(res["mmse"] > 0.0)
 
 
+    def test_stack_of_geometries_equals_one_geometry_calls_bitwise(self):
+        # an M-sweep's Grams in one broadcast: mixed parities and shapes, grating
+        # lobes (d = lambda) and users sharing a direction among them
+        rng = np.random.default_rng(24)
+        users = [UserLocation(rng.uniform(2.0, 170.0), rng.uniform(0.3, 2.8),
+                              rng.uniform(-1.4, 1.4)) for _ in range(4)]
+        users.append(UserLocation(40.0, users[0].theta, users[0].phi))
+        for spacing in (D, LAM):
+            geoms = [make_geom(ny, nz, spacing=spacing)
+                     for ny, nz in ((10, 11), (10, 101), (7, 8), (1, 1), (200, 200))]
+            for cfg in (None, UpwConfig(beta0=2.5e-4)):
+                stack = _upw_gram(geoms, users, cfg)
+                assert stack.shape == (len(geoms), 5, 5)
+                for geom, got in zip(geoms, stack):
+                    assert got.tobytes() == _upw_gram(geom, users, cfg).tobytes()
+
+    def test_stack_needs_one_spacing_and_wavelength(self):
+        users = [UserLocation(30.0, 1.0, 0.2), UserLocation(40.0, 1.2, 0.1)]
+        others = (make_geom(spacing=LAM), make_geom(wavelength=2 * LAM), make_geom(area=AREA / 2))
+        for other in others:
+            with pytest.raises(ValueError, match="share"):
+                _upw_gram([make_geom(), other], users)
+
+    @pytest.mark.parametrize("r", [1e200, 1e-200])
+    def test_stack_with_a_zero_or_infinite_power_is_degenerate(self, r):
+        users = [UserLocation(30.0, 1.0, 0.2), UserLocation(r, 1.2, 0.1)]
+        with pytest.raises(DegenerateChannelError, match="zero or non-finite"):
+            _upw_gram([make_geom(), make_geom(num_z=31)], users)
+
 class TestUpwCorrelationClosed:
     def test_same_direction_is_one(self):
         geom = make_geom(num_y=10, num_z=21)

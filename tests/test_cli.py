@@ -481,6 +481,36 @@ def test_csv_is_byte_identical_across_blas_threads(run_python, tmp_path, experim
     assert tables[0] == tables[1]
 
 
+def test_collinear_plane_wave_users_at_extreme_snr_are_one_numerical_error(run_python, tmp_path):
+    # W = I + H fails its condition gate for every drop; the stacked solve must
+    # report it once, as the one-scenario solve did
+    overrides = [
+        "snr_db=200", "model=upw", "sweep.sides=[4]", "sweep.n_users=3", "sweep.n_drops=3",
+        "sweep.region.theta_rad=[1.2,1.2]", "sweep.region.phi_rad=[0.3,0.3]",
+    ]
+    proc = run_with_overrides(run_python, tmp_path, "sumrate-vs-m", overrides)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.count("numerical error:") == 1 and "Traceback" not in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+
+
+NO_SCIPY_RUN = """
+import sys
+import xlmimo.cli as cli
+cfg = cli.parse_config(experiment="sinr-vs-m", overrides=[("sweep.mz_values", [11, 101])])
+cli.run(cfg, sys.argv[1])
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+
+
+def test_cli_sweep_never_imports_scipy(run_python, tmp_path):
+    # scipy is a test oracle only; importing it cost most of every process start
+    proc = run_python(["-c", NO_SCIPY_RUN, str(tmp_path / "t.csv")], timeout=60.0)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+    assert len((tmp_path / "t.csv").read_text().splitlines()) == 3
+
+
 @pytest.mark.parametrize(
     "experiment, overrides",
     [

@@ -192,6 +192,22 @@ class TestNestedResponses:
         sweep_correlation_vs_m(make_geom(), *SAME_DIRECTION, mz_values=[11, 21])
         assert built == [("pnusw", 10, 10), ("pnusw", 10, 21), ("pnusw", 10, 21)]
 
+    def test_m_sweeps_evaluate_each_model_in_one_call(self, monkeypatch):
+        # one stacked call per model per sweep (sinr-vs-m) or per drop (sum rate)
+        shapes = []
+
+        def recording(a, snr, *, g=None):
+            shapes.append(g.shape)
+            return evaluate_scenario(a, snr, g=g)
+
+        monkeypatch.setattr(xp, "evaluate_scenario", recording)
+        sweep_sinr_vs_m(make_geom(), SAME_DIRECTION, [PBAR, PBAR], mz_values=[11, 21, 31])
+        assert shapes == [(3, 2, 2)] * 2
+        shapes.clear()
+        region = UserRegion(r=(50.0, 100.0), theta=(0.1, 1.0), phi=(0.3, 1.0))
+        sumrate_vs_m(make_geom(), region, 3, np.full(3, PBAR), [4, 8, 10], seed=6, n_drops=2)
+        assert shapes == [(3, 3, 3)] * 4
+
     def test_mixed_parity_sum_rate_matches_direct_builds(self):
         # sides 4 and 5 take whole direct Grams and side 10 adds its ring to
         # side 4's, read from direct builds; upw is the closed-form Gram

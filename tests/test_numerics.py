@@ -139,12 +139,57 @@ class TestHermitianSolve:
         assert np.linalg.norm(h @ x - b) <= 1e-10 * np.linalg.norm(b)
 
     @pytest.mark.parametrize("k", [2, 10])
-    def test_matches_scipy_cholesky_bitwise(self, k):
+    def test_matches_scipy_cho_solve(self, k):
+        # scipy's LAPACK Cholesky solve is the oracle: two backward-stable
+        # solves agree within a few cond(H) eps of the solution
         rng = np.random.default_rng(k)
         h = gram(complex_randn(rng, 3 * k, k)) + np.eye(k)
+        tol = 8.0 * np.linalg.cond(h) * np.finfo(float).eps
         for b in (np.eye(k), complex_randn(rng, k)):
             oracle = cho_solve(cho_factor(h, lower=True), b)
-            assert hermitian_solve(h, b).tobytes() == oracle.astype(complex).tobytes()
+            x = hermitian_solve(h, b)
+            assert x.shape == oracle.shape
+            assert np.linalg.norm(x - oracle) <= tol * np.linalg.norm(oracle)
+
+    def test_stack_equals_one_matrix_calls_bitwise(self):
+        rng = np.random.default_rng(20)
+        h = np.stack([gram(complex_randn(rng, 30, 10)) + np.eye(10) for _ in range(5)])
+        for b in (np.eye(10), complex_randn(rng, 10), complex_randn(rng, 10, 3)):
+            x = hermitian_solve(h, b)
+            assert x.shape == (5,) + b.shape
+            for i in range(5):
+                assert x[i].tobytes() == hermitian_solve(h[i], b).tobytes()
+
+    def test_stack_raises_when_any_one_matrix_fails(self):
+        rng = np.random.default_rng(21)
+        good = np.stack([gram(complex_randn(rng, 12, 3)) + np.eye(3) for _ in range(4)])
+        col = complex_randn(rng, 12)
+        collinear, indefinite = good.copy(), good.copy()
+        collinear[2] = gram(np.column_stack([col, col, 1j * col]))
+        indefinite[3] = np.diag([1.0, -1.0, 1.0])
+        with pytest.raises(NearSingularError) as excinfo:
+            hermitian_solve(collinear, np.eye(3))
+        assert excinfo.value.cond_estimate > MAX_CONDITION
+        with pytest.raises(NearSingularError, match="positive definite"):
+            hermitian_solve(indefinite, np.eye(3))
+        skewed = good.copy()
+        skewed[1, 0, 2] += 1.0
+        with pytest.raises(ValueError, match="Hermitian"):
+            hermitian_solve(skewed, np.eye(3))
+        nonfinite = good.copy()
+        nonfinite[0, 1, 1] = np.nan
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            hermitian_solve(nonfinite, np.eye(3))
+
+    def test_stack_shape_checks(self):
+        h = np.stack([np.eye(3)] * 4)
+        with pytest.raises(ValueError, match="square"):
+            hermitian_solve(np.ones((4, 3, 2)), np.eye(3))
+        for b in (np.ones(2), np.ones((2, 3)), np.ones((4, 3, 1)), np.array(1.0)):
+            with pytest.raises(ValueError, match="right-hand side"):
+                hermitian_solve(h, b)
+        assert hermitian_solve(np.zeros((4, 0, 0)), np.zeros(0)).shape == (4, 0)
+        assert hermitian_solve(np.zeros((0, 3, 3)), np.eye(3)).shape == (0, 3, 3)
 
     def test_rejects_non_finite_input(self):
         with pytest.raises(ValueError, match="infs or NaNs"):
