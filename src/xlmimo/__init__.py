@@ -20,19 +20,11 @@ from .beamforming import (
     two_user_sinrs,
     zf,
 )
-from .channel import (
-    ResponseVector,
-    UpwConfig,
-    correlation,
-    pnusw_gain,
-    response,
-    upw_correlation_closed,
-)
+from .channel import UpwConfig, correlation, pnusw_gain
 from .errors import (
     ConfigError,
     DegenerateChannelError,
     DegenerateGeometryError,
-    DimensionMismatchError,
     NearSingularError,
     ZeroForcingInfeasibleError,
 )
@@ -53,9 +45,7 @@ __all__ = [
     "ConfigError",
     "DegenerateChannelError",
     "DegenerateGeometryError",
-    "DimensionMismatchError",
     "NearSingularError",
-    "ResponseVector",
     "SweepResult",
     "UpwConfig",
     "UserLocation",
@@ -70,14 +60,12 @@ __all__ = [
     "mmse",
     "mrc",
     "pnusw_gain",
-    "response",
     "response_matrix",
     "sample_users",
     "sinr",
     "solve_user",
     "sum_rate",
     "two_user_sinrs",
-    "upw_correlation_closed",
     "user_position",
     "zf",
 ]

@@ -68,8 +68,6 @@ def response_matrix(
     It is the transposed view of a K x M array, so each column is contiguous.
     """
     block = ch._response_block(geom, users, model, upw_cfg)
-    if not np.isfinite(block).all():
-        raise DegenerateChannelError("channel entries must be finite")
     return block.reshape(len(block), geom.num_elements).T
 
 
@@ -223,14 +221,10 @@ def _mmse_loss(q2: float, rho: float) -> float:
 
 def two_user_sinrs(a1, a2, p1: float, p2: float) -> tuple[float, float, float]:
     """Closed-form (MRC, ZF, MMSE) SINRs of user 1 in a two-user scenario."""
-    a1 = np.asarray(a1, dtype=complex)
-    a2 = np.asarray(a2, dtype=complex)
     n1 = vector_power(a1)
     n2 = vector_power(a2)
-    if n1 <= 0.0 or n2 <= 0.0:
-        raise DegenerateChannelError("two-user forms need nonzero channels")
     inner = cdot(a1, a2)
-    rho = min((inner.real**2 + inner.imag**2) / (n1 * n2), 1.0)
+    rho = ch.correlation([[n1, inner], [inner.conjugate(), n2]])
     gamma_mrc = p1 * n1 / (p2 * n2 * rho + 1.0)
     gamma_zf = p1 * n1 * (1.0 - rho)
     gamma_mmse = p1 * n1 * (1.0 - _mmse_loss(p2 * n2, rho))

@@ -19,11 +19,13 @@ user, flattened in m_z-outer / m_y-inner element order:
   amplitude sqrt(beta0) / r and a linear phase ramp
   +2 pi/wavelength * spacing * (m_y u_y + m_z u_z) across elements.
 
-The correlation coefficient between two users' vectors is
-|a_k^H a_i|^2 / (|a_k|^2 |a_i|^2); under the plane-wave model it collapses
-to a product of two squared Dirichlet kernels in the direction-cosine
-differences, implemented in closed form with the removable singularities
-filled in by their limits.
+Every correlation coefficient is read from the 2 x 2 Gram matrix G of two
+users' vectors as rho = |G_12|^2 / (G_11 G_22) (correlation).  Under the
+plane-wave model the Gram matrix of any users has a closed form in signed
+Dirichlet kernels of the direction-cosine differences (_upw_gram), with the
+removable singularities filled in by their limits, so no plane-wave
+response is built for it; _pair_gram gives one fixed user's Gram with any
+other under either model.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateChannelError, DegenerateGeometryError, DimensionMismatchError
+from .errors import DegenerateChannelError, DegenerateGeometryError
 from .geometry import ArrayGeometry, UserLocation, _warn_if_near, element_distance
 from .numerics import cdot, vector_power
 
@@ -67,35 +69,6 @@ class UpwConfig:
         return cls(beta0=geom.element_area / (4.0 * math.pi))
 
 
-@dataclass(frozen=True)
-class ResponseVector:
-    """Complex channel vector of one user, tagged with its model and geometry."""
-
-    entries: np.ndarray
-    model: str
-    geom: ArrayGeometry
-
-    def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=complex)
-        object.__setattr__(self, "entries", entries)
-        if entries.shape != (self.geom.num_elements,):
-            raise DimensionMismatchError(
-                f"expected {self.geom.num_elements} entries, got shape {entries.shape}"
-            )
-        if self.model not in VALID_MODELS:
-            raise ValueError(f"unknown channel model {self.model!r}")
-        if not np.isfinite(entries).all():
-            raise DegenerateChannelError("channel entries must be finite")
-        object.__setattr__(self, "_power", vector_power(entries))
-
-    def __len__(self) -> int:
-        return self.entries.shape[0]
-
-    def power(self) -> float:
-        """Channel power |a|^2, summed once at construction."""
-        return self._power
-
-
 def pnusw_gain(geom: ArrayGeometry, loc: UserLocation, m_y: float, m_z: float) -> float:
     """Spherical-model power gain between the user and one element."""
     dist = element_distance(geom, loc, m_y, m_z)
@@ -114,7 +87,8 @@ def _response_block(
     sqrt(scale) / (s sqrt(s)) * exp(-j 2 pi r s / wavelength).  upw: an entry is
     (common * e^{j c u_z m_z}) * e^{j c u_y m_y} with c = 2 pi spacing / wavelength.
     Entries depend only on the user and their own (m_y, m_z), so the centered sub-grid
-    of a larger same-parity array is bitwise a direct build.  Callers check finiteness.
+    of a larger same-parity array is bitwise a direct build.  A non-finite entry raises
+    DegenerateChannelError.
     """
     if model not in VALID_MODELS:
         raise ValueError(f"unknown channel model {model!r}")
@@ -127,56 +101,32 @@ def _response_block(
         c = 2.0 * math.pi * geom.spacing / geom.wavelength
         common = (math.sqrt(beta0) / r) * np.exp(-2j * math.pi * r / geom.wavelength)
         along_z = common * np.exp(1j * ((c * u_z) * m_z))
-        return np.multiply(along_z[:, :, None], np.exp(1j * ((c * u_y) * m_y))[:, None, :], out=out)
-
-    # overflow here leaves a non-finite entry, which the callers' finite check reports
-    with np.errstate(all="ignore"):
-        e = geom.spacing / r
-        _warn_if_near(float(e.max(initial=0.0)))
-        f_y = (m_y * m_y) * (e * e) - (2.0 * e * u_y) * m_y
-        f_z = 1.0 + ((m_z * m_z) * (e * e) - (2.0 * e * u_z) * m_z)
-        s = np.add(f_z[:, :, None], f_y[:, None, :])
-        if s.min() <= 0.0:
-            raise DegenerateGeometryError("a user is numerically coincident with an array element")
-        np.sqrt(s, out=s)
-        amp = np.sqrt(s)
-        amp *= s
-        scale = geom.occupation_ratio * e * e * u_x / (4.0 * math.pi)
-        np.divide(np.sqrt(scale)[:, :, None], amp, out=amp)
-        s *= (-2.0 * math.pi / geom.wavelength * r)[:, :, None]
-        np.cos(s, out=out.real)
-        np.sin(s, out=out.imag)
-        out.real *= amp
-        out.imag *= amp
+        np.multiply(along_z[:, :, None], np.exp(1j * ((c * u_y) * m_y))[:, None, :], out=out)
+    else:
+        # overflow here leaves a non-finite entry, which the check below reports
+        with np.errstate(all="ignore"):
+            e = geom.spacing / r
+            _warn_if_near(float(e.max(initial=0.0)))
+            f_y = (m_y * m_y) * (e * e) - (2.0 * e * u_y) * m_y
+            f_z = 1.0 + ((m_z * m_z) * (e * e) - (2.0 * e * u_z) * m_z)
+            s = np.add(f_z[:, :, None], f_y[:, None, :])
+            if s.min() <= 0.0:
+                raise DegenerateGeometryError(
+                    "a user is numerically coincident with an array element"
+                )
+            np.sqrt(s, out=s)
+            amp = np.sqrt(s)
+            amp *= s
+            scale = geom.occupation_ratio * e * e * u_x / (4.0 * math.pi)
+            np.divide(np.sqrt(scale)[:, :, None], amp, out=amp)
+            s *= (-2.0 * math.pi / geom.wavelength * r)[:, :, None]
+            np.cos(s, out=out.real)
+            np.sin(s, out=out.imag)
+            out.real *= amp
+            out.imag *= amp
+    if not np.isfinite(out).all():
+        raise DegenerateChannelError("channel entries must be finite")
     return out
-
-
-def response(
-    geom: ArrayGeometry, loc: UserLocation, model: str, cfg: UpwConfig | None = None
-) -> ResponseVector:
-    """Response vector of one user; the plane-wave model uses cfg, or the matched config."""
-    return ResponseVector(_response_block(geom, (loc,), model, cfg).reshape(-1), model, geom)
-
-
-def _correlation_from(inner: complex, power_k: float, power_i: float) -> float:
-    """Correlation |inner|^2 / (power_k power_i) of two channels, clipped to [0, 1].
-
-    Takes Python numbers, which overflow without numpy's warnings.  Raises
-    DegenerateChannelError when |inner|^2 overflows or the product of powers
-    leaves (0, inf), where the quotient would be NaN or meaningless.
-    """
-    overlap = inner.real * inner.real + inner.imag * inner.imag
-    norms = power_k * power_i
-    if not (overlap < math.inf and 0.0 < norms < math.inf):
-        raise DegenerateChannelError("correlation undefined: channel powers zero or out of range")
-    return min(max(overlap / norms, 0.0), 1.0)
-
-
-def correlation(a_k: ResponseVector, a_i: ResponseVector) -> float:
-    """Normalized squared inner product of two users' channel vectors, in [0, 1]."""
-    if a_k.geom != a_i.geom:
-        raise DimensionMismatchError("channel vectors belong to different geometries")
-    return _correlation_from(cdot(a_k.entries, a_i.entries), a_k.power(), a_i.power())
 
 
 def _dirichlet(count, x):
@@ -202,33 +152,16 @@ def _dirichlet(count, x):
     return sign * np.where(np.abs(frac) < 1e-12, count, ratio)
 
 
-def _upw_powers(num_elements, beta0: float, r):
-    """Plane-wave channel power M beta0 / r^2, elementwise over counts and ranges.
-
-    Raises DegenerateChannelError when any power is 0 or not finite (r^2
-    beyond the float range either way).
-    """
-    with np.errstate(over="ignore"):
-        powers = num_elements * beta0 / r / r
-    if not np.all((powers > 0.0) & (powers < math.inf)):
-        raise DegenerateChannelError("a user has a zero or non-finite channel")
-    return powers
-
-
-def _upw_power(geom: ArrayGeometry, loc: UserLocation, cfg: UpwConfig | None = None) -> float:
-    """Plane-wave channel power of one user in closed form, without building a response."""
-    beta0 = (cfg or UpwConfig.matched_to(geom)).beta0
-    return float(_upw_powers(geom.num_elements, beta0, loc.r))
-
-
 def _upw_gram(geoms, users, cfg: UpwConfig | None = None) -> np.ndarray:
     """Plane-wave Gram matrix A^H A of K users in closed form, without building A.
 
     G_ki = beta0 / (r_k r_i) e^{-j 2 pi (r_i - r_k) / lambda} D_{N_y}(x_y) D_{N_z}(x_z),
     with x = (d / lambda)(u_i - u_k) per axis and D the signed Dirichlet kernel;
-    the diagonal is the power M beta0 / r^2 (_upw_powers).  The phase reads
-    each range modulo lambda (fmod is exact), so it stays accurate however
-    many wavelengths away the users are.  The result is exactly Hermitian.
+    the diagonal is the power M beta0 / r^2, and a power that is 0 or not
+    finite (r^2 beyond the float range either way) raises
+    DegenerateChannelError.  The phase reads each range modulo lambda (fmod
+    is exact), so it stays accurate however many wavelengths away the users
+    are.  The result is exactly Hermitian.
 
     geoms is one ArrayGeometry, giving the K x K matrix, or a sequence of
     geometries that share spacing, element area and wavelength, giving the
@@ -245,7 +178,10 @@ def _upw_gram(geoms, users, cfg: UpwConfig | None = None) -> np.ndarray:
     num_y, num_z, num_elements = np.array(
         [(g.num_y, g.num_z, g.num_elements) for g in stack]
     ).T[:, :, None, None]
-    powers = _upw_powers(num_elements[:, 0], beta0, r)
+    with np.errstate(over="ignore"):
+        powers = num_elements[:, 0] * beta0 / r / r
+    if not np.all((powers > 0.0) & (powers < math.inf)):
+        raise DegenerateChannelError("a user has a zero or non-finite channel")
     d_norm = geom.spacing / geom.wavelength
     amplitude = math.sqrt(beta0) / r
     cycles = np.fmod(r, geom.wavelength) / geom.wavelength
@@ -257,12 +193,49 @@ def _upw_gram(geoms, users, cfg: UpwConfig | None = None) -> np.ndarray:
     return g[0] if isinstance(geoms, ArrayGeometry) else g
 
 
-def upw_correlation_closed(
-    geom: ArrayGeometry, loc_k: UserLocation, loc_i: UserLocation
-) -> float:
-    """Plane-wave correlation in closed form: product of squared Dirichlet kernels."""
-    d_norm = geom.spacing / geom.wavelength
-    f_y = _dirichlet(geom.num_y, d_norm * (loc_k.u_y - loc_i.u_y))
-    f_z = _dirichlet(geom.num_z, d_norm * (loc_k.u_z - loc_i.u_z))
-    rho = (f_y * f_z / geom.num_elements) ** 2
-    return float(min(rho, 1.0))
+def _pair_gram(geom: ArrayGeometry, loc1: UserLocation, model: str, cfg: UpwConfig | None = None):
+    """The function from user 2 to the 2 x 2 Gram matrix of (user 1, user 2) on geom.
+
+    upw reads the closed form _upw_gram and builds nothing.  pnusw builds
+    user 1's response once, here, and each call builds user 2's and takes
+    the entries as pairwise sums (cdot, vector_power): for one pair that is
+    faster than a BLAS product of the stacked M x 2 matrix.  User 1's
+    channel is checked once, here; a zero or non-finite power raises
+    DegenerateChannelError.  The returned function only reads what it
+    shares, so it may be called from several threads.
+    """
+    if model == UPW:
+        _upw_gram(geom, (loc1,), cfg)  # checks user 1's power
+        return lambda loc2: _upw_gram(geom, (loc1, loc2), cfg)
+    a1 = _response_block(geom, (loc1,), model).reshape(-1)
+    power1 = vector_power(a1)
+    if not 0.0 < power1 < math.inf:
+        raise DegenerateChannelError("a user has a zero or non-finite channel")
+
+    def pair(loc2: UserLocation) -> np.ndarray:
+        a2 = _response_block(geom, (loc2,), model).reshape(-1)
+        inner = cdot(a1, a2)
+        return np.array([[power1, inner], [inner.conjugate(), vector_power(a2)]])
+
+    return pair
+
+
+def correlation(g) -> float:
+    """Correlation rho = |G_12|^2 / (G_11 G_22) of two users from their 2 x 2 Gram matrix G.
+
+    Evaluated scale-free as |G_12 / sqrt(G_11) / sqrt(G_22)|^2, so it is
+    defined for any finite positive powers, however far their product
+    leaves the float range; rho does not depend on a common gain such as
+    beta0.  The result is capped at 1 against rounding.  Raises
+    DegenerateChannelError when a power is 0 or not finite, or G_12 is not
+    finite.
+    """
+    (g11, g12), (_, g22) = np.asarray(g, dtype=complex).tolist()
+    power1, power2 = g11.real, g22.real
+    finite = all(map(math.isfinite, (power1, power2, g12.real, g12.imag)))
+    if not (finite and power1 > 0.0 and power2 > 0.0):
+        raise DegenerateChannelError(
+            "correlation undefined: a channel power is zero or not finite, or G_12 is not finite"
+        )
+    scaled = g12 / math.sqrt(power1) / math.sqrt(power2)
+    return min(scaled.real * scaled.real + scaled.imag * scaled.imag, 1.0)

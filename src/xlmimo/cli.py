@@ -38,7 +38,6 @@ from .errors import (
     ConfigError,
     DegenerateChannelError,
     DegenerateGeometryError,
-    DimensionMismatchError,
     NearSingularError,
     ZeroForcingInfeasibleError,
 )
@@ -635,7 +634,6 @@ def main(argv=None) -> int:
     except (
         DegenerateGeometryError,
         DegenerateChannelError,
-        DimensionMismatchError,
         NearSingularError,
         ZeroForcingInfeasibleError,
     ) as exc:

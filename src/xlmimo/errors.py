@@ -9,10 +9,6 @@ class DegenerateChannelError(ValueError):
     """Channel vector has zero power or non-finite entries and cannot be used downstream."""
 
 
-class DimensionMismatchError(ValueError):
-    """Operands were built for different array geometries or lengths."""
-
-
 class NearSingularError(ArithmeticError):
     """Hermitian system is too ill-conditioned to solve reliably.
 

@@ -11,6 +11,10 @@ count) read every array's K x K Gram matrix from one step (_nested_grams):
 the plane-wave Gram is the paper's Dirichlet-kernel closed form and builds
 nothing, and the spherical-wave model builds the largest array once and
 sums each nested array's Gram ring by ring, so every element is read once.
+The two sweeps that move user 2 against a fixed user 1 (correlation versus
+distance and the SNR-loss map) read each cell's 2 x 2 Gram from
+channel._pair_gram, which builds user 1 once and no plane-wave response.
+Every correlation is channel.correlation of a Gram.
 
 Sweep points and random user drops are independent, so they may be mapped
 over a thread pool; per-drop random streams derive from (seed, drop index)
@@ -203,8 +207,7 @@ def sweep_correlation_vs_m(
     def point(gi: int) -> tuple:
         row = [geoms[gi].num_elements, geoms[gi].num_z]
         for model in models:
-            g = grams[model][gi].tolist()
-            row.append(ch._correlation_from(g[0][1], g[0][0].real, g[1][1].real))
+            row.append(ch.correlation(grams[model][gi]))
         return tuple(row)
 
     rows = _pmap(point, range(len(geoms)))
@@ -226,14 +229,11 @@ def sweep_correlation_vs_distance(
     models = _check_models(models)
     theta2, phi2 = direction2
     separations = sorted(float(s) for s in separations)
-    ref = {model: ch.response(geom, loc1, model, upw_cfg) for model in models}
+    pairs = [ch._pair_gram(geom, loc1, model, upw_cfg) for model in models]
 
     def point(sep: float) -> tuple:
         loc2 = UserLocation(r=loc1.r + sep, theta=theta2, phi=phi2)
-        row = [sep, loc2.r]
-        for model in models:
-            row.append(ch.correlation(ref[model], ch.response(geom, loc2, model, upw_cfg)))
-        return tuple(row)
+        return (sep, loc2.r) + tuple(ch.correlation(pair(loc2)) for pair in pairs)
 
     rows = _pmap(point, separations)
     return SweepResult(
@@ -287,11 +287,11 @@ def heatmap_snr_loss(
     """MMSE SNR loss factor of user 1 versus user 2's position on the x-y plane.
 
     Every cell reads the paper's two-user closed form alpha = q2 rho / (1 + q2),
-    with q2 = p2 |a_2|^2 and rho the correlation of the two users' channels, so
-    no cell stacks, factors or solves anything.  pnusw builds user 2's response
-    and correlates it with user 1's, which is built once.  upw builds nothing:
-    rho is the Dirichlet-kernel closed form and |a_2|^2 = M beta0 / r2^2.  A
-    channel whose power is 0 or not finite raises DegenerateChannelError.
+    with q2 = p2 |a_2|^2 and rho the correlation of the two users' channels,
+    both from the cell's 2 x 2 Gram (channel._pair_gram), so no cell factors
+    or solves anything.  pnusw builds user 2's response and user 1's once;
+    upw builds nothing.  A channel whose power is 0 or not finite raises
+    DegenerateChannelError.
 
     Grid points with x <= 0 (outside the front half space) are emitted as
     missing values.  Long-form rows: (x, y, one loss factor per model).
@@ -303,25 +303,17 @@ def heatmap_snr_loss(
     p2 = float(snr[1])
     x_values = sorted(float(x) for x in x_values)
     y_values = sorted(float(y) for y in y_values)
-    if ch.UPW in models:
-        ch._upw_power(geom, loc1, upw_cfg)  # user 1 must have a channel too
-    ref = ch.response(geom, loc1, ch.PNUSW) if ch.PNUSW in models else None
+    pairs = [ch._pair_gram(geom, loc1, model, upw_cfg) for model in models]
 
-    def loss(model: str, loc2: UserLocation) -> float:
-        if model == ch.UPW:
-            rho = ch.upw_correlation_closed(geom, loc1, loc2)
-            power = ch._upw_power(geom, loc2, upw_cfg)
-        else:
-            a2 = ch.response(geom, loc2, model)
-            rho, power = ch.correlation(ref, a2), a2.power()
-        return _mmse_loss(p2 * power, rho)
+    def loss(g: np.ndarray) -> float:
+        return _mmse_loss(p2 * float(g[1, 1].real), ch.correlation(g))
 
     def point(cell: tuple[float, float]) -> tuple:
         x, y = cell
         if x <= 0.0:
             return (x, y) + (None,) * len(models)
         loc2 = cartesian_to_spherical(Vector3(x, y, 0.0))
-        return (x, y) + tuple(loss(model, loc2) for model in models)
+        return (x, y) + tuple(loss(pair(loc2)) for pair in pairs)
 
     cells = [(x, y) for x in x_values for y in y_values]
     rows = _pmap(point, cells)

@@ -12,8 +12,9 @@ machines results agree to rounding.  compensated_sum (exactly rounded
 ``math.fsum``) is kept as the test oracle for these reductions.
 hermitian_solve factors only matrices sized by the user count (the Gram
 matrix and its MMSE counterpart), one at a time or a whole stack of them in
-one call, with numpy's Cholesky and triangular solves; nothing here
-allocates or factors an M x M matrix.
+one call, with numpy's Cholesky factor and two np.linalg.solve calls on it
+(LU solves, gesv, not triangular ones); nothing here allocates or factors
+an M x M matrix.
 """
 
 from __future__ import annotations
@@ -70,12 +71,14 @@ def hermitian_solve(h: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     h is one n x n matrix or an (..., n, n) stack, and b one length-n vector
     or n-row matrix shared by every system; X has shape h.shape[:-2] +
-    b.shape.  H = L L^H, then L Y = B and L^H X = Y; each matrix of a stack
-    takes the LAPACK calls it would take alone, so its solution is bitwise
-    that of a one-matrix call.  Every system is solved, or NearSingularError
-    is raised when some H is numerically indefinite or its condition
-    estimate (from the Cholesky factor diagonal) exceeds MAX_CONDITION; the
-    worst estimate rides along.
+    b.shape.  H = L L^H, then L Y = B and L^H X = Y, each solved by
+    np.linalg.solve, which LU-factors the triangular L (gesv) rather than
+    substituting through it; each matrix of a stack takes the LAPACK calls
+    it would take alone, so its solution is bitwise that of a one-matrix
+    call.  Every system is solved, or NearSingularError is raised when some
+    H is numerically indefinite or its condition estimate (from the
+    Cholesky factor diagonal) exceeds MAX_CONDITION; the worst estimate
+    rides along.
     """
     h = np.asarray(h, dtype=complex)
     b = np.asarray(b, dtype=complex)

@@ -20,12 +20,7 @@ from xlmimo.beamforming import (
     two_user_sinrs,
     zf,
 )
-from xlmimo.channel import (
-    UpwConfig,
-    correlation,
-    response,
-    upw_correlation_closed,
-)
+from xlmimo.channel import UpwConfig, _upw_gram, correlation
 from xlmimo.cli import dispatch, main, parse_config, run
 from xlmimo.experiments import (
     heatmap_snr_loss,
@@ -34,7 +29,7 @@ from xlmimo.experiments import (
     sweep_sinr_vs_m,
 )
 from xlmimo.geometry import ArrayGeometry, UserLocation
-from xlmimo.numerics import vector_power
+from xlmimo.numerics import cdot, vector_power
 
 LAM = 0.1256
 D = LAM / 2.0
@@ -50,6 +45,11 @@ def make_geom(num_y, num_z):
     return ArrayGeometry(
         num_y=num_y, num_z=num_z, spacing=D, element_area=AREA, wavelength=LAM
     )
+
+
+def column(geom, loc, model, cfg=None):
+    """One user's response vector."""
+    return response_matrix(geom, (loc,), model, cfg)[:, 0]
 
 
 class _Budget:
@@ -128,9 +128,9 @@ def test_c02_upw_closed_correlation_matches_direct_sum():
     assert len(pairs) >= 500
     worst = 0.0
     for geom, u1, u2 in pairs[:500]:
-        cfg = UpwConfig.matched_to(geom)
-        direct = correlation(response(geom, u1, "upw", cfg), response(geom, u2, "upw", cfg))
-        closed = upw_correlation_closed(geom, u1, u2)
+        a1, a2 = column(geom, u1, "upw"), column(geom, u2, "upw")
+        direct = abs(cdot(a1, a2)) ** 2 / (vector_power(a1) * vector_power(a2))
+        closed = correlation(_upw_gram(geom, (u1, u2)))
         assert closed == pytest.approx(direct, abs=1e-9)
         worst = max(worst, abs(closed - direct))
     budget.done(f"500 pairs, worst abs diff {worst:.1e}")
@@ -206,8 +206,8 @@ def test_c06_snr_loss_map_spot_checks():
     cfg = UpwConfig.matched_to(geom)
 
     # co-located user 2: loss factor hits the fully-correlated closed form
-    for model, ref in (("pnusw", response(geom, user1, "pnusw").entries),
-                       ("upw", response(geom, user1, "upw", cfg).entries)):
+    for model, ref in (("pnusw", column(geom, user1, "pnusw")),
+                       ("upw", column(geom, user1, "upw", cfg))):
         a = np.column_stack([ref, ref])
         power = vector_power(ref)
         alpha = 1.0 - evaluate_scenario(a, snr)["mmse"][0] / (PBAR * power)
@@ -277,7 +277,7 @@ def test_c08_power_bound_and_monotonicity():
         for chain in ([11, 51, 101, 201, 301, 401], [10, 50, 100, 200, 400]):
             previous = 0.0
             for side in chain:
-                power = response(make_geom(side, side), user, "pnusw").power()
+                power = vector_power(column(make_geom(side, side), user, "pnusw"))
                 assert power > previous  # nested growth adds positive gains
                 assert power < bound
                 previous = power

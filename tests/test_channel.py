@@ -10,19 +10,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xlmimo.channel import (
-    ResponseVector,
     UpwConfig,
     _dirichlet,
+    _response_block,
     _upw_gram,
-    _upw_power,
     correlation,
     pnusw_gain,
-    response,
-    upw_correlation_closed,
 )
 from xlmimo.beamforming import evaluate_scenario, response_matrix
-from xlmimo.numerics import gram, vector_power
-from xlmimo.errors import DegenerateChannelError, DegenerateGeometryError, DimensionMismatchError
+from xlmimo.numerics import cdot, gram, vector_power
+from xlmimo.errors import DegenerateChannelError, DegenerateGeometryError
 from xlmimo.geometry import (
     ArrayGeometry,
     NearArrayWarning,
@@ -48,6 +45,22 @@ def flat_indices(geom):
     return [(m_y, m_z) for m_z in geom.indices_z() for m_y in geom.indices_y()]
 
 
+def column(geom, loc, model, cfg=None):
+    """One user's response vector."""
+    return response_matrix(geom, (loc,), model, cfg)[:, 0]
+
+
+def pair_gram(a, b):
+    """2 x 2 Gram matrix of two vectors from pairwise sums."""
+    inner = cdot(a, b)
+    return np.array([[vector_power(a), inner], [inner.conjugate(), vector_power(b)]])
+
+
+def direct_rho(a, b):
+    """|a^H b|^2 / (|a|^2 |b|^2) straight from the entries."""
+    return abs(cdot(a, b)) ** 2 / (vector_power(a) * vector_power(b))
+
+
 def geometric_gain_oracle(geom, loc, m_y, m_z):
     """First-principles form: area * (q - w) . x_hat / (4 pi |q - w|^3)."""
     q = user_position(loc).as_array()
@@ -71,23 +84,6 @@ class TestUpwConfig:
         loc = UserLocation(25.0, math.pi / 2, 0.0)
         center_gain = pnusw_gain(geom, loc, 0, 0)
         assert cfg.beta0 / loc.r**2 == pytest.approx(center_gain, rel=1e-12)
-
-
-class TestResponseVectorType:
-    def test_rejects_wrong_length(self):
-        with pytest.raises(DimensionMismatchError):
-            ResponseVector(entries=np.ones(3, dtype=complex), model="upw", geom=make_geom())
-
-    def test_rejects_unknown_model(self):
-        geom = make_geom(num_y=1, num_z=1)
-        with pytest.raises(ValueError):
-            ResponseVector(entries=np.ones(1, dtype=complex), model="fsw", geom=geom)
-
-    def test_vector_keeps_its_geometry(self):
-        geom = make_geom()
-        a = response(geom, UserLocation(30.0, 1.0, 0.5), "pnusw")
-        assert a.geom == geom
-        assert len(a) == geom.num_elements
 
 
 class TestPnuswGain:
@@ -130,18 +126,18 @@ class TestPnuswResponse:
     def test_single_element_entry(self):
         geom = make_geom(num_y=1, num_z=1)
         loc = UserLocation(25.0, math.pi / 2, 0.0)
-        a = response(geom, loc, "pnusw")
+        a = column(geom, loc, "pnusw")
         expected = math.sqrt(AREA / (4 * math.pi * 25.0**2)) * cmath.exp(
             -2j * math.pi * 25.0 / LAM
         )
-        assert a.entries[0] == pytest.approx(expected, rel=1e-12)
+        assert a[0] == pytest.approx(expected, rel=1e-12)
 
     def test_entry_magnitudes_are_gains(self):
         geom = make_geom(num_y=4, num_z=3)
         loc = UserLocation(40.0, 1.2, -0.4)
-        a = response(geom, loc, "pnusw")
+        a = column(geom, loc, "pnusw")
         gains = [pnusw_gain(geom, loc, y, z) for y, z in flat_indices(geom)]
-        assert np.abs(a.entries) ** 2 == pytest.approx(gains, rel=1e-12)
+        assert np.abs(a) ** 2 == pytest.approx(gains, rel=1e-12)
 
     def test_power_matches_double_loop_oracle(self):
         geom = make_geom(num_y=10, num_z=10)
@@ -150,11 +146,11 @@ class TestPnuswResponse:
         for m_z in geom.indices_z():
             for m_y in geom.indices_y():
                 oracle += pnusw_gain(geom, loc, m_y, m_z)
-        assert response(geom, loc, "pnusw").power() == pytest.approx(oracle, rel=1e-12)
+        assert vector_power(column(geom, loc, "pnusw")) == pytest.approx(oracle, rel=1e-12)
 
     def test_power_positive_off_plane(self):
         geom = make_geom()
-        assert response(geom, UserLocation(60.0, 1.0, 1.0), "pnusw").power() > 0.0
+        assert vector_power(column(geom, UserLocation(60.0, 1.0, 1.0), "pnusw")) > 0.0
 
 
 def random_users(rng, count):
@@ -202,7 +198,8 @@ class TestResponseMatrix:
         a = response_matrix(geom, users, model)
         for k, loc in enumerate(users):
             assert a[:, k].tobytes() == response_matrix(geom, [loc], model).tobytes()
-            assert a[:, k].tobytes() == response(geom, loc, model, UpwConfig.matched_to(geom)).entries.tobytes()
+            matched = response_matrix(geom, [loc], model, UpwConfig.matched_to(geom))
+            assert a[:, k].tobytes() == matched.tobytes()
 
     @pytest.mark.filterwarnings("ignore::xlmimo.geometry.NearArrayWarning")
     def test_any_user_on_an_element_is_degenerate(self):
@@ -225,8 +222,8 @@ class TestResponseMatrix:
         users = [UserLocation(30.0, 1.0, 0.2), UserLocation(1e-300, 1.0, 0.2)]
         with pytest.raises(ValueError, match="finite"):
             response_matrix(geom, users, "upw", cfg)
-        with pytest.raises(ValueError, match="finite"):
-            response(geom, users[1], "upw", cfg)
+        with pytest.raises(DegenerateChannelError, match="finite"):
+            _response_block(geom, users[1:], "upw", cfg)
 
     def test_unknown_model_is_rejected(self):
         with pytest.raises(ValueError, match="unknown channel model"):
@@ -238,15 +235,15 @@ class TestUpwResponse:
         geom = make_geom(num_y=3, num_z=3)
         cfg = UpwConfig.matched_to(geom)
         loc = UserLocation(25.0, math.pi / 2, 0.0)
-        a = response(geom, loc, "upw", cfg)
+        a = column(geom, loc, "upw", cfg)
         expected = (math.sqrt(cfg.beta0) / 25.0) * cmath.exp(-2j * math.pi * 25.0 / LAM)
-        assert a.entries == pytest.approx(np.full(9, expected), rel=1e-12)
+        assert a == pytest.approx(np.full(9, expected), rel=1e-12)
 
     def test_power_is_count_times_reference(self):
         geom = make_geom(num_y=6, num_z=7)
         cfg = UpwConfig(beta0=2.5e-4)
         loc = UserLocation(80.0, 1.0, 0.7)
-        assert response(geom, loc, "upw", cfg).power() == pytest.approx(
+        assert vector_power(column(geom, loc, "upw", cfg)) == pytest.approx(
             geom.num_elements * cfg.beta0 / loc.r**2, rel=1e-12
         )
 
@@ -255,82 +252,116 @@ class TestUpwResponse:
         geom = make_geom(num_y=3, num_z=1)
         cfg = UpwConfig.matched_to(geom)
         loc = UserLocation(30.0, math.pi / 2, math.pi / 2)
-        a = response(geom, loc, "upw", cfg).entries
+        a = column(geom, loc, "upw", cfg)
         assert a[0] / a[1] == pytest.approx(-1.0, rel=1e-12)
         assert a[2] / a[1] == pytest.approx(-1.0, rel=1e-12)
 
 
 class TestChannelPower:
     def test_single_entry(self):
-        geom = make_geom(num_y=1, num_z=1)
-        a = ResponseVector(entries=np.array([3.0 - 4.0j]), model="upw", geom=geom)
-        assert a.power() == pytest.approx(25.0, rel=1e-15)
+        assert vector_power(np.array([3.0 - 4.0j])) == pytest.approx(25.0, rel=1e-15)
 
     def test_accepts_plain_arrays(self):
         assert vector_power(np.array([1.0, 1.0j])) == pytest.approx(2.0)
 
     def test_grows_with_array_and_respects_aperture_bound(self):
         loc = UserLocation(50.0, math.pi / 2, 0.0)
-        small = response(make_geom(num_y=101, num_z=101), loc, "pnusw").power()
-        large = response(make_geom(num_y=201, num_z=201), loc, "pnusw").power()
+        small = vector_power(column(make_geom(num_y=101, num_z=101), loc, "pnusw"))
+        large = vector_power(column(make_geom(num_y=201, num_z=201), loc, "pnusw"))
         xi = make_geom().occupation_ratio
         assert large > small
         assert large < xi / 2.0
 
 
 class TestCorrelation:
+    """rho read from the 2 x 2 Gram matrix of two users."""
+
     def test_collinear_vectors(self):
         geom = make_geom(num_y=4, num_z=3)
-        a = response(geom, UserLocation(30.0, 1.3, 0.2), "pnusw")
-        b = ResponseVector(entries=(0.5 - 2.0j) * a.entries, model=a.model, geom=geom)
-        assert correlation(a, b) == pytest.approx(1.0, abs=1e-12)
+        a = column(geom, UserLocation(30.0, 1.3, 0.2), "pnusw")
+        assert correlation(pair_gram(a, (0.5 - 2.0j) * a)) == pytest.approx(1.0, abs=1e-12)
 
-    def test_powers_whose_product_leaves_the_float_range_are_rejected(self):
-        geom = make_geom(num_y=2, num_z=2)
-        a = ResponseVector(entries=np.full(4, 1e100 + 0j), model="upw", geom=geom)
-        b = ResponseVector(entries=np.full(4, 1e-100 + 0j), model="upw", geom=geom)
-        assert correlation(a, b) == pytest.approx(1.0, rel=1e-12)
-        for big_or_small in (a, b):
-            with pytest.raises(DegenerateChannelError, match="out of range"):
-                correlation(big_or_small, big_or_small)
+    def test_powers_whose_product_leaves_the_float_range_are_scale_free(self):
+        # G_11 G_22 and |G_12|^2 overflow (1e150) or underflow (1e-150) while each
+        # power stays finite and positive; rho does not depend on either scale
+        a = np.array([1.0, 2.0 - 1.0j, 0.5j, 3.0])
+        b = np.array([2.0j, 1.0, -1.0, 0.5 + 0.5j])
+        rho = correlation(pair_gram(a, b))
+        assert 0.0 < rho < 1.0
+        for scale_a, scale_b in ((1e150, 1e150), (1e-150, 1e-150), (1e150, 1e-150)):
+            g = pair_gram(scale_a * a, scale_b * b)
+            assert correlation(g) == pytest.approx(rho, rel=1e-14)
+        for scale in (1e150, 1e-150):
+            assert correlation(pair_gram(scale * a, scale * a)) == pytest.approx(1.0, rel=1e-15)
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            [[0.0, 0.0], [0.0, 1.0]],
+            [[1.0, 0.0], [0.0, 0.0]],
+            [[-1.0, 0.0], [0.0, 1.0]],
+            [[math.inf, 1.0], [1.0, 1.0]],
+            [[1.0, 1.0], [1.0, math.nan]],
+            [[1.0, complex(math.inf, 0.0)], [1.0, 1.0]],
+            [[1.0, complex(0.0, math.nan)], [1.0, 1.0]],
+        ],
+        ids=["zero-1", "zero-2", "negative", "inf-power", "nan-power", "inf-g12", "nan-g12"],
+    )
+    def test_zero_or_non_finite_entries_are_rejected(self, g):
+        with pytest.raises(DegenerateChannelError, match="correlation undefined"):
+            correlation(np.array(g, dtype=complex))
+
+    def test_matches_mpmath_on_random_pairs(self):
+        rng = np.random.default_rng(17)
+        for _ in range(200):
+            m = int(rng.integers(1, 40))
+            scales = 10.0 ** rng.uniform(-150.0, 150.0, size=(2, 1))
+            a, b = scales * (rng.standard_normal((2, m)) + 1j * rng.standard_normal((2, m)))
+            g = pair_gram(a, b)
+            with mpmath.workdps(50):
+                power_a, power_b = mpmath.mpf(g[0, 0].real), mpmath.mpf(g[1, 1].real)
+                want = abs(mpmath.mpc(g[0, 1])) ** 2 / (power_a * power_b)
+            assert correlation(g) == pytest.approx(float(want), rel=1e-14)
+
+    @pytest.mark.parametrize("num_y", [5, 8])
+    def test_dirichlet_null_matches_mpmath(self, num_y):
+        # d/lambda = 1/2 and delta u_y = 2/num_y: a null of the y kernel, where the
+        # exact rho of the float user coordinates is below 1e-30
+        geom = make_geom(num_y=num_y, num_z=3)
+        u1 = UserLocation(30.0, math.pi / 2, math.asin(1.0 / num_y))
+        u2 = UserLocation(70.0, math.pi / 2, -math.asin(1.0 / num_y))
+        exact = mp_upw_gram(geom, (u1, u2), UpwConfig.matched_to(geom).beta0)
+        want = abs(exact[0, 1]) ** 2 / (exact[0, 0].real * exact[1, 1].real)
+        assert want < 1e-30
+        assert correlation(_upw_gram(geom, (u1, u2))) == pytest.approx(want, abs=1e-30)
 
     def test_orthogonal_vectors(self):
-        geom = make_geom(num_y=2, num_z=1)
-        a = ResponseVector(entries=np.array([1.0, 0.0j]), model="upw", geom=geom)
-        b = ResponseVector(entries=np.array([0.0j, 1.0]), model="upw", geom=geom)
-        assert correlation(a, b) == 0.0
+        a, b = np.array([1.0, 0.0j]), np.array([0.0j, 1.0])
+        assert correlation(pair_gram(a, b)) == 0.0
 
     def test_same_direction_users_decorrelate_as_array_grows(self):
         u1 = UserLocation(25.0, math.pi / 2, 0.0)
         u2 = UserLocation(250.0, math.pi / 2, 0.0)
         small = make_geom(num_y=10, num_z=11)
         large = make_geom(num_y=10, num_z=1001)
-        rho_small = correlation(response(small, u1, "pnusw"), response(small, u2, "pnusw"))
-        rho_large = correlation(response(large, u1, "pnusw"), response(large, u2, "pnusw"))
+        rho_small = correlation(gram(response_matrix(small, (u1, u2), "pnusw")))
+        rho_large = correlation(gram(response_matrix(large, (u1, u2), "pnusw")))
         assert rho_large < rho_small
-
-    def test_mismatched_geometries_rejected(self):
-        a = response(make_geom(num_y=3, num_z=3), UserLocation(30.0, 1.0, 0.0), "pnusw")
-        b = response(make_geom(num_y=9, num_z=1), UserLocation(30.0, 1.0, 0.0), "pnusw")
-        with pytest.raises(DimensionMismatchError):
-            correlation(a, b)
 
     def test_zero_power_channel_rejected(self):
         geom = make_geom(num_y=3, num_z=3)
-        on_axis = response(geom, UserLocation(30.0, 0.0, 0.0), "pnusw")
-        other = response(geom, UserLocation(30.0, 1.0, 0.0), "pnusw")
+        on_axis = column(geom, UserLocation(30.0, 0.0, 0.0), "pnusw")
+        other = column(geom, UserLocation(30.0, 1.0, 0.0), "pnusw")
         with pytest.raises(DegenerateChannelError):
-            correlation(on_axis, other)
+            correlation(pair_gram(on_axis, other))
 
     def test_common_phase_leaves_correlation_unchanged(self):
         geom = make_geom(num_y=5, num_z=4)
-        a = response(geom, UserLocation(30.0, 1.2, 0.3), "pnusw")
-        b = response(geom, UserLocation(90.0, 1.4, 0.1), "pnusw")
-        rho = correlation(a, b)
+        a = column(geom, UserLocation(30.0, 1.2, 0.3), "pnusw")
+        b = column(geom, UserLocation(90.0, 1.4, 0.1), "pnusw")
+        rho = correlation(pair_gram(a, b))
         twist = cmath.exp(0.7j)
-        a2 = ResponseVector(entries=twist * a.entries, model=a.model, geom=geom)
-        b2 = ResponseVector(entries=twist * b.entries, model=b.model, geom=geom)
-        assert correlation(a2, b2) == pytest.approx(rho, rel=1e-12)
+        assert correlation(pair_gram(twist * a, twist * b)) == pytest.approx(rho, rel=1e-12)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -343,26 +374,29 @@ class TestCorrelation:
     )
     def test_cauchy_schwarz_bounds(self, r1, r2, t1, t2, p1, p2):
         geom = make_geom(num_y=6, num_z=5)
-        a = response(geom, UserLocation(r1, t1, p1), "pnusw")
-        b = response(geom, UserLocation(r2, t2, p2), "pnusw")
-        rho = correlation(a, b)
+        a = column(geom, UserLocation(r1, t1, p1), "pnusw")
+        b = column(geom, UserLocation(r2, t2, p2), "pnusw")
+        rho = correlation(pair_gram(a, b))
         assert 0.0 <= rho <= 1.0
-        assert correlation(a, a) == pytest.approx(1.0, abs=1e-9)
+        assert correlation(pair_gram(a, a)) == pytest.approx(1.0, abs=1e-9)
 
 
 class TestUpwPowerClosed:
+    """The diagonal of the closed-form plane-wave Gram is the channel power."""
+
     @pytest.mark.parametrize("num_y, num_z", [(10, 11), (20, 20), (9, 7), (200, 200)])
     def test_matches_the_built_response(self, num_y, num_z):
         geom = make_geom(num_y=num_y, num_z=num_z)
         for cfg in (None, UpwConfig(beta0=2.5e-4)):
             for loc in (UserLocation(80.0, 1.0, 0.7), UserLocation(94.3, math.pi / 2, -0.56)):
-                built = response_matrix(geom, [loc], "upw", cfg)[:, 0]
-                assert _upw_power(geom, loc, cfg) == pytest.approx(vector_power(built), rel=1e-12)
+                built = column(geom, loc, "upw", cfg)
+                power = _upw_gram(geom, (loc,), cfg)[0, 0].real
+                assert power == pytest.approx(vector_power(built), rel=1e-12)
 
     @pytest.mark.parametrize("r", [1e200, 1e-200])
     def test_zero_or_infinite_power_is_degenerate(self, r):
         with pytest.raises(DegenerateChannelError, match="zero or non-finite"):
-            _upw_power(make_geom(), UserLocation(r, math.pi / 2, 0.0))
+            _upw_gram(make_geom(), (UserLocation(r, math.pi / 2, 0.0),))
 
 
 def mp_upw_gram(geom, users, beta0):
@@ -475,11 +509,13 @@ class TestUpwGram:
             _upw_gram([make_geom(), make_geom(num_z=31)], users)
 
 class TestUpwCorrelationClosed:
+    """correlation of the closed-form plane-wave Gram against built responses."""
+
     def test_same_direction_is_one(self):
         geom = make_geom(num_y=10, num_z=21)
         u1 = UserLocation(25.0, math.pi / 2, 0.0)
         u2 = UserLocation(250.0, math.pi / 2, 0.0)
-        assert upw_correlation_closed(geom, u1, u2) == 1.0
+        assert correlation(_upw_gram(geom, (u1, u2))) == 1.0
 
     def test_dirichlet_null(self):
         # d/lambda = 1/2 and delta u_y = 2/num_y puts the first factor at sin(pi)
@@ -487,7 +523,7 @@ class TestUpwCorrelationClosed:
         geom = make_geom(num_y=num_y, num_z=3)
         u1 = UserLocation(30.0, math.pi / 2, math.asin(1.0 / num_y))
         u2 = UserLocation(30.0, math.pi / 2, -math.asin(1.0 / num_y))
-        assert upw_correlation_closed(geom, u1, u2) == pytest.approx(0.0, abs=1e-20)
+        assert correlation(_upw_gram(geom, (u1, u2))) == pytest.approx(0.0, abs=1e-20)
 
     def test_matches_direct_computation(self):
         geom = make_geom(num_y=7, num_z=7)
@@ -496,8 +532,8 @@ class TestUpwCorrelationClosed:
         for _ in range(50):
             u1 = UserLocation(rng.uniform(20, 200), rng.uniform(0.3, 2.8), rng.uniform(-1.4, 1.4))
             u2 = UserLocation(rng.uniform(20, 200), rng.uniform(0.3, 2.8), rng.uniform(-1.4, 1.4))
-            direct = correlation(response(geom, u1, "upw", cfg), response(geom, u2, "upw", cfg))
-            assert upw_correlation_closed(geom, u1, u2) == pytest.approx(direct, abs=1e-9)
+            direct = direct_rho(column(geom, u1, "upw", cfg), column(geom, u2, "upw", cfg))
+            assert correlation(_upw_gram(geom, (u1, u2), cfg)) == pytest.approx(direct, abs=1e-9)
 
     def test_near_integer_arguments_match_direct(self):
         geom = make_geom(num_y=9, num_z=4)
@@ -506,6 +542,6 @@ class TestUpwCorrelationClosed:
         for delta in (0.0, 1e-13, 1e-10, 3e-9, 1e-8):
             # delta u_y = 2 - delta, so (d/lambda) * delta u_y sits next to 1
             u2 = UserLocation(40.0, math.pi / 2, -math.asin(1.0 - delta))
-            direct = correlation(response(geom, u1, "upw", cfg), response(geom, u2, "upw", cfg))
-            closed = upw_correlation_closed(geom, u1, u2)
+            direct = direct_rho(column(geom, u1, "upw", cfg), column(geom, u2, "upw", cfg))
+            closed = correlation(_upw_gram(geom, (u1, u2), cfg))
             assert closed == pytest.approx(direct, abs=1e-9)

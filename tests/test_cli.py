@@ -374,11 +374,8 @@ def run_with_overrides(run_python, tmp_path, experiment, overrides, **kwargs):
         ("snr-loss-heatmap", ["model=upw", "sweep.x_values_m=[1e-200]", "sweep.y_values_m=[0]"]),
         ("snr-loss-heatmap", ["model=upw", "users.0.r_m=1e200"]),
         ("snr-loss-heatmap", ["model=pnusw", "sweep.x_values_m=[1e-200]", "sweep.y_values_m=[0]"]),
-        ("corr-vs-m", ["beta0=1e300"]),
-        ("corr-vs-dist", ["beta0=1e300"]),
         ("sinr-vs-m", ["beta0=1e300"]),
         ("sumrate-vs-m", ["beta0=1e300", "sweep.sides=[10]", "sweep.n_drops=1"]),
-        ("corr-vs-m", ["beta0=1e-300"]),
     ],
 )
 def test_extreme_user_positions_are_numerical_errors(run_python, tmp_path, experiment, overrides):
@@ -386,6 +383,26 @@ def test_extreme_user_positions_are_numerical_errors(run_python, tmp_path, exper
     assert proc.returncode == 2, proc.stderr
     assert "numerical error:" in proc.stderr and "Traceback" not in proc.stderr
     assert "RuntimeWarning" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "experiment, beta0",
+    [("corr-vs-m", "1e300"), ("corr-vs-m", "1e-300"), ("corr-vs-dist", "1e300")],
+)
+def test_correlations_do_not_depend_on_beta0(run_python, tmp_path, experiment, beta0):
+    # rho is scale-free: |G_12|^2 overflowing or G_11 G_22 underflowing must not
+    # stop the table
+    proc = run_with_overrides(run_python, tmp_path, experiment, [f"beta0={beta0}"])
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
+    default = tmp_path / "default.csv"
+    run(parse_config(experiment=experiment), str(default))
+    got = [line.split(",") for line in (tmp_path / "t.csv").read_text().splitlines()]
+    want = [line.split(",") for line in default.read_text().splitlines()]
+    assert got[0] == want[0] and len(got) == len(want)
+    for row, ref in zip(got[1:], want[1:]):
+        for cell, ref_cell in zip(row, ref):
+            assert float(cell) == pytest.approx(float(ref_cell), rel=1e-12, abs=0.0)
 
 
 def test_heatmap_keeps_its_table_at_extreme_beta0(run_python, tmp_path):

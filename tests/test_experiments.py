@@ -6,9 +6,10 @@ import mpmath
 import numpy as np
 import pytest
 
+import xlmimo.channel as ch
 import xlmimo.experiments as xp
 from xlmimo.beamforming import evaluate_scenario, response_matrix, sum_rate
-from xlmimo.channel import UpwConfig, _upw_gram, response
+from xlmimo.channel import UpwConfig, _upw_gram
 from xlmimo.errors import ConfigError, DegenerateGeometryError
 from xlmimo.experiments import (
     MIN_U_X,
@@ -275,6 +276,27 @@ class TestCorrelationVsDistance:
         assert all(row[3] == pytest.approx(1.0, abs=1e-12) for row in res.rows)
         assert res.rows[-1][2] < res.rows[0][2]
 
+    def test_fixed_user_sweeps_build_user_one_once_and_no_plane_wave_response(self, monkeypatch):
+        # both sweeps that move user 2 read upw Grams in closed form, and build
+        # the spherical-wave user 1 once and then one user 2 per cell
+        built = []
+        block = ch._response_block
+
+        def recording(geom, users, model, cfg=None):
+            built.append((model, tuple(users)))
+            return block(geom, users, model, cfg)
+
+        monkeypatch.setattr(ch, "_response_block", recording)
+        geom = make_geom(num_y=8, num_z=9)
+        loc1 = UserLocation(30.0, math.pi / 2, 0.0)
+        sweep_correlation_vs_distance(geom, loc1, (1.2, 0.3), [1.0, 5.0, 9.0])
+        heatmap_snr_loss(geom, loc1, [20.0, 40.0], [-5.0, 5.0], [PBAR, PBAR])
+        per_sweep = (built[:4], built[4:])
+        assert [len(builds) for builds in per_sweep] == [1 + 3, 1 + 4]
+        for builds in per_sweep:
+            assert builds[0] == ("pnusw", (loc1,))
+            assert all(model == "pnusw" and users != (loc1,) for model, users in builds[1:])
+
 
 class TestSinrVsM:
     def test_schema_and_ordering(self):
@@ -357,7 +379,8 @@ class TestHeatmap:
         geom = make_geom(num_y=16, num_z=16)
         loc1 = UserLocation(100.0, math.pi / 2, 0.0)
         res = heatmap_snr_loss(geom, loc1, [100.0], [0.0], [PBAR, PBAR])
-        power = response(geom, loc1, "upw", UpwConfig.matched_to(geom)).power()
+        a1 = response_matrix(geom, (loc1,), "upw", UpwConfig.matched_to(geom))[:, 0]
+        power = vector_power(a1)
         expected_upw = PBAR * power / (1.0 + PBAR * power)
         row = res.rows[0]
         assert row[3] == pytest.approx(expected_upw, rel=1e-9)
@@ -485,9 +508,19 @@ class TestDeterminismUnderThreads:
         kwargs = dict(seed=13, n_drops=6)
         monkeypatch.setenv("XLMIMO_THREADS", "1")
         serial = sumrate_vs_m(make_geom(), region, 3, [PBAR] * 3, [4, 8], **kwargs)
-        corr_serial = sweep_correlation_vs_m(make_geom(), *SAME_DIRECTION, mz_values=[11, 51, 91])
+        loc1 = UserLocation(40.0, 1.3, 0.2)
+        fixed_user_sweeps = (
+            lambda: sweep_correlation_vs_m(make_geom(), *SAME_DIRECTION, mz_values=[11, 51, 91]),
+            lambda: sweep_correlation_vs_distance(
+                make_geom(), loc1, (1.2, 0.3), separations=range(0, 60, 7)
+            ),
+            lambda: heatmap_snr_loss(
+                make_geom(), loc1, np.linspace(-10.0, 90.0, 6), np.linspace(-40.0, 40.0, 5),
+                [PBAR, PBAR],
+            ),
+        )
+        tables_serial = [sweep().rows for sweep in fixed_user_sweeps]
         monkeypatch.setenv("XLMIMO_THREADS", "4")
         threaded = sumrate_vs_m(make_geom(), region, 3, [PBAR] * 3, [4, 8], **kwargs)
-        corr_threaded = sweep_correlation_vs_m(make_geom(), *SAME_DIRECTION, mz_values=[11, 51, 91])
         assert serial.rows == threaded.rows
-        assert corr_serial.rows == corr_threaded.rows
+        assert [sweep().rows for sweep in fixed_user_sweeps] == tables_serial
