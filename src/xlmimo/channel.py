@@ -43,6 +43,9 @@ PNUSW = "pnusw"
 UPW = "upw"
 VALID_MODELS = (PNUSW, UPW)
 
+# Entries per band of a spherical-wave build (_response_block).
+_BAND_ENTRIES = 2**15
+
 
 @dataclass(frozen=True)
 class UpwConfig:
@@ -87,8 +90,11 @@ def _response_block(
     sqrt(scale) / (s sqrt(s)) * exp(-j 2 pi r s / wavelength).  upw: an entry is
     (common * e^{j c u_z m_z}) * e^{j c u_y m_y} with c = 2 pi spacing / wavelength.
     Entries depend only on the user and their own (m_y, m_z), so the centered sub-grid
-    of a larger same-parity array is bitwise a direct build.  A non-finite entry raises
-    DegenerateChannelError.
+    of a larger same-parity array is bitwise a direct build.  pnusw builds the rows
+    (user, m_z) in bands of about _BAND_ENTRIES entries, so besides its output a build
+    holds two band-sized temporaries however large the block is; a radicand t <= 0
+    (a user on an element) raises DegenerateGeometryError at its band.  A non-finite
+    entry raises DegenerateChannelError.
     """
     if model not in VALID_MODELS:
         raise ValueError(f"unknown channel model {model!r}")
@@ -109,21 +115,32 @@ def _response_block(
             _warn_if_near(float(e.max(initial=0.0)))
             f_y = (m_y * m_y) * (e * e) - (2.0 * e * u_y) * m_y
             f_z = 1.0 + ((m_z * m_z) * (e * e) - (2.0 * e * u_z) * m_z)
-            s = np.add(f_z[:, :, None], f_y[:, None, :])
-            if s.min() <= 0.0:
-                raise DegenerateGeometryError(
-                    "a user is numerically coincident with an array element"
-                )
-            np.sqrt(s, out=s)
-            amp = np.sqrt(s)
-            amp *= s
             scale = geom.occupation_ratio * e * e * u_x / (4.0 * math.pi)
-            np.divide(np.sqrt(scale)[:, :, None], amp, out=amp)
-            s *= (-2.0 * math.pi / geom.wavelength * r)[:, :, None]
-            np.cos(s, out=out.real)
-            np.sin(s, out=out.imag)
-            out.real *= amp
-            out.imag *= amp
+            # one row of N_y entries per (user, m_z), built band by band into out
+            user = np.repeat(np.arange(len(r)), geom.num_z)
+            f_z = f_z.reshape(-1, 1)
+            root_scale = np.sqrt(scale)[user]
+            wave = (-2.0 * math.pi / geom.wavelength * r)[user]
+            rows = out.reshape(-1, geom.num_y)
+            step = max(1, _BAND_ENTRIES // geom.num_y)
+            for lo in range(0, len(rows), step):
+                band = slice(lo, lo + step)
+                s = f_y[user[band]]
+                s += f_z[band]
+                if s.min() <= 0.0:
+                    raise DegenerateGeometryError(
+                        "a user is numerically coincident with an array element"
+                    )
+                np.sqrt(s, out=s)
+                amp = np.sqrt(s)
+                amp *= s
+                np.divide(root_scale[band], amp, out=amp)
+                s *= wave[band]
+                part = rows[band]
+                np.cos(s, out=part.real)
+                np.sin(s, out=part.imag)
+                part.real *= amp
+                part.imag *= amp
     if not np.isfinite(out).all():
         raise DegenerateChannelError("channel entries must be finite")
     return out
@@ -169,51 +186,87 @@ def _upw_gram(geoms, users, cfg: UpwConfig | None = None) -> np.ndarray:
     stack is bitwise the one its geometry gives alone.
     """
     stack = [geoms] if isinstance(geoms, ArrayGeometry) else list(geoms)
-    geom = stack[0]
     if len({(g.spacing, g.element_area, g.wavelength) for g in stack}) > 1:
         raise ValueError("stacked geometries must share spacing, element area and wavelength")
-    beta0 = (cfg or UpwConfig.matched_to(geom)).beta0
-    params = np.array([(loc.r, loc.u_y, loc.u_z) for loc in users], dtype=float)
-    r, u_y, u_z = params.reshape(-1, 3).T
-    num_y, num_z, num_elements = np.array(
-        [(g.num_y, g.num_z, g.num_elements) for g in stack]
-    ).T[:, :, None, None]
-    with np.errstate(over="ignore"):
-        powers = num_elements[:, 0] * beta0 / r / r
-    if not np.all((powers > 0.0) & (powers < math.inf)):
-        raise DegenerateChannelError("a user has a zero or non-finite channel")
-    d_norm = geom.spacing / geom.wavelength
-    amplitude = math.sqrt(beta0) / r
-    cycles = np.fmod(r, geom.wavelength) / geom.wavelength
-    g = (amplitude[:, None] * amplitude[None, :]) * (
-        _dirichlet(num_y, d_norm * (u_y[None, :] - u_y[:, None]))
-        * _dirichlet(num_z, d_norm * (u_z[None, :] - u_z[:, None]))
-    ) * np.exp(-2j * math.pi * (cycles[None, :] - cycles[:, None]))
+    beta0 = (cfg or UpwConfig.matched_to(stack[0])).beta0
+    powers = _upw_powers(stack, users, beta0)
+    g = _upw_entries(stack, users, users, beta0)
     np.einsum("...ii->...i", g)[...] = powers
     return g[0] if isinstance(geoms, ArrayGeometry) else g
 
 
-def _pair_gram(geom: ArrayGeometry, loc1: UserLocation, model: str, cfg: UpwConfig | None = None):
-    """The function from user 2 to the 2 x 2 Gram matrix of (user 1, user 2) on geom.
+def _upw_params(users):
+    """The (r, u_y, u_z) columns of users' coordinates."""
+    params = np.array([(loc.r, loc.u_y, loc.u_z) for loc in users], dtype=float)
+    return params.reshape(-1, 3).T
 
-    upw reads the closed form _upw_gram and builds nothing.  pnusw builds
-    user 1's response once, here, and each call builds user 2's and takes
+
+def _upw_sizes(stack):
+    """(num_y, num_z, num_elements), each an (n, 1, 1) array over the geometries of stack."""
+    return np.array([(g.num_y, g.num_z, g.num_elements) for g in stack]).T[:, :, None, None]
+
+
+def _upw_powers(stack, users, beta0: float) -> np.ndarray:
+    """(n, K) plane-wave powers M beta0 / r^2; one that is 0 or not finite raises."""
+    r = _upw_params(users)[0]
+    with np.errstate(over="ignore"):
+        powers = _upw_sizes(stack)[2][:, 0] * beta0 / r / r
+    if not np.all((powers > 0.0) & (powers < math.inf)):
+        raise DegenerateChannelError("a user has a zero or non-finite channel")
+    return powers
+
+
+def _upw_entries(stack, rows, cols, beta0: float) -> np.ndarray:
+    """(n, len(rows), len(cols)) plane-wave Gram entries G_ki, k of rows and i of cols.
+
+    The off-diagonal formula of _upw_gram; each entry depends only on its own
+    pair of users and geometry.
+    """
+    num_y, num_z, _ = _upw_sizes(stack)
+    (r_k, u_yk, u_zk), (r_i, u_yi, u_zi) = _upw_params(rows), _upw_params(cols)
+    geom = stack[0]
+    d_norm = geom.spacing / geom.wavelength
+    root_beta0 = math.sqrt(beta0)
+    cycles_k, cycles_i = (np.fmod(r, geom.wavelength) / geom.wavelength for r in (r_k, r_i))
+    return ((root_beta0 / r_k)[:, None] * (root_beta0 / r_i)[None, :]) * (
+        _dirichlet(num_y, d_norm * (u_yi[None, :] - u_yk[:, None]))
+        * _dirichlet(num_z, d_norm * (u_zi[None, :] - u_zk[:, None]))
+    ) * np.exp(-2j * math.pi * (cycles_i[None, :] - cycles_k[:, None]))
+
+
+def _pair_gram(
+    geom: ArrayGeometry, loc1: UserLocation, others, model: str, cfg: UpwConfig | None = None
+):
+    """The function from j to the 2 x 2 Gram matrix of (user 1, others[j]) on geom.
+
+    upw builds nothing: every pair's Gram is read here, in one broadcast of
+    _upw_gram's formula over user 1 and all of others, and each is bitwise
+    the G_11, G_12 and G_22 of _upw_gram on that pair alone.  pnusw builds
+    user 1's response once, here, and each call builds others[j]'s and takes
     the entries as pairwise sums (cdot, vector_power): for one pair that is
-    faster than a BLAS product of the stacked M x 2 matrix.  User 1's
-    channel is checked once, here; a zero or non-finite power raises
+    faster than a BLAS product of the stacked M x 2 matrix.  User 1's channel
+    is checked here (upw: every user's); a zero or non-finite power raises
     DegenerateChannelError.  The returned function only reads what it
     shares, so it may be called from several threads.
     """
+    others = list(others)
     if model == UPW:
-        _upw_gram(geom, (loc1,), cfg)  # checks user 1's power
-        return lambda loc2: _upw_gram(geom, (loc1, loc2), cfg)
+        beta0 = (cfg or UpwConfig.matched_to(geom)).beta0
+        powers = _upw_powers([geom], [loc1, *others], beta0)[0]
+        inner = _upw_entries([geom], [loc1], others, beta0)[0, 0]
+        grams = np.empty((len(others), 2, 2), dtype=complex)
+        grams[:, 0, 0] = powers[0]
+        grams[:, 0, 1] = inner
+        grams[:, 1, 0] = inner.conjugate()
+        grams[:, 1, 1] = powers[1:]
+        return grams.__getitem__
     a1 = _response_block(geom, (loc1,), model).reshape(-1)
     power1 = vector_power(a1)
     if not 0.0 < power1 < math.inf:
         raise DegenerateChannelError("a user has a zero or non-finite channel")
 
-    def pair(loc2: UserLocation) -> np.ndarray:
-        a2 = _response_block(geom, (loc2,), model).reshape(-1)
+    def pair(j: int) -> np.ndarray:
+        a2 = _response_block(geom, (others[j],), model).reshape(-1)
         inner = cdot(a1, a2)
         return np.array([[power1, inner], [inner.conjugate(), vector_power(a2)]])
 

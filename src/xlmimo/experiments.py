@@ -13,13 +13,18 @@ nothing, and the spherical-wave model builds the largest array once and
 sums each nested array's Gram ring by ring, so every element is read once.
 The two sweeps that move user 2 against a fixed user 1 (correlation versus
 distance and the SNR-loss map) read each cell's 2 x 2 Gram from
-channel._pair_gram, which builds user 1 once and no plane-wave response.
-Every correlation is channel.correlation of a Gram.
+channel._pair_gram, which builds user 1 once and no plane-wave response
+(every cell's plane-wave Gram comes from one closed-form broadcast made
+before the map).  Every correlation is channel.correlation of a Gram.
 
-Sweep points and random user drops are independent, so they may be mapped
-over a thread pool; per-drop random streams derive from (seed, drop index)
-and results are reduced in list order, which keeps every table
-bit-identical regardless of thread count (capped by XLMIMO_THREADS).
+Random user drops and the cells of the two fixed-user sweeps are
+independent, so they are mapped over a thread pool (_pmap); the M-sweeps
+only read precomputed Grams and run in one thread.  The pool has one worker
+per usable core (the process's CPU affinity), capped by XLMIMO_THREADS and
+so that the response blocks built at once stay within _MAX_BLOCK_ENTRIES.
+Per-drop random streams derive from (seed, drop index) and results are
+concatenated in list order, which keeps every table bit-identical for any
+worker count.  SweepResult.workers records the pool size a sweep used.
 """
 
 from __future__ import annotations
@@ -39,6 +44,11 @@ from .numerics import gram
 
 THREADS_ENV = "XLMIMO_THREADS"
 
+# Most entries (elements x users) of the largest response block a sweep may
+# build: 1 GiB of complex128, which admits a 1000 x 1000 array with 64 users.
+# Response blocks built at once by the pool's workers stay within it as well.
+_MAX_BLOCK_ENTRIES = 2**26
+
 # sample_users rejects draws with a direction cosine u_x below MIN_U_X (nearly
 # in the array plane, hence a nearly zero channel) and gives up after
 # MAX_REJECTIONS consecutive rejections.
@@ -47,29 +57,73 @@ MAX_REJECTIONS = 10_000
 
 
 def thread_count() -> int:
-    """Worker cap: XLMIMO_THREADS, else 1."""
-    text = os.environ.get(THREADS_ENV, "1")
+    """Worker cap: XLMIMO_THREADS, else the usable cores."""
+    text = os.environ.get(THREADS_ENV)
+    if text is None:
+        affinity = getattr(os, "sched_getaffinity", None)
+        return len(affinity(0)) if affinity else os.cpu_count() or 1
     try:
         return max(1, int(text))
     except ValueError:
         raise ConfigError(f"{THREADS_ENV} must be an integer, got {text!r}") from None
 
 
-def _pmap(fn, items):
+def _worker_count(items: int, block_entries: int) -> int:
+    """Pool size for items that each build a response block of up to block_entries entries.
+
+    thread_count(), cut so that the blocks of all workers together stay
+    within _MAX_BLOCK_ENTRIES, and to the item count; at least 1.
+    """
+    fits = _MAX_BLOCK_ENTRIES // max(1, block_entries)
+    return max(1, min(thread_count(), fits, items))
+
+
+def _pmap(fn, items, workers: int) -> list:
+    """[fn(item) for item in items] on `workers` threads.
+
+    The items are cut into `workers` contiguous shares; the calling thread
+    maps the first and workers - 1 pool threads the others, and the results
+    are concatenated in list order.  When an item raises, the shares after
+    its own stop at their next item and the first error in list order is
+    raised, as in the plain loop; errors from later items, which the plain
+    loop would not have reached, are dropped.
+    """
     items = list(items)
-    workers = thread_count()
-    if workers <= 1 or len(items) <= 1:
+    if workers <= 1:
         return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    cuts = [len(items) * w // workers for w in range(workers + 1)]
+    failed = [False] * workers  # one flag per share, set only by its own thread
+
+    def share(w: int) -> list:
+        out = []
+        for item in items[cuts[w] : cuts[w + 1]]:
+            if any(failed[:w]):
+                break
+            try:
+                out.append(fn(item))
+            except BaseException:
+                failed[w] = True
+                raise
+        return out
+
+    with ThreadPoolExecutor(max_workers=workers - 1) as pool:
+        rest = [pool.submit(share, w) for w in range(1, workers)]
+        out = share(0)
+        for future in rest:
+            out.extend(future.result())
+    return out
 
 
 @dataclass
 class SweepResult:
-    """Tabular sweep output: ordered columns (axis first) and sorted rows."""
+    """Tabular sweep output: ordered columns (axis first) and sorted rows.
+
+    workers is the size of the thread pool the sweep used (1: no pool).
+    """
 
     columns: list[str]
     rows: list[tuple]
+    workers: int = 1
 
 
 @dataclass(frozen=True)
@@ -204,13 +258,10 @@ def sweep_correlation_vs_m(
     geoms = [replace(geom, num_z=mz) for mz in mz_values]
     grams = {model: _nested_grams(geoms, (loc1, loc2), model, upw_cfg) for model in models}
 
-    def point(gi: int) -> tuple:
-        row = [geoms[gi].num_elements, geoms[gi].num_z]
-        for model in models:
-            row.append(ch.correlation(grams[model][gi]))
-        return tuple(row)
-
-    rows = _pmap(point, range(len(geoms)))
+    rows = [
+        (g.num_elements, g.num_z) + tuple(ch.correlation(grams[model][gi]) for model in models)
+        for gi, g in enumerate(geoms)
+    ]
     return SweepResult(
         columns=["m", "m_z"] + [f"{model}_rho_linear" for model in models],
         rows=rows,
@@ -229,16 +280,17 @@ def sweep_correlation_vs_distance(
     models = _check_models(models)
     theta2, phi2 = direction2
     separations = sorted(float(s) for s in separations)
-    pairs = [ch._pair_gram(geom, loc1, model, upw_cfg) for model in models]
+    others = [UserLocation(r=loc1.r + sep, theta=theta2, phi=phi2) for sep in separations]
+    pairs = [ch._pair_gram(geom, loc1, others, model, upw_cfg) for model in models]
 
-    def point(sep: float) -> tuple:
-        loc2 = UserLocation(r=loc1.r + sep, theta=theta2, phi=phi2)
-        return (sep, loc2.r) + tuple(ch.correlation(pair(loc2)) for pair in pairs)
+    def point(j: int) -> tuple:
+        return (separations[j], others[j].r) + tuple(ch.correlation(pair(j)) for pair in pairs)
 
-    rows = _pmap(point, separations)
+    workers = _worker_count(len(others), geom.num_elements)
     return SweepResult(
         columns=["separation_m", "r2_m"] + [f"{model}_rho_linear" for model in models],
-        rows=rows,
+        rows=_pmap(point, range(len(others)), workers),
+        workers=workers,
     )
 
 
@@ -303,23 +355,24 @@ def heatmap_snr_loss(
     p2 = float(snr[1])
     x_values = sorted(float(x) for x in x_values)
     y_values = sorted(float(y) for y in y_values)
-    pairs = [ch._pair_gram(geom, loc1, model, upw_cfg) for model in models]
+    cells = [(x, y) for x in x_values for y in y_values]
+    behind = sum(x <= 0.0 for x, _ in cells)  # a prefix: x is sorted and outer
+    front = cells[behind:]
+    others = [cartesian_to_spherical(Vector3(x, y, 0.0)) for x, y in front]
+    pairs = [ch._pair_gram(geom, loc1, others, model, upw_cfg) for model in models]
 
     def loss(g: np.ndarray) -> float:
         return _mmse_loss(p2 * float(g[1, 1].real), ch.correlation(g))
 
-    def point(cell: tuple[float, float]) -> tuple:
-        x, y = cell
-        if x <= 0.0:
-            return (x, y) + (None,) * len(models)
-        loc2 = cartesian_to_spherical(Vector3(x, y, 0.0))
-        return (x, y) + tuple(loss(pair(loc2)) for pair in pairs)
+    def point(j: int) -> tuple:
+        return front[j] + tuple(loss(pair(j)) for pair in pairs)
 
-    cells = [(x, y) for x in x_values for y in y_values]
-    rows = _pmap(point, cells)
+    workers = _worker_count(len(front), geom.num_elements)
+    rows = [cell + (None,) * len(models) for cell in cells[:behind]]
     return SweepResult(
         columns=["x_m", "y_m"] + [f"{model}_mmse_alpha_linear" for model in models],
-        rows=rows,
+        rows=rows + _pmap(point, range(len(front)), workers),
+        workers=workers,
     )
 
 
@@ -368,7 +421,9 @@ def sumrate_vs_m(
                 rates[:, mi, si] = [sum_rate(row) for row in gammas[scheme]]
         return rates
 
-    stacked = np.stack(_pmap(run_drop, range(n_drops)))
+    block = max(g.num_elements for g in geoms) * num_users
+    workers = _worker_count(n_drops, block)
+    stacked = np.stack(_pmap(run_drop, range(n_drops), workers))
     mean = stacked.mean(axis=0)
     if n_drops > 1:
         stderr = stacked.std(axis=0, ddof=1) / math.sqrt(n_drops)
@@ -392,4 +447,5 @@ def sumrate_vs_m(
     return SweepResult(
         columns=["m", "m_y", "m_z"] + metric_columns,
         rows=rows,
+        workers=workers,
     )

@@ -9,9 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import xlmimo.channel as ch
 from xlmimo.channel import (
     UpwConfig,
     _dirichlet,
+    _pair_gram,
     _response_block,
     _upw_gram,
     correlation,
@@ -228,6 +230,36 @@ class TestResponseMatrix:
     def test_unknown_model_is_rejected(self):
         with pytest.raises(ValueError, match="unknown channel model"):
             response_matrix(make_geom(), [UserLocation(30.0, 1.0, 0.2)], "fsw")
+
+
+class TestBandedPnuswBuild:
+    """The spherical-wave builder works in bands of (user, m_z) rows; bands must not show."""
+
+    USERS = [UserLocation(40.0, 1.2, 0.3), UserLocation(25.0, 1.6, -0.4)]
+
+    def test_a_block_of_several_bands_equals_one_row_builds_bitwise(self, monkeypatch):
+        # 3 users x 201 rows of 201 entries: 4 bands of up to 163 rows, two of them
+        # spanning two users; at 4 x 10 001, 4 bands of up to 8 192 rows
+        users = self.USERS + [UserLocation(90.0, 0.9, 0.1)]
+        for geom in (make_geom(num_y=201, num_z=201), make_geom(num_y=4, num_z=10_001)):
+            assert len(users) * geom.num_elements >= 3 * ch._BAND_ENTRIES
+            banded = _response_block(geom, users, "pnusw")
+            monkeypatch.setattr(ch, "_BAND_ENTRIES", 1)  # one row per band
+            one_row = _response_block(geom, users, "pnusw")
+            monkeypatch.setattr(ch, "_BAND_ENTRIES", 2**62)  # the whole block as one band
+            whole = _response_block(geom, users, "pnusw")
+            monkeypatch.undo()
+            assert banded.tobytes() == one_row.tobytes() == whole.tobytes()
+
+    @pytest.mark.filterwarnings("ignore::xlmimo.geometry.NearArrayWarning")
+    def test_a_user_on_an_element_in_a_later_band_is_degenerate(self):
+        # the last user sits on element (m_y, m_z) = (1, 0): t = 0 exactly, in row
+        # 2 x 101 + 50, past the first band's 163 rows
+        geom = make_geom(num_y=201, num_z=101)
+        on_element = UserLocation(geom.spacing, math.pi / 2, math.pi / 2)
+        assert (2 * geom.num_z + 50) * geom.num_y > ch._BAND_ENTRIES
+        with pytest.raises(DegenerateGeometryError, match="coincident"):
+            _response_block(geom, self.USERS + [on_element], "pnusw")
 
 
 class TestUpwResponse:
@@ -507,6 +539,23 @@ class TestUpwGram:
         users = [UserLocation(30.0, 1.0, 0.2), UserLocation(r, 1.2, 0.1)]
         with pytest.raises(DegenerateChannelError, match="zero or non-finite"):
             _upw_gram([make_geom(), make_geom(num_z=31)], users)
+        with pytest.raises(DegenerateChannelError, match="zero or non-finite"):
+            _pair_gram(make_geom(), users[0], users[1:], "upw")
+
+    def test_pair_grams_are_the_two_user_grams_bitwise(self):
+        # one broadcast over user 1 and all others, against one _upw_gram per pair;
+        # a user sharing user 1's direction and one at a grating lobe among them
+        rng = np.random.default_rng(31)
+        loc1, *others = random_users(rng, 40)
+        others += [UserLocation(70.0, loc1.theta, loc1.phi), UserLocation(3.0, 1.5, 0.9)]
+        for geom in (make_geom(num_y=20, num_z=31), make_geom(7, 8, spacing=LAM)):
+            for cfg in (None, UpwConfig(beta0=2.5e-4)):
+                pair = _pair_gram(geom, loc1, others, "upw", cfg)
+                for j, loc2 in enumerate(others):
+                    got, alone = pair(j), _upw_gram(geom, (loc1, loc2), cfg)
+                    read = ([0, 0, 1], [0, 1, 1])  # G_11, G_12, G_22
+                    assert got[read].tobytes() == alone[read].tobytes()
+                    assert got[1, 0] == got[0, 1].conjugate()
 
 class TestUpwCorrelationClosed:
     """correlation of the closed-form plane-wave Gram against built responses."""
