@@ -31,11 +31,14 @@ other under either model.
 from __future__ import annotations
 
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateChannelError, DegenerateGeometryError
+from .errors import ConfigError, DegenerateChannelError, DegenerateGeometryError
 from .geometry import ArrayGeometry, UserLocation, _warn_if_near, element_distance
 from .numerics import cdot, vector_power
 
@@ -43,8 +46,36 @@ PNUSW = "pnusw"
 UPW = "upw"
 VALID_MODELS = (PNUSW, UPW)
 
-# Entries per band of a spherical-wave build (_response_block).
+THREADS_ENV = "XLMIMO_THREADS"
+
+# Most entries per band of a spherical-wave build (_response_block).
 _BAND_ENTRIES = 2**15
+
+# Build threads, one pool per thread cap, kept for the life of the process:
+# starting threads costs about as much as building a 40 000-element response.
+# A forked child starts with none, as the parent's threads do not exist there.
+_pools: dict[int, ThreadPoolExecutor] = {}
+_pools_lock = threading.Lock()
+os.register_at_fork(after_in_child=_pools.clear)
+
+
+def thread_count() -> int:
+    """Threads one spherical-wave build may use: XLMIMO_THREADS, else the usable cores."""
+    text = os.environ.get(THREADS_ENV)
+    if text is None:
+        affinity = getattr(os, "sched_getaffinity", None)
+        return len(affinity(0)) if affinity else os.cpu_count() or 1
+    try:
+        return max(1, int(text))
+    except ValueError:
+        raise ConfigError(f"{THREADS_ENV} must be an integer, got {text!r}") from None
+
+
+def _build_pool(threads: int) -> ThreadPoolExecutor:
+    with _pools_lock:
+        if threads not in _pools:
+            _pools[threads] = ThreadPoolExecutor(threads, thread_name_prefix="xlmimo-build")
+        return _pools[threads]
 
 
 @dataclass(frozen=True)
@@ -90,11 +121,12 @@ def _response_block(
     sqrt(scale) / (s sqrt(s)) * exp(-j 2 pi r s / wavelength).  upw: an entry is
     (common * e^{j c u_z m_z}) * e^{j c u_y m_y} with c = 2 pi spacing / wavelength.
     Entries depend only on the user and their own (m_y, m_z), so the centered sub-grid
-    of a larger same-parity array is bitwise a direct build.  pnusw builds the rows
-    (user, m_z) in bands of about _BAND_ENTRIES entries, so besides its output a build
-    holds two band-sized temporaries however large the block is; a radicand t <= 0
-    (a user on an element) raises DegenerateGeometryError at its band.  A non-finite
-    entry raises DegenerateChannelError.
+    of a larger same-parity array is bitwise a direct build.  pnusw cuts the rows
+    (user, m_z) into equal bands of at most about _BAND_ENTRIES entries and builds
+    them into out on up to thread_count() threads, at most one per band; besides its
+    output a build holds two band-sized temporaries per thread, and every entry is
+    the same for any thread count.  A radicand t <= 0 (a user on an element) raises
+    DegenerateGeometryError.  A non-finite entry raises DegenerateChannelError.
     """
     if model not in VALID_MODELS:
         raise ValueError(f"unknown channel model {model!r}")
@@ -121,10 +153,13 @@ def _response_block(
             f_z = f_z.reshape(-1, 1)
             root_scale = np.sqrt(scale)[user]
             wave = (-2.0 * math.pi / geom.wavelength * r)[user]
-            rows = out.reshape(-1, geom.num_y)
-            step = max(1, _BAND_ENTRIES // geom.num_y)
-            for lo in range(0, len(rows), step):
-                band = slice(lo, lo + step)
+        rows = out.reshape(-1, geom.num_y)
+        bands = max(1, -(-out.size // _BAND_ENTRIES))
+        step = max(1, -(-len(rows) // bands))
+
+        def build(lo: int) -> None:
+            band = slice(lo, lo + step)
+            with np.errstate(all="ignore"):  # errstate is per thread
                 s = f_y[user[band]]
                 s += f_z[band]
                 if s.min() <= 0.0:
@@ -141,6 +176,14 @@ def _response_block(
                 np.sin(s, out=part.imag)
                 part.real *= amp
                 part.imag *= amp
+
+        starts = range(0, len(rows), step)
+        threads = thread_count()
+        if threads == 1 or len(starts) == 1:
+            for lo in starts:
+                build(lo)
+        else:  # a pool thread takes one band at a time
+            list(_build_pool(threads).map(build, starts))
     if not np.isfinite(out).all():
         raise DegenerateChannelError("channel entries must be finite")
     return out
@@ -246,8 +289,7 @@ def _pair_gram(
     the entries as pairwise sums (cdot, vector_power): for one pair that is
     faster than a BLAS product of the stacked M x 2 matrix.  User 1's channel
     is checked here (upw: every user's); a zero or non-finite power raises
-    DegenerateChannelError.  The returned function only reads what it
-    shares, so it may be called from several threads.
+    DegenerateChannelError.
     """
     others = list(others)
     if model == UPW:

@@ -50,6 +50,9 @@ DEFAULT_SNR_DB = 50.0
 
 # Most points one sweep may have, checked before any sweep axis is built.
 _MAX_SWEEP_POINTS = 100_000
+# Most entries (elements x users) of the largest response block a sweep may
+# build: 1 GiB of complex128, which admits a 1000 x 1000 array with 64 users.
+_MAX_BLOCK_ENTRIES = 2**26
 
 _ANGLE_RE = re.compile(
     r"^\s*([+-]?)(\d+(?:\.\d+)?)?\s*pi\s*(?:/\s*(\d+(?:\.\d+)?))?\s*$", re.IGNORECASE
@@ -486,10 +489,10 @@ def parse_config(
         noun = "user" if len(spec.users) == 1 else "users"
         raise ConfigError(f"{experiment} needs {len(spec.users)} {noun}, got {len(users)}")
     elements, num_snr = spec.block(geometry, sweep)
-    if elements * num_snr > xp._MAX_BLOCK_ENTRIES:
+    if elements * num_snr > _MAX_BLOCK_ENTRIES:
         raise ConfigError(
             f"a {elements} x {num_snr} response block (elements x users) has more than "
-            f"{xp._MAX_BLOCK_ENTRIES} entries"
+            f"{_MAX_BLOCK_ENTRIES} entries"
         )
 
     snr_db = merged["snr_db"]
@@ -556,10 +559,10 @@ def run(cfg: RunConfig, out: str | None = None) -> str:
     """Execute the configured experiment; write CSV and sidecar; return CSV path.
 
     The sidecar's run block records, beside the table's shape, the wall time
-    and the worker count the sweep used; neither enters the CSV.
+    and the thread cap of the run's response builds; neither enters the CSV.
     """
     started = time.perf_counter()
-    xp.thread_count()  # a malformed XLMIMO_THREADS is a config error in every experiment
+    threads = xp.thread_count()  # a malformed XLMIMO_THREADS is a config error in every experiment
     result = dispatch(cfg)
     csv_file = out or f"{cfg.experiment}.csv"
     write_csv(csv_file, result.columns, result.rows)
@@ -572,7 +575,7 @@ def run(cfg: RunConfig, out: str | None = None) -> str:
             "columns": list(result.columns),
             "n_rows": len(result.rows),
             "wall_time_s": time.perf_counter() - started,
-            "workers": result.workers,
+            "threads": threads,
         },
     }
     _write_atomic(sidecar_path(csv_file), json.dumps(sidecar, indent=2, sort_keys=True) + "\n")

@@ -15,39 +15,30 @@ The two sweeps that move user 2 against a fixed user 1 (correlation versus
 distance and the SNR-loss map) read each cell's 2 x 2 Gram from
 channel._pair_gram, which builds user 1 once and no plane-wave response
 (every cell's plane-wave Gram comes from one closed-form broadcast made
-before the map).  Every correlation is channel.correlation of a Gram.
+before the first cell).  Every correlation is channel.correlation of a Gram.
 
-Random user drops and the cells of the two fixed-user sweeps are
-independent, so they are mapped over a thread pool (_pmap); the M-sweeps
-only read precomputed Grams and run in one thread.  The pool has one worker
-per usable core (the process's CPU affinity), capped by XLMIMO_THREADS and
-so that the response blocks built at once stay within _MAX_BLOCK_ENTRIES.
-Per-drop random streams derive from (seed, drop index) and results are
-concatenated in list order, which keeps every table bit-identical for any
-worker count.  SweepResult.workers records the pool size a sweep used.
+A sweep runs its points in order on the calling thread.  The work that
+dominates the random drops and the fixed-user cells, the spherical-wave
+response build, spreads its bands over the usable cores (the process's CPU
+affinity), capped by XLMIMO_THREADS (channel.thread_count).  Per-drop
+random streams derive from (seed, drop index), and every build entry is the
+same for any thread count, so every table is bit-identical for any
+XLMIMO_THREADS.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import channel as ch
+from .channel import THREADS_ENV, thread_count  # noqa: F401  (importable from here as before)
 from .beamforming import SCHEMES, _mmse_loss, evaluate_scenario, response_matrix, sum_rate
-from .errors import ConfigError, DegenerateGeometryError
+from .errors import DegenerateGeometryError
 from .geometry import ArrayGeometry, UserLocation, Vector3, cartesian_to_spherical
 from .numerics import gram
-
-THREADS_ENV = "XLMIMO_THREADS"
-
-# Most entries (elements x users) of the largest response block a sweep may
-# build: 1 GiB of complex128, which admits a 1000 x 1000 array with 64 users.
-# Response blocks built at once by the pool's workers stay within it as well.
-_MAX_BLOCK_ENTRIES = 2**26
 
 # sample_users rejects draws with a direction cosine u_x below MIN_U_X (nearly
 # in the array plane, hence a nearly zero channel) and gives up after
@@ -56,74 +47,12 @@ MIN_U_X = 1e-3
 MAX_REJECTIONS = 10_000
 
 
-def thread_count() -> int:
-    """Worker cap: XLMIMO_THREADS, else the usable cores."""
-    text = os.environ.get(THREADS_ENV)
-    if text is None:
-        affinity = getattr(os, "sched_getaffinity", None)
-        return len(affinity(0)) if affinity else os.cpu_count() or 1
-    try:
-        return max(1, int(text))
-    except ValueError:
-        raise ConfigError(f"{THREADS_ENV} must be an integer, got {text!r}") from None
-
-
-def _worker_count(items: int, block_entries: int) -> int:
-    """Pool size for items that each build a response block of up to block_entries entries.
-
-    thread_count(), cut so that the blocks of all workers together stay
-    within _MAX_BLOCK_ENTRIES, and to the item count; at least 1.
-    """
-    fits = _MAX_BLOCK_ENTRIES // max(1, block_entries)
-    return max(1, min(thread_count(), fits, items))
-
-
-def _pmap(fn, items, workers: int) -> list:
-    """[fn(item) for item in items] on `workers` threads.
-
-    The items are cut into `workers` contiguous shares; the calling thread
-    maps the first and workers - 1 pool threads the others, and the results
-    are concatenated in list order.  When an item raises, the shares after
-    its own stop at their next item and the first error in list order is
-    raised, as in the plain loop; errors from later items, which the plain
-    loop would not have reached, are dropped.
-    """
-    items = list(items)
-    if workers <= 1:
-        return [fn(item) for item in items]
-    cuts = [len(items) * w // workers for w in range(workers + 1)]
-    failed = [False] * workers  # one flag per share, set only by its own thread
-
-    def share(w: int) -> list:
-        out = []
-        for item in items[cuts[w] : cuts[w + 1]]:
-            if any(failed[:w]):
-                break
-            try:
-                out.append(fn(item))
-            except BaseException:
-                failed[w] = True
-                raise
-        return out
-
-    with ThreadPoolExecutor(max_workers=workers - 1) as pool:
-        rest = [pool.submit(share, w) for w in range(1, workers)]
-        out = share(0)
-        for future in rest:
-            out.extend(future.result())
-    return out
-
-
 @dataclass
 class SweepResult:
-    """Tabular sweep output: ordered columns (axis first) and sorted rows.
-
-    workers is the size of the thread pool the sweep used (1: no pool).
-    """
+    """Tabular sweep output: ordered columns (axis first) and sorted rows."""
 
     columns: list[str]
     rows: list[tuple]
-    workers: int = 1
 
 
 @dataclass(frozen=True)
@@ -283,14 +212,13 @@ def sweep_correlation_vs_distance(
     others = [UserLocation(r=loc1.r + sep, theta=theta2, phi=phi2) for sep in separations]
     pairs = [ch._pair_gram(geom, loc1, others, model, upw_cfg) for model in models]
 
-    def point(j: int) -> tuple:
-        return (separations[j], others[j].r) + tuple(ch.correlation(pair(j)) for pair in pairs)
-
-    workers = _worker_count(len(others), geom.num_elements)
+    rows = [
+        (sep, loc2.r) + tuple(ch.correlation(pair(j)) for pair in pairs)
+        for j, (sep, loc2) in enumerate(zip(separations, others))
+    ]
     return SweepResult(
         columns=["separation_m", "r2_m"] + [f"{model}_rho_linear" for model in models],
-        rows=_pmap(point, range(len(others)), workers),
-        workers=workers,
+        rows=rows,
     )
 
 
@@ -364,15 +292,11 @@ def heatmap_snr_loss(
     def loss(g: np.ndarray) -> float:
         return _mmse_loss(p2 * float(g[1, 1].real), ch.correlation(g))
 
-    def point(j: int) -> tuple:
-        return front[j] + tuple(loss(pair(j)) for pair in pairs)
-
-    workers = _worker_count(len(front), geom.num_elements)
     rows = [cell + (None,) * len(models) for cell in cells[:behind]]
+    rows += [cell + tuple(loss(pair(j)) for pair in pairs) for j, cell in enumerate(front)]
     return SweepResult(
         columns=["x_m", "y_m"] + [f"{model}_mmse_alpha_linear" for model in models],
-        rows=rows + _pmap(point, range(len(front)), workers),
-        workers=workers,
+        rows=rows,
     )
 
 
@@ -421,9 +345,7 @@ def sumrate_vs_m(
                 rates[:, mi, si] = [sum_rate(row) for row in gammas[scheme]]
         return rates
 
-    block = max(g.num_elements for g in geoms) * num_users
-    workers = _worker_count(n_drops, block)
-    stacked = np.stack(_pmap(run_drop, range(n_drops), workers))
+    stacked = np.stack([run_drop(drop) for drop in range(n_drops)])
     mean = stacked.mean(axis=0)
     if n_drops > 1:
         stderr = stacked.std(axis=0, ddof=1) / math.sqrt(n_drops)
@@ -447,5 +369,4 @@ def sumrate_vs_m(
     return SweepResult(
         columns=["m", "m_y", "m_z"] + metric_columns,
         rows=rows,
-        workers=workers,
     )

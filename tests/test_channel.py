@@ -2,6 +2,11 @@
 
 import cmath
 import math
+import os
+import sys
+import time
+import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import mpmath
 import numpy as np
@@ -233,33 +238,113 @@ class TestResponseMatrix:
 
 
 class TestBandedPnuswBuild:
-    """The spherical-wave builder works in bands of (user, m_z) rows; bands must not show."""
+    """The spherical-wave builder cuts the (user, m_z) rows into bands, built on up
+    to XLMIMO_THREADS threads; neither the bands nor the threads may show."""
 
     USERS = [UserLocation(40.0, 1.2, 0.3), UserLocation(25.0, 1.6, -0.4)]
 
     def test_a_block_of_several_bands_equals_one_row_builds_bitwise(self, monkeypatch):
-        # 3 users x 201 rows of 201 entries: 4 bands of up to 163 rows, two of them
-        # spanning two users; at 4 x 10 001, 4 bands of up to 8 192 rows
+        # 3 users x 201 rows of 201 entries: 4 bands of 151 rows, two of them
+        # spanning two users; at 4 x 10 001, 4 bands of 7 501 rows
         users = self.USERS + [UserLocation(90.0, 0.9, 0.1)]
         for geom in (make_geom(num_y=201, num_z=201), make_geom(num_y=4, num_z=10_001)):
             assert len(users) * geom.num_elements >= 3 * ch._BAND_ENTRIES
-            banded = _response_block(geom, users, "pnusw")
-            monkeypatch.setattr(ch, "_BAND_ENTRIES", 1)  # one row per band
-            one_row = _response_block(geom, users, "pnusw")
-            monkeypatch.setattr(ch, "_BAND_ENTRIES", 2**62)  # the whole block as one band
-            whole = _response_block(geom, users, "pnusw")
-            monkeypatch.undo()
-            assert banded.tobytes() == one_row.tobytes() == whole.tobytes()
+            builds = []
+            for band_entries in (ch._BAND_ENTRIES, 1, 2**62):  # as built, one row, one band
+                monkeypatch.setattr(ch, "_BAND_ENTRIES", band_entries)
+                for threads in ("1", "3", "8"):
+                    monkeypatch.setenv("XLMIMO_THREADS", threads)
+                    builds.append(_response_block(geom, users, "pnusw").tobytes())
+                monkeypatch.undo()
+            assert len(set(builds)) == 1
 
+    def test_concurrent_builds_under_thread_switching_stress(self, monkeypatch):
+        # more build threads than cores, a 1 us switch interval, 40 bands per block
+        # and four callers sharing one pool: every block is the serial one bitwise
+        geom = make_geom(num_y=201, num_z=101)
+        monkeypatch.setenv("XLMIMO_THREADS", "1")
+        serial = _response_block(geom, self.USERS, "pnusw").tobytes()
+        monkeypatch.setenv("XLMIMO_THREADS", "8")
+        monkeypatch.setattr(ch, "_BAND_ENTRIES", 2**10)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            started = time.perf_counter()
+            with ThreadPoolExecutor(4) as callers:
+                builds = list(
+                    callers.map(
+                        lambda _: _response_block(geom, self.USERS, "pnusw").tobytes(), range(16)
+                    )
+                )
+            assert time.perf_counter() - started < 60.0
+        finally:
+            sys.setswitchinterval(interval)
+        assert builds == [serial] * 16
+
+    @pytest.mark.parametrize("threads", ["1", "3"])
     @pytest.mark.filterwarnings("ignore::xlmimo.geometry.NearArrayWarning")
-    def test_a_user_on_an_element_in_a_later_band_is_degenerate(self):
+    def test_a_user_on_an_element_in_a_later_band_is_degenerate(self, monkeypatch, threads):
         # the last user sits on element (m_y, m_z) = (1, 0): t = 0 exactly, in row
-        # 2 x 101 + 50, past the first band's 163 rows
+        # 2 x 101 + 50, past the first band's 152 rows
+        monkeypatch.setenv("XLMIMO_THREADS", threads)
         geom = make_geom(num_y=201, num_z=101)
         on_element = UserLocation(geom.spacing, math.pi / 2, math.pi / 2)
         assert (2 * geom.num_z + 50) * geom.num_y > ch._BAND_ENTRIES
         with pytest.raises(DegenerateGeometryError, match="coincident"):
             _response_block(geom, self.USERS + [on_element], "pnusw")
+
+    def test_pool_threads_raise_no_numpy_warnings(self, monkeypatch):
+        # at r = 1e308 the phase overflows to inf, so both bands meet cos(inf) on
+        # pool threads; the block is rejected as non-finite, with no RuntimeWarning
+        monkeypatch.setenv("XLMIMO_THREADS", "2")
+        geom = make_geom(num_y=201, num_z=201)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateChannelError, match="finite"):
+                _response_block(geom, [UserLocation(1e308, 1.2, 0.3)], "pnusw")
+
+    def test_a_build_has_no_more_bands_in_flight_than_it_has_bands(self, monkeypatch):
+        # XLMIMO_THREADS unset on 64 cores: a one-band block stays on the calling
+        # thread, and a three-band block holds at most three bands' temporaries
+        monkeypatch.delenv("XLMIMO_THREADS", raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
+        pools = []
+
+        def build_pool(threads):
+            pools.append(ThreadPoolExecutor(threads))
+            return pools[-1]
+
+        monkeypatch.setattr(ch, "_build_pool", build_pool)
+        _response_block(make_geom(num_y=100, num_z=100), self.USERS, "pnusw")
+        assert pools == []
+        geom = make_geom(num_y=201, num_z=201)
+        assert 2 * ch._BAND_ENTRIES < len(self.USERS) * geom.num_elements <= 3 * ch._BAND_ENTRIES
+        _response_block(geom, self.USERS, "pnusw")
+        pools[0].shutdown()
+        assert len(pools) == 1 and pools[0]._max_workers == 64
+        assert 1 <= len(pools[0]._threads) <= 3
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_forked_child_builds_on_threads_of_its_own(self, run_python):
+        # the parent's build threads do not exist in a forked child; the child must
+        # start its own instead of queueing bands for none (alarm: a hang is a failure)
+        script = """if True:
+            import os, signal, sys
+            os.environ["XLMIMO_THREADS"] = "2"
+            import xlmimo.cli as cli
+            from xlmimo.channel import _response_block
+            cfg = cli.parse_config(experiment="snr-loss-heatmap", overrides=[])
+            users = cfg.users * 2
+            before = _response_block(cfg.geometry, users, "pnusw").tobytes()
+            pid = os.fork()
+            if pid == 0:
+                signal.alarm(20)
+                same = _response_block(cfg.geometry, users, "pnusw").tobytes() == before
+                os._exit(0 if same else 1)
+            sys.exit(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+        """
+        proc = run_python(["-c", script], timeout=60.0)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestUpwResponse:

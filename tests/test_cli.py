@@ -228,19 +228,21 @@ class TestRun:
         lines = out.read_text().splitlines()
         assert lines[1] == "-5.0,0.0,,"
 
-    def test_sidecar_records_the_worker_count(self, tmp_path, monkeypatch):
-        # the pool size goes to the sidecar only, so the CSV stays byte-identical
+    def test_sidecar_records_the_thread_cap(self, tmp_path, monkeypatch):
+        # the build threads go to the sidecar only, so the CSV stays byte-identical
         cfg = parse_config(experiment="snr-loss-heatmap", overrides=SMALL["snr-loss-heatmap"])
         tables = {}
-        for threads, workers in (("1", 1), ("4", 4), ("9", 6)):  # the map has 6 cells
-            monkeypatch.setenv("XLMIMO_THREADS", threads)
+        for threads, cap in ((None, len(os.sched_getaffinity(0))), ("1", 1), ("4", 4)):
+            if threads is None:
+                monkeypatch.delenv("XLMIMO_THREADS", raising=False)
+            else:
+                monkeypatch.setenv("XLMIMO_THREADS", threads)
             out = tmp_path / f"map{threads}.csv"
             run(cfg, str(out))
-            assert json.loads((tmp_path / f"map{threads}.json").read_text())["run"]["workers"] == workers
+            sidecar = json.loads((tmp_path / f"map{threads}.json").read_text())
+            assert sidecar["run"]["threads"] == cap
             tables[threads] = out.read_bytes()
-        assert tables["1"] == tables["4"] == tables["9"]
-        run(parse_config(experiment="corr-vs-m", overrides=SMALL_CORR), str(tmp_path / "c.csv"))
-        assert json.loads((tmp_path / "c.json").read_text())["run"]["workers"] == 1
+        assert tables[None] == tables["1"] == tables["4"]
 
     def test_no_temp_files_left_behind(self, tmp_path):
         cfg = parse_config(experiment="corr-vs-m", overrides=SMALL_CORR)
@@ -513,17 +515,18 @@ def test_csv_is_byte_identical_across_blas_threads(run_python, tmp_path, experim
 
 
 @pytest.mark.parametrize(
-    "experiment, overrides, items",
+    "experiment, overrides",
     [
-        ("sumrate-vs-m", ["sweep.sides=[10,40]", "sweep.n_drops=5"], 5),
-        ("corr-vs-dist", ["geometry.num_y=40", "geometry.num_z=40", "sweep.separation_stop=20"], 21),
-        ("snr-loss-heatmap", ["geometry.num_y=40", "geometry.num_z=40"], 121),
+        ("sumrate-vs-m", ["sweep.sides=[10,100]", "sweep.n_drops=3"]),
+        ("corr-vs-dist", ["sweep.separation_stop=20"]),
+        ("snr-loss-heatmap", []),
     ],
 )
-def test_csv_is_byte_identical_for_the_default_and_one_worker(
-    run_python, tmp_path, monkeypatch, experiment, overrides, items
+def test_csv_is_byte_identical_for_the_default_and_one_thread(
+    run_python, tmp_path, monkeypatch, experiment, overrides
 ):
-    tables, workers = [], []
+    # every largest block here spans at least two bands, so the default builds on threads
+    tables, caps = [], []
     for threads in (None, "1"):
         if threads is None:
             monkeypatch.delenv("XLMIMO_THREADS", raising=False)
@@ -536,9 +539,9 @@ def test_csv_is_byte_identical_for_the_default_and_one_worker(
         proc = run_python(args)
         assert proc.returncode == 0, proc.stderr
         tables.append(out.read_bytes())
-        workers.append(json.loads(out.with_suffix(".json").read_text())["run"]["workers"])
+        caps.append(json.loads(out.with_suffix(".json").read_text())["run"]["threads"])
     assert tables[0] == tables[1]
-    assert workers == [min(len(os.sched_getaffinity(0)), items), 1]
+    assert caps == [len(os.sched_getaffinity(0)), 1]
 
 
 def test_collinear_plane_wave_users_at_extreme_snr_are_one_numerical_error(run_python, tmp_path):
