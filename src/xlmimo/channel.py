@@ -24,8 +24,14 @@ users' vectors as rho = |G_12|^2 / (G_11 G_22) (correlation).  Under the
 plane-wave model the Gram matrix of any users has a closed form in signed
 Dirichlet kernels of the direction-cosine differences (_upw_gram), with the
 removable singularities filled in by their limits, so no plane-wave
-response is built for it; _pair_gram gives one fixed user's Gram with any
-other under either model.
+response is built for it.  _pair_gram gives the stack of one fixed user's
+Grams with many others under either model; under the spherical-wave model it
+builds the fixed user once and streams every other user band by band over the
+build threads, so no other user's response is ever held whole.
+
+The spherical-wave entries have one band kernel (_pnusw_band), which both
+the response builder and the pair-Gram stream call.  XLMIMO_THREADS
+(thread_count) caps the build threads; no result depends on it.
 """
 
 from __future__ import annotations
@@ -33,6 +39,7 @@ from __future__ import annotations
 import math
 import os
 import threading
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -40,7 +47,7 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateChannelError, DegenerateGeometryError
 from .geometry import ArrayGeometry, UserLocation, _warn_if_near, element_distance
-from .numerics import cdot, vector_power
+from .numerics import cdot, vector_power  # noqa: F401  (cdot: importable from here as before)
 
 PNUSW = "pnusw"
 UPW = "upw"
@@ -48,7 +55,7 @@ VALID_MODELS = (PNUSW, UPW)
 
 THREADS_ENV = "XLMIMO_THREADS"
 
-# Most entries per band of a spherical-wave build (_response_block).
+# Most entries per band of a spherical-wave build (_response_block, _pair_gram).
 _BAND_ENTRIES = 2**15
 
 # Build threads, one pool per thread cap, kept for the life of the process:
@@ -60,15 +67,18 @@ os.register_at_fork(after_in_child=_pools.clear)
 
 
 def thread_count() -> int:
-    """Threads one spherical-wave build may use: XLMIMO_THREADS, else the usable cores."""
+    """Threads for spherical-wave builds: XLMIMO_THREADS (a positive integer), else the usable cores."""
     text = os.environ.get(THREADS_ENV)
     if text is None:
         affinity = getattr(os, "sched_getaffinity", None)
         return len(affinity(0)) if affinity else os.cpu_count() or 1
     try:
-        return max(1, int(text))
+        threads = int(text)
     except ValueError:
-        raise ConfigError(f"{THREADS_ENV} must be an integer, got {text!r}") from None
+        threads = 0
+    if threads < 1:
+        raise ConfigError(f"{THREADS_ENV} must be a positive integer, got {text!r}")
+    return threads
 
 
 def _build_pool(threads: int) -> ThreadPoolExecutor:
@@ -111,79 +121,143 @@ def pnusw_gain(geom: ArrayGeometry, loc: UserLocation, m_y: float, m_z: float) -
     return scale * (loc.r / dist) ** 3
 
 
+def _coordinates(users) -> np.ndarray:
+    """The (4, K) array of users' (r, u_x, u_y, u_z)."""
+    params = np.array([(loc.r, loc.u_x, loc.u_y, loc.u_z) for loc in users], dtype=float)
+    return params.reshape(-1, 4).T
+
+
+def _pnusw_terms(geom: ArrayGeometry, r, u_x, u_y, u_z):
+    """Per-user terms of the pnusw entries, from (K, 1) coordinate columns.
+
+    With e = spacing / r and f(m) = m^2 e^2 - 2 e u m per axis, returns f_y
+    (K, N_y), 1 + f_z (K, N_z), and the (K, 1) columns sqrt(scale) and
+    -2 pi r / wavelength; the radicand t = (1 + f_z) + f_y of an entry is its
+    squared distance over r^2.
+    """
+    m_y, m_z = geom.indices_y(), geom.indices_z()
+    # overflow here leaves a non-finite entry, which the callers report
+    with np.errstate(all="ignore"):
+        e = geom.spacing / r
+        f_y = (m_y * m_y) * (e * e) - (2.0 * e * u_y) * m_y
+        f_z = 1.0 + ((m_z * m_z) * (e * e) - (2.0 * e * u_z) * m_z)
+        root_scale = np.sqrt(geom.occupation_ratio * e * e * u_x / (4.0 * math.pi))
+        wave = -2.0 * math.pi / geom.wavelength * r
+    return f_y, f_z, root_scale, wave
+
+
+def _warn_if_any_near(geom: ArrayGeometry, r) -> None:
+    """Warn NearArrayWarning once if any of the ranges r is near the array."""
+    with np.errstate(all="ignore"):
+        _warn_if_near(float((geom.spacing / r).max(initial=0.0)))
+
+
+def _pnusw_band(t, f_z, root_scale, wave, out) -> np.ndarray:
+    """Build a band of pnusw rows into out and return their amplitudes.
+
+    t holds each row's f_y and is overwritten; f_z, root_scale and wave are
+    the rows' columns of _pnusw_terms, (rows, 1) or one (1, 1).  An entry is
+    sqrt(scale) / (s sqrt(s)) * exp(-j 2 pi r s / wavelength) with s = sqrt(t),
+    and its amplitude is the real factor.  A radicand t <= 0 (a user on an
+    element) raises DegenerateGeometryError.  Safe on a pool thread: it calls
+    only numpy, and errstate is per thread.
+    """
+    with np.errstate(all="ignore"):
+        t += f_z
+        if t.min() <= 0.0:
+            raise DegenerateGeometryError("a user is numerically coincident with an array element")
+        np.sqrt(t, out=t)
+        amp = np.sqrt(t)
+        amp *= t
+        np.divide(root_scale, amp, out=amp)
+        t *= wave
+        np.cos(t, out=out.real)
+        np.sin(t, out=out.imag)
+        out.real *= amp
+        out.imag *= amp
+    return amp
+
+
+def _band_step(num_rows: int, row_len: int) -> int:
+    """Rows per band when num_rows rows of row_len entries are cut into equal bands
+    of at most about _BAND_ENTRIES entries (at least one row)."""
+    bands = max(1, -(-num_rows * row_len // _BAND_ENTRIES))
+    return max(1, -(-num_rows // bands))
+
+
+def _map_bands(fn, jobs, count: int):
+    """fn(*job) for each of the count jobs, yielded in job order.
+
+    With one thread (thread_count()) or one job, every job runs on the calling
+    thread.  Otherwise the jobs go to the kept build pool, at most 2 threads
+    jobs in flight, so at most min(threads, count) pool threads start.  fn
+    must call no public function of the package (the benchmark tracer wraps
+    those, and keeps one root span per calling thread).  When a job raises,
+    its error is raised here, in job order, and the queued jobs are cancelled.
+    """
+    threads = thread_count()
+    if threads == 1 or count <= 1:
+        for job in jobs:
+            yield fn(*job)
+        return
+    pool = _build_pool(threads)
+    pending: deque = deque()
+    try:
+        for job in jobs:
+            pending.append(pool.submit(fn, *job))
+            if len(pending) >= 2 * threads:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        for future in pending:
+            future.cancel()
+
+
 def _response_block(
     geom: ArrayGeometry, users, model: str, cfg: UpwConfig | None = None
 ) -> np.ndarray:
     """Responses of K users as one (K, N_z, N_y) array, built in one broadcast pass.
 
-    pnusw: with e = spacing / r and f(m) = m^2 e^2 - 2 e u m per axis, t = (1 + f_z) + f_y
-    is the squared distance over r^2 and, with s = sqrt(t), an entry is
-    sqrt(scale) / (s sqrt(s)) * exp(-j 2 pi r s / wavelength).  upw: an entry is
-    (common * e^{j c u_z m_z}) * e^{j c u_y m_y} with c = 2 pi spacing / wavelength.
-    Entries depend only on the user and their own (m_y, m_z), so the centered sub-grid
-    of a larger same-parity array is bitwise a direct build.  pnusw cuts the rows
-    (user, m_z) into equal bands of at most about _BAND_ENTRIES entries and builds
-    them into out on up to thread_count() threads, at most one per band; besides its
-    output a build holds two band-sized temporaries per thread, and every entry is
-    the same for any thread count.  A radicand t <= 0 (a user on an element) raises
-    DegenerateGeometryError.  A non-finite entry raises DegenerateChannelError.
+    pnusw: an entry is _pnusw_band's, from the terms of _pnusw_terms.  upw: an
+    entry is (common * e^{j c u_z m_z}) * e^{j c u_y m_y} with
+    c = 2 pi spacing / wavelength.  Entries depend only on the user and their
+    own (m_y, m_z), so the centered sub-grid of a larger same-parity array is
+    bitwise a direct build.  pnusw cuts the rows (user, m_z) into equal bands
+    of at most about _BAND_ENTRIES entries and builds them into out through
+    _map_bands, on up to thread_count() threads, at most one per band; besides
+    its output a build holds two band-sized temporaries per thread, and every
+    entry is the same for any thread count.  A radicand t <= 0 (a user on an
+    element) raises DegenerateGeometryError.  A non-finite entry raises
+    DegenerateChannelError.
     """
     if model not in VALID_MODELS:
         raise ValueError(f"unknown channel model {model!r}")
-    params = np.array([(loc.r, loc.u_x, loc.u_y, loc.u_z) for loc in users], dtype=float)
-    r, u_x, u_y, u_z = params.reshape(-1, 4).T[:, :, None]  # K x 1 columns
-    m_y, m_z = geom.indices_y(), geom.indices_z()
+    r, u_x, u_y, u_z = _coordinates(users)[:, :, None]  # K x 1 columns
     out = np.empty((len(r), geom.num_z, geom.num_y), dtype=complex)
     if model == UPW:
+        m_y, m_z = geom.indices_y(), geom.indices_z()
         beta0 = (cfg or UpwConfig.matched_to(geom)).beta0
         c = 2.0 * math.pi * geom.spacing / geom.wavelength
         common = (math.sqrt(beta0) / r) * np.exp(-2j * math.pi * r / geom.wavelength)
         along_z = common * np.exp(1j * ((c * u_z) * m_z))
         np.multiply(along_z[:, :, None], np.exp(1j * ((c * u_y) * m_y))[:, None, :], out=out)
     else:
-        # overflow here leaves a non-finite entry, which the check below reports
-        with np.errstate(all="ignore"):
-            e = geom.spacing / r
-            _warn_if_near(float(e.max(initial=0.0)))
-            f_y = (m_y * m_y) * (e * e) - (2.0 * e * u_y) * m_y
-            f_z = 1.0 + ((m_z * m_z) * (e * e) - (2.0 * e * u_z) * m_z)
-            scale = geom.occupation_ratio * e * e * u_x / (4.0 * math.pi)
-            # one row of N_y entries per (user, m_z), built band by band into out
-            user = np.repeat(np.arange(len(r)), geom.num_z)
-            f_z = f_z.reshape(-1, 1)
-            root_scale = np.sqrt(scale)[user]
-            wave = (-2.0 * math.pi / geom.wavelength * r)[user]
+        _warn_if_any_near(geom, r)
+        f_y, f_z, root_scale, wave = _pnusw_terms(geom, r, u_x, u_y, u_z)
+        # one row of N_y entries per (user, m_z), built band by band into out
+        user = np.repeat(np.arange(len(r)), geom.num_z)
+        f_z, root_scale, wave = f_z.reshape(-1, 1), root_scale[user], wave[user]
         rows = out.reshape(-1, geom.num_y)
-        bands = max(1, -(-out.size // _BAND_ENTRIES))
-        step = max(1, -(-len(rows) // bands))
+        step = _band_step(len(rows), geom.num_y)
+        starts = range(0, len(rows), step)
 
         def build(lo: int) -> None:
             band = slice(lo, lo + step)
-            with np.errstate(all="ignore"):  # errstate is per thread
-                s = f_y[user[band]]
-                s += f_z[band]
-                if s.min() <= 0.0:
-                    raise DegenerateGeometryError(
-                        "a user is numerically coincident with an array element"
-                    )
-                np.sqrt(s, out=s)
-                amp = np.sqrt(s)
-                amp *= s
-                np.divide(root_scale[band], amp, out=amp)
-                s *= wave[band]
-                part = rows[band]
-                np.cos(s, out=part.real)
-                np.sin(s, out=part.imag)
-                part.real *= amp
-                part.imag *= amp
+            _pnusw_band(f_y[user[band]], f_z[band], root_scale[band], wave[band], rows[band])
 
-        starts = range(0, len(rows), step)
-        threads = thread_count()
-        if threads == 1 or len(starts) == 1:
-            for lo in starts:
-                build(lo)
-        else:  # a pool thread takes one band at a time
-            list(_build_pool(threads).map(build, starts))
+        for _ in _map_bands(build, ((lo,) for lo in starts), len(starts)):
+            pass
     if not np.isfinite(out).all():
         raise DegenerateChannelError("channel entries must be finite")
     return out
@@ -238,12 +312,6 @@ def _upw_gram(geoms, users, cfg: UpwConfig | None = None) -> np.ndarray:
     return g[0] if isinstance(geoms, ArrayGeometry) else g
 
 
-def _upw_params(users):
-    """The (r, u_y, u_z) columns of users' coordinates."""
-    params = np.array([(loc.r, loc.u_y, loc.u_z) for loc in users], dtype=float)
-    return params.reshape(-1, 3).T
-
-
 def _upw_sizes(stack):
     """(num_y, num_z, num_elements), each an (n, 1, 1) array over the geometries of stack."""
     return np.array([(g.num_y, g.num_z, g.num_elements) for g in stack]).T[:, :, None, None]
@@ -251,7 +319,7 @@ def _upw_sizes(stack):
 
 def _upw_powers(stack, users, beta0: float) -> np.ndarray:
     """(n, K) plane-wave powers M beta0 / r^2; one that is 0 or not finite raises."""
-    r = _upw_params(users)[0]
+    r = _coordinates(users)[0]
     with np.errstate(over="ignore"):
         powers = _upw_sizes(stack)[2][:, 0] * beta0 / r / r
     if not np.all((powers > 0.0) & (powers < math.inf)):
@@ -266,7 +334,7 @@ def _upw_entries(stack, rows, cols, beta0: float) -> np.ndarray:
     pair of users and geometry.
     """
     num_y, num_z, _ = _upw_sizes(stack)
-    (r_k, u_yk, u_zk), (r_i, u_yi, u_zi) = _upw_params(rows), _upw_params(cols)
+    (r_k, _, u_yk, u_zk), (r_i, _, u_yi, u_zi) = _coordinates(rows), _coordinates(cols)
     geom = stack[0]
     d_norm = geom.spacing / geom.wavelength
     root_beta0 = math.sqrt(beta0)
@@ -277,42 +345,82 @@ def _upw_entries(stack, rows, cols, beta0: float) -> np.ndarray:
     ) * np.exp(-2j * math.pi * (cycles_i[None, :] - cycles_k[:, None]))
 
 
+def _pair_band(f_y, f_z, root_scale, wave, a1_conj):
+    """Per-row partials (G_12, |a_2|^2) of a band of user 2's rows against user 1's.
+
+    f_y is user 2's (1, N_y) row term and f_z, root_scale and wave the band's
+    columns (_pnusw_terms); a1_conj is the conjugate of user 1's matching
+    (rows, N_y) rows.  Each partial is a numpy pairwise sum over its own row,
+    so it does not depend on how the rows are cut into bands.  A non-finite
+    partial raises DegenerateChannelError: user 1's entries are finite, so a
+    non-finite entry of user 2 leaves its row's G_12 (NaN) or power (inf)
+    non-finite.
+    """
+    a2 = np.empty_like(a1_conj)
+    amp = _pnusw_band(np.repeat(f_y, len(a2), axis=0), f_z, root_scale, wave, a2)
+    a2 *= a1_conj
+    amp *= amp
+    inner, power = a2.sum(axis=1), amp.sum(axis=1)
+    if not (np.isfinite(inner).all() and np.isfinite(power).all()):
+        raise DegenerateChannelError("channel entries must be finite")
+    return inner, power
+
+
 def _pair_gram(
     geom: ArrayGeometry, loc1: UserLocation, others, model: str, cfg: UpwConfig | None = None
-):
-    """The function from j to the 2 x 2 Gram matrix of (user 1, others[j]) on geom.
+) -> np.ndarray:
+    """The (n, 2, 2) stack of the Gram matrices of (user 1, others[j]) on geom.
 
-    upw builds nothing: every pair's Gram is read here, in one broadcast of
-    _upw_gram's formula over user 1 and all of others, and each is bitwise
-    the G_11, G_12 and G_22 of _upw_gram on that pair alone.  pnusw builds
-    user 1's response once, here, and each call builds others[j]'s and takes
-    the entries as pairwise sums (cdot, vector_power): for one pair that is
-    faster than a BLAS product of the stacked M x 2 matrix.  User 1's channel
-    is checked here (upw: every user's); a zero or non-finite power raises
-    DegenerateChannelError.
+    upw builds nothing: the stack is one broadcast of _upw_gram's formula
+    over user 1 and all of others, and each matrix is bitwise the G_11, G_12
+    and G_22 of _upw_gram on that pair alone.  pnusw builds user 1's response
+    once (_response_block) and streams every user 2 of the sweep through
+    _map_bands, one job per (cell, band of user 2's rows): a job builds its
+    band (_pnusw_band, at most about _BAND_ENTRIES entries) against user 1's
+    matching rows and returns per-row partials of G_12 and |a_2|^2
+    (_pair_band).  The calling thread sums each cell's partials in row order,
+    so every matrix is the same for any thread count and band size, and no
+    user 2 is ever held whole.  The first failing cell raises: a user on an
+    element DegenerateGeometryError, a non-finite entry DegenerateChannelError.
+    User 1's channel is checked here (upw: every user's); a zero or non-finite
+    power raises DegenerateChannelError.
     """
     others = list(others)
+    grams = np.empty((len(others), 2, 2), dtype=complex)
     if model == UPW:
         beta0 = (cfg or UpwConfig.matched_to(geom)).beta0
         powers = _upw_powers([geom], [loc1, *others], beta0)[0]
         inner = _upw_entries([geom], [loc1], others, beta0)[0, 0]
-        grams = np.empty((len(others), 2, 2), dtype=complex)
         grams[:, 0, 0] = powers[0]
         grams[:, 0, 1] = inner
         grams[:, 1, 0] = inner.conjugate()
         grams[:, 1, 1] = powers[1:]
-        return grams.__getitem__
-    a1 = _response_block(geom, (loc1,), model).reshape(-1)
-    power1 = vector_power(a1)
+        return grams
+    a1 = _response_block(geom, (loc1,), model)[0]
+    power1 = vector_power(a1.reshape(-1))
     if not 0.0 < power1 < math.inf:
         raise DegenerateChannelError("a user has a zero or non-finite channel")
+    a1_conj = np.conjugate(a1, out=a1)
+    coordinates = _coordinates(others)
+    _warn_if_any_near(geom, coordinates[0])
+    step = _band_step(geom.num_z, geom.num_y)
+    starts = range(0, geom.num_z, step)
 
-    def pair(j: int) -> np.ndarray:
-        a2 = _response_block(geom, (others[j],), model).reshape(-1)
-        inner = cdot(a1, a2)
-        return np.array([[power1, inner], [inner.conjugate(), vector_power(a2)]])
+    def jobs():
+        for user in coordinates.T:
+            f_y, f_z, root_scale, wave = _pnusw_terms(geom, *user[:, None, None])
+            for lo in starts:
+                band = slice(lo, lo + step)
+                yield f_y, f_z[0, band, None], root_scale, wave, a1_conj[band]
 
-    return pair
+    parts = _map_bands(_pair_band, jobs(), len(others) * len(starts))
+    inner, power = np.empty(geom.num_z, dtype=complex), np.empty(geom.num_z)
+    for gram in grams:
+        for lo in starts:
+            inner[lo:lo + step], power[lo:lo + step] = next(parts)
+        g12 = inner.sum()
+        gram[...] = [[power1, g12], [g12.conjugate(), power.sum()]]
+    return grams
 
 
 def correlation(g) -> float:

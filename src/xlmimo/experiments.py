@@ -12,18 +12,19 @@ the plane-wave Gram is the paper's Dirichlet-kernel closed form and builds
 nothing, and the spherical-wave model builds the largest array once and
 sums each nested array's Gram ring by ring, so every element is read once.
 The two sweeps that move user 2 against a fixed user 1 (correlation versus
-distance and the SNR-loss map) read each cell's 2 x 2 Gram from
-channel._pair_gram, which builds user 1 once and no plane-wave response
-(every cell's plane-wave Gram comes from one closed-form broadcast made
-before the first cell).  Every correlation is channel.correlation of a Gram.
+distance and the SNR-loss map) index each cell's 2 x 2 Gram in one (n, 2, 2)
+stack per model from channel._pair_gram, made before the first row: the
+plane-wave stack is one closed-form broadcast, and the spherical-wave stack
+builds user 1 once and streams every user 2 band by band.  Every
+correlation is channel.correlation of a Gram.
 
 A sweep runs its points in order on the calling thread.  The work that
 dominates the random drops and the fixed-user cells, the spherical-wave
-response build, spreads its bands over the usable cores (the process's CPU
-affinity), capped by XLMIMO_THREADS (channel.thread_count).  Per-drop
-random streams derive from (seed, drop index), and every build entry is the
-same for any thread count, so every table is bit-identical for any
-XLMIMO_THREADS.
+bands, runs on the usable cores (the process's CPU affinity), capped by
+XLMIMO_THREADS (channel.thread_count).  Per-drop random streams derive from
+(seed, drop index), every build entry is the same for any thread count, and
+a streamed Gram sums its per-row partials in row order on the calling
+thread, so every table is bit-identical for any XLMIMO_THREADS.
 """
 
 from __future__ import annotations
@@ -210,10 +211,10 @@ def sweep_correlation_vs_distance(
     theta2, phi2 = direction2
     separations = sorted(float(s) for s in separations)
     others = [UserLocation(r=loc1.r + sep, theta=theta2, phi=phi2) for sep in separations]
-    pairs = [ch._pair_gram(geom, loc1, others, model, upw_cfg) for model in models]
+    grams = [ch._pair_gram(geom, loc1, others, model, upw_cfg) for model in models]
 
     rows = [
-        (sep, loc2.r) + tuple(ch.correlation(pair(j)) for pair in pairs)
+        (sep, loc2.r) + tuple(ch.correlation(g[j]) for g in grams)
         for j, (sep, loc2) in enumerate(zip(separations, others))
     ]
     return SweepResult(
@@ -269,9 +270,9 @@ def heatmap_snr_loss(
     Every cell reads the paper's two-user closed form alpha = q2 rho / (1 + q2),
     with q2 = p2 |a_2|^2 and rho the correlation of the two users' channels,
     both from the cell's 2 x 2 Gram (channel._pair_gram), so no cell factors
-    or solves anything.  pnusw builds user 2's response and user 1's once;
-    upw builds nothing.  A channel whose power is 0 or not finite raises
-    DegenerateChannelError.
+    or solves anything.  pnusw builds user 1's response once and streams
+    user 2's band by band; upw builds nothing.  A channel whose power is 0 or
+    not finite raises DegenerateChannelError.
 
     Grid points with x <= 0 (outside the front half space) are emitted as
     missing values.  Long-form rows: (x, y, one loss factor per model).
@@ -287,13 +288,13 @@ def heatmap_snr_loss(
     behind = sum(x <= 0.0 for x, _ in cells)  # a prefix: x is sorted and outer
     front = cells[behind:]
     others = [cartesian_to_spherical(Vector3(x, y, 0.0)) for x, y in front]
-    pairs = [ch._pair_gram(geom, loc1, others, model, upw_cfg) for model in models]
+    grams = [ch._pair_gram(geom, loc1, others, model, upw_cfg) for model in models]
 
     def loss(g: np.ndarray) -> float:
         return _mmse_loss(p2 * float(g[1, 1].real), ch.correlation(g))
 
     rows = [cell + (None,) * len(models) for cell in cells[:behind]]
-    rows += [cell + tuple(loss(pair(j)) for pair in pairs) for j, cell in enumerate(front)]
+    rows += [cell + tuple(loss(g[j]) for g in grams) for j, cell in enumerate(front)]
     return SweepResult(
         columns=["x_m", "y_m"] + [f"{model}_mmse_alpha_linear" for model in models],
         rows=rows,

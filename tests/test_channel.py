@@ -4,7 +4,9 @@ import cmath
 import math
 import os
 import sys
+import threading
 import time
+import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
@@ -25,7 +27,8 @@ from xlmimo.channel import (
     pnusw_gain,
 )
 from xlmimo.beamforming import evaluate_scenario, response_matrix
-from xlmimo.numerics import cdot, gram, vector_power
+from xlmimo.experiments import sweep_correlation_vs_distance
+from xlmimo.numerics import cdot, compensated_sum, gram, vector_power
 from xlmimo.errors import DegenerateChannelError, DegenerateGeometryError
 from xlmimo.geometry import (
     ArrayGeometry,
@@ -347,6 +350,124 @@ class TestBandedPnuswBuild:
         assert proc.returncode == 0, proc.stderr
 
 
+class TestStreamedPairGrams:
+    """The spherical-wave pair Grams stream every user 2 band by band, one job per
+    (cell, band), and sum each cell's per-row partials on the calling thread."""
+
+    LOC1 = UserLocation(40.0, 1.3, 0.2)
+
+    @staticmethod
+    def fsum_gram(geom, loc1, loc2):
+        """Exactly rounded G_11, G_12, G_22 of a dense two-user build."""
+        a1, a2 = response_matrix(geom, [loc1, loc2], "pnusw").T
+        product = np.conj(a1) * a2
+        return (
+            compensated_sum(a1.real**2 + a1.imag**2),
+            complex(compensated_sum(product.real), compensated_sum(product.imag)),
+            compensated_sum(a2.real**2 + a2.imag**2),
+        )
+
+    @pytest.mark.parametrize("num_y, num_z", [(7, 13), (200, 200), (4, 10_001)])
+    def test_matches_exactly_rounded_sums_of_a_dense_build(self, num_y, num_z):
+        # G_12 is held to 1e-13 of sqrt(G_11 G_22), its Cauchy-Schwarz bound, since
+        # a nearly orthogonal pair has a tiny G_12 that no pairwise sum fixes relatively
+        geom = make_geom(num_y=num_y, num_z=num_z)
+        others = random_users(np.random.default_rng(num_y), 4) + [self.LOC1]
+        grams = _pair_gram(geom, self.LOC1, others, "pnusw")
+        assert grams.shape == (len(others), 2, 2)
+        for g, loc2 in zip(grams, others):
+            g11, g12, g22 = self.fsum_gram(geom, self.LOC1, loc2)
+            assert g[0, 0] == pytest.approx(g11, rel=1e-13, abs=0.0)
+            assert g[1, 1] == pytest.approx(g22, rel=1e-13, abs=0.0)
+            assert abs(g[0, 1] - g12) <= 1e-13 * math.sqrt(g11 * g22)
+            assert g[1, 0] == g[0, 1].conjugate()
+
+    def test_bitwise_the_same_for_any_thread_count_and_band_size(self, monkeypatch):
+        # at the default band size a band boundary falls inside every user 2's
+        # rows: 2 bands of 101 rows at 201 x 201, 2 of 5 001 rows at 4 x 10 001
+        others = random_users(np.random.default_rng(5), 3)
+        for geom in (make_geom(num_y=201, num_z=201), make_geom(num_y=4, num_z=10_001)):
+            assert ch._band_step(geom.num_z, geom.num_y) < geom.num_z
+            grams = []
+            for band_entries in (ch._BAND_ENTRIES, 1, 2**62):  # as built, one row, one band
+                monkeypatch.setattr(ch, "_BAND_ENTRIES", band_entries)
+                for threads in ("1", "3", "8"):
+                    monkeypatch.setenv("XLMIMO_THREADS", threads)
+                    grams.append(_pair_gram(geom, self.LOC1, others, "pnusw").tobytes())
+                monkeypatch.undo()
+            assert len(set(grams)) == 1
+
+    @pytest.mark.parametrize("threads", ["1", "3"])
+    def test_the_first_failing_cell_raises(self, monkeypatch, threads):
+        # a user on element (1, 0), and one at r = 1e308 (phase inf, entries NaN)
+        # whose jobs are held back 50 ms: with 3 threads both cells are in flight
+        # at once, and the earlier cell's error wins, not the first one to arrive
+        monkeypatch.setenv("XLMIMO_THREADS", threads)
+        band = ch._pair_band
+
+        def slow_far_band(f_y, f_z, root_scale, wave, a1_conj):
+            if np.isinf(wave).any():
+                time.sleep(0.05)
+            return band(f_y, f_z, root_scale, wave, a1_conj)
+
+        monkeypatch.setattr(ch, "_pair_band", slow_far_band)
+        geom = make_geom(num_y=201, num_z=201)
+        on_element = UserLocation(geom.spacing, math.pi / 2, math.pi / 2)
+        far = UserLocation(1e308, 1.2, 0.3)
+        fine = UserLocation(60.0, 1.2, -0.3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            warnings.simplefilter("ignore", NearArrayWarning)  # the on-element user is near
+            with pytest.raises(DegenerateGeometryError, match="coincident"):
+                _pair_gram(geom, self.LOC1, [fine, on_element, far, fine], "pnusw")
+            with pytest.raises(DegenerateChannelError, match="finite"):
+                _pair_gram(geom, self.LOC1, [far, on_element, fine], "pnusw")
+
+    def test_memory_is_user_one_and_a_few_bands(self, monkeypatch):
+        # 50 cells at 200 x 200 on one thread: no cell may hold an M-sized array
+        # (user 2, or the products of a reduction over it) beside user 1's response
+        monkeypatch.setenv("XLMIMO_THREADS", "1")
+        geom = make_geom(num_y=200, num_z=200)
+        sweep = lambda: sweep_correlation_vs_distance(  # noqa: E731
+            geom, self.LOC1, (1.2, 0.3), range(50)
+        )
+        sweep()  # imports and first-call caches stay out of the peak
+        tracemalloc.start()
+        try:
+            sweep()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        user_one = 16 * geom.num_elements
+        band = 16 * ch._band_step(geom.num_z, geom.num_y) * geom.num_y
+        assert peak < user_one + 3 * band
+
+    @pytest.mark.parametrize("threads, cap", [(None, 64), ("3", 3)])
+    def test_no_more_build_threads_than_jobs(self, monkeypatch, threads, cap):
+        # 3 cells of 2 bands each (and user 1's 2 bands) on a fresh pool: at most
+        # min(cap, 6) threads start, however many cores there are
+        if threads is None:
+            monkeypatch.delenv("XLMIMO_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("XLMIMO_THREADS", threads)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
+        monkeypatch.setattr(ch, "_pools", {})
+        geom = make_geom(num_y=201, num_z=201)
+        jobs = 3 * -(-geom.num_z // ch._band_step(geom.num_z, geom.num_y))
+        before = {t.ident for t in threading.enumerate()}
+        try:
+            _pair_gram(geom, self.LOC1, random_users(np.random.default_rng(9), 3), "pnusw")
+            started = [
+                t for t in threading.enumerate()
+                if t.name.startswith("xlmimo-build") and t.ident not in before
+            ]
+        finally:
+            for pool in ch._pools.values():
+                pool.shutdown()
+        assert list(ch._pools) == [cap]
+        assert 1 <= len(started) <= min(cap, jobs) == min(cap, 6)
+
+
 class TestUpwResponse:
     def test_boresight_entries_are_identical(self):
         geom = make_geom(num_y=3, num_z=3)
@@ -635,9 +756,9 @@ class TestUpwGram:
         others += [UserLocation(70.0, loc1.theta, loc1.phi), UserLocation(3.0, 1.5, 0.9)]
         for geom in (make_geom(num_y=20, num_z=31), make_geom(7, 8, spacing=LAM)):
             for cfg in (None, UpwConfig(beta0=2.5e-4)):
-                pair = _pair_gram(geom, loc1, others, "upw", cfg)
+                grams = _pair_gram(geom, loc1, others, "upw", cfg)
                 for j, loc2 in enumerate(others):
-                    got, alone = pair(j), _upw_gram(geom, (loc1, loc2), cfg)
+                    got, alone = grams[j], _upw_gram(geom, (loc1, loc2), cfg)
                     read = ([0, 0, 1], [0, 1, 1])  # G_11, G_12, G_22
                     assert got[read].tobytes() == alone[read].tobytes()
                     assert got[1, 0] == got[0, 1].conjugate()

@@ -280,6 +280,20 @@ class TestMain:
         assert code == 1
         assert "config error: XLMIMO_THREADS" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("threads", ["0", "-4"])
+    def test_non_positive_thread_count_is_a_config_error(self, tmp_path, capsys, monkeypatch, threads):
+        # no value below 1 silently means one thread
+        monkeypatch.setenv("XLMIMO_THREADS", threads)
+        code = main([
+            "--experiment", "corr-vs-dist",
+            "--out", str(tmp_path / "x.csv"),
+            "--set", "geometry.num_y=4",
+            "--set", "sweep.separation_stop=2",
+        ])
+        assert code == 1
+        assert "config error: XLMIMO_THREADS must be a positive integer" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_numerical_error_exit_code(self, tmp_path, capsys):
         # a user pinned to the z axis has an exactly zero spherical channel
         code = main([

@@ -284,8 +284,9 @@ class TestCorrelationVsDistance:
         assert res.rows[-1][2] < res.rows[0][2]
 
     def test_fixed_user_sweeps_build_user_one_once_and_no_plane_wave_response(self, monkeypatch):
-        # both sweeps that move user 2 read upw Grams in closed form, and build
-        # the spherical-wave user 1 once and then one user 2 per cell
+        # both sweeps that move user 2 read upw Grams in closed form and build the
+        # spherical-wave user 1 once; every user 2 is streamed band by band, with
+        # no response block per cell
         built = []
         block = ch._response_block
 
@@ -298,11 +299,7 @@ class TestCorrelationVsDistance:
         loc1 = UserLocation(30.0, math.pi / 2, 0.0)
         sweep_correlation_vs_distance(geom, loc1, (1.2, 0.3), [1.0, 5.0, 9.0])
         heatmap_snr_loss(geom, loc1, [20.0, 40.0], [-5.0, 5.0], [PBAR, PBAR])
-        per_sweep = (built[:4], built[4:])
-        assert [len(builds) for builds in per_sweep] == [1 + 3, 1 + 4]
-        for builds in per_sweep:
-            assert builds[0] == ("pnusw", (loc1,))
-            assert all(model == "pnusw" and users != (loc1,) for model, users in builds[1:])
+        assert built == [("pnusw", (loc1,))] * 2
 
 
 class TestSinrVsM:
