@@ -29,8 +29,9 @@ Grams with many others under either model; under the spherical-wave model it
 builds the fixed user once and streams every other user band by band over the
 build threads, so no other user's response is ever held whole.
 
-The spherical-wave entries have one band kernel (_pnusw_band), which both
-the response builder and the pair-Gram stream call.  XLMIMO_THREADS
+Every spherical-wave job is one user, whose N_z rows one band walker
+(_pnusw_bands) builds band by band: the response builder runs one job per
+user and the pair-Gram stream one job per cell.  XLMIMO_THREADS
 (thread_count) caps the build threads; no result depends on it.
 """
 
@@ -54,8 +55,10 @@ UPW = "upw"
 VALID_MODELS = (PNUSW, UPW)
 
 THREADS_ENV = "XLMIMO_THREADS"
+# Most build threads: a pool starts one thread per job in flight, up to its cap.
+_MAX_THREADS = 256
 
-# Most entries per band of a spherical-wave build (_response_block, _pair_gram).
+# Most entries per band of a spherical-wave build (_pnusw_bands).
 _BAND_ENTRIES = 2**15
 
 # Build threads, one pool per thread cap, kept for the life of the process:
@@ -67,17 +70,19 @@ os.register_at_fork(after_in_child=_pools.clear)
 
 
 def thread_count() -> int:
-    """Threads for spherical-wave builds: XLMIMO_THREADS (a positive integer), else the usable cores."""
+    """Build threads: XLMIMO_THREADS (1 to 256), else the usable cores, at most 256."""
     text = os.environ.get(THREADS_ENV)
     if text is None:
         affinity = getattr(os, "sched_getaffinity", None)
-        return len(affinity(0)) if affinity else os.cpu_count() or 1
+        return min(len(affinity(0)) if affinity else os.cpu_count() or 1, _MAX_THREADS)
     try:
         threads = int(text)
     except ValueError:
         threads = 0
-    if threads < 1:
-        raise ConfigError(f"{THREADS_ENV} must be a positive integer, got {text!r}")
+    if not 1 <= threads <= _MAX_THREADS:
+        raise ConfigError(
+            f"{THREADS_ENV} must be a positive integer of at most {_MAX_THREADS}, got {text!r}"
+        )
     return threads
 
 
@@ -127,15 +132,32 @@ def _coordinates(users) -> np.ndarray:
     return params.reshape(-1, 4).T
 
 
-def _pnusw_terms(geom: ArrayGeometry, r, u_x, u_y, u_z):
-    """Per-user terms of the pnusw entries, from (K, 1) coordinate columns.
+def _warn_if_any_near(geom: ArrayGeometry, r) -> None:
+    """Warn NearArrayWarning once if any of the ranges r is near the array."""
+    with np.errstate(all="ignore"):
+        _warn_if_near(float((geom.spacing / r).max(initial=0.0)))
 
-    With e = spacing / r and f(m) = m^2 e^2 - 2 e u m per axis, returns f_y
-    (K, N_y), 1 + f_z (K, N_z), and the (K, 1) columns sqrt(scale) and
-    -2 pi r / wavelength; the radicand t = (1 + f_z) + f_y of an entry is its
-    squared distance over r^2.
+
+def _pnusw_bands(geom: ArrayGeometry, user, out=None):
+    """Build one user's pnusw rows band by band, yielding (band, rows, amplitudes).
+
+    user is the user's (r, u_x, u_y, u_z).  Its N_z rows of N_y entries (m_z
+    outer, m_y inner) are cut into equal bands of at most about _BAND_ENTRIES
+    entries (_band_step); band is a band's slice of the rows, rows its
+    entries and amplitudes their real factors.  With e = spacing / r and
+    f(m) = m^2 e^2 - 2 e u m per axis, an entry's radicand
+    t = (1 + f_z) + f_y is its squared distance over r^2, and the entry is
+    sqrt(scale) / (s sqrt(s)) * exp(-j 2 pi r s / wavelength) with s = sqrt(t).
+    The rows go to out[band] of an (N_z, N_y) out, else to one band buffer
+    that the next band overwrites, as it does the amplitudes.  A radicand
+    t <= 0 (a user on an element) raises DegenerateGeometryError.  Safe on a
+    pool thread: it calls only numpy, and errstate is per thread.
     """
+    r, u_x, u_y, u_z = user
     m_y, m_z = geom.indices_y(), geom.indices_z()
+    step = _band_step(geom.num_z, geom.num_y)
+    radicand, amplitudes = np.empty((2, step, geom.num_y))
+    buffer = np.empty((step, geom.num_y), dtype=complex) if out is None else None
     # overflow here leaves a non-finite entry, which the callers report
     with np.errstate(all="ignore"):
         e = geom.spacing / r
@@ -143,39 +165,27 @@ def _pnusw_terms(geom: ArrayGeometry, r, u_x, u_y, u_z):
         f_z = 1.0 + ((m_z * m_z) * (e * e) - (2.0 * e * u_z) * m_z)
         root_scale = np.sqrt(geom.occupation_ratio * e * e * u_x / (4.0 * math.pi))
         wave = -2.0 * math.pi / geom.wavelength * r
-    return f_y, f_z, root_scale, wave
-
-
-def _warn_if_any_near(geom: ArrayGeometry, r) -> None:
-    """Warn NearArrayWarning once if any of the ranges r is near the array."""
-    with np.errstate(all="ignore"):
-        _warn_if_near(float((geom.spacing / r).max(initial=0.0)))
-
-
-def _pnusw_band(t, f_z, root_scale, wave, out) -> np.ndarray:
-    """Build a band of pnusw rows into out and return their amplitudes.
-
-    t holds each row's f_y and is overwritten; f_z, root_scale and wave are
-    the rows' columns of _pnusw_terms, (rows, 1) or one (1, 1).  An entry is
-    sqrt(scale) / (s sqrt(s)) * exp(-j 2 pi r s / wavelength) with s = sqrt(t),
-    and its amplitude is the real factor.  A radicand t <= 0 (a user on an
-    element) raises DegenerateGeometryError.  Safe on a pool thread: it calls
-    only numpy, and errstate is per thread.
-    """
-    with np.errstate(all="ignore"):
-        t += f_z
-        if t.min() <= 0.0:
-            raise DegenerateGeometryError("a user is numerically coincident with an array element")
-        np.sqrt(t, out=t)
-        amp = np.sqrt(t)
-        amp *= t
-        np.divide(root_scale, amp, out=amp)
-        t *= wave
-        np.cos(t, out=out.real)
-        np.sin(t, out=out.imag)
-        out.real *= amp
-        out.imag *= amp
-    return amp
+    for lo in range(0, geom.num_z, step):
+        band = slice(lo, lo + step)
+        rows = buffer[: geom.num_z - lo] if out is None else out[band]
+        t, amp = radicand[: len(rows)], amplitudes[: len(rows)]
+        with np.errstate(all="ignore"):
+            t[...] = f_y  # then += f_z: a two-sided broadcast add would buffer twice as much
+            t += f_z[band, None]
+            if t.min() <= 0.0:
+                raise DegenerateGeometryError(
+                    "a user is numerically coincident with an array element"
+                )
+            np.sqrt(t, out=t)
+            np.sqrt(t, out=amp)
+            amp *= t
+            np.divide(root_scale, amp, out=amp)
+            t *= wave
+            np.cos(t, out=rows.real)
+            np.sin(t, out=rows.imag)
+            rows.real *= amp
+            rows.imag *= amp
+        yield band, rows, amp
 
 
 def _band_step(num_rows: int, row_len: int) -> int:
@@ -189,7 +199,7 @@ def _map_bands(fn, jobs, count: int):
     """fn(*job) for each of the count jobs, yielded in job order.
 
     With one thread (thread_count()) or one job, every job runs on the calling
-    thread.  Otherwise the jobs go to the kept build pool, at most 2 threads
+    thread.  Otherwise the jobs go to the kept build pool, at most 2 x threads
     jobs in flight, so at most min(threads, count) pool threads start.  fn
     must call no public function of the package (the benchmark tracer wraps
     those, and keeps one root span per calling thread).  When a job raises,
@@ -217,25 +227,24 @@ def _map_bands(fn, jobs, count: int):
 def _response_block(
     geom: ArrayGeometry, users, model: str, cfg: UpwConfig | None = None
 ) -> np.ndarray:
-    """Responses of K users as one (K, N_z, N_y) array, built in one broadcast pass.
+    """Responses of K users as one (K, N_z, N_y) array.
 
-    pnusw: an entry is _pnusw_band's, from the terms of _pnusw_terms.  upw: an
-    entry is (common * e^{j c u_z m_z}) * e^{j c u_y m_y} with
-    c = 2 pi spacing / wavelength.  Entries depend only on the user and their
-    own (m_y, m_z), so the centered sub-grid of a larger same-parity array is
-    bitwise a direct build.  pnusw cuts the rows (user, m_z) into equal bands
-    of at most about _BAND_ENTRIES entries and builds them into out through
-    _map_bands, on up to thread_count() threads, at most one per band; besides
-    its output a build holds two band-sized temporaries per thread, and every
-    entry is the same for any thread count.  A radicand t <= 0 (a user on an
-    element) raises DegenerateGeometryError.  A non-finite entry raises
-    DegenerateChannelError.
+    pnusw: an entry is _pnusw_bands's.  upw: an entry is one broadcast of
+    (common * e^{j c u_z m_z}) * e^{j c u_y m_y}, c = 2 pi spacing / wavelength.
+    Entries depend only on the user and their own (m_y, m_z), so the centered
+    sub-grid of a larger same-parity array is bitwise a direct build.  pnusw
+    runs one job per user (_map_bands, on up to thread_count() threads), which
+    walks the user's rows band by band into out[k]: besides its output a build
+    holds two band-sized temporaries per thread, and every entry is the same
+    for any thread count.  A radicand t <= 0 (a user on an element) raises
+    DegenerateGeometryError.  A non-finite entry raises DegenerateChannelError.
     """
     if model not in VALID_MODELS:
         raise ValueError(f"unknown channel model {model!r}")
-    r, u_x, u_y, u_z = _coordinates(users)[:, :, None]  # K x 1 columns
-    out = np.empty((len(r), geom.num_z, geom.num_y), dtype=complex)
+    coordinates = _coordinates(users)
+    out = np.empty((coordinates.shape[1], geom.num_z, geom.num_y), dtype=complex)
     if model == UPW:
+        r, _, u_y, u_z = coordinates[:, :, None]  # K x 1 columns
         m_y, m_z = geom.indices_y(), geom.indices_z()
         beta0 = (cfg or UpwConfig.matched_to(geom)).beta0
         c = 2.0 * math.pi * geom.spacing / geom.wavelength
@@ -243,21 +252,12 @@ def _response_block(
         along_z = common * np.exp(1j * ((c * u_z) * m_z))
         np.multiply(along_z[:, :, None], np.exp(1j * ((c * u_y) * m_y))[:, None, :], out=out)
     else:
-        _warn_if_any_near(geom, r)
-        f_y, f_z, root_scale, wave = _pnusw_terms(geom, r, u_x, u_y, u_z)
-        # one row of N_y entries per (user, m_z), built band by band into out
-        user = np.repeat(np.arange(len(r)), geom.num_z)
-        f_z, root_scale, wave = f_z.reshape(-1, 1), root_scale[user], wave[user]
-        rows = out.reshape(-1, geom.num_y)
-        step = _band_step(len(rows), geom.num_y)
-        starts = range(0, len(rows), step)
+        _warn_if_any_near(geom, coordinates[0])
 
-        def build(lo: int) -> None:
-            band = slice(lo, lo + step)
-            _pnusw_band(f_y[user[band]], f_z[band], root_scale[band], wave[band], rows[band])
+        def build(user, rows) -> None:
+            deque(_pnusw_bands(geom, user, rows), maxlen=0)  # walk every band
 
-        for _ in _map_bands(build, ((lo,) for lo in starts), len(starts)):
-            pass
+        deque(_map_bands(build, zip(coordinates.T, out), len(out)), maxlen=0)
     if not np.isfinite(out).all():
         raise DegenerateChannelError("channel entries must be finite")
     return out
@@ -345,25 +345,24 @@ def _upw_entries(stack, rows, cols, beta0: float) -> np.ndarray:
     ) * np.exp(-2j * math.pi * (cycles_i[None, :] - cycles_k[:, None]))
 
 
-def _pair_band(f_y, f_z, root_scale, wave, a1_conj):
-    """Per-row partials (G_12, |a_2|^2) of a band of user 2's rows against user 1's.
+def _pair_cell(geom: ArrayGeometry, user, a1_conj):
+    """(G_12, |a_2|^2) of user 2 against user 1, user 2 walked band by band.
 
-    f_y is user 2's (1, N_y) row term and f_z, root_scale and wave the band's
-    columns (_pnusw_terms); a1_conj is the conjugate of user 1's matching
-    (rows, N_y) rows.  Each partial is a numpy pairwise sum over its own row,
-    so it does not depend on how the rows are cut into bands.  A non-finite
-    partial raises DegenerateChannelError: user 1's entries are finite, so a
-    non-finite entry of user 2 leaves its row's G_12 (NaN) or power (inf)
-    non-finite.
+    user is user 2's (r, u_x, u_y, u_z) and a1_conj the conjugate of user 1's
+    (N_z, N_y) response.  Each row's partials are a numpy pairwise sum over
+    that row, and the rows are then summed in order, so neither the band size
+    nor the thread shows.  A non-finite partial raises DegenerateChannelError:
+    user 1's entries are finite, so a non-finite entry of user 2 leaves its
+    row's G_12 (NaN) or power (inf) non-finite.
     """
-    a2 = np.empty_like(a1_conj)
-    amp = _pnusw_band(np.repeat(f_y, len(a2), axis=0), f_z, root_scale, wave, a2)
-    a2 *= a1_conj
-    amp *= amp
-    inner, power = a2.sum(axis=1), amp.sum(axis=1)
+    inner, power = np.empty(geom.num_z, dtype=complex), np.empty(geom.num_z)
+    for band, rows, amp in _pnusw_bands(geom, user):
+        rows *= a1_conj[band]
+        amp *= amp
+        inner[band], power[band] = rows.sum(axis=1), amp.sum(axis=1)
     if not (np.isfinite(inner).all() and np.isfinite(power).all()):
         raise DegenerateChannelError("channel entries must be finite")
-    return inner, power
+    return inner.sum(), power.sum()
 
 
 def _pair_gram(
@@ -375,15 +374,14 @@ def _pair_gram(
     over user 1 and all of others, and each matrix is bitwise the G_11, G_12
     and G_22 of _upw_gram on that pair alone.  pnusw builds user 1's response
     once (_response_block) and streams every user 2 of the sweep through
-    _map_bands, one job per (cell, band of user 2's rows): a job builds its
-    band (_pnusw_band, at most about _BAND_ENTRIES entries) against user 1's
-    matching rows and returns per-row partials of G_12 and |a_2|^2
-    (_pair_band).  The calling thread sums each cell's partials in row order,
-    so every matrix is the same for any thread count and band size, and no
-    user 2 is ever held whole.  The first failing cell raises: a user on an
-    element DegenerateGeometryError, a non-finite entry DegenerateChannelError.
-    User 1's channel is checked here (upw: every user's); a zero or non-finite
-    power raises DegenerateChannelError.
+    _map_bands, one job per cell (_pair_cell): a job walks its user 2 band by
+    band against user 1's matching rows and sums the per-row partials of
+    G_12 and |a_2|^2 in row order, so every matrix is the same for any thread
+    count and band size.  No user 2 is ever held whole: a job holds one band
+    of it and two band-sized temporaries.  The first failing cell raises: a
+    user on an element DegenerateGeometryError, a non-finite entry
+    DegenerateChannelError.  User 1's channel is checked here (upw: every
+    user's); a zero or non-finite power raises DegenerateChannelError.
     """
     others = list(others)
     grams = np.empty((len(others), 2, 2), dtype=complex)
@@ -403,23 +401,9 @@ def _pair_gram(
     a1_conj = np.conjugate(a1, out=a1)
     coordinates = _coordinates(others)
     _warn_if_any_near(geom, coordinates[0])
-    step = _band_step(geom.num_z, geom.num_y)
-    starts = range(0, geom.num_z, step)
-
-    def jobs():
-        for user in coordinates.T:
-            f_y, f_z, root_scale, wave = _pnusw_terms(geom, *user[:, None, None])
-            for lo in starts:
-                band = slice(lo, lo + step)
-                yield f_y, f_z[0, band, None], root_scale, wave, a1_conj[band]
-
-    parts = _map_bands(_pair_band, jobs(), len(others) * len(starts))
-    inner, power = np.empty(geom.num_z, dtype=complex), np.empty(geom.num_z)
-    for gram in grams:
-        for lo in starts:
-            inner[lo:lo + step], power[lo:lo + step] = next(parts)
-        g12 = inner.sum()
-        gram[...] = [[power1, g12], [g12.conjugate(), power.sum()]]
+    jobs = ((geom, user, a1_conj) for user in coordinates.T)
+    for (g12, power2), gram in zip(_map_bands(_pair_cell, jobs, len(others)), grams):
+        gram[...] = [[power1, g12], [g12.conjugate(), power2]]
     return grams
 
 

@@ -18,13 +18,13 @@ plane-wave stack is one closed-form broadcast, and the spherical-wave stack
 builds user 1 once and streams every user 2 band by band.  Every
 correlation is channel.correlation of a Gram.
 
-A sweep runs its points in order on the calling thread.  The work that
-dominates the random drops and the fixed-user cells, the spherical-wave
-bands, runs on the usable cores (the process's CPU affinity), capped by
-XLMIMO_THREADS (channel.thread_count).  Per-drop random streams derive from
-(seed, drop index), every build entry is the same for any thread count, and
-a streamed Gram sums its per-row partials in row order on the calling
-thread, so every table is bit-identical for any XLMIMO_THREADS.
+A sweep runs its points in order on the calling thread.  The spherical-wave
+builds, which dominate the random drops and the fixed-user cells, run on the
+usable cores (the process's CPU affinity, capped by XLMIMO_THREADS; see
+channel.thread_count), one job per user of a block or per cell.  Per-drop
+random streams derive from (seed, drop index), every build entry is the same
+for any thread count, and a cell's job sums its per-row partials in row
+order, so every table is bit-identical for any XLMIMO_THREADS.
 """
 
 from __future__ import annotations

@@ -101,16 +101,6 @@ class ArrayGeometry:
         """Fraction of the array plate covered by elements, element_area / spacing^2."""
         return self.element_area / self.spacing**2
 
-    @property
-    def aperture_y(self) -> float:
-        """Physical array dimension along y, num_y * spacing, meters."""
-        return self.num_y * self.spacing
-
-    @property
-    def aperture_z(self) -> float:
-        """Physical array dimension along z, num_z * spacing, meters."""
-        return self.num_z * self.spacing
-
     def indices_y(self) -> np.ndarray:
         """Centered element indices along y, ascending."""
         return np.arange(self.num_y) - (self.num_y - 1) / 2.0

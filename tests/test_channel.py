@@ -241,25 +241,26 @@ class TestResponseMatrix:
 
 
 class TestBandedPnuswBuild:
-    """The spherical-wave builder cuts the (user, m_z) rows into bands, built on up
-    to XLMIMO_THREADS threads; neither the bands nor the threads may show."""
+    """The spherical-wave builder runs one job per user, on up to XLMIMO_THREADS
+    threads, and a job builds its user's m_z rows in bands; neither the bands nor
+    the threads may show."""
 
     USERS = [UserLocation(40.0, 1.2, 0.3), UserLocation(25.0, 1.6, -0.4)]
 
     def test_a_block_of_several_bands_equals_one_row_builds_bitwise(self, monkeypatch):
-        # 3 users x 201 rows of 201 entries: 4 bands of 151 rows, two of them
-        # spanning two users; at 4 x 10 001, 4 bands of 7 501 rows
-        users = self.USERS + [UserLocation(90.0, 0.9, 0.1)]
-        for geom in (make_geom(num_y=201, num_z=201), make_geom(num_y=4, num_z=10_001)):
-            assert len(users) * geom.num_elements >= 3 * ch._BAND_ENTRIES
-            builds = []
-            for band_entries in (ch._BAND_ENTRIES, 1, 2**62):  # as built, one row, one band
-                monkeypatch.setattr(ch, "_BAND_ENTRIES", band_entries)
-                for threads in ("1", "3", "8"):
-                    monkeypatch.setenv("XLMIMO_THREADS", threads)
-                    builds.append(_response_block(geom, users, "pnusw").tobytes())
-                monkeypatch.undo()
-            assert len(set(builds)) == 1
+        # 201 rows of 201 entries per user: 2 bands of 101 rows; at 4 x 10 001,
+        # 2 bands of 5 001 rows; with 3 users and with 1, which stays on the caller
+        for users in (self.USERS + [UserLocation(90.0, 0.9, 0.1)], self.USERS[:1]):
+            for geom in (make_geom(num_y=201, num_z=201), make_geom(num_y=4, num_z=10_001)):
+                assert ch._band_step(geom.num_z, geom.num_y) < geom.num_z
+                builds = []
+                for band_entries in (ch._BAND_ENTRIES, 1, 2**62):  # as built, one row, one band
+                    monkeypatch.setattr(ch, "_BAND_ENTRIES", band_entries)
+                    for threads in ("1", "3", "8"):
+                        monkeypatch.setenv("XLMIMO_THREADS", threads)
+                        builds.append(_response_block(geom, users, "pnusw").tobytes())
+                    monkeypatch.undo()
+                assert len(set(builds)) == 1
 
     def test_concurrent_builds_under_thread_switching_stress(self, monkeypatch):
         # more build threads than cores, a 1 us switch interval, 40 bands per block
@@ -287,12 +288,12 @@ class TestBandedPnuswBuild:
     @pytest.mark.parametrize("threads", ["1", "3"])
     @pytest.mark.filterwarnings("ignore::xlmimo.geometry.NearArrayWarning")
     def test_a_user_on_an_element_in_a_later_band_is_degenerate(self, monkeypatch, threads):
-        # the last user sits on element (m_y, m_z) = (1, 0): t = 0 exactly, in row
-        # 2 x 101 + 50, past the first band's 152 rows
+        # the last user sits on element (m_y, m_z) = (1, 0): t = 0 exactly, in its
+        # row 50, past its first band's 26 rows
         monkeypatch.setenv("XLMIMO_THREADS", threads)
-        geom = make_geom(num_y=201, num_z=101)
+        geom = make_geom(num_y=1001, num_z=101)
         on_element = UserLocation(geom.spacing, math.pi / 2, math.pi / 2)
-        assert (2 * geom.num_z + 50) * geom.num_y > ch._BAND_ENTRIES
+        assert ch._band_step(geom.num_z, geom.num_y) <= 50
         with pytest.raises(DegenerateGeometryError, match="coincident"):
             _response_block(geom, self.USERS + [on_element], "pnusw")
 
@@ -307,8 +308,8 @@ class TestBandedPnuswBuild:
                 _response_block(geom, [UserLocation(1e308, 1.2, 0.3)], "pnusw")
 
     def test_a_build_has_no_more_bands_in_flight_than_it_has_bands(self, monkeypatch):
-        # XLMIMO_THREADS unset on 64 cores: a one-band block stays on the calling
-        # thread, and a three-band block holds at most three bands' temporaries
+        # XLMIMO_THREADS unset on 64 cores: a one-user block of two bands stays on
+        # the calling thread, and a K-user block starts at most min(64, K) threads
         monkeypatch.delenv("XLMIMO_THREADS", raising=False)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
         pools = []
@@ -318,14 +319,14 @@ class TestBandedPnuswBuild:
             return pools[-1]
 
         monkeypatch.setattr(ch, "_build_pool", build_pool)
-        _response_block(make_geom(num_y=100, num_z=100), self.USERS, "pnusw")
-        assert pools == []
         geom = make_geom(num_y=201, num_z=201)
-        assert 2 * ch._BAND_ENTRIES < len(self.USERS) * geom.num_elements <= 3 * ch._BAND_ENTRIES
+        assert ch._band_step(geom.num_z, geom.num_y) < geom.num_z
+        _response_block(geom, self.USERS[:1], "pnusw")
+        assert pools == []
         _response_block(geom, self.USERS, "pnusw")
         pools[0].shutdown()
         assert len(pools) == 1 and pools[0]._max_workers == 64
-        assert 1 <= len(pools[0]._threads) <= 3
+        assert 1 <= len(pools[0]._threads) <= len(self.USERS)
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_a_forked_child_builds_on_threads_of_its_own(self, run_python):
@@ -352,7 +353,7 @@ class TestBandedPnuswBuild:
 
 class TestStreamedPairGrams:
     """The spherical-wave pair Grams stream every user 2 band by band, one job per
-    (cell, band), and sum each cell's per-row partials on the calling thread."""
+    cell, which sums the cell's per-row partials in row order."""
 
     LOC1 = UserLocation(40.0, 1.3, 0.2)
 
@@ -403,14 +404,14 @@ class TestStreamedPairGrams:
         # whose jobs are held back 50 ms: with 3 threads both cells are in flight
         # at once, and the earlier cell's error wins, not the first one to arrive
         monkeypatch.setenv("XLMIMO_THREADS", threads)
-        band = ch._pair_band
+        cell = ch._pair_cell
 
-        def slow_far_band(f_y, f_z, root_scale, wave, a1_conj):
-            if np.isinf(wave).any():
+        def slow_far_cell(geom, user, a1_conj):
+            if user[0] > 1e300:
                 time.sleep(0.05)
-            return band(f_y, f_z, root_scale, wave, a1_conj)
+            return cell(geom, user, a1_conj)
 
-        monkeypatch.setattr(ch, "_pair_band", slow_far_band)
+        monkeypatch.setattr(ch, "_pair_cell", slow_far_cell)
         geom = make_geom(num_y=201, num_z=201)
         on_element = UserLocation(geom.spacing, math.pi / 2, math.pi / 2)
         far = UserLocation(1e308, 1.2, 0.3)
@@ -444,8 +445,8 @@ class TestStreamedPairGrams:
 
     @pytest.mark.parametrize("threads, cap", [(None, 64), ("3", 3)])
     def test_no_more_build_threads_than_jobs(self, monkeypatch, threads, cap):
-        # 3 cells of 2 bands each (and user 1's 2 bands) on a fresh pool: at most
-        # min(cap, 6) threads start, however many cores there are
+        # 3 cells (user 1's one-user block stays on the calling thread) on a fresh
+        # pool: at most min(cap, 3) threads start, however many cores there are
         if threads is None:
             monkeypatch.delenv("XLMIMO_THREADS", raising=False)
         else:
@@ -453,7 +454,6 @@ class TestStreamedPairGrams:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
         monkeypatch.setattr(ch, "_pools", {})
         geom = make_geom(num_y=201, num_z=201)
-        jobs = 3 * -(-geom.num_z // ch._band_step(geom.num_z, geom.num_y))
         before = {t.ident for t in threading.enumerate()}
         try:
             _pair_gram(geom, self.LOC1, random_users(np.random.default_rng(9), 3), "pnusw")
@@ -465,7 +465,7 @@ class TestStreamedPairGrams:
             for pool in ch._pools.values():
                 pool.shutdown()
         assert list(ch._pools) == [cap]
-        assert 1 <= len(started) <= min(cap, jobs) == min(cap, 6)
+        assert 1 <= len(started) <= min(cap, 3)
 
 
 class TestUpwResponse:

@@ -6,6 +6,7 @@ import os
 
 import pytest
 
+import xlmimo.channel as ch
 from xlmimo.cli import (
     DEFAULT_ELEMENT_AREA,
     main,
@@ -293,6 +294,22 @@ class TestMain:
         assert code == 1
         assert "config error: XLMIMO_THREADS must be a positive integer" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
+
+    def test_thread_count_above_the_ceiling_is_a_config_error(self, tmp_path, capsys, monkeypatch):
+        # 257 build threads are refused before any build, so no pool is made for them
+        monkeypatch.setenv("XLMIMO_THREADS", "257")
+        code = main([
+            "--experiment", "corr-vs-dist",
+            "--out", str(tmp_path / "x.csv"),
+            "--set", "geometry.num_y=4",
+            "--set", "sweep.separation_stop=2",
+        ])
+        assert code == 1
+        assert "config error: XLMIMO_THREADS must be a positive integer of at most 256" in (
+            capsys.readouterr().err
+        )
+        assert not (tmp_path / "x.csv").exists()
+        assert 257 not in ch._pools
 
     def test_numerical_error_exit_code(self, tmp_path, capsys):
         # a user pinned to the z axis has an exactly zero spherical channel

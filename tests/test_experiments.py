@@ -510,6 +510,18 @@ class TestDeterminismUnderThreads:
         with pytest.raises(ConfigError, match="XLMIMO_THREADS"):
             thread_count()
 
+    def test_thread_count_ceiling(self, monkeypatch):
+        # a pool starts a thread per job in flight up to its cap, so no cap passes
+        # 256, set or by default; nothing here starts a thread
+        monkeypatch.setenv("XLMIMO_THREADS", "256")
+        assert thread_count() == 256
+        monkeypatch.setenv("XLMIMO_THREADS", "257")
+        with pytest.raises(ConfigError, match="at most 256, got '257'"):
+            thread_count()
+        monkeypatch.delenv("XLMIMO_THREADS")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(1000)), raising=False)
+        assert thread_count() == 256
+
     def test_sweeps_identical_across_thread_counts(self, monkeypatch):
         region = UserRegion(r=(50.0, 100.0), theta=(0.1, 1.0), phi=(0.3, 1.0))
         kwargs = dict(seed=13, n_drops=6)

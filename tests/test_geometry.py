@@ -73,11 +73,6 @@ class TestArrayGeometry:
     def test_occupation_ratio_default_is_one_over_pi(self):
         assert make_geom().occupation_ratio == pytest.approx(1.0 / math.pi, rel=1e-12)
 
-    def test_apertures(self):
-        g = make_geom(num_y=10, num_z=200)
-        assert g.aperture_y == pytest.approx(10 * D)
-        assert g.aperture_z == pytest.approx(200 * D)
-
     def test_equality_distinguishes_geometries(self):
         g1 = make_geom(num_y=11)
         g2 = make_geom(num_y=13)
