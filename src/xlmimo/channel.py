@@ -27,7 +27,9 @@ removable singularities filled in by their limits, so no plane-wave
 response is built for it.  _pair_gram gives the stack of one fixed user's
 Grams with many others under either model; under the spherical-wave model it
 builds the fixed user once and streams every other user band by band over the
-build threads, so no other user's response is ever held whole.
+build threads, so no other user's response is ever held whole, and a user
+with u_y == 0.0 or u_z == 0.0 only on the half of that axis that its mirror
+symmetry does not repeat.
 
 Every spherical-wave job is one user, whose N_z rows one band walker
 (_pnusw_bands) builds band by band: the response builder runs one job per
@@ -48,7 +50,7 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateChannelError, DegenerateGeometryError
 from .geometry import ArrayGeometry, UserLocation, _warn_if_near, element_distance
-from .numerics import cdot, vector_power  # noqa: F401  (cdot: importable from here as before)
+from .numerics import cdot  # noqa: F401  (importable from here as before)
 
 PNUSW = "pnusw"
 UPW = "upw"
@@ -138,26 +140,27 @@ def _warn_if_any_near(geom: ArrayGeometry, r) -> None:
         _warn_if_near(float((geom.spacing / r).max(initial=0.0)))
 
 
-def _pnusw_bands(geom: ArrayGeometry, user, out=None):
+def _pnusw_bands(geom: ArrayGeometry, user, out=None, indices=None):
     """Build one user's pnusw rows band by band, yielding (band, rows, amplitudes).
 
-    user is the user's (r, u_x, u_y, u_z).  Its N_z rows of N_y entries (m_z
-    outer, m_y inner) are cut into equal bands of at most about _BAND_ENTRIES
-    entries (_band_step); band is a band's slice of the rows, rows its
-    entries and amplitudes their real factors.  With e = spacing / r and
-    f(m) = m^2 e^2 - 2 e u m per axis, an entry's radicand
-    t = (1 + f_z) + f_y is its squared distance over r^2, and the entry is
+    user is the user's (r, u_x, u_y, u_z).  Its rows m_z of entries m_y, the
+    index vectors indices (default: the geometry's), are cut into equal bands
+    of at most about _BAND_ENTRIES entries (_band_step); band is a band's
+    slice of the rows, rows its entries and amplitudes their real factors.
+    With e = spacing / r and f(m) = m^2 e^2 - 2 e u m per axis, an entry's
+    radicand t = (1 + f_z) + f_y is its squared distance over r^2 (so u_y ==
+    0.0 makes m_y and -m_y bitwise equal), and the entry is
     sqrt(scale) / (s sqrt(s)) * exp(-j 2 pi r s / wavelength) with s = sqrt(t).
-    The rows go to out[band] of an (N_z, N_y) out, else to one band buffer
-    that the next band overwrites, as it does the amplitudes.  A radicand
-    t <= 0 (a user on an element) raises DegenerateGeometryError.  Safe on a
-    pool thread: it calls only numpy, and errstate is per thread.
+    The rows go to out[band], else to one band buffer that the next band
+    overwrites, as it does the amplitudes.  A radicand t <= 0 (a user on an
+    element) raises DegenerateGeometryError.  Safe on a pool thread: it calls
+    only numpy, and errstate is per thread.
     """
     r, u_x, u_y, u_z = user
-    m_y, m_z = geom.indices_y(), geom.indices_z()
-    step = _band_step(geom.num_z, geom.num_y)
-    radicand, amplitudes = np.empty((2, step, geom.num_y))
-    buffer = np.empty((step, geom.num_y), dtype=complex) if out is None else None
+    m_y, m_z = (geom.indices_y(), geom.indices_z()) if indices is None else indices
+    step = _band_step(len(m_z), len(m_y))
+    radicand, amplitudes = np.empty((2, step, len(m_y)))
+    buffer = np.empty((step, len(m_y)), dtype=complex) if out is None else None
     # overflow here leaves a non-finite entry, which the callers report
     with np.errstate(all="ignore"):
         e = geom.spacing / r
@@ -165,9 +168,9 @@ def _pnusw_bands(geom: ArrayGeometry, user, out=None):
         f_z = 1.0 + ((m_z * m_z) * (e * e) - (2.0 * e * u_z) * m_z)
         root_scale = np.sqrt(geom.occupation_ratio * e * e * u_x / (4.0 * math.pi))
         wave = -2.0 * math.pi / geom.wavelength * r
-    for lo in range(0, geom.num_z, step):
+    for lo in range(0, len(m_z), step):
         band = slice(lo, lo + step)
-        rows = buffer[: geom.num_z - lo] if out is None else out[band]
+        rows = buffer[: len(m_z) - lo] if out is None else out[band]
         t, amp = radicand[: len(rows)], amplitudes[: len(rows)]
         with np.errstate(all="ignore"):
             t[...] = f_y  # then += f_z: a two-sided broadcast add would buffer twice as much
@@ -196,14 +199,15 @@ def _band_step(num_rows: int, row_len: int) -> int:
 
 
 def _map_bands(fn, jobs, count: int):
-    """fn(*job) for each of the count jobs, yielded in job order.
+    """fn(*job) for each job, yielded in job order; count is the number of jobs.
 
-    With one thread (thread_count()) or one job, every job runs on the calling
-    thread.  Otherwise the jobs go to the kept build pool, at most 2 x threads
-    jobs in flight, so at most min(threads, count) pool threads start.  fn
-    must call no public function of the package (the benchmark tracer wraps
-    those, and keeps one root span per calling thread).  When a job raises,
-    its error is raised here, in job order, and the queued jobs are cancelled.
+    With one thread (thread_count()) or count <= 1 (a caller's way to keep the
+    jobs here), the jobs run on the calling thread.  Otherwise they go to the
+    kept build pool, at most 2 x threads jobs in flight, so at most
+    min(threads, count) pool threads start.  fn must call no public function
+    of the package (the benchmark tracer wraps those, and keeps one root span
+    per calling thread).  When a job raises, its error is raised here, in job
+    order, and the queued jobs are cancelled.
     """
     threads = thread_count()
     if threads == 1 or count <= 1:
@@ -236,7 +240,8 @@ def _response_block(
     runs one job per user (_map_bands, on up to thread_count() threads), which
     walks the user's rows band by band into out[k]: besides its output a build
     holds two band-sized temporaries per thread, and every entry is the same
-    for any thread count.  A radicand t <= 0 (a user on an element) raises
+    for any thread count; a block of at most _BAND_ENTRIES entries stays on
+    the calling thread.  A radicand t <= 0 (a user on an element) raises
     DegenerateGeometryError.  A non-finite entry raises DegenerateChannelError.
     """
     if model not in VALID_MODELS:
@@ -257,7 +262,8 @@ def _response_block(
         def build(user, rows) -> None:
             deque(_pnusw_bands(geom, user, rows), maxlen=0)  # walk every band
 
-        deque(_map_bands(build, zip(coordinates.T, out), len(out)), maxlen=0)
+        count = len(out) if out.size > _BAND_ENTRIES else 1
+        deque(_map_bands(build, zip(coordinates.T, out), count), maxlen=0)
     if not np.isfinite(out).all():
         raise DegenerateChannelError("channel entries must be finite")
     return out
@@ -345,21 +351,36 @@ def _upw_entries(stack, rows, cols, beta0: float) -> np.ndarray:
     ) * np.exp(-2j * math.pi * (cycles_i[None, :] - cycles_k[:, None]))
 
 
-def _pair_cell(geom: ArrayGeometry, user, a1_conj):
+def _mirror(a, m, fold: bool):
+    """(a, m, w) for a's last axis of indices m; fold keeps only m >= 0, each
+    entry summed with its mirror image at -m, and w counts the images (1 or 2)."""
+    if not fold:
+        return a, m, np.ones(len(m))
+    n = len(m)
+    kept = a[..., n // 2 :].copy(order="K")  # in a's memory order: a.T's fold stays rows
+    kept[..., n % 2 :] += np.flip(a[..., : n // 2], -1)
+    return kept, m[n // 2 :], np.where(m[n // 2 :] > 0.0, 2.0, 1.0)
+
+
+def _pair_cell(geom: ArrayGeometry, user, fold):
     """(G_12, |a_2|^2) of user 2 against user 1, user 2 walked band by band.
 
-    user is user 2's (r, u_x, u_y, u_z) and a1_conj the conjugate of user 1's
-    (N_z, N_y) response.  Each row's partials are a numpy pairwise sum over
-    that row, and the rows are then summed in order, so neither the band size
-    nor the thread shows.  A non-finite partial raises DegenerateChannelError:
-    user 1's entries are finite, so a non-finite entry of user 2 leaves its
-    row's G_12 (NaN) or power (inf) non-finite.
+    user is user 2's (r, u_x, u_y, u_z), walked at the kept indices m_y, m_z of
+    fold = (f, m_y, m_z, w_y, w_z) (_pair_gram): G_12 sums its entries times
+    f, user 1's conjugate summed over their mirror images, and |a_2|^2 its
+    squared amplitudes times w_y w_z.  Each row's partials are a numpy
+    pairwise sum over that row, then the rows are summed in order, so neither
+    the band size nor the thread shows.  A non-finite partial (user 2's: user
+    1's entries are finite) raises DegenerateChannelError.
     """
-    inner, power = np.empty(geom.num_z, dtype=complex), np.empty(geom.num_z)
-    for band, rows, amp in _pnusw_bands(geom, user):
-        rows *= a1_conj[band]
+    f, m_y, m_z, w_y, w_z = fold
+    inner, power = np.empty(len(m_z), dtype=complex), np.empty(len(m_z))
+    for band, rows, amp in _pnusw_bands(geom, user, indices=(m_y, m_z)):
+        rows *= f[band]
         amp *= amp
+        amp *= w_y
         inner[band], power[band] = rows.sum(axis=1), amp.sum(axis=1)
+    power *= w_z
     if not (np.isfinite(inner).all() and np.isfinite(power).all()):
         raise DegenerateChannelError("channel entries must be finite")
     return inner.sum(), power.sum()
@@ -373,15 +394,19 @@ def _pair_gram(
     upw builds nothing: the stack is one broadcast of _upw_gram's formula
     over user 1 and all of others, and each matrix is bitwise the G_11, G_12
     and G_22 of _upw_gram on that pair alone.  pnusw builds user 1's response
-    once (_response_block) and streams every user 2 of the sweep through
-    _map_bands, one job per cell (_pair_cell): a job walks its user 2 band by
-    band against user 1's matching rows and sums the per-row partials of
-    G_12 and |a_2|^2 in row order, so every matrix is the same for any thread
-    count and band size.  No user 2 is ever held whole: a job holds one band
-    of it and two band-sized temporaries.  The first failing cell raises: a
-    user on an element DegenerateGeometryError, a non-finite entry
-    DegenerateChannelError.  User 1's channel is checked here (upw: every
-    user's); a zero or non-finite power raises DegenerateChannelError.
+    once (_response_block), sums its power row by row over band-sized slices,
+    and streams every user 2 of the sweep through _map_bands, one job per
+    cell (_pair_cell): a job walks its user 2 band by band against user 1's
+    matching rows and sums the per-row partials of G_12 and |a_2|^2 in row
+    order, so every matrix is the same for any thread count and band size.
+    A user 2 with u_y == 0.0 or u_z == 0.0 is walked only at m >= 0 on that
+    axis, against user 1's conjugate folded onto it (_mirror, once per fold
+    kind); user 1's unfolded response is dropped when no cell needs it.  No
+    user 2 is ever held whole: a job holds one band of it and two band-sized
+    temporaries.  The first failing cell raises: a user on an element
+    DegenerateGeometryError, a non-finite entry DegenerateChannelError.
+    User 1's channel (upw: every user's) is checked here; a zero or
+    non-finite power raises DegenerateChannelError.
     """
     others = list(others)
     grams = np.empty((len(others), 2, 2), dtype=complex)
@@ -395,13 +420,24 @@ def _pair_gram(
         grams[:, 1, 1] = powers[1:]
         return grams
     a1 = _response_block(geom, (loc1,), model)[0]
-    power1 = vector_power(a1.reshape(-1))
+    step = _band_step(geom.num_z, geom.num_y)
+    bands = (a1[lo : lo + step] for lo in range(0, geom.num_z, step))
+    power1 = np.concatenate([(b.real * b.real + b.imag * b.imag).sum(1) for b in bands]).sum()
     if not 0.0 < power1 < math.inf:
         raise DegenerateChannelError("a user has a zero or non-finite channel")
-    a1_conj = np.conjugate(a1, out=a1)
+    np.conjugate(a1, out=a1)
     coordinates = _coordinates(others)
     _warn_if_any_near(geom, coordinates[0])
-    jobs = ((geom, user, a1_conj) for user in coordinates.T)
+    kinds = [(u_y == 0.0, u_z == 0.0) for u_y, u_z in coordinates[2:].T]
+
+    def fold(fold_y: bool, fold_z: bool):
+        f, m_y, w_y = _mirror(a1, geom.indices_y(), fold_y)
+        f, m_z, w_z = _mirror(f.T, geom.indices_z(), fold_z)
+        return f.T, m_y, m_z, w_y, w_z
+
+    folds = {kind: fold(*kind) for kind in dict.fromkeys(kinds)}
+    del a1  # held on only by the unfolded kind's fold, if a cell needs it
+    jobs = ((geom, user, folds[kind]) for user, kind in zip(coordinates.T, kinds))
     for (g12, power2), gram in zip(_map_bands(_pair_cell, jobs, len(others)), grams):
         gram[...] = [[power1, g12], [g12.conjugate(), power2]]
     return grams

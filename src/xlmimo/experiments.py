@@ -15,8 +15,9 @@ The two sweeps that move user 2 against a fixed user 1 (correlation versus
 distance and the SNR-loss map) index each cell's 2 x 2 Gram in one (n, 2, 2)
 stack per model from channel._pair_gram, made before the first row: the
 plane-wave stack is one closed-form broadcast, and the spherical-wave stack
-builds user 1 once and streams every user 2 band by band.  Every
-correlation is channel.correlation of a Gram.
+builds user 1 once and streams every user 2 band by band (only the part of
+it that the array's mirror symmetry does not repeat).  Every correlation is
+channel.correlation of a Gram.
 
 A sweep runs its points in order on the calling thread.  The spherical-wave
 builds, which dominate the random drops and the fixed-user cells, run on the

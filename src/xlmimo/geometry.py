@@ -12,10 +12,12 @@ Users live in the x >= 0 half space at spherical coordinates
 
     u_x = sin(theta) * cos(phi)     (normal to the array plane)
     u_y = sin(theta) * sin(phi)
-    u_z = cos(theta)
+    u_z = cos(theta) = sin(pi/2 - theta)
 
-so the user position is r * (u_x, u_y, u_z).  The exact distance between
-the user and the element at index (m_y, m_z) is
+so the user position is r * (u_x, u_y, u_z).  In the sine form of u_z the
+subtraction is exact for theta >= pi/4, so theta = pi/2 (z = 0) gives
+u_z = 0.0 exactly, not cos(pi/2) = 6.1e-17.  The exact distance between the
+user and the element at index (m_y, m_z) is
 
     r * sqrt(1 - 2*m_y*e*u_y - 2*m_z*e*u_z + (m_y^2 + m_z^2) * e^2)
 
@@ -142,8 +144,8 @@ class UserLocation:
 
     @property
     def u_z(self) -> float:
-        """Direction cosine along z."""
-        return math.cos(self.theta)
+        """Direction cosine along z, as sin(pi/2 - theta): exactly 0 at theta = pi/2."""
+        return math.sin(math.pi / 2 - self.theta)
 
 
 def _checked_index(count: int, m: float, name: str) -> float:

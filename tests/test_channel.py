@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import xlmimo.channel as ch
+import xlmimo.cli as cli
 from xlmimo.channel import (
     UpwConfig,
     _dirichlet,
@@ -328,6 +329,28 @@ class TestBandedPnuswBuild:
         assert len(pools) == 1 and pools[0]._max_workers == 64
         assert 1 <= len(pools[0]._threads) <= len(self.USERS)
 
+    def test_the_default_sinr_sweep_starts_no_build_thread(self, monkeypatch):
+        # XLMIMO_THREADS unset on 64 cores, on a fresh pool: the sweep's largest
+        # block, 2 users x 10 x 1001 = 20 020 entries, is at most one band, so every
+        # block stays on the calling thread
+        monkeypatch.delenv("XLMIMO_THREADS", raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
+        monkeypatch.setattr(ch, "_pools", {})
+        cfg = cli.parse_config(experiment="sinr-vs-m", overrides=[])
+        largest = max(cfg.sweep["mz_values"]) * cfg.geometry.num_y * len(cfg.users)
+        assert 1 < len(cfg.users) and largest <= ch._BAND_ENTRIES
+        before = {t.ident for t in threading.enumerate()}
+        try:
+            cli.dispatch(cfg)
+            started = [
+                t for t in threading.enumerate()
+                if t.name.startswith("xlmimo-build") and t.ident not in before
+            ]
+        finally:
+            for pool in ch._pools.values():
+                pool.shutdown()
+        assert ch._pools == {} and started == []
+
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_a_forked_child_builds_on_threads_of_its_own(self, run_python):
         # the parent's build threads do not exist in a forked child; the child must
@@ -398,6 +421,96 @@ class TestStreamedPairGrams:
                 monkeypatch.undo()
             assert len(set(grams)) == 1
 
+    # user 2s folded on y only (u_y == 0), z only (u_z == 0), on both and on neither
+    FOLDING = [
+        UserLocation(55.0, 1.1, 0.0),
+        UserLocation(70.0, math.pi / 2, -0.4),
+        UserLocation(35.0, math.pi / 2, 0.0),
+        UserLocation(90.0, 1.2, 0.3),
+        UserLocation(48.0, math.pi / 2, 0.7),
+        UserLocation(120.0, 2.0, 0.0),
+    ]
+
+    @pytest.mark.parametrize("num_y, num_z", [(7, 13), (8, 12), (9, 10), (12, 9), (200, 201)])
+    def test_folded_cells_match_exactly_rounded_sums_of_a_dense_build(self, num_y, num_z):
+        # cells of all four fold kinds in one sweep, on odd and even axes, each
+        # against fsum of the dense two-user build, as the unfolded cells are held
+        kinds = {(loc.u_y == 0.0, loc.u_z == 0.0) for loc in self.FOLDING}
+        assert kinds == {(True, False), (False, True), (True, True), (False, False)}
+        geom = make_geom(num_y=num_y, num_z=num_z)
+        for loc1 in (self.LOC1, UserLocation(30.0, math.pi / 2, 0.0)):
+            grams = _pair_gram(geom, loc1, self.FOLDING, "pnusw")
+            for g, loc2 in zip(grams, self.FOLDING):
+                g11, g12, g22 = self.fsum_gram(geom, loc1, loc2)
+                assert g[0, 0] == pytest.approx(g11, rel=1e-13, abs=0.0)
+                assert g[1, 1] == pytest.approx(g22, rel=1e-13, abs=0.0)
+                assert abs(g[0, 1] - g12) <= 1e-13 * math.sqrt(g11 * g22)
+                assert g[1, 0] == g[0, 1].conjugate()
+
+    @pytest.mark.parametrize("num_y, num_z", [(7, 13), (8, 12)])
+    def test_a_folded_cell_walks_only_the_indices_it_keeps(self, monkeypatch, num_y, num_z):
+        # a folded axis of n indices keeps its n - n // 2 indices >= 0
+        monkeypatch.setenv("XLMIMO_THREADS", "1")
+        walked = []
+        bands = ch._pnusw_bands
+
+        def recording(geom, user, out=None, indices=None):
+            if indices is not None:
+                walked.append(tuple(map(tuple, indices)))
+            return bands(geom, user, out, indices)
+
+        monkeypatch.setattr(ch, "_pnusw_bands", recording)
+        geom = make_geom(num_y=num_y, num_z=num_z)
+        _pair_gram(geom, self.LOC1, self.FOLDING, "pnusw")
+        m_y, m_z = tuple(geom.indices_y()), tuple(geom.indices_z())
+        half_y, half_z = m_y[num_y // 2 :], m_z[num_z // 2 :]
+        assert len(half_y) == num_y - num_y // 2 and min(half_y) >= 0.0
+        assert walked == [
+            (half_y, m_z), (m_y, half_z), (half_y, half_z), (m_y, m_z), (m_y, half_z),
+            (half_y, m_z),
+        ]
+
+    def test_folded_sweeps_are_bitwise_the_same_for_any_thread_count_and_band_size(
+        self, monkeypatch
+    ):
+        # every fold kind in one sweep; a band boundary falls inside the kept rows
+        # of every user 2 at 401 x 401 as built (the 201 x 201 quarter is 2 bands),
+        # and at 4 x 2 001 with bands of 2^10 entries
+        assert ch._band_step(201, 201) < 201
+        for geom in (make_geom(num_y=401, num_z=401), make_geom(num_y=4, num_z=2_001)):
+            grams = []
+            for band_entries in (ch._BAND_ENTRIES, 2**10, 1, 2**62):  # and one row, one band
+                monkeypatch.setattr(ch, "_BAND_ENTRIES", band_entries)
+                for threads in ("1", "3", "8"):
+                    monkeypatch.setenv("XLMIMO_THREADS", threads)
+                    grams.append(_pair_gram(geom, self.LOC1, self.FOLDING, "pnusw").tobytes())
+                monkeypatch.undo()
+            assert len(set(grams)) == 1
+
+    def test_concurrent_folded_sweeps_under_thread_switching_stress(self, monkeypatch):
+        # four callers share one 8-thread pool, each cell reading its kind's fold
+        # of user 1, with a 1 us switch interval: every stack is the serial one
+        geom = make_geom(num_y=201, num_z=101)
+        monkeypatch.setenv("XLMIMO_THREADS", "1")
+        serial = _pair_gram(geom, self.LOC1, self.FOLDING, "pnusw").tobytes()
+        monkeypatch.setenv("XLMIMO_THREADS", "8")
+        monkeypatch.setattr(ch, "_BAND_ENTRIES", 2**10)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            started = time.perf_counter()
+            with ThreadPoolExecutor(4) as callers:
+                stacks = list(
+                    callers.map(
+                        lambda _: _pair_gram(geom, self.LOC1, self.FOLDING, "pnusw").tobytes(),
+                        range(8),
+                    )
+                )
+            assert time.perf_counter() - started < 60.0
+        finally:
+            sys.setswitchinterval(interval)
+        assert stacks == [serial] * 8
+
     @pytest.mark.parametrize("threads", ["1", "3"])
     def test_the_first_failing_cell_raises(self, monkeypatch, threads):
         # a user on element (1, 0), and one at r = 1e308 (phase inf, entries NaN)
@@ -426,22 +539,25 @@ class TestStreamedPairGrams:
 
     def test_memory_is_user_one_and_a_few_bands(self, monkeypatch):
         # 50 cells at 200 x 200 on one thread: no cell may hold an M-sized array
-        # (user 2, or the products of a reduction over it) beside user 1's response
+        # (user 2, or the products of a reduction over it) beside user 1's response;
+        # nor may user 1's fold when every user 2 is in the x-y plane (folded on z)
         monkeypatch.setenv("XLMIMO_THREADS", "1")
         geom = make_geom(num_y=200, num_z=200)
-        sweep = lambda: sweep_correlation_vs_distance(  # noqa: E731
-            geom, self.LOC1, (1.2, 0.3), range(50)
-        )
-        sweep()  # imports and first-call caches stay out of the peak
-        tracemalloc.start()
-        try:
-            sweep()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
         user_one = 16 * geom.num_elements
         band = 16 * ch._band_step(geom.num_z, geom.num_y) * geom.num_y
-        assert peak < user_one + 3 * band
+        for theta2 in (1.2, math.pi / 2):
+            assert (UserLocation(1.0, theta2, 0.3).u_z == 0.0) == (theta2 == math.pi / 2)
+            sweep = lambda: sweep_correlation_vs_distance(  # noqa: E731
+                geom, self.LOC1, (theta2, 0.3), range(50)
+            )
+            sweep()  # imports and first-call caches stay out of the peak
+            tracemalloc.start()
+            try:
+                sweep()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < user_one + 3 * band
 
     @pytest.mark.parametrize("threads, cap", [(None, 64), ("3", 3)])
     def test_no_more_build_threads_than_jobs(self, monkeypatch, threads, cap):

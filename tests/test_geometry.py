@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -126,6 +127,30 @@ class TestUserLocation:
             UserLocation(r=1.0, theta=3.5, phi=0.0)
         with pytest.raises(ValueError):
             UserLocation(r=1.0, theta=0.5, phi=2.0)
+
+    def test_x_y_plane_users_have_an_exactly_zero_u_z(self):
+        # theta = pi/2 (the float), given or converted from a point with z = 0
+        for phi in (-math.pi / 2, -0.4, 0.0, 0.3, math.pi / 2):
+            assert UserLocation(40.0, math.pi / 2, phi).u_z == 0.0
+        for x, y in ((25.0, 0.0), (30.0, 40.0), (1e-3, -7.0), (250.0, 1e-9)):
+            assert cartesian_to_spherical(Vector3(x, y, 0.0)).u_z == 0.0
+
+    def test_u_z_matches_an_extended_precision_cosine(self):
+        # u_z = sin(pi/2 - theta) is within 2 ulp of cos(theta) measured from the
+        # float pi/2, so within 2 ulp of the true cos(theta) plus the float pi/2's
+        # own error (6.1e-17), which is what gives the exact zero at theta = pi/2
+        rng = np.random.default_rng(11)
+        thetas = np.concatenate(
+            [rng.uniform(0.0, math.pi, 400), rng.uniform(1.5, 1.65, 100), [0.0, math.pi]]
+        )
+        with mpmath.workprec(113):
+            half_pi_error = float(mpmath.pi / 2 - mpmath.mpf(math.pi / 2))
+            for theta in map(float, thetas):
+                u_z = UserLocation(1.0, theta, 0.0).u_z
+                from_float_half_pi = float(mpmath.sin(mpmath.mpf(math.pi / 2) - theta))
+                assert abs(u_z - from_float_half_pi) <= 2 * math.ulp(from_float_half_pi)
+                cos = mpmath.cos(theta)
+                assert float(abs(u_z - cos)) <= 2 * math.ulp(float(cos)) + half_pi_error
 
     @given(locations)
     def test_direction_cosines_are_unit(self, loc):
