@@ -299,9 +299,10 @@ def _upw_gram(geoms, users, cfg: UpwConfig | None = None) -> np.ndarray:
     with x = (d / lambda)(u_i - u_k) per axis and D the signed Dirichlet kernel;
     the diagonal is the power M beta0 / r^2, and a power that is 0 or not
     finite (r^2 beyond the float range either way) raises
-    DegenerateChannelError.  The phase reads each range modulo lambda (fmod
-    is exact), so it stays accurate however many wavelengths away the users
-    are.  The result is exactly Hermitian.
+    DegenerateChannelError, and so does an entry that is not finite (d /
+    lambda beyond the float range).  The phase reads each range modulo
+    lambda (fmod is exact), so it stays accurate however many wavelengths
+    away the users are.  The result is exactly Hermitian.
 
     geoms is one ArrayGeometry, giving the K x K matrix, or a sequence of
     geometries that share spacing, element area and wavelength, giving the
@@ -314,6 +315,8 @@ def _upw_gram(geoms, users, cfg: UpwConfig | None = None) -> np.ndarray:
     beta0 = (cfg or UpwConfig.matched_to(stack[0])).beta0
     powers = _upw_powers(stack, users, beta0)
     g = _upw_entries(stack, users, users, beta0)
+    if not np.isfinite(g).all():
+        raise DegenerateChannelError("channel entries must be finite")
     np.einsum("...ii->...i", g)[...] = powers
     return g[0] if isinstance(geoms, ArrayGeometry) else g
 
@@ -345,10 +348,11 @@ def _upw_entries(stack, rows, cols, beta0: float) -> np.ndarray:
     d_norm = geom.spacing / geom.wavelength
     root_beta0 = math.sqrt(beta0)
     cycles_k, cycles_i = (np.fmod(r, geom.wavelength) / geom.wavelength for r in (r_k, r_i))
-    return ((root_beta0 / r_k)[:, None] * (root_beta0 / r_i)[None, :]) * (
-        _dirichlet(num_y, d_norm * (u_yi[None, :] - u_yk[:, None]))
-        * _dirichlet(num_z, d_norm * (u_zi[None, :] - u_zk[:, None]))
-    ) * np.exp(-2j * math.pi * (cycles_i[None, :] - cycles_k[:, None]))
+    with np.errstate(invalid="ignore", over="ignore"):  # callers reject a non-finite entry
+        return ((root_beta0 / r_k)[:, None] * (root_beta0 / r_i)[None, :]) * (
+            _dirichlet(num_y, d_norm * (u_yi[None, :] - u_yk[:, None]))
+            * _dirichlet(num_z, d_norm * (u_zi[None, :] - u_zk[:, None]))
+        ) * np.exp(-2j * math.pi * (cycles_i[None, :] - cycles_k[:, None]))
 
 
 def _mirror(a, m, fold: bool):

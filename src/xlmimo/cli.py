@@ -9,8 +9,11 @@ corr-vs-m`` runs out of the box.  Any key can be overridden from a JSON
 config file or with repeated ``--set dotted.path=value`` flags; angles
 accept radians or fractions of pi such as ``pi/2`` or ``-2pi/3``.
 
-The sidecar written next to the CSV embeds the fully resolved config;
-feeding it back through ``--config`` reproduces the CSV byte for byte.
+``parse_config`` resolves the merged config once into one plain tree, every
+sweep axis made an explicit list by ``_axis``.  The typed objects are built
+from that tree, and the sidecar written next to the CSV embeds it as its
+config block; feeding the sidecar back through ``--config`` reproduces the
+CSV byte for byte.
 Exit codes: 0 success, 1 config error, 2 numerical/degenerate error.
 """
 
@@ -53,6 +56,9 @@ _MAX_SWEEP_POINTS = 100_000
 # Most entries (elements x users) of the largest response block a sweep may
 # build: 1 GiB of complex128, which admits a 1000 x 1000 array with 64 users.
 _MAX_BLOCK_ENTRIES = 2**26
+
+# The keys of a user, in the order of UserLocation's fields (and UserRegion's).
+_USER_KEYS = ("r_m", "theta_rad", "phi_rad")
 
 _ANGLE_RE = re.compile(
     r"^\s*([+-]?)(\d+(?:\.\d+)?)?\s*pi\s*(?:/\s*(\d+(?:\.\d+)?))?\s*$", re.IGNORECASE
@@ -108,72 +114,61 @@ def _apply_override(tree: dict, dotted: str, value) -> None:
     node[key] = _merge(current, value, f"{dotted}.")
 
 
-def _as_int(value, path: str, minimum: int) -> int:
-    integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
-    if isinstance(value, bool) or not integral:
-        raise ConfigError(f"config key '{path}' must be an integer, got {value!r}")
-    value = int(value)
-    if value < minimum:
-        raise ConfigError(f"config key '{path}' must be >= {minimum}, got {value}")
-    return value
+def _number(value, path: str, integer: bool = False, minimum: float = -math.inf):
+    """A finite config number, at least `minimum`: an exact int if `integer`, else a float."""
+    kind = "an integer" if integer else "a finite number"
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"config key '{path}' must be {kind}, got {value!r}")
+    if integer:
+        if isinstance(value, float) and not value.is_integer():
+            raise ConfigError(f"config key '{path}' must be {kind}, got {value!r}")
+        number = int(value)
+    else:
+        try:
+            number = float(value)
+        except OverflowError:  # an int beyond the float range
+            number = math.inf
+        if not math.isfinite(number):
+            raise ConfigError(f"config key '{path}' must be {kind}, got {value!r}")
+    if number < minimum:
+        raise ConfigError(f"config key '{path}' must be >= {minimum}, got {number}")
+    return number
 
 
-def _as_float(value, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-        raise ConfigError(f"config key '{path}' must be a finite number, got {value!r}")
-    return float(value)
-
-
-def _as_angle(value, path: str) -> float:
+def _angle(value, path: str) -> float:
     try:
         angle = parse_angle(value)
-    except ConfigError:
+    except (ConfigError, ArithmeticError):  # ArithmeticError: pi/0, or an int beyond float range
         angle = math.nan
     if not math.isfinite(angle):
         raise ConfigError(f"config key '{path}': cannot parse angle {value!r}")
     return angle
 
 
-def _build_geometry(node: dict) -> ArrayGeometry:
+def _coordinate(key: str, value, path: str) -> float:
+    """One spherical coordinate of a user, region or direction: r_m, theta_rad or phi_rad."""
+    return _number(value, path) if key == "r_m" else _angle(value, path)
+
+
+def _build(cls, path: str, *fields):
+    """``cls(*fields)``, with the ValueError of an invalid object as a config error."""
     try:
-        return ArrayGeometry(
-            num_y=_as_int(node["num_y"], "geometry.num_y", minimum=1),
-            num_z=_as_int(node["num_z"], "geometry.num_z", minimum=1),
-            spacing=_as_float(node["spacing_m"], "geometry.spacing_m"),
-            element_area=_as_float(node["element_area_m2"], "geometry.element_area_m2"),
-            wavelength=_as_float(node["wavelength_m"], "geometry.wavelength_m"),
-        )
+        return cls(*fields)
     except ValueError as exc:
-        raise ConfigError(f"geometry: {exc}") from None
+        raise ConfigError(f"{path}: {exc}") from None
 
 
-def _build_users(entries) -> list[UserLocation]:
+def _plain_users(entries) -> list[dict]:
     if not isinstance(entries, list):
         raise ConfigError("config key 'users' must be a list")
     users = []
     for i, entry in enumerate(entries):
-        if not isinstance(entry, dict) or set(entry) != {"r_m", "theta_rad", "phi_rad"}:
+        if not isinstance(entry, dict) or set(entry) != set(_USER_KEYS):
             raise ConfigError(
                 f"users.{i} must be an object with keys r_m, theta_rad, phi_rad"
             )
-        try:
-            users.append(
-                UserLocation(
-                    r=_as_float(entry["r_m"], f"users.{i}.r_m"),
-                    theta=_as_angle(entry["theta_rad"], f"users.{i}.theta_rad"),
-                    phi=_as_angle(entry["phi_rad"], f"users.{i}.phi_rad"),
-                )
-            )
-        except ValueError as exc:
-            raise ConfigError(f"users.{i}: {exc}") from None
+        users.append({key: _coordinate(key, entry[key], f"users.{i}.{key}") for key in _USER_KEYS})
     return users
-
-
-def _number_list(values, path: str) -> list[float]:
-    if not isinstance(values, list) or not values:
-        raise ConfigError(f"config key '{path}' must be a non-empty list of numbers")
-    _check_points(len(values), path)
-    return [_as_float(v, path) for v in values]
 
 
 def _check_points(count, path: str) -> None:
@@ -181,112 +176,104 @@ def _check_points(count, path: str) -> None:
         raise ConfigError(f"{path} gives {count:.4g} sweep points, more than {_MAX_SWEEP_POINTS}")
 
 
-def _user_region(region: dict) -> xp.UserRegion:
-    return xp.UserRegion(
-        r=tuple(region["r_m"]), theta=tuple(region["theta_rad"]), phi=tuple(region["phi_rad"])
-    )
+def _axis(
+    sweep: dict, key: str, prefix: str | None = None, integer: bool = False, minimum=-math.inf
+) -> list:
+    """Resolve one sweep axis: the explicit list ``sweep[key]``, else its range.
+
+    The range keys are ``<prefix>start`` and ``<prefix>stop`` with either
+    ``<prefix>step`` (start, start + step, ... up to stop) or
+    ``<prefix>points`` (evenly spaced, both ends included); an axis without a
+    prefix is a plain list.  An integer axis stays in integer arithmetic.
+    Every value, listed or resolved, must be finite and at least `minimum`.
+    """
+    values, path = sweep[key], f"sweep.{key}"
+    if values is not None or prefix is None:
+        if not isinstance(values, list) or not values:
+            raise ConfigError(f"config key '{path}' must be a non-empty list of numbers")
+        _check_points(len(values), path)
+    else:
+        form = "points" if f"{prefix}points" in sweep else "step"
+        path = f"sweep.{prefix}start/stop/{form}"
+        start = _number(sweep[f"{prefix}start"], f"sweep.{prefix}start", integer)
+        stop = _number(sweep[f"{prefix}stop"], f"sweep.{prefix}stop", integer)
+        if form == "points":
+            count = _number(sweep[f"{prefix}points"], f"sweep.{prefix}points", True, minimum=1)
+            _check_points(count, path)
+            with np.errstate(all="ignore"):  # a span that overflows gives NaN, rejected below
+                values = np.linspace(start, stop, count).tolist()
+        else:
+            step = _number(sweep[f"{prefix}step"], f"sweep.{prefix}step", integer)
+            if not step > 0 or stop < start:
+                raise ConfigError(f"{path} needs step > 0 and stop >= start")
+            span = (stop - start) // step if integer else (stop - start) / step + 1e-9
+            _check_points(span + 1, path)
+            values = [start + i * step for i in range(int(span) + 1)]
+    return [_number(v, path, integer, minimum) for v in values]
 
 
 def _resolve_mz(sweep: dict, users: list) -> dict:
-    if sweep["mz_values"] is not None:
-        values = _number_list(sweep["mz_values"], "sweep.mz_values")
-        values = [_as_int(v, "sweep.mz_values", minimum=1) for v in values]
-    else:
-        start = _as_int(sweep["mz_start"], "sweep.mz_start", minimum=1)
-        stop = _as_int(sweep["mz_stop"], "sweep.mz_stop", minimum=start)
-        step = _as_int(sweep["mz_step"], "sweep.mz_step", minimum=1)
-        values = range(start, stop + 1, step)
-        _check_points(len(values), "sweep.mz_start/mz_stop/mz_step")
-        values = list(values)
-    out = {"mz_values": values}
+    out = {"mz_values": _axis(sweep, "mz_values", "mz_", integer=True, minimum=1)}
     if "user_index" in sweep:
-        out["user_index"] = _as_int(sweep["user_index"], "sweep.user_index", minimum=0)
+        out["user_index"] = _number(sweep["user_index"], "sweep.user_index", True, minimum=0)
         if out["user_index"] >= len(users):
             raise ConfigError("sweep.user_index is out of range for the users block")
     return out
 
 
 def _resolve_separations(sweep: dict, users: list) -> dict:
-    direction = sweep["direction2"]
-    theta = _as_angle(direction["theta_rad"], "sweep.direction2.theta_rad")
-    phi = _as_angle(direction["phi_rad"], "sweep.direction2.phi_rad")
-    try:
-        UserLocation(r=1.0, theta=theta, phi=phi)
-    except ValueError as exc:
-        raise ConfigError(f"sweep.direction2: {exc}") from None
-    if sweep["separations_m"] is not None:
-        seps = _number_list(sweep["separations_m"], "sweep.separations_m")
-    else:
-        start = _as_float(sweep["separation_start"], "sweep.separation_start")
-        stop = _as_float(sweep["separation_stop"], "sweep.separation_stop")
-        step = _as_float(sweep["separation_step"], "sweep.separation_step")
-        if step <= 0 or stop < start:
-            raise ConfigError("separation sweep needs step > 0 and stop >= start")
-        span = (stop - start) / step + 1e-9
-        _check_points(span + 1, "sweep.separation_start/stop/step")
-        seps = [start + i * step for i in range(int(span) + 1)]
-    if any(s < 0 for s in seps):
-        raise ConfigError("sweep.separations_m must be non-negative")
+    direction = {
+        key: _angle(value, f"sweep.direction2.{key}") for key, value in sweep["direction2"].items()
+    }
+    _build(UserLocation, "sweep.direction2", 1.0, *direction.values())
     return {
-        "direction2": {"theta_rad": theta, "phi_rad": phi},
-        "separations_m": seps,
+        "direction2": direction,
+        "separations_m": _axis(sweep, "separations_m", "separation_", minimum=0.0),
     }
 
 
 def _resolve_grid(sweep: dict, users: list) -> dict:
-    out = {}
-    for axis in ("x", "y"):
-        explicit = sweep[f"{axis}_values_m"]
-        if explicit is not None:
-            out[f"{axis}_values_m"] = _number_list(explicit, f"sweep.{axis}_values_m")
-        else:
-            start = _as_float(sweep[f"{axis}_start"], f"sweep.{axis}_start")
-            stop = _as_float(sweep[f"{axis}_stop"], f"sweep.{axis}_stop")
-            points = _as_int(sweep[f"{axis}_points"], f"sweep.{axis}_points", minimum=1)
-            _check_points(points, f"sweep.{axis}_points")
-            out[f"{axis}_values_m"] = [float(v) for v in np.linspace(start, stop, points)]
+    out = {f"{axis}_values_m": _axis(sweep, f"{axis}_values_m", f"{axis}_") for axis in "xy"}
     _check_points(len(out["x_values_m"]) * len(out["y_values_m"]), "the x-y grid")
     return out
 
 
 def _resolve_drops(sweep: dict, users: list) -> dict:
-    sides = _number_list(sweep["sides"], "sweep.sides")
-    sides = [_as_int(v, "sweep.sides", minimum=1) for v in sides]
-    n_users = _as_int(sweep["n_users"], "sweep.n_users", minimum=1)
-    n_drops = _as_int(sweep["n_drops"], "sweep.n_drops", minimum=1)
+    sides = _axis(sweep, "sides", integer=True, minimum=1)
+    n_users = _number(sweep["n_users"], "sweep.n_users", integer=True, minimum=1)
+    n_drops = _number(sweep["n_drops"], "sweep.n_drops", integer=True, minimum=1)
     _check_points(n_drops, "sweep.n_drops")
     if n_users > min(s * s for s in sides):
         raise ConfigError("sweep.n_users exceeds the smallest array in sweep.sides")
-    resolved_region = {}
+    region = {}
     for key, pair in sweep["region"].items():
         if not isinstance(pair, list) or len(pair) != 2:
             raise ConfigError(f"sweep.region.{key} must be a [min, max] pair")
-        parse = _as_float if key == "r_m" else _as_angle
-        resolved_region[key] = [parse(v, f"sweep.region.{key}") for v in pair]
-    try:
-        _user_region(resolved_region)
-    except ValueError as exc:
-        raise ConfigError(f"sweep.region: {exc}") from None
-    return {
-        "sides": sides,
-        "n_users": n_users,
-        "n_drops": n_drops,
-        "region": resolved_region,
-    }
+        region[key] = [_coordinate(key, v, f"sweep.region.{key}") for v in pair]
+    return {"sides": sides, "n_users": n_users, "n_drops": n_drops, "region": region}
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully resolved, validated run configuration."""
+    """Fully resolved, validated run configuration.
 
-    experiment: str
-    model: str
-    seed: int
-    snr_db: list
-    beta0: float
+    ``tree`` is the whole config with every value parsed, as plain JSON data:
+    the sidecar's config block.  The geometry, the users and a drop sweep's
+    sampling region are built from it once as typed objects; the other
+    fields read it.
+    """
+
+    tree: dict
     geometry: ArrayGeometry
     users: list
-    sweep: dict
+    region: xp.UserRegion | None = None
+
+    experiment = property(lambda self: self.tree["experiment"])
+    model = property(lambda self: self.tree["model"])
+    seed = property(lambda self: self.tree["seed"])
+    snr_db = property(lambda self: self.tree["snr_db"])
+    beta0 = property(lambda self: self.tree["beta0"])
+    sweep = property(lambda self: self.tree["sweep"])
 
     def models(self) -> tuple[str, ...]:
         return ("pnusw", "upw") if self.model == "both" else (self.model,)
@@ -302,24 +289,7 @@ class RunConfig:
         return snr
 
     def resolved(self) -> dict:
-        return {
-            "experiment": self.experiment,
-            "model": self.model,
-            "seed": self.seed,
-            "snr_db": list(self.snr_db),
-            "beta0": self.beta0,
-            "geometry": {
-                "num_y": self.geometry.num_y,
-                "num_z": self.geometry.num_z,
-                "spacing_m": self.geometry.spacing,
-                "element_area_m2": self.geometry.element_area,
-                "wavelength_m": self.geometry.wavelength,
-            },
-            "users": [
-                {"r_m": u.r, "theta_rad": u.theta, "phi_rad": u.phi} for u in self.users
-            ],
-            "sweep": copy.deepcopy(self.sweep),
-        }
+        return copy.deepcopy(self.tree)
 
 
 class _Experiment(NamedTuple):
@@ -413,7 +383,7 @@ _EXPERIMENTS = {
         resolve=_resolve_drops,
         block=lambda geom, sweep: (max(sweep["sides"]) ** 2, sweep["n_users"]),
         run=lambda cfg, **common: xp.sumrate_vs_m(
-            cfg.geometry, _user_region(cfg.sweep["region"]), cfg.sweep["n_users"],
+            cfg.geometry, cfg.region, cfg.sweep["n_users"],
             cfg.snr_linear(), cfg.sweep["sides"], seed=cfg.seed,
             n_drops=cfg.sweep["n_drops"], **common,
         ),
@@ -428,7 +398,7 @@ def _defaults(experiment: str, spec: _Experiment) -> dict:
         "seed": 1,
         "snr_db": DEFAULT_SNR_DB,
         "beta0": None,
-        "geometry": {
+        "geometry": {  # in the order of ArrayGeometry's fields, which are built from it
             "num_y": 10,
             "num_z": 11,
             "spacing_m": DEFAULT_SPACING,
@@ -481,13 +451,27 @@ def parse_config(
 
     if merged["model"] not in ("pnusw", "upw", "both"):
         raise ConfigError(f"model must be pnusw, upw, or both, got {merged['model']!r}")
-    seed_value = _as_int(merged["seed"], "seed", minimum=0)
-    geometry = _build_geometry(merged["geometry"])
-    users = _build_users(merged["users"])
-    sweep = spec.resolve(merged["sweep"], users)
+    tree = {
+        "experiment": experiment,
+        "model": merged["model"],
+        "seed": _number(merged["seed"], "seed", integer=True, minimum=0),
+        "geometry": {
+            key: _number(value, f"geometry.{key}", integer=key.startswith("num_"))
+            for key, value in merged["geometry"].items()
+        },
+        "users": _plain_users(merged["users"]),
+    }
+    geometry = _build(ArrayGeometry, "geometry", *tree["geometry"].values())
+    users = [
+        _build(UserLocation, f"users.{i}", *user.values()) for i, user in enumerate(tree["users"])
+    ]
     if len(users) != len(spec.users):
         noun = "user" if len(spec.users) == 1 else "users"
         raise ConfigError(f"{experiment} needs {len(spec.users)} {noun}, got {len(users)}")
+    tree["sweep"] = sweep = spec.resolve(merged["sweep"], users)
+    region = None
+    if "region" in sweep:
+        region = _build(xp.UserRegion, "sweep.region", *map(tuple, sweep["region"].values()))
     elements, num_snr = spec.block(geometry, sweep)
     if elements * num_snr > _MAX_BLOCK_ENTRIES:
         raise ConfigError(
@@ -498,26 +482,17 @@ def parse_config(
     snr_db = merged["snr_db"]
     if not isinstance(snr_db, list):
         snr_db = [snr_db] * num_snr
-    snr_db = [_as_float(v, "snr_db") for v in snr_db]
+    tree["snr_db"] = [_number(v, "snr_db") for v in snr_db]
     if len(snr_db) != num_snr:
         raise ConfigError(f"snr_db lists {len(snr_db)} values for {num_snr} users")
 
     beta0 = merged["beta0"]
     try:
-        upw = UpwConfig.matched_to(geometry) if beta0 is None else UpwConfig(_as_float(beta0, "beta0"))
+        upw = UpwConfig.matched_to(geometry) if beta0 is None else UpwConfig(_number(beta0, "beta0"))
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-
-    return RunConfig(
-        experiment=experiment,
-        model=merged["model"],
-        seed=seed_value,
-        snr_db=snr_db,
-        beta0=upw.beta0,
-        geometry=geometry,
-        users=users,
-        sweep=sweep,
-    )
+    tree["beta0"] = upw.beta0
+    return RunConfig(tree, geometry, users, region)
 
 
 def dispatch(cfg: RunConfig) -> xp.SweepResult:

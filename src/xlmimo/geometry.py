@@ -88,7 +88,11 @@ class ArrayGeometry:
             value = getattr(self, name)
             if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be a positive finite number, got {value!r}")
-        if self.element_area > self.spacing**2 * (1.0 + 1e-12):
+        try:
+            plate = self.spacing**2
+        except OverflowError:
+            raise ValueError(f"spacing {self.spacing!r} is too large: its square overflows") from None
+        if self.element_area > plate * (1.0 + 1e-12):
             raise ValueError(
                 f"elements overlap: spacing {self.spacing} is smaller than "
                 f"sqrt(element_area) {math.sqrt(self.element_area)}"
@@ -125,8 +129,10 @@ class UserLocation:
     phi: float
 
     def __post_init__(self):
-        if not (isinstance(self.r, (int, float)) and math.isfinite(self.r) and self.r > 0):
+        if not (isinstance(self.r, (int, float)) and self.r > 0):
             raise ValueError(f"r must be a positive finite range, got {self.r!r}")
+        if self.r == math.inf:  # too far for a float: a numerical error, not a bad value
+            raise DegenerateGeometryError("the user's range r overflows to inf")
         if not 0.0 <= self.theta <= math.pi:
             raise ValueError(f"theta must lie in [0, pi], got {self.theta!r}")
         if not -math.pi / 2 <= self.phi <= math.pi / 2:

@@ -3,8 +3,11 @@
 import json
 import math
 import os
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import xlmimo.channel as ch
 from xlmimo.cli import (
@@ -99,6 +102,11 @@ class TestParseConfig:
         ]}))
         with pytest.raises(ConfigError, match="2 users"):
             parse_config(str(path))
+
+    def test_user_count_is_checked_before_the_sweep(self):
+        # the empty users block, not sweep.user_index, is what is wrong
+        with pytest.raises(ConfigError, match="sinr-vs-m needs 2 users, got 0"):
+            parse_config(experiment="sinr-vs-m", overrides=[("users", [])])
 
     def test_snr_list_length_checked(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -252,6 +260,21 @@ class TestRun:
         assert leftovers == []
 
 
+SIDECAR_CONFIGS = Path(__file__).resolve().parent / "data" / "sidecar_configs"
+
+
+@pytest.mark.parametrize("kind", ["default", "small"])
+@pytest.mark.parametrize("experiment", sorted(SMALL))
+def test_old_sidecar_config_blocks_resolve_unchanged(experiment, kind):
+    # each file is the config block the CLI wrote, before its config resolver was
+    # rewritten, for the default or the SMALL config; the block itself (a rerun from
+    # an old sidecar) and the config it came from must both resolve to it byte for byte
+    block = SIDECAR_CONFIGS / f"{experiment}-{kind}.json"
+    overrides = SMALL[experiment] if kind == "small" else []
+    for cfg in (parse_config(str(block)), parse_config(experiment=experiment, overrides=overrides)):
+        assert json.dumps(cfg.resolved(), sort_keys=True, indent=2) + "\n" == block.read_text()
+
+
 class TestMain:
     def test_success_exit_code(self, tmp_path, capsys):
         out = tmp_path / "ok.csv"
@@ -393,6 +416,16 @@ class TestSamplingRegion:
         ("sinr-vs-m", "snr_db=-4000"),
         ("corr-vs-m", "beta0=0"),
         ("corr-vs-m", "geometry.element_area_m2=5e-324"),
+        pytest.param(  # a grid range whose span overflows: linspace gives NaN
+            "snr-loss-heatmap",
+            'sweep={"x_start": -1e308, "x_stop": 1e308, "x_points": 3, "y_values_m": [0]}',
+            id="snr-loss-heatmap-grid-span-overflows",
+        ),
+        ("corr-vs-m", "geometry.spacing_m=1.7e308"),  # its square overflows
+        # ints beyond the float range
+        pytest.param("corr-vs-m", "geometry.spacing_m=1" + "0" * 400, id="corr-vs-m-int-1e400"),
+        pytest.param("corr-vs-m", "users.0.theta_rad=1" + "0" * 400, id="corr-vs-m-angle-1e400"),
+        ("corr-vs-m", "users.0.theta_rad=pi/0"),
     ],
 )
 def test_bad_config_numbers_are_config_errors(run_python, tmp_path, experiment, override):
@@ -423,6 +456,11 @@ def run_with_overrides(run_python, tmp_path, experiment, overrides, **kwargs):
         ("snr-loss-heatmap", ["model=pnusw", "sweep.x_values_m=[1e-200]", "sweep.y_values_m=[0]"]),
         ("sinr-vs-m", ["beta0=1e300"]),
         ("sumrate-vs-m", ["beta0=1e300", "sweep.sides=[10]", "sweep.n_drops=1"]),
+        # user 2's range overflows to inf: hypot(x, y), and r1 + separation
+        ("snr-loss-heatmap", ["sweep.x_values_m=[1.7e308]", "sweep.y_values_m=[1.7e308]"]),
+        ("corr-vs-dist", ["users.0.r_m=1e308", "sweep.separations_m=[1e308]"]),
+        # d / lambda overflows, so the plane-wave Gram entries are not finite
+        ("sinr-vs-m", ["model=upw", "geometry.wavelength_m=5e-324"]),
     ],
 )
 def test_extreme_user_positions_are_numerical_errors(run_python, tmp_path, experiment, overrides):
@@ -626,3 +664,105 @@ def test_mmse_is_finite_and_at_least_mrc_at_tiny_powers(tmp_path, experiment, ov
             mrc, mmse = cells[f"{model}_mrc_{metric}"], cells[f"{model}_mmse_{metric}"]
             assert math.isfinite(mmse)
             assert mmse >= mrc - 1e-9 * abs(mrc), (model, row)
+
+
+# Config fuzz: floats over the whole range, with its edges drawn often.  Counts
+# and sizes stay at most 16 (n_drops at most 2, separation ranges a few dozen
+# points) so that every example runs in milliseconds.
+EDGES = [math.inf, -math.inf, math.nan, 1.7e308, -1.7e308, 5e-324, -5e-324, 0.0]
+ANY_FLOAT = st.sampled_from(EDGES) | st.floats()
+ANGLE = ANY_FLOAT | st.sampled_from(["pi/2", "-pi/2", "2pi/3", "-2pi", "pi/0", "pie"])
+SIZE = st.sampled_from(EDGES) | st.integers(-1, 16)
+
+
+def maybe_list(values):
+    return st.none() | st.lists(values, max_size=3)
+
+
+def user_keys(count):
+    return {
+        f"users.{i}.{key}": strategy
+        for i in range(count)
+        for key, strategy in (("r_m", ANY_FLOAT), ("theta_rad", ANGLE), ("phi_rad", ANGLE))
+    }
+
+
+COMMON_KEYS = {
+    "seed": SIZE,
+    "snr_db": ANY_FLOAT | st.lists(ANY_FLOAT, max_size=3),
+    "beta0": st.none() | ANY_FLOAT,
+    "model": st.sampled_from(["pnusw", "upw", "both", "plane"]),
+    "geometry.num_y": SIZE,
+    "geometry.num_z": SIZE,
+    "geometry.spacing_m": ANY_FLOAT,
+    "geometry.element_area_m2": ANY_FLOAT,
+    "geometry.wavelength_m": ANY_FLOAT,
+}
+MZ_KEYS = {
+    "sweep.mz_values": maybe_list(SIZE),
+    "sweep.mz_start": SIZE,
+    "sweep.mz_stop": SIZE,
+    "sweep.mz_step": SIZE,
+}
+FUZZ_KEYS = {
+    "corr-vs-m": {**COMMON_KEYS, **user_keys(2), **MZ_KEYS},
+    "sinr-vs-m": {**COMMON_KEYS, **user_keys(2), **MZ_KEYS, "sweep.user_index": SIZE},
+    "corr-vs-dist": {
+        **COMMON_KEYS,
+        **user_keys(1),
+        "sweep.direction2.theta_rad": ANGLE,
+        "sweep.direction2.phi_rad": ANGLE,
+        "sweep.separations_m": maybe_list(ANY_FLOAT),
+        "sweep.separation_start": st.sampled_from(EDGES) | st.floats(-20.0, 20.0),
+        "sweep.separation_stop": st.sampled_from(EDGES) | st.floats(-20.0, 20.0),
+        "sweep.separation_step": st.sampled_from(EDGES) | st.floats(1.0, 20.0),
+    },
+    "snr-loss-heatmap": {
+        **COMMON_KEYS,
+        **user_keys(1),
+        **{f"sweep.{axis}_{end}": ANY_FLOAT for axis in "xy" for end in ("start", "stop")},
+        **{f"sweep.{axis}_points": SIZE for axis in "xy"},
+        **{f"sweep.{axis}_values_m": maybe_list(ANY_FLOAT) for axis in "xy"},
+    },
+    "sumrate-vs-m": {
+        **COMMON_KEYS,
+        "sweep.sides": maybe_list(SIZE),
+        "sweep.n_users": SIZE,
+        "sweep.n_drops": st.sampled_from(EDGES) | st.integers(-1, 2),
+        "sweep.region.r_m": st.lists(ANY_FLOAT, min_size=2, max_size=2),
+        "sweep.region.theta_rad": st.lists(ANGLE, min_size=2, max_size=2),
+        "sweep.region.phi_rad": st.lists(ANGLE, min_size=2, max_size=2),
+    },
+}
+
+
+@st.composite
+def fuzzed_runs(draw):
+    """An experiment and up to four overrides, laid over its SMALL config."""
+    experiment = draw(st.sampled_from(sorted(FUZZ_KEYS)))
+    keys = FUZZ_KEYS[experiment]
+    chosen = draw(st.lists(st.sampled_from(sorted(keys)), min_size=1, max_size=4, unique=True))
+    return experiment, [(key, draw(keys[key])) for key in chosen]
+
+
+@settings(
+    max_examples=400,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(case=fuzzed_runs())
+@example(case=("snr-loss-heatmap", [
+    ("sweep.x_start", -1e308), ("sweep.x_stop", 1e308), ("sweep.x_points", 3),
+    ("sweep.y_values_m", [0]),
+]))
+@example(case=("snr-loss-heatmap", [("sweep.x_values_m", [1.7e308]), ("sweep.y_values_m", [1.7e308])]))
+@example(case=("corr-vs-dist", [("users.0.r_m", 1e308), ("sweep.separations_m", [1e308])]))
+def test_any_config_gives_a_table_or_exits_1_or_2(tmp_path, monkeypatch, case):
+    # in process, so that a raw exception fails the test instead of printing a traceback
+    monkeypatch.setenv("XLMIMO_THREADS", "1")
+    experiment, overrides = case
+    args = ["--experiment", experiment, "--out", str(tmp_path / "fuzz.csv")]
+    for key, value in SMALL[experiment] + overrides:
+        args += ["--set", f"{key}={json.dumps(value)}"]
+    assert main(args) in (0, 1, 2)
