@@ -20,13 +20,12 @@ with a scheme-specific loss factor alpha in [0, 1]:
   A P^1/2 W^-1 e_k.
 
 Every SINR, loss factor and beamformer comes from one K x K step per
-scenario (_factorize), which takes the Gram matrix G and forms the
-Cholesky inverses of G and W.  evaluate_scenario() reads all users' SINRs
-off their diagonals, from gram(A) or from a G the caller already holds
-(the M-sweeps accumulate it without forming A); zf() and mmse() multiply
-A by one of their columns.  Both K x K steps also take an (n, K, K) stack
-of Grams sharing one SNR vector, such as every array of an M-sweep, and
-factor each stack in one call.  Nothing forms or factors an M x M matrix.
+scenario (_factorize): it gates the Gram matrix G and W by their condition
+numbers and forms their Cholesky inverses.  evaluate_scenario() reads all
+users' SINRs off their diagonals, from gram(A) or from a G the caller
+already holds (the M-sweeps accumulate it without forming A); zf() and
+mmse() multiply A by one of their columns.  An (n, K, K) stack of Grams
+sharing one SNR vector is factored in one call; nothing is M x M.
 sinr() evaluates the quotient directly and serves as the consistency
 oracle for the beamformers.
 """
@@ -46,7 +45,7 @@ from .errors import (
     ZeroForcingInfeasibleError,
 )
 from .geometry import ArrayGeometry
-from .numerics import cdot, gram, hermitian_solve, vector_power
+from .numerics import MAX_CONDITION, cdot, condition, gram, hermitian_solve, vector_power
 
 SCHEMES = ("mrc", "zf", "mmse")
 
@@ -113,41 +112,30 @@ def _diagonal(x: np.ndarray) -> np.ndarray:
     return np.einsum("...ii->...i", x)
 
 
-def _gram_inverse(g: np.ndarray) -> np.ndarray:
-    """G^-1 of one Gram matrix or of each of a stack, all NaN where G fails the gate.
-
-    A stack that fails is redone one matrix at a time, so one infeasible
-    Gram never affects another.
-    """
-    try:
-        return hermitian_solve(g, np.eye(g.shape[-1]))
-    except NearSingularError:
-        if g.ndim == 2:
-            return np.full(g.shape, np.nan, dtype=complex)
-        return np.stack([_gram_inverse(one) for one in g])
-
-
 def _factorize(g: np.ndarray, snr=None):
     """The K x K step behind every SINR and beamformer of one scenario, or of a stack.
 
     Takes the Gram matrix G = A^H A, or an (n, K, K) stack of them, and
-    returns (G^-1, residual, H, W^-1) with H = P^1/2 G P^1/2 and W = I + H,
-    each with the stack's leading axis.  residual[k] = 1 / [G^-1]_kk is
-    the power of a_k left after projecting out the interferers, or 0.0
-    where zero forcing is infeasible: at most ZF_COLLINEAR_TOL of the
-    user's own power, and for every user when G fails the condition gate
-    of hermitian_solve (then that G^-1 is NaN), as it does for M < K.  Then
-    some channel lies in the span of the others, so each user either is
-    that channel or has linearly dependent interferers.  H and W^-1 are
-    None without snr, which must hold K positive finite SNRs.  The W stack
-    is one solve, and raises NearSingularError if any W fails.  A channel
-    power of 0 or above _MAX_POWER raises DegenerateChannelError.
+    returns (G^-1, residual, W^-1, SINRs) with W = I + P^1/2 G P^1/2, each
+    with the stack's leading axis; the SINRs are evaluate_scenario's.  Every
+    G and W passes one gate: numerics.condition, which no user's power
+    changes, at most MAX_CONDITION.  The passing Grams are inverted in one
+    solve; a failing G^-1 is NaN, as for M < K.  residual[k] = 1 / [G^-1]_kk
+    is the power of a_k left after projecting out the interferers, or 0.0
+    where zero forcing is infeasible: at most ZF_COLLINEAR_TOL of the user's
+    own power, or G failed.  W^-1 and the SINRs are None without snr, which
+    must hold K positive finite SNRs.  A failing W raises NearSingularError
+    with the largest condition number; a channel power of 0 or above
+    _MAX_POWER raises DegenerateChannelError.
     """
     k_users = g.shape[-1]
     powers = _diagonal(g).real
     if not np.all((powers > 0.0) & (powers <= _MAX_POWER)):
         raise DegenerateChannelError("a user's channel power is zero or too large to square")
-    g_inv = _gram_inverse(g)
+    eye = np.eye(k_users)
+    ok = condition(g) <= MAX_CONDITION
+    g_inv = np.full(g.shape, np.nan, dtype=complex)
+    g_inv[ok] = hermitian_solve(g[ok], eye)
     residual = 1.0 / _diagonal(g_inv).real
     residual = np.where(residual > ZF_COLLINEAR_TOL * powers, residual, 0.0)
     if snr is None:
@@ -158,13 +146,50 @@ def _factorize(g: np.ndarray, snr=None):
     h = root[:, None] * g * root[None, :]
     # p_k G_kk exactly, as in the MRC SINR, so MMSE equals MRC where interference vanishes
     _diagonal(h)[...] = snr * powers
-    eye = np.eye(k_users)
-    return g_inv, residual, h, hermitian_solve(eye + h, eye)
+    w = eye + h
+    worst = float(condition(w).max(initial=0.0))
+    if worst > MAX_CONDITION:
+        raise NearSingularError(
+            f"condition number {worst:.3e} exceeds {MAX_CONDITION:.3e}; collinear user channels",
+            cond_estimate=worst,
+        )
+    w_inv = hermitian_solve(w, eye)
+    scaled = g / np.sqrt(powers)[..., None]
+    coupling = scaled.real**2 + scaled.imag**2
+    _diagonal(coupling)[...] = 0.0
+    weighted = (coupling * snr).sum(axis=-1)
+    mmse_gain = (h * np.swapaxes(w_inv, -2, -1)).sum(axis=-1).real
+    sinrs = {
+        "mrc": snr * powers / (weighted + 1.0),
+        "zf": snr * residual,
+        "mmse": np.maximum(mmse_gain / _diagonal(w_inv).real, 0.0),
+    }
+    return g_inv, residual, w_inv, sinrs
 
 
 def _check_user(a: np.ndarray, k: int) -> None:
     if not 0 <= k < a.shape[1]:
         raise IndexError(f"user index {k} out of range for K={a.shape[1]}")
+
+
+def _beamformer(a, snr, scheme: str, k: int, factors=None) -> np.ndarray:
+    """User k's unit beamformer: a_k (MRC), A G^-1 e_k (ZF) or A P^1/2 W^-1 e_k (MMSE).
+
+    factors, _factorize(gram(a), snr), are formed here unless given.
+    """
+    a = np.asarray(a, dtype=complex)
+    _check_user(a, k)
+    if scheme == "mrc":
+        return mrc(a[:, k])
+    g_inv, residual, w_inv, _ = _factorize(gram(a), snr) if factors is None else factors
+    if scheme == "mmse":
+        return _unit_canonical(a @ (np.sqrt(snr) * w_inv[:, k]), a[:, k])
+    if residual[k] == 0.0:
+        raise ZeroForcingInfeasibleError(
+            f"zero forcing is infeasible for user {k}: with M={a.shape[0]} and "
+            f"K={a.shape[1]} its channel lies in the span of the others"
+        )
+    return _unit_canonical(a @ g_inv[:, k], a[:, k])
 
 
 def zf(a: np.ndarray, k: int) -> np.ndarray:
@@ -175,24 +200,12 @@ def zf(a: np.ndarray, k: int) -> np.ndarray:
     span (e.g. plane-wave users sharing one direction), when the
     interferers are rank deficient, and when M < K.
     """
-    a = np.asarray(a, dtype=complex)
-    _check_user(a, k)
-    g_inv, residual, _, _ = _factorize(gram(a))
-    if residual[k] == 0.0:
-        raise ZeroForcingInfeasibleError(
-            f"zero forcing is infeasible for user {k}: with M={a.shape[0]} and "
-            f"K={a.shape[1]} its channel lies in the span of the others"
-        )
-    return _unit_canonical(a @ g_inv[:, k], a[:, k])
+    return _beamformer(a, None, "zf", k)
 
 
 def mmse(a: np.ndarray, snr, k: int) -> np.ndarray:
     """SINR-optimal beamformer for user k: A P^1/2 W^-1 e_k, normalized."""
-    a = np.asarray(a, dtype=complex)
-    snr = np.asarray(snr, dtype=float)
-    _check_user(a, k)
-    *_, w_inv = _factorize(gram(a), snr)
-    return _unit_canonical(a @ (np.sqrt(snr) * w_inv[:, k]), a[:, k])
+    return _beamformer(a, np.asarray(snr, dtype=float), "mmse", k)
 
 
 def sinr(v: np.ndarray, a: np.ndarray, snr, k: int) -> float:
@@ -243,24 +256,22 @@ def solve_user(a: np.ndarray, snr, scheme: str, k: int) -> BeamformerReport:
     """Build the beamformer for user k of channels a and report SINR and loss factor.
 
     The SINR is evaluate_scenario's entry for the user, and the loss factor
-    is alpha = 1 - sinr / (p_k |a_k|^2).  Zero-forcing infeasibility is
-    reported as sinr 0 with the infeasible flag instead of raising.
+    is alpha = 1 - sinr / (p_k G_kk); both and the beamformer come from one
+    Gram and one _factorize call.  Zero-forcing infeasibility is reported
+    as sinr 0 with the infeasible flag instead of raising.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown beamforming scheme {scheme!r}")
     a = np.asarray(a, dtype=complex)
     snr = np.asarray(snr, dtype=float)
     _check_user(a, k)
-    gamma = float(evaluate_scenario(a, snr)[scheme][k])
-    single = snr[k] * vector_power(a[:, k])
+    g = gram(a)
+    factors = _factorize(g, snr)
+    gamma = float(factors[-1][scheme][k])
+    single = snr[k] * g[k, k].real
     if scheme == "zf" and gamma == 0.0:
         return BeamformerReport(scheme, k, None, 0.0, 1.0, single, infeasible=True)
-    if scheme == "mrc":
-        v = mrc(a[:, k])
-    elif scheme == "zf":
-        v = zf(a, k)
-    else:
-        v = mmse(a, snr, k)
+    v = _beamformer(a, snr, scheme, k, factors)
     alpha = min(max(1.0 - gamma / single, 0.0), 1.0)
     return BeamformerReport(scheme, k, v, gamma, alpha, single)
 
@@ -288,15 +299,4 @@ def evaluate_scenario(a: np.ndarray | None, snr, *, g=None) -> dict[str, np.ndar
     snr = np.asarray(snr, dtype=float)
     if g is None:
         g = gram(a)
-    _, residual, h, w_inv = _factorize(g, snr)
-    powers = _diagonal(g).real
-    scaled = g / np.sqrt(powers)[..., None]
-    coupling = scaled.real**2 + scaled.imag**2
-    _diagonal(coupling)[...] = 0.0
-    weighted = (coupling * snr).sum(axis=-1)
-    mmse_gain = (h * np.swapaxes(w_inv, -2, -1)).sum(axis=-1).real
-    return {
-        "mrc": snr * powers / (weighted + 1.0),
-        "zf": snr * residual,
-        "mmse": np.maximum(mmse_gain / _diagonal(w_inv).real, 0.0),
-    }
+    return _factorize(g, snr)[-1]

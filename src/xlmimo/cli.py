@@ -66,21 +66,21 @@ _ANGLE_RE = re.compile(
 
 
 def parse_angle(value) -> float:
-    """Angle in radians from a number or a pi-fraction string like 'pi/2'."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
-    if isinstance(value, str):
-        match = _ANGLE_RE.match(value)
-        if match:
+    """Finite angle in radians from a number or a string like 'pi/2', else a ConfigError."""
+    angle = math.nan
+    try:
+        if isinstance(value, str) and (match := _ANGLE_RE.match(value)):
             sign = -1.0 if match.group(1) == "-" else 1.0
             num = float(match.group(2)) if match.group(2) else 1.0
             den = float(match.group(3)) if match.group(3) else 1.0
-            return sign * num * math.pi / den
-        try:
-            return float(value)
-        except ValueError:
-            pass
-    raise ConfigError(f"cannot parse angle {value!r} (use radians or e.g. 'pi/2')")
+            angle = sign * num * math.pi / den
+        elif isinstance(value, (int, float, str)) and not isinstance(value, bool):
+            angle = float(value)
+    except (ValueError, ArithmeticError):  # ArithmeticError: pi/0, or an int beyond float range
+        pass
+    if not math.isfinite(angle):
+        raise ConfigError(f"cannot parse angle {value!r} (use radians or e.g. 'pi/2')")
+    return angle
 
 
 def _merge(defaults, provided, path: str = ""):
@@ -135,19 +135,14 @@ def _number(value, path: str, integer: bool = False, minimum: float = -math.inf)
     return number
 
 
-def _angle(value, path: str) -> float:
-    try:
-        angle = parse_angle(value)
-    except (ConfigError, ArithmeticError):  # ArithmeticError: pi/0, or an int beyond float range
-        angle = math.nan
-    if not math.isfinite(angle):
-        raise ConfigError(f"config key '{path}': cannot parse angle {value!r}")
-    return angle
-
-
 def _coordinate(key: str, value, path: str) -> float:
     """One spherical coordinate of a user, region or direction: r_m, theta_rad or phi_rad."""
-    return _number(value, path) if key == "r_m" else _angle(value, path)
+    if key == "r_m":
+        return _number(value, path)
+    try:
+        return parse_angle(value)
+    except ConfigError:
+        raise ConfigError(f"config key '{path}': cannot parse angle {value!r}") from None
 
 
 def _build(cls, path: str, *fields):
@@ -223,7 +218,8 @@ def _resolve_mz(sweep: dict, users: list) -> dict:
 
 def _resolve_separations(sweep: dict, users: list) -> dict:
     direction = {
-        key: _angle(value, f"sweep.direction2.{key}") for key, value in sweep["direction2"].items()
+        key: _coordinate(key, value, f"sweep.direction2.{key}")
+        for key, value in sweep["direction2"].items()
     }
     _build(UserLocation, "sweep.direction2", 1.0, *direction.values())
     return {

@@ -12,8 +12,8 @@ class DegenerateChannelError(ValueError):
 class NearSingularError(ArithmeticError):
     """Hermitian system is too ill-conditioned to solve reliably.
 
-    Raised when user channels are (numerically) collinear.  Carries the
-    condition estimate derived from the Cholesky factor diagonal.
+    Raised when user channels are (numerically) collinear.  Carries the exact
+    condition number of the matrix's unit-diagonal form (numerics.condition).
     """
 
     def __init__(self, message: str, cond_estimate: float = float("inf")):

@@ -354,21 +354,13 @@ def sumrate_vs_m(
     else:
         stderr = np.zeros_like(mean)
 
-    rows = []
-    for gi, (ny, nz) in enumerate(pairs):
-        row = [ny * nz, ny, nz]
-        for mi, model in enumerate(models):
-            for si, scheme in enumerate(SCHEMES):
-                row.append(float(mean[gi, mi, si]))
-                row.append(float(stderr[gi, mi, si]))
-        rows.append(tuple(row))
-
-    metric_columns = []
-    for model in models:
-        for scheme in SCHEMES:
-            metric_columns.append(f"{model}_{scheme}_sumrate_bpshz")
-            metric_columns.append(f"{model}_{scheme}_sumrate_stderr_bpshz")
+    # per array: each model's schemes in order, each as its mean and then its stderr
+    cells = np.stack([mean, stderr], axis=-1).reshape(len(pairs), -1).tolist()
+    metric_columns = [
+        f"{model}_{scheme}_sumrate{kind}_bpshz"
+        for model in models for scheme in SCHEMES for kind in ("", "_stderr")
+    ]
     return SweepResult(
         columns=["m", "m_y", "m_z"] + metric_columns,
-        rows=rows,
+        rows=[(ny * nz, ny, nz, *cells[gi]) for gi, (ny, nz) in enumerate(pairs)],
     )

@@ -10,11 +10,11 @@ level-1 BLAS dot products (``np.vdot``, ``np.dot`` on vectors) are avoided
 because their last bits change with the BLAS thread count.  Across
 machines results agree to rounding.  compensated_sum (exactly rounded
 ``math.fsum``) is kept as the test oracle for these reductions.
-hermitian_solve factors only matrices sized by the user count (the Gram
-matrix and its MMSE counterpart), one at a time or a whole stack of them in
-one call, with numpy's Cholesky factor and two np.linalg.solve calls on it
-(LU solves, gesv, not triangular ones); nothing here allocates or factors
-an M x M matrix.
+condition (blind to user powers) and hermitian_solve (numpy's Cholesky
+factor and two np.linalg.solve calls on it: LU solves, gesv, not triangular
+ones) take only matrices sized by the user count, the Gram matrix and its
+MMSE counterpart, one or a whole stack in one call; nothing here allocates
+or factors an M x M matrix.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import NearSingularError
 
-# Condition-estimate ceiling: 1 / (1e3 * machine epsilon).
+# Largest condition number a K x K matrix may have: 1 / (1e3 * machine epsilon).
 MAX_CONDITION = 1.0 / (1e3 * np.finfo(float).eps)
 
 
@@ -66,6 +66,34 @@ def gram(a: np.ndarray) -> np.ndarray:
     return (g + g.conj().T) / 2.0
 
 
+def _check_hermitian(h: np.ndarray) -> np.ndarray:
+    """h as a complex array of square matrices, checked to be finite and Hermitian within 1e-10."""
+    h = np.asarray(h, dtype=complex)
+    if h.ndim < 2 or h.shape[-1] != h.shape[-2]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {h.shape}")
+    if not np.isfinite(h).all():
+        raise ValueError("array must not contain infs or NaNs")
+    scale = np.abs(h).max(axis=(-2, -1), initial=0.0)
+    skew = np.abs(h - np.swapaxes(h, -2, -1).conj()).max(axis=(-2, -1), initial=0.0)
+    if np.any(skew > 1e-10 * scale):
+        raise ValueError("matrix is not Hermitian within tolerance 1e-10")
+    return h
+
+
+def condition(h: np.ndarray) -> np.ndarray:
+    """lambda_max / lambda_min of D^-1/2 H D^-1/2, D = diag(H), per H of a stack, by one eigvalsh.
+
+    It is inf where H is not positive definite, and never raises for a singular H.
+    """
+    h = _check_hermitian(h)
+    with np.errstate(all="ignore"):  # a diagonal entry <= 0, or an overflow: H is indefinite
+        root = np.sqrt(np.diagonal(h, axis1=-2, axis2=-1).real)
+        unit = h / root[..., :, None] / root[..., None, :]
+        valid = np.isfinite(unit).all(axis=(-2, -1))
+        eig = np.linalg.eigvalsh(np.where(valid[..., None, None], unit, np.eye(h.shape[-1])))
+        return np.where(valid & (eig[..., 0] > 0.0), eig[..., -1] / eig[..., 0], np.inf)
+
+
 def hermitian_solve(h: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve H X = B for Hermitian positive definite H, or a stack of them, via Cholesky.
 
@@ -76,40 +104,22 @@ def hermitian_solve(h: np.ndarray, b: np.ndarray) -> np.ndarray:
     substituting through it; each matrix of a stack takes the LAPACK calls
     it would take alone, so its solution is bitwise that of a one-matrix
     call.  Every system is solved, or NearSingularError is raised when some
-    H is numerically indefinite or its condition estimate (from the
-    Cholesky factor diagonal) exceeds MAX_CONDITION; the worst estimate
-    rides along.
+    H is numerically indefinite; callers gate conditioning with condition.
     """
-    h = np.asarray(h, dtype=complex)
+    h = _check_hermitian(h)
     b = np.asarray(b, dtype=complex)
-    if h.ndim < 2 or h.shape[-1] != h.shape[-2]:
-        raise ValueError(f"expected a square matrix or a stack of them, got shape {h.shape}")
     n = h.shape[-1]
     if b.ndim not in (1, 2) or b.shape[0] != n:
         raise ValueError(f"right-hand side has shape {b.shape}, expected {n} rows")
     out_shape = h.shape[:-2] + b.shape
     if n == 0:
         return np.zeros(out_shape, dtype=complex)
-    if not (np.isfinite(h).all() and np.isfinite(b).all()):
+    if not np.isfinite(b).all():
         raise ValueError("array must not contain infs or NaNs")
-    scale = np.abs(h).max(axis=(-2, -1))
-    skew = np.abs(h - np.swapaxes(h, -2, -1).conj()).max(axis=(-2, -1))
-    if np.any(skew > 1e-10 * scale):
-        raise ValueError("matrix is not Hermitian within tolerance 1e-10")
     try:
         factor = np.linalg.cholesky(h)
     except np.linalg.LinAlgError:
         raise NearSingularError("matrix is not numerically positive definite") from None
-    diag = np.abs(np.diagonal(factor, axis1=-2, axis2=-1))
-    # a factor's diagonal is positive, but the spread of its entries may overflow
-    with np.errstate(over="ignore"):
-        cond = float(((diag.max(axis=-1) / diag.min(axis=-1)) ** 2).max(initial=0.0))
-    if cond > MAX_CONDITION:
-        raise NearSingularError(
-            f"condition estimate {cond:.3e} exceeds {MAX_CONDITION:.3e}; "
-            "user channels are numerically collinear",
-            cond_estimate=cond,
-        )
     rhs = np.broadcast_to(b.reshape(n, -1), h.shape[:-2] + (n, b.size // n))
     y = np.linalg.solve(factor, rhs)
     return np.linalg.solve(np.swapaxes(factor, -2, -1).conj(), y).reshape(out_shape)

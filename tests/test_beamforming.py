@@ -5,8 +5,11 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import solve_triangular
 
+from xlmimo import beamforming
 from xlmimo.beamforming import (
     SCHEMES,
     ZF_COLLINEAR_TOL,
@@ -26,7 +29,7 @@ from xlmimo.channel import UpwConfig, _upw_gram
 from xlmimo.errors import DegenerateChannelError, NearSingularError, ZeroForcingInfeasibleError
 from xlmimo.experiments import UserRegion, sample_users
 from xlmimo.geometry import ArrayGeometry, UserLocation
-from xlmimo.numerics import cdot, gram, hermitian_solve, vector_power
+from xlmimo.numerics import MAX_CONDITION, cdot, condition, gram, hermitian_solve, vector_power
 
 LAM = 0.1256
 D = LAM / 2.0
@@ -298,6 +301,26 @@ class TestOrdering:
                 assert all(g <= p + 1e-12 for g, p in zip(gammas, previous))
             previous = gammas
 
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        p1=st.floats(1e-2, 1e6),
+        p2=st.floats(1e-2, 1e6),
+        n2=st.floats(1e-2, 1e2),
+    )
+    def test_two_user_theorem_holds_for_evaluate_scenario(self, p1, p2, n2):
+        # The paper's two-user result: at fixed powers, each of the three SINRs
+        # of user 1 falls as the correlation rises; evaluate_scenario must give
+        # the closed forms of two_user_sinrs along the way.
+        previous = None
+        for rho in np.linspace(0.0, 0.99, 45):
+            a1, a2 = vectors_with_correlation(float(rho), n2=n2)
+            res = evaluate_scenario(np.column_stack([a1, a2]), np.array([p1, p2]))
+            got = [float(res[scheme][0]) for scheme in SCHEMES]
+            assert got == pytest.approx(two_user_sinrs(a1, a2, p1, p2), rel=1e-9)
+            if previous is not None:
+                assert all(g < p for g, p in zip(got, previous)), (rho, got, previous)
+            previous = got
+
     def test_zf_beats_mrc_iff_correlation_is_small(self):
         # gamma_zf >= gamma_mrc exactly when rho <= 1 - 1/(p2 |a2|^2)
         p2, n2 = 5.0, 2.0
@@ -435,6 +458,81 @@ class TestEvaluateScenario:
         for scheme in SCHEMES:
             for user in range(3):
                 assert solve_user(a, snr, scheme, user).sinr == res[scheme][user]
+
+    def test_solve_user_factors_once(self, monkeypatch):
+        calls = []
+        factorize = beamforming._factorize
+
+        def counted(*args):
+            calls.append(args)
+            return factorize(*args)
+
+        monkeypatch.setattr(beamforming, "_factorize", counted)
+        rng = np.random.default_rng(32)
+        a = random_channels(rng, 12, 3)
+        for scheme in SCHEMES:
+            calls.clear()
+            report = solve_user(a, (2.0, 3.0, 5.0), scheme, 1)
+            assert len(calls) == 1, scheme
+            assert report.single_user_snr == 3.0 * gram(a)[1, 1].real
+
+    def test_nan_off_diagonal_gram_is_a_value_error(self):
+        g = np.eye(2, dtype=complex)
+        g[0, 1] = g[1, 0] = np.nan
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            evaluate_scenario(None, np.ones(2), g=g)
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(1, 24),
+        k=st.integers(2, 5),
+        duplicate=st.booleans(),
+        exponents=st.lists(st.floats(-6.0, 6.0), min_size=5, max_size=5),
+    )
+    def test_sinrs_do_not_depend_on_how_a_user_splits_channel_and_snr(
+        self, seed, m, k, duplicate, exponents
+    ):
+        # Scaling user k's channel by c_k and its SNR by 1 / c_k^2 leaves every
+        # SINR unchanged, and so must the gate: a power spread alone never rules
+        # out zero forcing.  A duplicated channel keeps ZF infeasible at any scale.
+        rng = np.random.default_rng(seed)
+        a = random_channels(rng, m, k)
+        if duplicate:
+            a[:, -1] = 0.5j * a[:, 0]
+        snr = rng.uniform(1.0, 1e4, size=k)
+        c = 10.0 ** np.array(exponents[:k])
+        base = evaluate_scenario(a, snr)
+        scaled = evaluate_scenario(a * c, snr / c**2)
+        assert np.array_equal(scaled["zf"] == 0.0, base["zf"] == 0.0)
+        feasible = base["zf"] > 0.0
+        if feasible.any():
+            zf_tol = 100.0 * k * np.finfo(float).eps * condition(gram(a))
+            assert np.allclose(scaled["zf"][feasible], base["zf"][feasible], rtol=zf_tol, atol=0.0)
+        for scheme in ("mrc", "mmse"):
+            assert np.allclose(scaled[scheme], base[scheme], rtol=1e-9, atol=0.0), scheme
+
+    def test_near_and_far_plane_wave_users_match_mpmath(self):
+        # User 1 at 1 m and user 2 at 3e6 m: channel powers 13 decades apart,
+        # nearly orthogonal, at 110 dB.  ZF and MMSE both exist and agree with
+        # 60-digit arithmetic on the same Gram.
+        users = (UserLocation(1.0, math.pi / 2, 0.0), UserLocation(3e6, math.pi / 2, 0.5))
+        grams = _upw_gram([make_geom(num_y=10, num_z=mz) for mz in (11, 101)], users)
+        snr = np.full(2, 1e11 / BETA0)
+        res = evaluate_scenario(None, snr, g=grams)
+        for i, g in enumerate(grams):
+            assert condition(g) < 10.0
+            with mpmath.workdps(60):
+                p = [mpmath.mpf(x) for x in snr]
+                g_mp = mpmath.matrix([[mpmath.mpc(complex(z)) for z in row] for row in g])
+                w_mp = mpmath.matrix([[mpmath.sqrt(p[r]) * g_mp[r, c] * mpmath.sqrt(p[c]) + (r == c)
+                                       for c in range(2)] for r in range(2)])
+                g_inv, w_inv = mpmath.inverse(g_mp), mpmath.inverse(w_mp)
+                for user in range(2):
+                    zf_exact = float(p[user] / mpmath.re(g_inv[user, user]))
+                    mmse_exact = float(1 / mpmath.re(w_inv[user, user]) - 1)
+                    assert res["zf"][i, user] == pytest.approx(zf_exact, rel=1e-14, abs=0.0)
+                    assert res["mmse"][i, user] == pytest.approx(mmse_exact, rel=1e-14, abs=0.0)
 
     def test_plane_wave_users_sharing_a_direction(self):
         # users 0 and 1 share a direction, so user 2's interferers are collinear
@@ -616,6 +714,15 @@ class TestStackedScenarios:
             evaluate_scenario(None, snr, g=grams[0])
         with pytest.raises(NearSingularError):
             evaluate_scenario(None, snr, g=grams)
+
+    def test_a_failing_w_reports_its_condition_number(self):
+        # G = [[1, 1], [1, 1]] and p = 1e14: the unit-diagonal form of W has
+        # eigenvalues 1 +- p / (1 + p), so cond(W) = 2e14 + 1
+        g = np.ones((3, 2, 2), dtype=complex)
+        g[0, 0, 1] = g[0, 1, 0] = 0.5
+        with pytest.raises(NearSingularError) as excinfo:
+            evaluate_scenario(None, np.full(2, 1e14), g=g)
+        assert excinfo.value.cond_estimate == pytest.approx(2e14, rel=0.05)
 
     def test_near_collinear_plane_wave_mmse_matches_mpmath(self):
         # Default sum-rate drop 62 (seed 0) on the 20 x 20 array: cond(W) ~ 2e4.

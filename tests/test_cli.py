@@ -18,7 +18,7 @@ from xlmimo.cli import (
     run,
     sidecar_path,
 )
-from xlmimo.errors import ConfigError
+from xlmimo.errors import ConfigError, NearSingularError
 
 
 class TestParseAngle:
@@ -35,6 +35,10 @@ class TestParseAngle:
     def test_rejects_garbage(self):
         with pytest.raises(ConfigError):
             parse_angle("two pies")
+        # not finite angles: a zero denominator, an int beyond float range, an overflow
+        for value in ("pi/0", 10**400, "1e400"):
+            with pytest.raises(ConfigError):
+                parse_angle(value)
 
 
 class TestParseConfig:
@@ -568,6 +572,7 @@ def test_oversized_arrays_are_config_errors(run_python, tmp_path, experiment, ov
         ("corr-vs-m", ["sweep.mz_values=[11,1001]"]),
         ("sumrate-vs-m", ["sweep.n_drops=2"]),
         ("sinr-vs-m", []),
+        ("sumrate-vs-m", ["sweep.n_users=16", "sweep.sides=[10,40]", "sweep.n_drops=2"]),
     ],
 )
 def test_csv_is_byte_identical_across_blas_threads(run_python, tmp_path, experiment, overrides):
@@ -664,6 +669,40 @@ def test_mmse_is_finite_and_at_least_mrc_at_tiny_powers(tmp_path, experiment, ov
             mrc, mmse = cells[f"{model}_mrc_{metric}"], cells[f"{model}_mmse_{metric}"]
             assert math.isfinite(mmse)
             assert mmse >= mrc - 1e-9 * abs(mrc), (model, row)
+
+
+NEAR_AND_FAR = [
+    "model=upw", "users.0.r_m=1", "users.1.r_m=3e6", "users.1.phi_rad=0.5",
+    "sweep.mz_values=[11,101]",
+]
+
+
+@pytest.mark.parametrize("extra", [[], ["snr_db=110"]])
+def test_near_and_far_users_keep_zero_forcing_and_mmse(run_python, tmp_path, extra):
+    # Two nearly orthogonal plane-wave users 1 m and 3e6 m away, channel powers
+    # 13 decades apart: their power spread alone must not rule out ZF or MMSE
+    proc = run_with_overrides(run_python, tmp_path, "sinr-vs-m", NEAR_AND_FAR + extra)
+    assert proc.returncode == 0, proc.stderr
+    header, *rows = [line.split(",") for line in (tmp_path / "t.csv").read_text().splitlines()]
+    for row in rows:
+        cells = dict(zip(header, map(float, row)))
+        mrc, zf, mmse = (cells[f"upw_{scheme}_sinr_db"] for scheme in ("mrc", "zf", "mmse"))
+        assert math.isfinite(zf), row
+        assert mmse >= max(mrc, zf) - 1e-9 * abs(mmse), row
+
+
+def test_default_sinr_sweep_raises_no_near_singular_error(tmp_path, monkeypatch):
+    # rank-1 plane-wave Grams fail the condition gate without a raising solve
+    raised = []
+    init = NearSingularError.__init__
+
+    def counted(self, *args, **kwargs):
+        raised.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(NearSingularError, "__init__", counted)
+    run(parse_config(experiment="sinr-vs-m"), str(tmp_path / "t.csv"))
+    assert raised == []
 
 
 # Config fuzz: floats over the whole range, with its edges drawn often.  Counts

@@ -13,6 +13,7 @@ from xlmimo.numerics import (
     MAX_CONDITION,
     cdot,
     compensated_sum,
+    condition,
     gram,
     hermitian_solve,
     vector_power,
@@ -215,6 +216,55 @@ class TestHermitianSolve:
         with pytest.raises(NearSingularError) as excinfo:
             hermitian_solve(h, np.ones(2))
         assert excinfo.value.cond_estimate > MAX_CONDITION
+
+
+def unit_diagonal(h):
+    root = np.sqrt(np.diagonal(h, axis1=-2, axis2=-1).real)
+    return h / root[..., :, None] / root[..., None, :]
+
+
+class TestCondition:
+    def test_matches_numpy_cond_of_the_unit_diagonal_form(self):
+        rng = np.random.default_rng(30)
+        for k in (1, 2, 5, 10):
+            # column scales over 24 decades: the unit-diagonal form does not see them
+            scales = 10.0 ** rng.uniform(-12.0, 12.0, size=(6, 1, k))
+            h = np.stack([gram(complex_randn(rng, 3 * k, k)) for _ in range(6)])
+            h = h * scales * np.swapaxes(scales, -2, -1)
+            got = condition(h)
+            assert got.shape == (6,)
+            expected = np.linalg.cond(unit_diagonal(h))
+            assert np.allclose(got, expected, rtol=1e-10, atol=0.0)
+            assert condition(h[0]) == got[0]
+
+    def test_does_not_depend_on_user_powers(self):
+        rng = np.random.default_rng(31)
+        g = gram(complex_randn(rng, 8, 4))
+        c = np.array([1e-6, 1.0, 3e5, 1e6])
+        assert condition(c[:, None] * g * c[None, :]) == pytest.approx(condition(g), rel=1e-12)
+
+    def test_singular_and_indefinite_matrices_are_inf_without_raising(self):
+        col = np.array([1.0, 1.0j, 0.5])
+        h = np.stack([
+            np.eye(3),
+            gram(np.column_stack([col, col, 2j * col])),  # rank 1
+            np.diag([1.0, -1.0, 1.0]),  # indefinite
+            np.diag([1.0, 0.0, 1.0]),  # zero diagonal entry
+            np.array([[1e-300, 1e10, 0.0], [1e10, 1e-300, 0.0], [0.0, 0.0, 1.0]]),  # overflows
+        ])
+        assert condition(h)[0] == 1.0
+        assert np.all(condition(h)[1:] > MAX_CONDITION)
+        assert np.all(np.isinf(condition(h)[2:]))
+
+    def test_rejects_what_hermitian_solve_rejects(self):
+        nan_off_diagonal = np.eye(2, dtype=complex)
+        nan_off_diagonal[0, 1] = nan_off_diagonal[1, 0] = np.nan
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            condition(nan_off_diagonal)
+        with pytest.raises(ValueError, match="Hermitian"):
+            condition(np.array([[1.0, 1.0], [0.0, 1.0]]))
+        with pytest.raises(ValueError, match="square"):
+            condition(np.ones((2, 3)))
 
 
 def with_user(x, abar):
