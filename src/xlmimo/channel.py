@@ -27,14 +27,16 @@ removable singularities filled in by their limits, so no plane-wave
 response is built for it.  _pair_gram gives the stack of one fixed user's
 Grams with many others under either model; under the spherical-wave model it
 builds the fixed user once and streams every other user band by band over the
-build threads, so no other user's response is ever held whole, and a user
-with u_y == 0.0 or u_z == 0.0 only on the half of that axis that its mirror
-symmetry does not repeat.
+build threads, so no other user's response is ever held whole.  A user with
+u_y == 0.0 or u_z == 0.0 is walked only on the half of that axis that its
+mirror symmetry does not repeat, and one with both (on the array's axis)
+only at the distinct radii m_y^2 + m_z^2 of the kept quadrant.
 
-Every spherical-wave job is one user, whose N_z rows one band walker
-(_pnusw_bands) builds band by band: the response builder runs one job per
-user and the pair-Gram stream one job per cell.  XLMIMO_THREADS
-(thread_count) caps the build threads; no result depends on it.
+One band walker (_pnusw_bands) builds a spherical-wave user's N_z rows band
+by band.  The response builder runs one job per user; the pair-Gram stream
+packs consecutive cells into jobs of about one band's entries.
+XLMIMO_THREADS (thread_count) caps the build threads; no result depends on
+it.
 """
 
 from __future__ import annotations
@@ -60,7 +62,8 @@ THREADS_ENV = "XLMIMO_THREADS"
 # Most build threads: a pool starts one thread per job in flight, up to its cap.
 _MAX_THREADS = 256
 
-# Most entries per band of a spherical-wave build (_pnusw_bands).
+# Most entries per band of a spherical-wave build (_pnusw_bands), and the
+# walked entries at which a pair-Gram job stops taking cells (_pair_gram).
 _BAND_ENTRIES = 2**15
 
 # Build threads, one pool per thread cap, kept for the life of the process:
@@ -366,16 +369,34 @@ def _mirror(a, m, fold: bool):
     return kept, m[n // 2 :], np.where(m[n // 2 :] > 0.0, 2.0, 1.0)
 
 
+def _radial(f, m_y, m_z, w_y, w_z):
+    """The double-mirror fold (f, m_y, m_z, w_y, w_z) summed over each distinct
+    rho^2 = m_y^2 + m_z^2, as one row at m_y = sqrt(rho^2), m_z = 0.
+
+    It serves a user 2 with u_y == u_z == 0.0, whose entries depend on rho^2
+    alone.  rho^2 is exact for integer and half-integer indices; each group sums
+    its f and its weights w_y w_z in the quadrant's row order.
+    """
+    radii, group = np.unique(np.add.outer(m_z * m_z, m_y * m_y).ravel(), return_inverse=True)
+    f = f.ravel()
+    folded = np.empty((1, len(radii)), dtype=complex)
+    folded.real = np.bincount(group, f.real, len(radii))
+    folded.imag = np.bincount(group, f.imag, len(radii))
+    weights = np.bincount(group, np.outer(w_z, w_y).ravel(), len(radii))
+    return folded, np.sqrt(radii), np.zeros(1), weights, np.ones(1)
+
+
 def _pair_cell(geom: ArrayGeometry, user, fold):
     """(G_12, |a_2|^2) of user 2 against user 1, user 2 walked band by band.
 
     user is user 2's (r, u_x, u_y, u_z), walked at the kept indices m_y, m_z of
     fold = (f, m_y, m_z, w_y, w_z) (_pair_gram): G_12 sums its entries times
-    f, user 1's conjugate summed over their mirror images, and |a_2|^2 its
-    squared amplitudes times w_y w_z.  Each row's partials are a numpy
-    pairwise sum over that row, then the rows are summed in order, so neither
-    the band size nor the thread shows.  A non-finite partial (user 2's: user
-    1's entries are finite) raises DegenerateChannelError.
+    f, user 1's conjugate summed over their mirror images (or, _radial, over
+    their radius), and |a_2|^2 its squared amplitudes times w_y w_z.  Each
+    row's partials are a numpy pairwise sum over that row, then the rows are
+    summed in order, so neither the band size nor the thread shows.  A
+    non-finite partial (user 2's: user 1's entries are finite) raises
+    DegenerateChannelError.
     """
     f, m_y, m_z, w_y, w_z = fold
     inner, power = np.empty(len(m_z), dtype=complex), np.empty(len(m_z))
@@ -399,16 +420,20 @@ def _pair_gram(
     over user 1 and all of others, and each matrix is bitwise the G_11, G_12
     and G_22 of _upw_gram on that pair alone.  pnusw builds user 1's response
     once (_response_block), sums its power row by row over band-sized slices,
-    and streams every user 2 of the sweep through _map_bands, one job per
-    cell (_pair_cell): a job walks its user 2 band by band against user 1's
-    matching rows and sums the per-row partials of G_12 and |a_2|^2 in row
-    order, so every matrix is the same for any thread count and band size.
-    A user 2 with u_y == 0.0 or u_z == 0.0 is walked only at m >= 0 on that
-    axis, against user 1's conjugate folded onto it (_mirror, once per fold
-    kind); user 1's unfolded response is dropped when no cell needs it.  No
-    user 2 is ever held whole: a job holds one band of it and two band-sized
-    temporaries.  The first failing cell raises: a user on an element
-    DegenerateGeometryError, a non-finite entry DegenerateChannelError.
+    and streams every user 2 of the sweep through _map_bands.  A job takes
+    consecutive cells (_pair_cell, in order) until it holds about
+    _BAND_ENTRIES walked entries, at least one cell.  A cell walks its user 2
+    band by band against user 1's matching rows and sums the per-row
+    partials of G_12 and |a_2|^2 in row order, so every matrix is the same
+    for any thread count and band size.  A user 2 with u_y == 0.0 or u_z ==
+    0.0 is walked only at m >= 0 on that axis, against user 1's conjugate
+    folded onto it (_mirror, once per fold kind).  One with both is walked
+    as one row at the kept quadrant's distinct radii, against that fold
+    summed per radius (_radial, once per sweep).  User 1's unfolded response
+    is dropped when no cell needs it.  No user 2 is ever held whole: a cell
+    holds one band of it and two band-sized temporaries.  The first failing
+    cell raises: a user on an element DegenerateGeometryError, a non-finite
+    entry DegenerateChannelError.
     User 1's channel (upw: every user's) is checked here; a zero or
     non-finite power raises DegenerateChannelError.
     """
@@ -437,12 +462,26 @@ def _pair_gram(
     def fold(fold_y: bool, fold_z: bool):
         f, m_y, w_y = _mirror(a1, geom.indices_y(), fold_y)
         f, m_z, w_z = _mirror(f.T, geom.indices_z(), fold_z)
+        if fold_y and fold_z:
+            return _radial(f.T, m_y, m_z, w_y, w_z)
         return f.T, m_y, m_z, w_y, w_z
 
     folds = {kind: fold(*kind) for kind in dict.fromkeys(kinds)}
     del a1  # held on only by the unfolded kind's fold, if a cell needs it
-    jobs = ((geom, user, folds[kind]) for user, kind in zip(coordinates.T, kinds))
-    for (g12, power2), gram in zip(_map_bands(_pair_cell, jobs, len(others)), grams):
+    jobs, entries = [], math.inf
+    for user, kind in zip(coordinates.T, kinds):
+        walked = folds[kind][0].size
+        if entries + walked > _BAND_ENTRIES:
+            jobs.append([])
+            entries = 0
+        jobs[-1].append((user, folds[kind]))
+        entries += walked
+
+    def run(cells):
+        return [_pair_cell(geom, user, fold) for user, fold in cells]
+
+    cells = (cell for job in _map_bands(run, zip(jobs), len(jobs)) for cell in job)
+    for (g12, power2), gram in zip(cells, grams):
         gram[...] = [[power1, g12], [g12.conjugate(), power2]]
     return grams
 

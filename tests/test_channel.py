@@ -391,20 +391,40 @@ class TestStreamedPairGrams:
             compensated_sum(a2.real**2 + a2.imag**2),
         )
 
-    @pytest.mark.parametrize("num_y, num_z", [(7, 13), (200, 200), (4, 10_001)])
+    @staticmethod
+    def radial_phase_bound(geom, loc2):
+        """G_12's allowance, relative to sqrt(G_11 G_22), for an on-axis user 2.
+
+        Its radial cell walks the radicand 1 + rho^2 e^2 at m_y = sqrt(rho^2),
+        rounded otherwise than the dense build's (1 + m_z^2 e^2) + m_y^2 e^2, so
+        each entry's phase 2 pi distance / wavelength may differ by a few ulps
+        of 1 in its squared distance over r^2: 4 eps times the largest phase.
+        """
+        corner = element_distance(geom, loc2, geom.indices_y()[0], geom.indices_z()[0])
+        return 4.0 * sys.float_info.epsilon * 2.0 * math.pi * corner / geom.wavelength
+
+    # on-axis user 2s (u_y == u_z == 0.0), whose cells group their entries by radius
+    ON_AXIS = [UserLocation(r, math.pi / 2, 0.0) for r in (15.0, 35.0, 120.0, 300.0)]
+
+    @pytest.mark.parametrize("num_y, num_z", [(7, 13), (8, 12), (200, 200), (4, 10_001)])
     def test_matches_exactly_rounded_sums_of_a_dense_build(self, num_y, num_z):
         # G_12 is held to 1e-13 of sqrt(G_11 G_22), its Cauchy-Schwarz bound, since
-        # a nearly orthogonal pair has a tiny G_12 that no pairwise sum fixes relatively
+        # a nearly orthogonal pair has a tiny G_12 that no pairwise sum fixes
+        # relatively; an on-axis user 2's entries are rounded otherwise than the
+        # dense build's, so its G_12 is also allowed their phase rounding
         geom = make_geom(num_y=num_y, num_z=num_z)
-        others = random_users(np.random.default_rng(num_y), 4) + [self.LOC1]
-        grams = _pair_gram(geom, self.LOC1, others, "pnusw")
-        assert grams.shape == (len(others), 2, 2)
-        for g, loc2 in zip(grams, others):
-            g11, g12, g22 = self.fsum_gram(geom, self.LOC1, loc2)
-            assert g[0, 0] == pytest.approx(g11, rel=1e-13, abs=0.0)
-            assert g[1, 1] == pytest.approx(g22, rel=1e-13, abs=0.0)
-            assert abs(g[0, 1] - g12) <= 1e-13 * math.sqrt(g11 * g22)
-            assert g[1, 0] == g[0, 1].conjugate()
+        others = random_users(np.random.default_rng(num_y), 4) + [self.LOC1] + self.ON_AXIS
+        for loc1 in (self.LOC1, UserLocation(30.0, math.pi / 2, 0.0)):
+            grams = _pair_gram(geom, loc1, others, "pnusw")
+            assert grams.shape == (len(others), 2, 2)
+            for g, loc2 in zip(grams, others):
+                g11, g12, g22 = self.fsum_gram(geom, loc1, loc2)
+                radial = loc2.u_y == 0.0 and loc2.u_z == 0.0
+                bound = 1e-13 + (self.radial_phase_bound(geom, loc2) if radial else 0.0)
+                assert g[0, 0] == pytest.approx(g11, rel=1e-13, abs=0.0)
+                assert g[1, 1] == pytest.approx(g22, rel=1e-13, abs=0.0)
+                assert abs(g[0, 1] - g12) <= bound * math.sqrt(g11 * g22)
+                assert g[1, 0] == g[0, 1].conjugate()
 
     def test_bitwise_the_same_for_any_thread_count_and_band_size(self, monkeypatch):
         # at the default band size a band boundary falls inside every user 2's
@@ -449,7 +469,8 @@ class TestStreamedPairGrams:
 
     @pytest.mark.parametrize("num_y, num_z", [(7, 13), (8, 12)])
     def test_a_folded_cell_walks_only_the_indices_it_keeps(self, monkeypatch, num_y, num_z):
-        # a folded axis of n indices keeps its n - n // 2 indices >= 0
+        # a folded axis of n indices keeps its n - n // 2 indices >= 0; a cell folded
+        # on both (on-axis) walks the kept quadrant's distinct radii as one row
         monkeypatch.setenv("XLMIMO_THREADS", "1")
         walked = []
         bands = ch._pnusw_bands
@@ -465,25 +486,32 @@ class TestStreamedPairGrams:
         m_y, m_z = tuple(geom.indices_y()), tuple(geom.indices_z())
         half_y, half_z = m_y[num_y // 2 :], m_z[num_z // 2 :]
         assert len(half_y) == num_y - num_y // 2 and min(half_y) >= 0.0
+        radii = sorted({y * y + z * z for y in half_y for z in half_z})
+        assert len(radii) < len(half_y) * len(half_z)
+        radial = (tuple(map(math.sqrt, radii)), (0.0,))
         assert walked == [
-            (half_y, m_z), (m_y, half_z), (half_y, half_z), (m_y, m_z), (m_y, half_z),
-            (half_y, m_z),
+            (half_y, m_z), (m_y, half_z), radial, (m_y, m_z), (m_y, half_z), (half_y, m_z),
         ]
 
     def test_folded_sweeps_are_bitwise_the_same_for_any_thread_count_and_band_size(
         self, monkeypatch
     ):
-        # every fold kind in one sweep; a band boundary falls inside the kept rows
-        # of every user 2 at 401 x 401 as built (the 201 x 201 quarter is 2 bands),
-        # and at 4 x 2 001 with bands of 2^10 entries
+        # every fold kind in one sweep, then a run of radial cells; a band boundary
+        # falls inside the kept rows of every user 2 at 401 x 401 as built (the
+        # 201 x 201 quarter is 2 bands), and at 4 x 2 001 with bands of 2^10
+        # entries.  Jobs pack consecutive cells up to a band's entries: as built,
+        # two radial cells per job at 401 x 401 and all but the last cells in one
+        # job at 4 x 2 001; one cell per job with bands of 2^10 or 1, and the
+        # whole sweep in one job with bands of 2^62
         assert ch._band_step(201, 201) < 201
+        users = self.FOLDING + self.ON_AXIS
         for geom in (make_geom(num_y=401, num_z=401), make_geom(num_y=4, num_z=2_001)):
             grams = []
             for band_entries in (ch._BAND_ENTRIES, 2**10, 1, 2**62):  # and one row, one band
                 monkeypatch.setattr(ch, "_BAND_ENTRIES", band_entries)
                 for threads in ("1", "3", "8"):
                     monkeypatch.setenv("XLMIMO_THREADS", threads)
-                    grams.append(_pair_gram(geom, self.LOC1, self.FOLDING, "pnusw").tobytes())
+                    grams.append(_pair_gram(geom, self.LOC1, users, "pnusw").tobytes())
                 monkeypatch.undo()
             assert len(set(grams)) == 1
 
@@ -540,15 +568,16 @@ class TestStreamedPairGrams:
     def test_memory_is_user_one_and_a_few_bands(self, monkeypatch):
         # 50 cells at 200 x 200 on one thread: no cell may hold an M-sized array
         # (user 2, or the products of a reduction over it) beside user 1's response;
-        # nor may user 1's fold when every user 2 is in the x-y plane (folded on z)
+        # nor may user 1's fold when every user 2 is in the x-y plane (folded on z),
+        # nor its radial grouping when every user 2 is on the axis (folded on both)
         monkeypatch.setenv("XLMIMO_THREADS", "1")
         geom = make_geom(num_y=200, num_z=200)
         user_one = 16 * geom.num_elements
         band = 16 * ch._band_step(geom.num_z, geom.num_y) * geom.num_y
-        for theta2 in (1.2, math.pi / 2):
-            assert (UserLocation(1.0, theta2, 0.3).u_z == 0.0) == (theta2 == math.pi / 2)
+        for theta2, phi2 in ((1.2, 0.3), (math.pi / 2, 0.3), (math.pi / 2, 0.0)):
+            assert (UserLocation(1.0, theta2, phi2).u_z == 0.0) == (theta2 == math.pi / 2)
             sweep = lambda: sweep_correlation_vs_distance(  # noqa: E731
-                geom, self.LOC1, (theta2, 0.3), range(50)
+                geom, self.LOC1, (theta2, phi2), range(50)
             )
             sweep()  # imports and first-call caches stay out of the peak
             tracemalloc.start()
