@@ -26,17 +26,18 @@ Dirichlet kernels of the direction-cosine differences (_upw_gram), with the
 removable singularities filled in by their limits, so no plane-wave
 response is built for it.  _pair_gram gives the stack of one fixed user's
 Grams with many others under either model; under the spherical-wave model it
-builds the fixed user once and streams every other user band by band over the
+builds the fixed user once and streams every other user box by box over the
 build threads, so no other user's response is ever held whole.  A user with
 u_y == 0.0 or u_z == 0.0 is walked only on the half of that axis that its
 mirror symmetry does not repeat, and one with both (on the array's axis)
 only at the distinct radii m_y^2 + m_z^2 of the kept quadrant.
 
-One band walker (_pnusw_bands) builds a spherical-wave user's N_z rows band
-by band.  The response builder runs one job per user; the pair-Gram stream
-packs consecutive cells into jobs of about one band's entries.
-XLMIMO_THREADS (thread_count) caps the build threads; no result depends on
-it.
+One box walker (_pnusw_walk) builds every spherical-wave entry, one build
+job per box of at most 2^15 entries: a run of whole users (cells of one fold
+kind), else a band of one user's rows, else a slice of one row.  A job walks
+its box's users one at a time, and a walk of one user stays on the calling
+thread.  XLMIMO_THREADS (thread_count) caps the build threads; no result
+depends on it.
 """
 
 from __future__ import annotations
@@ -62,9 +63,9 @@ THREADS_ENV = "XLMIMO_THREADS"
 # Most build threads: a pool starts one thread per job in flight, up to its cap.
 _MAX_THREADS = 256
 
-# Most entries per band of a spherical-wave build (_pnusw_bands), and the
-# walked entries at which a pair-Gram job stops taking cells (_pair_gram).
+# Most entries per box of a spherical-wave build (_boxes).
 _BAND_ENTRIES = 2**15
+_ON_ELEMENT = "a user is numerically coincident with an array element"
 
 # Build threads, one pool per thread cap, kept for the life of the process:
 # starting threads costs about as much as building a 40 000-element response.
@@ -143,62 +144,88 @@ def _warn_if_any_near(geom: ArrayGeometry, r) -> None:
         _warn_if_near(float((geom.spacing / r).max(initial=0.0)))
 
 
-def _pnusw_bands(geom: ArrayGeometry, user, out=None, indices=None):
-    """Build one user's pnusw rows band by band, yielding (band, rows, amplitudes).
+def _cut(start: int, stop: int, most: int) -> list:
+    """The slices, in order, that cut start..stop-1 into equal parts of at most most items."""
+    parts = -(-(stop - start) // most)
+    step = -(-(stop - start) // parts)
+    return [slice(lo, min(lo + step, stop)) for lo in range(start, stop, step)]
 
-    user is the user's (r, u_x, u_y, u_z).  Its rows m_z of entries m_y, the
-    index vectors indices (default: the geometry's), are cut into equal bands
-    of at most about _BAND_ENTRIES entries (_band_step); band is a band's
-    slice of the rows, rows its entries and amplitudes their real factors.
-    With e = spacing / r and f(m) = m^2 e^2 - 2 e u m per axis, an entry's
-    radicand t = (1 + f_z) + f_y is its squared distance over r^2 (so u_y ==
-    0.0 makes m_y and -m_y bitwise equal), and the entry is
-    sqrt(scale) / (s sqrt(s)) * exp(-j 2 pi r s / wavelength) with s = sqrt(t).
-    The rows go to out[band], else to one band buffer that the next band
-    overwrites, as it does the amplitudes.  A radicand t <= 0 (a user on an
-    element) raises DegenerateGeometryError.  Safe on a pool thread: it calls
-    only numpy, and errstate is per thread.
+
+def _boxes(first: int, stop: int, num_rows: int, row_len: int) -> list:
+    """The boxes (users, rows, entries), three slices in sweep order, that cut
+    users first..stop-1, of num_rows rows of row_len entries each, into equal
+    parts of at most _BAND_ENTRIES entries."""
+    rows, entries = [slice(0, num_rows)], [slice(0, row_len)]
+    if num_rows * row_len <= _BAND_ENTRIES:  # runs of whole users
+        users = _cut(first, stop, _BAND_ENTRIES // (num_rows * row_len))
+    elif row_len <= _BAND_ENTRIES:  # bands of one user's rows
+        users, rows = _cut(first, stop, 1), _cut(0, num_rows, _BAND_ENTRIES // row_len)
+    else:  # slices of one row
+        users, rows = _cut(first, stop, 1), _cut(0, num_rows, 1)
+        entries = _cut(0, row_len, _BAND_ENTRIES)
+    return [(k, z, m) for k in users for z in rows for m in entries]
+
+
+def _pnusw_walk(geom: ArrayGeometry, coordinates, indices, take):
+    """Build spherical-wave users box by box (_map_bands), yielding (box, results) in order.
+
+    User j, coordinates[:, j] = (r, u_x, u_y, u_z), is walked at the index
+    vectors indices[j] = (m_y, m_z).  A run of users that share one pair (the
+    same object) is cut into _boxes; a box is (users, rows, entries, m_y, m_z),
+    and its job walks its users one at a time through two buffers of one
+    user's part of the box.  With e = spacing / r and f(m) = m^2 e^2 - 2 e u m
+    per axis, an entry's radicand t = (1 + f_z) + f_y is its squared distance
+    over r^2 (u_y == 0.0 makes m_y and -m_y bitwise equal), its amplitude
+    sqrt(scale) / (s sqrt(s)) and its phase -2 pi r s / wavelength, with
+    s = sqrt(t).  User k's result is take(k, rows, entries, phase, amp,
+    on_element), on_element meaning a radicand t <= 0 (a user on an element);
+    take runs on the job's thread and may overwrite amp.
     """
-    r, u_x, u_y, u_z = user
-    m_y, m_z = (geom.indices_y(), geom.indices_z()) if indices is None else indices
-    step = _band_step(len(m_z), len(m_y))
-    radicand, amplitudes = np.empty((2, step, len(m_y)))
-    buffer = np.empty((step, len(m_y)), dtype=complex) if out is None else None
+    boxes, first = [], 0
+    for stop in range(1, len(indices) + 1):
+        if stop == len(indices) or indices[stop] is not indices[first]:
+            m_y, m_z = indices[first]
+            boxes += [(*box, m_y, m_z) for box in _boxes(first, stop, len(m_z), len(m_y))]
+            first = stop
+    r, u_x, u_y, u_z = coordinates
     # overflow here leaves a non-finite entry, which the callers report
     with np.errstate(all="ignore"):
         e = geom.spacing / r
-        f_y = (m_y * m_y) * (e * e) - (2.0 * e * u_y) * m_y
-        f_z = 1.0 + ((m_z * m_z) * (e * e) - (2.0 * e * u_z) * m_z)
-        root_scale = np.sqrt(geom.occupation_ratio * e * e * u_x / (4.0 * math.pi))
+        scale = geom.occupation_ratio * e * e * u_x / (4.0 * math.pi)
         wave = -2.0 * math.pi / geom.wavelength * r
-    for lo in range(0, len(m_z), step):
-        band = slice(lo, lo + step)
-        rows = buffer[: len(m_z) - lo] if out is None else out[band]
-        t, amp = radicand[: len(rows)], amplitudes[: len(rows)]
-        with np.errstate(all="ignore"):
-            t[...] = f_y  # then += f_z: a two-sided broadcast add would buffer twice as much
-            t += f_z[band, None]
-            if t.min() <= 0.0:
-                raise DegenerateGeometryError(
-                    "a user is numerically coincident with an array element"
-                )
-            np.sqrt(t, out=t)
-            np.sqrt(t, out=amp)
-            amp *= t
-            np.divide(root_scale, amp, out=amp)
-            t *= wave
-            np.cos(t, out=rows.real)
-            np.sin(t, out=rows.imag)
-            rows.real *= amp
-            rows.imag *= amp
-        yield band, rows, amp
+        terms = np.array([e * e, 2.0 * e * u_y, 2.0 * e * u_z, np.sqrt(scale), wave]).T
+
+    def walk(users, rows, entries, m_y, m_z):
+        m_y, m_z = m_y[entries], m_z[rows]
+        m_y2, m_z2 = m_y * m_y, m_z * m_z
+        phase, amp = np.empty((2, len(m_z), len(m_y)))
+        results = []
+        for k, (e2, e_y, e_z, root_scale, wave) in enumerate(terms[users].tolist(), users.start):
+            with np.errstate(all="ignore"):
+                # f_y, then += f_z: a two-sided broadcast add would buffer twice as much
+                phase[...] = m_y2 * e2 - e_y * m_y
+                phase += (1.0 + (m_z2 * e2 - e_z * m_z))[:, None]
+                on_element = phase.min() <= 0.0
+                np.sqrt(phase, out=phase)
+                np.sqrt(phase, out=amp)
+                amp *= phase
+                np.divide(root_scale, amp, out=amp)
+                phase *= wave
+                results.append(take(k, rows, entries, phase, amp, on_element))
+        return results
+
+    # one user's boxes stay on this thread: on pool threads each would leave a
+    # band-sized buffer in that thread's malloc arena, which raises the peak RSS
+    return zip(boxes, _map_bands(walk, boxes, len(boxes) if len(indices) > 1 else 1))
 
 
-def _band_step(num_rows: int, row_len: int) -> int:
-    """Rows per band when num_rows rows of row_len entries are cut into equal bands
-    of at most about _BAND_ENTRIES entries (at least one row)."""
-    bands = max(1, -(-num_rows * row_len // _BAND_ENTRIES))
-    return max(1, -(-num_rows // bands))
+def _phasors(phase, amp, out):
+    """out = amp e^{j phase}, each of cos and sin times amp; returns out."""
+    np.cos(phase, out=out.real)
+    np.sin(phase, out=out.imag)
+    out.real *= amp
+    out.imag *= amp
+    return out
 
 
 def _map_bands(fn, jobs, count: int):
@@ -236,24 +263,22 @@ def _response_block(
 ) -> np.ndarray:
     """Responses of K users as one (K, N_z, N_y) array.
 
-    pnusw: an entry is _pnusw_bands's.  upw: an entry is one broadcast of
+    pnusw: an entry is _pnusw_walk's, written straight into the block (and the
+    same for any thread count); a build holds two buffers of at most a band
+    per build thread besides.  upw: an entry is one broadcast of
     (common * e^{j c u_z m_z}) * e^{j c u_y m_y}, c = 2 pi spacing / wavelength.
     Entries depend only on the user and their own (m_y, m_z), so the centered
-    sub-grid of a larger same-parity array is bitwise a direct build.  pnusw
-    runs one job per user (_map_bands, on up to thread_count() threads), which
-    walks the user's rows band by band into out[k]: besides its output a build
-    holds two band-sized temporaries per thread, and every entry is the same
-    for any thread count; a block of at most _BAND_ENTRIES entries stays on
-    the calling thread.  A radicand t <= 0 (a user on an element) raises
-    DegenerateGeometryError.  A non-finite entry raises DegenerateChannelError.
+    sub-grid of a larger same-parity array is bitwise a direct build.  A
+    radicand t <= 0 (a user on an element) raises DegenerateGeometryError.  A
+    non-finite entry raises DegenerateChannelError.
     """
     if model not in VALID_MODELS:
         raise ValueError(f"unknown channel model {model!r}")
     coordinates = _coordinates(users)
+    m_y, m_z = geom.indices_y(), geom.indices_z()
     out = np.empty((coordinates.shape[1], geom.num_z, geom.num_y), dtype=complex)
     if model == UPW:
         r, _, u_y, u_z = coordinates[:, :, None]  # K x 1 columns
-        m_y, m_z = geom.indices_y(), geom.indices_z()
         beta0 = (cfg or UpwConfig.matched_to(geom)).beta0
         c = 2.0 * math.pi * geom.spacing / geom.wavelength
         common = (math.sqrt(beta0) / r) * np.exp(-2j * math.pi * r / geom.wavelength)
@@ -262,11 +287,12 @@ def _response_block(
     else:
         _warn_if_any_near(geom, coordinates[0])
 
-        def build(user, rows) -> None:
-            deque(_pnusw_bands(geom, user, rows), maxlen=0)  # walk every band
+        def write(k, rows, entries, phase, amp, on_element):
+            if on_element:
+                raise DegenerateGeometryError(_ON_ELEMENT)
+            _phasors(phase, amp, out[k, rows, entries])
 
-        count = len(out) if out.size > _BAND_ENTRIES else 1
-        deque(_map_bands(build, zip(coordinates.T, out), count), maxlen=0)
+        deque(_pnusw_walk(geom, coordinates, [(m_y, m_z)] * len(out), write), maxlen=0)
     if not np.isfinite(out).all():
         raise DegenerateChannelError("channel entries must be finite")
     return out
@@ -386,31 +412,6 @@ def _radial(f, m_y, m_z, w_y, w_z):
     return folded, np.sqrt(radii), np.zeros(1), weights, np.ones(1)
 
 
-def _pair_cell(geom: ArrayGeometry, user, fold):
-    """(G_12, |a_2|^2) of user 2 against user 1, user 2 walked band by band.
-
-    user is user 2's (r, u_x, u_y, u_z), walked at the kept indices m_y, m_z of
-    fold = (f, m_y, m_z, w_y, w_z) (_pair_gram): G_12 sums its entries times
-    f, user 1's conjugate summed over their mirror images (or, _radial, over
-    their radius), and |a_2|^2 its squared amplitudes times w_y w_z.  Each
-    row's partials are a numpy pairwise sum over that row, then the rows are
-    summed in order, so neither the band size nor the thread shows.  A
-    non-finite partial (user 2's: user 1's entries are finite) raises
-    DegenerateChannelError.
-    """
-    f, m_y, m_z, w_y, w_z = fold
-    inner, power = np.empty(len(m_z), dtype=complex), np.empty(len(m_z))
-    for band, rows, amp in _pnusw_bands(geom, user, indices=(m_y, m_z)):
-        rows *= f[band]
-        amp *= amp
-        amp *= w_y
-        inner[band], power[band] = rows.sum(axis=1), amp.sum(axis=1)
-    power *= w_z
-    if not (np.isfinite(inner).all() and np.isfinite(power).all()):
-        raise DegenerateChannelError("channel entries must be finite")
-    return inner.sum(), power.sum()
-
-
 def _pair_gram(
     geom: ArrayGeometry, loc1: UserLocation, others, model: str, cfg: UpwConfig | None = None
 ) -> np.ndarray:
@@ -419,23 +420,18 @@ def _pair_gram(
     upw builds nothing: the stack is one broadcast of _upw_gram's formula
     over user 1 and all of others, and each matrix is bitwise the G_11, G_12
     and G_22 of _upw_gram on that pair alone.  pnusw builds user 1's response
-    once (_response_block), sums its power row by row over band-sized slices,
-    and streams every user 2 of the sweep through _map_bands.  A job takes
-    consecutive cells (_pair_cell, in order) until it holds about
-    _BAND_ENTRIES walked entries, at least one cell.  A cell walks its user 2
-    band by band against user 1's matching rows and sums the per-row
-    partials of G_12 and |a_2|^2 in row order, so every matrix is the same
-    for any thread count and band size.  A user 2 with u_y == 0.0 or u_z ==
-    0.0 is walked only at m >= 0 on that axis, against user 1's conjugate
-    folded onto it (_mirror, once per fold kind).  One with both is walked
-    as one row at the kept quadrant's distinct radii, against that fold
-    summed per radius (_radial, once per sweep).  User 1's unfolded response
-    is dropped when no cell needs it.  No user 2 is ever held whole: a cell
-    holds one band of it and two band-sized temporaries.  The first failing
-    cell raises: a user on an element DegenerateGeometryError, a non-finite
-    entry DegenerateChannelError.
-    User 1's channel (upw: every user's) is checked here; a zero or
-    non-finite power raises DegenerateChannelError.
+    once (_response_block), sums its power row by row over band-sized boxes,
+    and walks every user 2 (_pnusw_walk), never whole, against user 1's
+    conjugate: a user 2 with u_y == 0.0 or u_z == 0.0 only at m >= 0 on that
+    axis, against that conjugate folded onto it (_mirror, once per fold kind),
+    and one with both as one row at the kept quadrant's distinct radii,
+    against that fold summed per radius (_radial).  A cell sums its row sums
+    of G_12 and |a_2|^2 (a row cut into slices: its slices' sums) in order,
+    so every matrix is the same for any thread count, and for any band size
+    that cuts no row.  The first failing cell in sweep order raises: a user
+    on an element DegenerateGeometryError, a non-finite row sum (user 2's:
+    user 1's entries are finite) DegenerateChannelError, as does a zero or
+    non-finite power of user 1 (upw: of any user).
     """
     others = list(others)
     grams = np.empty((len(others), 2, 2), dtype=complex)
@@ -449,8 +445,7 @@ def _pair_gram(
         grams[:, 1, 1] = powers[1:]
         return grams
     a1 = _response_block(geom, (loc1,), model)[0]
-    step = _band_step(geom.num_z, geom.num_y)
-    bands = (a1[lo : lo + step] for lo in range(0, geom.num_z, step))
+    bands = (a1[rows, entries] for _, rows, entries in _boxes(0, 1, geom.num_z, geom.num_y))
     power1 = np.concatenate([(b.real * b.real + b.imag * b.imag).sum(1) for b in bands]).sum()
     if not 0.0 < power1 < math.inf:
         raise DegenerateChannelError("a user has a zero or non-finite channel")
@@ -468,21 +463,32 @@ def _pair_gram(
 
     folds = {kind: fold(*kind) for kind in dict.fromkeys(kinds)}
     del a1  # held on only by the unfolded kind's fold, if a cell needs it
-    jobs, entries = [], math.inf
-    for user, kind in zip(coordinates.T, kinds):
-        walked = folds[kind][0].size
-        if entries + walked > _BAND_ENTRIES:
-            jobs.append([])
-            entries = 0
-        jobs[-1].append((user, folds[kind]))
-        entries += walked
+    indices = {kind: (m_y, m_z) for kind, (_, m_y, m_z, _, _) in folds.items()}
 
-    def run(cells):
-        return [_pair_cell(geom, user, fold) for user, fold in cells]
+    def reduce(k, rows, entries, phase, amp, on_element):
+        f, _, _, w_y, w_z = folds[kinds[k]]
+        built = _phasors(phase, amp, np.empty(phase.shape, dtype=complex))
+        built *= f[rows, entries]
+        amp *= amp
+        amp *= w_y[entries]
+        return on_element, built.sum(axis=1), amp.sum(axis=1) * w_z[rows]
 
-    cells = (cell for job in _map_bands(run, zip(jobs), len(jobs)) for cell in job)
-    for (g12, power2), gram in zip(cells, grams):
-        gram[...] = [[power1, g12], [g12.conjugate(), power2]]
+    walk = _pnusw_walk(geom, coordinates, [indices[kind] for kind in kinds], reduce)
+    pieces = []  # (on_element, G_12 row sums, |a_2|^2 row sums) of the cell in progress
+    for (users, rows, entries, m_y, m_z), results in walk:
+        for k, piece in zip(range(users.start, users.stop), results):
+            pieces.append(piece)
+            if rows.stop < len(m_z) or entries.stop < len(m_y):
+                continue  # the cell goes on in the next box
+            on_element, inner, power = zip(*pieces)
+            pieces.clear()
+            if any(on_element):
+                raise DegenerateGeometryError(_ON_ELEMENT)
+            inner, power = np.concatenate(inner), np.concatenate(power)
+            if not (np.isfinite(inner).all() and np.isfinite(power).all()):
+                raise DegenerateChannelError("channel entries must be finite")
+            g12 = inner.sum()
+            grams[k] = [[power1, g12], [g12.conjugate(), power.sum()]]
     return grams
 
 

@@ -15,7 +15,7 @@ The two sweeps that move user 2 against a fixed user 1 (correlation versus
 distance and the SNR-loss map) index each cell's 2 x 2 Gram in one (n, 2, 2)
 stack per model from channel._pair_gram, made before the first row: the
 plane-wave stack is one closed-form broadcast, and the spherical-wave stack
-builds user 1 once and streams every user 2 band by band (only the part of
+builds user 1 once and streams every user 2 box by box (only the part of
 it that the array's mirror symmetry does not repeat; for a user 2 on the
 array's axis, such as every default correlation-versus-distance cell, only
 its distinct radii from the array center).  Every correlation is
@@ -24,11 +24,12 @@ channel.correlation of a Gram.
 A sweep runs its points in order on the calling thread.  The spherical-wave
 builds, which dominate the random drops and the fixed-user cells, run on the
 usable cores (the process's CPU affinity, capped by XLMIMO_THREADS; see
-channel.thread_count), one job per user of a block, or per run of
-consecutive cells of about one band's entries.  Per-drop random streams
-derive from (seed, drop index), every build entry is the same for any
-thread count, and each cell sums its per-row partials in row order, so
-every table is bit-identical for any XLMIMO_THREADS.
+channel.thread_count), one job per box of at most 2^15 entries: a run of
+whole users or cells, a band of one's rows, or a slice of one row; a build
+of one user stays on the calling thread.  Per-drop random streams derive
+from (seed, drop index), every build entry is the same for any thread
+count, and each cell sums its per-row partials in row order, so every table
+is bit-identical for any XLMIMO_THREADS.
 """
 
 from __future__ import annotations

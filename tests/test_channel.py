@@ -72,6 +72,18 @@ def direct_rho(a, b):
     return abs(cdot(a, b)) ** 2 / (vector_power(a) * vector_power(b))
 
 
+def fresh_thread_peak(fn):
+    """tracemalloc's peak while fn runs on a new thread, so that nothing a thread
+    keeps from an earlier call stays out of it."""
+    with ThreadPoolExecutor(1) as thread:
+        tracemalloc.start()
+        try:
+            thread.submit(fn).result()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+
 def geometric_gain_oracle(geom, loc, m_y, m_z):
     """First-principles form: area * (q - w) . x_hat / (4 pi |q - w|^3)."""
     q = user_position(loc).as_array()
@@ -242,20 +254,21 @@ class TestResponseMatrix:
 
 
 class TestBandedPnuswBuild:
-    """The spherical-wave builder runs one job per user, on up to XLMIMO_THREADS
-    threads, and a job builds its user's m_z rows in bands; neither the bands nor
-    the threads may show."""
+    """The spherical-wave builder walks boxes of about one band (runs of whole
+    users, bands of one user's m_z rows, or slices of one row) on up to
+    XLMIMO_THREADS threads; neither the boxes nor the threads may show."""
 
     USERS = [UserLocation(40.0, 1.2, 0.3), UserLocation(25.0, 1.6, -0.4)]
 
     def test_a_block_of_several_bands_equals_one_row_builds_bitwise(self, monkeypatch):
         # 201 rows of 201 entries per user: 2 bands of 101 rows; at 4 x 10 001,
-        # 2 bands of 5 001 rows; with 3 users and with 1, which stays on the caller
+        # 2 bands of 5 001 rows; with 3 users and with 1.  Bands of 201 entries
+        # hold one row at 201 x 201, and bands of 67 cut each of its rows in three
         for users in (self.USERS + [UserLocation(90.0, 0.9, 0.1)], self.USERS[:1]):
             for geom in (make_geom(num_y=201, num_z=201), make_geom(num_y=4, num_z=10_001)):
-                assert ch._band_step(geom.num_z, geom.num_y) < geom.num_z
+                assert len(ch._boxes(0, 1, geom.num_z, geom.num_y)) == 2
                 builds = []
-                for band_entries in (ch._BAND_ENTRIES, 1, 2**62):  # as built, one row, one band
+                for band_entries in (ch._BAND_ENTRIES, 201, 67, 2**62):  # and one box
                     monkeypatch.setattr(ch, "_BAND_ENTRIES", band_entries)
                     for threads in ("1", "3", "8"):
                         monkeypatch.setenv("XLMIMO_THREADS", threads)
@@ -294,7 +307,7 @@ class TestBandedPnuswBuild:
         monkeypatch.setenv("XLMIMO_THREADS", threads)
         geom = make_geom(num_y=1001, num_z=101)
         on_element = UserLocation(geom.spacing, math.pi / 2, math.pi / 2)
-        assert ch._band_step(geom.num_z, geom.num_y) <= 50
+        assert ch._boxes(0, 1, geom.num_z, geom.num_y)[0][1] == slice(0, 26)
         with pytest.raises(DegenerateGeometryError, match="coincident"):
             _response_block(geom, self.USERS + [on_element], "pnusw")
 
@@ -309,8 +322,10 @@ class TestBandedPnuswBuild:
                 _response_block(geom, [UserLocation(1e308, 1.2, 0.3)], "pnusw")
 
     def test_a_build_has_no_more_bands_in_flight_than_it_has_bands(self, monkeypatch):
-        # XLMIMO_THREADS unset on 64 cores: a one-user block of two bands stays on
-        # the calling thread, and a K-user block starts at most min(64, K) threads
+        # XLMIMO_THREADS unset on 64 cores: a walk of one box (a 100 x 100 user),
+        # or of one user's boxes (two bands of a 201 x 201 user), stays on the
+        # calling thread, and a walk of n boxes of more users (two bands per
+        # 201 x 201 user) starts at most min(64, n) threads
         monkeypatch.delenv("XLMIMO_THREADS", raising=False)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
         pools = []
@@ -320,14 +335,47 @@ class TestBandedPnuswBuild:
             return pools[-1]
 
         monkeypatch.setattr(ch, "_build_pool", build_pool)
-        geom = make_geom(num_y=201, num_z=201)
-        assert ch._band_step(geom.num_z, geom.num_y) < geom.num_z
+        small, geom = make_geom(num_y=100, num_z=100), make_geom(num_y=201, num_z=201)
+        assert len(ch._boxes(0, 1, small.num_z, small.num_y)) == 1
+        _response_block(small, self.USERS[:1], "pnusw")
+        assert len(ch._boxes(0, 1, geom.num_z, geom.num_y)) == 2
         _response_block(geom, self.USERS[:1], "pnusw")
         assert pools == []
+        boxes = len(ch._boxes(0, len(self.USERS), geom.num_z, geom.num_y))
+        assert boxes == 2 * len(self.USERS)
         _response_block(geom, self.USERS, "pnusw")
-        pools[0].shutdown()
-        assert len(pools) == 1 and pools[0]._max_workers == 64
-        assert 1 <= len(pools[0]._threads) <= len(self.USERS)
+        pools[-1].shutdown()
+        assert len(pools) == 1 and pools[-1]._max_workers == 64
+        assert 1 <= len(pools[-1]._threads) <= boxes
+
+    def test_a_row_longer_than_a_band_is_built_in_slices(self, monkeypatch):
+        # one row of 2^18 entries, 8 bands: besides its output and its index vector
+        # the build holds a few band-sized buffers, no row-sized temporary
+        monkeypatch.setenv("XLMIMO_THREADS", "1")
+        geom = make_geom(num_y=2**18, num_z=1)
+        build = lambda: _response_block(geom, self.USERS[:1], "pnusw")  # noqa: E731
+        build()  # imports and first-call caches stay out of the peak
+        peak = fresh_thread_peak(build)
+        output, indices, band = 16 * geom.num_elements, 8 * geom.num_y, 16 * ch._BAND_ENTRIES
+        assert peak <= output + indices + 4 * band
+
+    # (band entries, array): bands of 1 cut every row into single entries, and
+    # bands of 2^10 cut a 41 x 39 user (1 599 entries) into bands of rows; as
+    # built and at 2^62 a box holds every run of users of one fold kind
+    PACKINGS = [(1, (13, 11)), (2**10, (41, 39)), (None, (41, 39)), (2**62, (41, 39))]
+
+    @pytest.mark.parametrize("threads", ["1", "3"])
+    @pytest.mark.parametrize("band_entries, shape", PACKINGS)
+    def test_a_block_is_bitwise_its_one_user_blocks(
+        self, monkeypatch, threads, band_entries, shape
+    ):
+        monkeypatch.setenv("XLMIMO_THREADS", threads)
+        if band_entries is not None:
+            monkeypatch.setattr(ch, "_BAND_ENTRIES", band_entries)
+        geom = make_geom(*shape)
+        users = random_users(np.random.default_rng(3), 5) + TestStreamedPairGrams.FOLDING
+        alone = [_response_block(geom, [loc], "pnusw") for loc in users]
+        assert _response_block(geom, users, "pnusw").tobytes() == np.concatenate(alone).tobytes()
 
     def test_the_default_sinr_sweep_starts_no_build_thread(self, monkeypatch):
         # XLMIMO_THREADS unset on 64 cores, on a fresh pool: the sweep's largest
@@ -375,8 +423,9 @@ class TestBandedPnuswBuild:
 
 
 class TestStreamedPairGrams:
-    """The spherical-wave pair Grams stream every user 2 band by band, one job per
-    cell, which sums the cell's per-row partials in row order."""
+    """The spherical-wave pair Grams walk every user 2 in boxes (runs of whole
+    cells of one fold kind, bands of one cell's rows, or slices of one row), and
+    each cell sums its per-row partials in row order."""
 
     LOC1 = UserLocation(40.0, 1.3, 0.2)
 
@@ -428,18 +477,36 @@ class TestStreamedPairGrams:
 
     def test_bitwise_the_same_for_any_thread_count_and_band_size(self, monkeypatch):
         # at the default band size a band boundary falls inside every user 2's
-        # rows: 2 bands of 101 rows at 201 x 201, 2 of 5 001 rows at 4 x 10 001
+        # rows: 2 bands of 101 rows at 201 x 201, 2 of 5 001 rows at 4 x 10 001;
+        # bands of 201 entries hold one row at 201 x 201 (a shorter band would cut
+        # the rows, whose sums then round otherwise)
         others = random_users(np.random.default_rng(5), 3)
         for geom in (make_geom(num_y=201, num_z=201), make_geom(num_y=4, num_z=10_001)):
-            assert ch._band_step(geom.num_z, geom.num_y) < geom.num_z
+            assert len(ch._boxes(0, 1, geom.num_z, geom.num_y)) == 2
             grams = []
-            for band_entries in (ch._BAND_ENTRIES, 1, 2**62):  # as built, one row, one band
+            for band_entries in (ch._BAND_ENTRIES, 201, 2**62):  # and one band
                 monkeypatch.setattr(ch, "_BAND_ENTRIES", band_entries)
                 for threads in ("1", "3", "8"):
                     monkeypatch.setenv("XLMIMO_THREADS", threads)
                     grams.append(_pair_gram(geom, self.LOC1, others, "pnusw").tobytes())
                 monkeypatch.undo()
             assert len(set(grams)) == 1
+
+    @pytest.mark.parametrize("threads", ["1", "3"])
+    @pytest.mark.parametrize("band_entries, shape", TestBandedPnuswBuild.PACKINGS)
+    def test_a_sweep_is_bitwise_its_one_cell_sweeps(
+        self, monkeypatch, threads, band_entries, shape
+    ):
+        # cells of every fold kind, then a run of radial ones: however the walk
+        # packs cells into boxes or cuts them, each matrix is bitwise its cell's alone
+        monkeypatch.setenv("XLMIMO_THREADS", threads)
+        if band_entries is not None:
+            monkeypatch.setattr(ch, "_BAND_ENTRIES", band_entries)
+        geom = make_geom(*shape)
+        users = self.FOLDING + self.ON_AXIS
+        alone = [_pair_gram(geom, self.LOC1, [loc], "pnusw") for loc in users]
+        grams = _pair_gram(geom, self.LOC1, users, "pnusw")
+        assert grams.tobytes() == np.concatenate(alone).tobytes()
 
     # user 2s folded on y only (u_y == 0), z only (u_z == 0), on both and on neither
     FOLDING = [
@@ -467,26 +534,41 @@ class TestStreamedPairGrams:
                 assert abs(g[0, 1] - g12) <= 1e-13 * math.sqrt(g11 * g22)
                 assert g[1, 0] == g[0, 1].conjugate()
 
+    @staticmethod
+    def kept_radii(geom):
+        """The distinct m_y^2 + m_z^2 of the quadrant that an on-axis cell keeps."""
+        half_y, half_z = geom.indices_y()[geom.num_y // 2 :], geom.indices_z()[geom.num_z // 2 :]
+        return sorted({y * y + z * z for y in half_y for z in half_z})
+
     @pytest.mark.parametrize("num_y, num_z", [(7, 13), (8, 12)])
     def test_a_folded_cell_walks_only_the_indices_it_keeps(self, monkeypatch, num_y, num_z):
         # a folded axis of n indices keeps its n - n // 2 indices >= 0; a cell folded
-        # on both (on-axis) walks the kept quadrant's distinct radii as one row
+        # on both (on-axis) walks the kept quadrant's distinct radii as one row.
+        # Every cell here is a box of its own (its fold kind differs from its
+        # neighbours'), walked by the last _map_bands call, after user 1's build
         monkeypatch.setenv("XLMIMO_THREADS", "1")
-        walked = []
-        bands = ch._pnusw_bands
+        walks = []
+        scheduler = ch._map_bands
 
-        def recording(geom, user, out=None, indices=None):
-            if indices is not None:
-                walked.append(tuple(map(tuple, indices)))
-            return bands(geom, user, out, indices)
+        def recording(fn, jobs, count):
+            walks.append(list(jobs))
+            return scheduler(fn, walks[-1], count)
 
-        monkeypatch.setattr(ch, "_pnusw_bands", recording)
+        monkeypatch.setattr(ch, "_map_bands", recording)
         geom = make_geom(num_y=num_y, num_z=num_z)
         _pair_gram(geom, self.LOC1, self.FOLDING, "pnusw")
+        boxes = walks[-1]
+        assert [(users.start, users.stop) for users, *_ in boxes] == [
+            (k, k + 1) for k in range(len(self.FOLDING))
+        ]
+        walked = [
+            (tuple(m_y[entries]), tuple(m_z[rows]))
+            for _, rows, entries, m_y, m_z in boxes
+        ]
         m_y, m_z = tuple(geom.indices_y()), tuple(geom.indices_z())
         half_y, half_z = m_y[num_y // 2 :], m_z[num_z // 2 :]
         assert len(half_y) == num_y - num_y // 2 and min(half_y) >= 0.0
-        radii = sorted({y * y + z * z for y in half_y for z in half_z})
+        radii = self.kept_radii(geom)
         assert len(radii) < len(half_y) * len(half_z)
         radial = (tuple(map(math.sqrt, radii)), (0.0,))
         assert walked == [
@@ -499,30 +581,40 @@ class TestStreamedPairGrams:
         # every fold kind in one sweep, then a run of radial cells; a band boundary
         # falls inside the kept rows of every user 2 at 401 x 401 as built (the
         # 201 x 201 quarter is 2 bands), and at 4 x 2 001 with bands of 2^10
-        # entries.  Jobs pack consecutive cells up to a band's entries: as built,
-        # two radial cells per job at 401 x 401 and all but the last cells in one
-        # job at 4 x 2 001; one cell per job with bands of 2^10 or 1, and the
-        # whole sweep in one job with bands of 2^62
-        assert ch._band_step(201, 201) < 201
+        # entries.  A box holds a run of whole cells of one kind up to a band's
+        # entries: as built, two radial cells per box at 401 x 401 and all four at
+        # 4 x 2 001; one per box in bands of the longest walked row (a radial
+        # one).  Every stack is bitwise the same for any thread count, and for any
+        # band size that cuts no row.  Bands of 2^10 cut every radial row (13 788
+        # and 2 002 entries) into slices, whose sums only round otherwise
+        assert len(ch._boxes(0, 1, 201, 201)) == 2
         users = self.FOLDING + self.ON_AXIS
         for geom in (make_geom(num_y=401, num_z=401), make_geom(num_y=4, num_z=2_001)):
-            grams = []
-            for band_entries in (ch._BAND_ENTRIES, 2**10, 1, 2**62):  # and one row, one band
+            longest = max(len(self.kept_radii(geom)), geom.num_y)
+            assert longest > 2**10
+            stacks = {}
+            for band_entries in (ch._BAND_ENTRIES, longest, 2**62, 2**10):
                 monkeypatch.setattr(ch, "_BAND_ENTRIES", band_entries)
                 for threads in ("1", "3", "8"):
                     monkeypatch.setenv("XLMIMO_THREADS", threads)
-                    grams.append(_pair_gram(geom, self.LOC1, users, "pnusw").tobytes())
+                    grams = _pair_gram(geom, self.LOC1, users, "pnusw")
+                    stacks.setdefault(band_entries, set()).add(grams.tobytes())
                 monkeypatch.undo()
-            assert len(set(grams)) == 1
+            assert all(len(runs) == 1 for runs in stacks.values())
+            uncut = {stacks[band].pop() for band in (ch._BAND_ENTRIES, longest, 2**62)}
+            assert len(uncut) == 1
+            g, cut = (np.frombuffer(b, dtype=complex).reshape(-1, 2, 2) for b in (*uncut, *stacks[2**10]))
+            scale = np.sqrt(g[:, 0, 0].real * g[:, 1, 1].real)
+            assert np.all(np.abs(cut - g) <= 1e-13 * scale[:, None, None])
 
     def test_concurrent_folded_sweeps_under_thread_switching_stress(self, monkeypatch):
         # four callers share one 8-thread pool, each cell reading its kind's fold
         # of user 1, with a 1 us switch interval: every stack is the serial one
         geom = make_geom(num_y=201, num_z=101)
+        monkeypatch.setattr(ch, "_BAND_ENTRIES", 2**10)
         monkeypatch.setenv("XLMIMO_THREADS", "1")
         serial = _pair_gram(geom, self.LOC1, self.FOLDING, "pnusw").tobytes()
         monkeypatch.setenv("XLMIMO_THREADS", "8")
-        monkeypatch.setattr(ch, "_BAND_ENTRIES", 2**10)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -542,28 +634,39 @@ class TestStreamedPairGrams:
     @pytest.mark.parametrize("threads", ["1", "3"])
     def test_the_first_failing_cell_raises(self, monkeypatch, threads):
         # a user on element (1, 0), and one at r = 1e308 (phase inf, entries NaN)
-        # whose jobs are held back 50 ms: with 3 threads both cells are in flight
-        # at once, and the earlier cell's error wins, not the first one to arrive
+        # whose boxes are held back 50 ms.  At 201 x 201 its cell is two boxes, and
+        # with 3 threads both failing cells are in flight at once, so a later box
+        # may finish first; at 21 x 21 every cell (all in the x-y plane, so of one
+        # fold kind) shares one box.  Either way the earlier cell's error wins
         monkeypatch.setenv("XLMIMO_THREADS", threads)
-        cell = ch._pair_cell
+        scheduler, sweep = ch._map_bands, []
 
-        def slow_far_cell(geom, user, a1_conj):
-            if user[0] > 1e300:
-                time.sleep(0.05)
-            return cell(geom, user, a1_conj)
+        def slow_far_boxes(fn, jobs, count):
+            def box(users, *rest):
+                if any(loc.r > 1e300 for loc in sweep[users]):
+                    time.sleep(0.05)
+                return fn(users, *rest)
 
-        monkeypatch.setattr(ch, "_pair_cell", slow_far_cell)
-        geom = make_geom(num_y=201, num_z=201)
-        on_element = UserLocation(geom.spacing, math.pi / 2, math.pi / 2)
-        far = UserLocation(1e308, 1.2, 0.3)
-        fine = UserLocation(60.0, 1.2, -0.3)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            warnings.simplefilter("ignore", NearArrayWarning)  # the on-element user is near
-            with pytest.raises(DegenerateGeometryError, match="coincident"):
-                _pair_gram(geom, self.LOC1, [fine, on_element, far, fine], "pnusw")
-            with pytest.raises(DegenerateChannelError, match="finite"):
-                _pair_gram(geom, self.LOC1, [far, on_element, fine], "pnusw")
+            return scheduler(box, jobs, count)
+
+        monkeypatch.setattr(ch, "_map_bands", slow_far_boxes)
+        for side, theta in ((201, 1.2), (21, math.pi / 2)):
+            geom = make_geom(num_y=side, num_z=side)
+            on_element = UserLocation(geom.spacing, math.pi / 2, math.pi / 2)
+            far = UserLocation(1e308, theta, 0.3)
+            fine = UserLocation(60.0, theta, -0.3)
+            if side == 21:  # the z-folded cells keep 11 rows of 21 entries: one box
+                assert on_element.u_z == far.u_z == fine.u_z == 0.0
+                assert len(ch._boxes(0, 4, side // 2 + 1, side)) == 1
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                warnings.simplefilter("ignore", NearArrayWarning)  # the on-element user is near
+                sweep[:] = [fine, on_element, far, fine]
+                with pytest.raises(DegenerateGeometryError, match="coincident"):
+                    _pair_gram(geom, self.LOC1, sweep, "pnusw")
+                sweep[:] = [far, on_element, fine]
+                with pytest.raises(DegenerateChannelError, match="finite"):
+                    _pair_gram(geom, self.LOC1, sweep, "pnusw")
 
     def test_memory_is_user_one_and_a_few_bands(self, monkeypatch):
         # 50 cells at 200 x 200 on one thread: no cell may hold an M-sized array
@@ -573,32 +676,30 @@ class TestStreamedPairGrams:
         monkeypatch.setenv("XLMIMO_THREADS", "1")
         geom = make_geom(num_y=200, num_z=200)
         user_one = 16 * geom.num_elements
-        band = 16 * ch._band_step(geom.num_z, geom.num_y) * geom.num_y
+        (_, rows, _), *_ = ch._boxes(0, 1, geom.num_z, geom.num_y)
+        band = 16 * (rows.stop - rows.start) * geom.num_y
         for theta2, phi2 in ((1.2, 0.3), (math.pi / 2, 0.3), (math.pi / 2, 0.0)):
             assert (UserLocation(1.0, theta2, phi2).u_z == 0.0) == (theta2 == math.pi / 2)
             sweep = lambda: sweep_correlation_vs_distance(  # noqa: E731
                 geom, self.LOC1, (theta2, phi2), range(50)
             )
             sweep()  # imports and first-call caches stay out of the peak
-            tracemalloc.start()
-            try:
-                sweep()
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak < user_one + 3 * band
+            assert fresh_thread_peak(sweep) < user_one + 3 * band
 
     @pytest.mark.parametrize("threads, cap", [(None, 64), ("3", 3)])
     def test_no_more_build_threads_than_jobs(self, monkeypatch, threads, cap):
-        # 3 cells (user 1's one-user block stays on the calling thread) on a fresh
-        # pool: at most min(cap, 3) threads start, however many cores there are
+        # 3 cells of one box each (22 801 entries), while user 1's one-box block
+        # stays on the calling thread, on a fresh pool: at most min(cap, 3)
+        # threads start, however many cores there are
         if threads is None:
             monkeypatch.delenv("XLMIMO_THREADS", raising=False)
         else:
             monkeypatch.setenv("XLMIMO_THREADS", threads)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
         monkeypatch.setattr(ch, "_pools", {})
-        geom = make_geom(num_y=201, num_z=201)
+        geom = make_geom(num_y=151, num_z=151)
+        assert len(ch._boxes(0, 1, geom.num_z, geom.num_y)) == 1
+        assert len(ch._boxes(0, 3, geom.num_z, geom.num_y)) == 3
         before = {t.ident for t in threading.enumerate()}
         try:
             _pair_gram(geom, self.LOC1, random_users(np.random.default_rng(9), 3), "pnusw")
