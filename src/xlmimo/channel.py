@@ -34,10 +34,10 @@ only at the distinct radii m_y^2 + m_z^2 of the kept quadrant.
 
 One box walker (_pnusw_walk) builds every spherical-wave entry, one build
 job per box of at most 2^15 entries: a run of whole users (cells of one fold
-kind), else a band of one user's rows, else a slice of one row.  A job walks
-its box's users one at a time, and a walk of one user stays on the calling
-thread.  XLMIMO_THREADS (thread_count) caps the build threads; no result
-depends on it.
+kind), else a band of one user's rows, else a slice of one row.  A job
+computes its whole box in one broadcast, and a walk of one box stays on the
+calling thread.  XLMIMO_THREADS (thread_count) caps the build threads; no
+result depends on it.
 """
 
 from __future__ import annotations
@@ -167,19 +167,20 @@ def _boxes(first: int, stop: int, num_rows: int, row_len: int) -> list:
 
 
 def _pnusw_walk(geom: ArrayGeometry, coordinates, indices, take):
-    """Build spherical-wave users box by box (_map_bands), yielding (box, results) in order.
+    """Build spherical-wave users box by box (_map_bands), yielding (box, result) in order.
 
     User j, coordinates[:, j] = (r, u_x, u_y, u_z), is walked at the index
     vectors indices[j] = (m_y, m_z).  A run of users that share one pair (the
     same object) is cut into _boxes; a box is (users, rows, entries, m_y, m_z),
-    and its job walks its users one at a time through two buffers of one
-    user's part of the box.  With e = spacing / r and f(m) = m^2 e^2 - 2 e u m
-    per axis, an entry's radicand t = (1 + f_z) + f_y is its squared distance
+    and its job computes the whole box in one broadcast, through two buffers
+    of the box's size.  With e = spacing / r and f(m) = m^2 e^2 - 2 e u m per
+    axis, an entry's radicand t = (1 + f_z) + f_y is its squared distance
     over r^2 (u_y == 0.0 makes m_y and -m_y bitwise equal), its amplitude
     sqrt(scale) / (s sqrt(s)) and its phase -2 pi r s / wavelength, with
-    s = sqrt(t).  User k's result is take(k, rows, entries, phase, amp,
-    on_element), on_element meaning a radicand t <= 0 (a user on an element);
-    take runs on the job's thread and may overwrite amp.
+    s = sqrt(t).  A box's result is take(users, rows, entries, phase, amp,
+    on_element), phase and amp of shape (users, rows, entries) and
+    on_element[i] meaning a radicand t <= 0 for the box's user i (a user on
+    an element); take runs on the job's thread and may overwrite amp.
     """
     boxes, first = [], 0
     for stop in range(1, len(indices) + 1):
@@ -193,30 +194,25 @@ def _pnusw_walk(geom: ArrayGeometry, coordinates, indices, take):
         e = geom.spacing / r
         scale = geom.occupation_ratio * e * e * u_x / (4.0 * math.pi)
         wave = -2.0 * math.pi / geom.wavelength * r
-        terms = np.array([e * e, 2.0 * e * u_y, 2.0 * e * u_z, np.sqrt(scale), wave]).T
+        terms = np.array([e * e, 2.0 * e * u_y, 2.0 * e * u_z, np.sqrt(scale), wave])
 
     def walk(users, rows, entries, m_y, m_z):
-        m_y, m_z = m_y[entries], m_z[rows]
-        m_y2, m_z2 = m_y * m_y, m_z * m_z
-        phase, amp = np.empty((2, len(m_z), len(m_y)))
-        results = []
-        for k, (e2, e_y, e_z, root_scale, wave) in enumerate(terms[users].tolist(), users.start):
-            with np.errstate(all="ignore"):
-                # f_y, then += f_z: a two-sided broadcast add would buffer twice as much
-                phase[...] = m_y2 * e2 - e_y * m_y
-                phase += (1.0 + (m_z2 * e2 - e_z * m_z))[:, None]
-                on_element = phase.min() <= 0.0
-                np.sqrt(phase, out=phase)
-                np.sqrt(phase, out=amp)
-                amp *= phase
-                np.divide(root_scale, amp, out=amp)
-                phase *= wave
-                results.append(take(k, rows, entries, phase, amp, on_element))
-        return results
+        m_y, m_z = m_y[entries], m_z[rows, None]
+        e2, e_y, e_z, root_scale, wave = terms[:, users, None, None]
+        phase, amp = np.empty((2, users.stop - users.start, len(m_z), len(m_y)))
+        with np.errstate(all="ignore"):
+            # f_y, then += f_z: a two-sided broadcast add would buffer twice as much
+            phase[...] = m_y * m_y * e2 - e_y * m_y
+            phase += 1.0 + (m_z * m_z * e2 - e_z * m_z)
+            on_element = phase.min(axis=(1, 2)) <= 0.0
+            np.sqrt(phase, out=phase)
+            np.sqrt(phase, out=amp)
+            amp *= phase
+            np.divide(root_scale, amp, out=amp)
+            phase *= wave
+            return take(users, rows, entries, phase, amp, on_element)
 
-    # one user's boxes stay on this thread: on pool threads each would leave a
-    # band-sized buffer in that thread's malloc arena, which raises the peak RSS
-    return zip(boxes, _map_bands(walk, boxes, len(boxes) if len(indices) > 1 else 1))
+    return zip(boxes, _map_bands(walk, boxes))
 
 
 def _phasors(phase, amp, out):
@@ -228,19 +224,19 @@ def _phasors(phase, amp, out):
     return out
 
 
-def _map_bands(fn, jobs, count: int):
-    """fn(*job) for each job, yielded in job order; count is the number of jobs.
+def _map_bands(fn, jobs):
+    """fn(*job) for each job of the list jobs, yielded in job order.
 
-    With one thread (thread_count()) or count <= 1 (a caller's way to keep the
-    jobs here), the jobs run on the calling thread.  Otherwise they go to the
-    kept build pool, at most 2 x threads jobs in flight, so at most
-    min(threads, count) pool threads start.  fn must call no public function
-    of the package (the benchmark tracer wraps those, and keeps one root span
-    per calling thread).  When a job raises, its error is raised here, in job
-    order, and the queued jobs are cancelled.
+    With one thread (thread_count()) or one job, the jobs run on the calling
+    thread.  Otherwise they go to the kept build pool, at most 2 x threads
+    jobs in flight, so at most min(threads, len(jobs)) pool threads start.
+    fn must call no public function of the package (the benchmark tracer
+    wraps those, and keeps one root span per calling thread).  When a job
+    raises, its error is raised here, in job order, and the queued jobs are
+    cancelled.
     """
     threads = thread_count()
-    if threads == 1 or count <= 1:
+    if threads == 1 or len(jobs) <= 1:
         for job in jobs:
             yield fn(*job)
         return
@@ -287,10 +283,10 @@ def _response_block(
     else:
         _warn_if_any_near(geom, coordinates[0])
 
-        def write(k, rows, entries, phase, amp, on_element):
-            if on_element:
+        def write(users, rows, entries, phase, amp, on_element):
+            if on_element.any():
                 raise DegenerateGeometryError(_ON_ELEMENT)
-            _phasors(phase, amp, out[k, rows, entries])
+            _phasors(phase, amp, out[users, rows, entries])
 
         deque(_pnusw_walk(geom, coordinates, [(m_y, m_z)] * len(out), write), maxlen=0)
     if not np.isfinite(out).all():
@@ -465,13 +461,13 @@ def _pair_gram(
     del a1  # held on only by the unfolded kind's fold, if a cell needs it
     indices = {kind: (m_y, m_z) for kind, (_, m_y, m_z, _, _) in folds.items()}
 
-    def reduce(k, rows, entries, phase, amp, on_element):
-        f, _, _, w_y, w_z = folds[kinds[k]]
+    def reduce(users, rows, entries, phase, amp, on_element):
+        f, _, _, w_y, w_z = folds[kinds[users.start]]
         built = _phasors(phase, amp, np.empty(phase.shape, dtype=complex))
         built *= f[rows, entries]
         amp *= amp
         amp *= w_y[entries]
-        return on_element, built.sum(axis=1), amp.sum(axis=1) * w_z[rows]
+        return zip(on_element, built.sum(axis=2), amp.sum(axis=2) * w_z[rows])
 
     walk = _pnusw_walk(geom, coordinates, [indices[kind] for kind in kinds], reduce)
     pieces = []  # (on_element, G_12 row sums, |a_2|^2 row sums) of the cell in progress

@@ -26,7 +26,7 @@ builds, which dominate the random drops and the fixed-user cells, run on the
 usable cores (the process's CPU affinity, capped by XLMIMO_THREADS; see
 channel.thread_count), one job per box of at most 2^15 entries: a run of
 whole users or cells, a band of one's rows, or a slice of one row; a build
-of one user stays on the calling thread.  Per-drop random streams derive
+of one box stays on the calling thread.  Per-drop random streams derive
 from (seed, drop index), every build entry is the same for any thread
 count, and each cell sums its per-row partials in row order, so every table
 is bit-identical for any XLMIMO_THREADS.

@@ -322,10 +322,9 @@ class TestBandedPnuswBuild:
                 _response_block(geom, [UserLocation(1e308, 1.2, 0.3)], "pnusw")
 
     def test_a_build_has_no_more_bands_in_flight_than_it_has_bands(self, monkeypatch):
-        # XLMIMO_THREADS unset on 64 cores: a walk of one box (a 100 x 100 user),
-        # or of one user's boxes (two bands of a 201 x 201 user), stays on the
-        # calling thread, and a walk of n boxes of more users (two bands per
-        # 201 x 201 user) starts at most min(64, n) threads
+        # XLMIMO_THREADS unset on 64 cores: a walk of one box (a 100 x 100 user)
+        # stays on the calling thread, and a walk of n > 1 boxes, one user's two
+        # bands (201 x 201) or two users' four, starts at most min(64, n) threads
         monkeypatch.delenv("XLMIMO_THREADS", raising=False)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
         pools = []
@@ -338,15 +337,15 @@ class TestBandedPnuswBuild:
         small, geom = make_geom(num_y=100, num_z=100), make_geom(num_y=201, num_z=201)
         assert len(ch._boxes(0, 1, small.num_z, small.num_y)) == 1
         _response_block(small, self.USERS[:1], "pnusw")
-        assert len(ch._boxes(0, 1, geom.num_z, geom.num_y)) == 2
-        _response_block(geom, self.USERS[:1], "pnusw")
         assert pools == []
-        boxes = len(ch._boxes(0, len(self.USERS), geom.num_z, geom.num_y))
-        assert boxes == 2 * len(self.USERS)
-        _response_block(geom, self.USERS, "pnusw")
-        pools[-1].shutdown()
-        assert len(pools) == 1 and pools[-1]._max_workers == 64
-        assert 1 <= len(pools[-1]._threads) <= boxes
+        for users in (self.USERS[:1], self.USERS):
+            boxes = len(ch._boxes(0, len(users), geom.num_z, geom.num_y))
+            assert boxes == 2 * len(users)
+            _response_block(geom, users, "pnusw")
+            pools[-1].shutdown()
+            assert pools[-1]._max_workers == 64
+            assert 1 <= len(pools[-1]._threads) <= boxes
+        assert len(pools) == 2
 
     def test_a_row_longer_than_a_band_is_built_in_slices(self, monkeypatch):
         # one row of 2^18 entries, 8 bands: besides its output and its index vector
@@ -550,9 +549,9 @@ class TestStreamedPairGrams:
         walks = []
         scheduler = ch._map_bands
 
-        def recording(fn, jobs, count):
+        def recording(fn, jobs):
             walks.append(list(jobs))
-            return scheduler(fn, walks[-1], count)
+            return scheduler(fn, walks[-1])
 
         monkeypatch.setattr(ch, "_map_bands", recording)
         geom = make_geom(num_y=num_y, num_z=num_z)
@@ -641,13 +640,13 @@ class TestStreamedPairGrams:
         monkeypatch.setenv("XLMIMO_THREADS", threads)
         scheduler, sweep = ch._map_bands, []
 
-        def slow_far_boxes(fn, jobs, count):
+        def slow_far_boxes(fn, jobs):
             def box(users, *rest):
                 if any(loc.r > 1e300 for loc in sweep[users]):
                     time.sleep(0.05)
                 return fn(users, *rest)
 
-            return scheduler(box, jobs, count)
+            return scheduler(box, jobs)
 
         monkeypatch.setattr(ch, "_map_bands", slow_far_boxes)
         for side, theta in ((201, 1.2), (21, math.pi / 2)):
