@@ -26,11 +26,13 @@ Dirichlet kernels of the direction-cosine differences (_upw_gram), with the
 removable singularities filled in by their limits, so no plane-wave
 response is built for it.  _pair_gram gives the stack of one fixed user's
 Grams with many others under either model; under the spherical-wave model it
-builds the fixed user once and streams every other user box by box over the
-build threads, so no other user's response is ever held whole.  A user with
-u_y == 0.0 or u_z == 0.0 is walked only on the half of that axis that its
-mirror symmetry does not repeat, and one with both (on the array's axis)
-only at the distinct radii m_y^2 + m_z^2 of the kept quadrant.
+builds the fixed user once and streams the other users box by box over the
+build threads, so no other user's response is ever held whole.  Other users
+that are mirror images in the fixed user's symmetric axes (its u_y or u_z
+exactly 0.0), or repeats, share one walk.  A user with u_y == 0.0 or
+u_z == 0.0 is walked only on the half of that axis that its mirror symmetry
+does not repeat, and one with both (on the array's axis) only at the
+distinct radii m_y^2 + m_z^2 of the kept quadrant.
 
 One box walker (_pnusw_walk) builds every spherical-wave entry, one build
 job per box of at most 2^15 entries: a run of whole users (cells of one fold
@@ -408,6 +410,18 @@ def _radial(f, m_y, m_z, w_y, w_z):
     return folded, np.sqrt(radii), np.zeros(1), weights, np.ones(1)
 
 
+def _distinct(keys):
+    """(first, inverse) for the columns of the (n, K) float array keys, compared
+    bitwise: keys[:, first] are its distinct columns in order of first
+    occurrence, and column j is keys[:, first[inverse[j]]]."""
+    columns = np.ascontiguousarray(keys.T).view(np.dtype((np.void, 8 * len(keys))))
+    _, first, inverse = np.unique(columns[:, 0], return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return first[order], rank[inverse]
+
+
 def _pair_gram(
     geom: ArrayGeometry, loc1: UserLocation, others, model: str, cfg: UpwConfig | None = None
 ) -> np.ndarray:
@@ -417,21 +431,28 @@ def _pair_gram(
     over user 1 and all of others, and each matrix is bitwise the G_11, G_12
     and G_22 of _upw_gram on that pair alone.  pnusw builds user 1's response
     once (_response_block), sums its power row by row over band-sized boxes,
-    and walks every user 2 (_pnusw_walk), never whole, against user 1's
-    conjugate: a user 2 with u_y == 0.0 or u_z == 0.0 only at m >= 0 on that
-    axis, against that conjugate folded onto it (_mirror, once per fold kind),
-    and one with both as one row at the kept quadrant's distinct radii,
-    against that fold summed per radius (_radial).  A cell sums its row sums
-    of G_12 and |a_2|^2 (a row cut into slices: its slices' sums) in order,
-    so every matrix is the same for any thread count, and for any band size
-    that cuts no row.  The first failing cell in sweep order raises: a user
-    on an element DegenerateGeometryError, a non-finite row sum (user 2's:
-    user 1's entries are finite) DegenerateChannelError, as does a zero or
-    non-finite power of user 1 (upw: of any user).
+    and walks user 2s (_pnusw_walk), never whole, against user 1's
+    conjugate.  Where user 1's u_y (u_z) is 0.0, its response is the same at
+    m and -m on that axis, so user 2 and its mirror image at -u_y (-u_z) have
+    the same Gram: each user 2 is keyed by (r, u_x, u_y, u_z) with that
+    coordinate replaced by its absolute value, each distinct key (compared
+    bitwise, in order of first occurrence) is walked once at those
+    coordinates, and its Gram is every cell's that shares it.  A key with
+    u_y == 0.0 or u_z == 0.0 is walked only at m >= 0 on that axis, against
+    user 1's conjugate folded onto it (_mirror, once per fold kind), and one
+    with both as one row at the kept quadrant's distinct radii, against that
+    fold summed per radius (_radial).  A key sums its row sums of G_12 and
+    |a_2|^2 (a row cut into slices: its slices' sums) in order, so every
+    matrix is the same for any thread count, and for any band size that cuts
+    no row.  The first failing cell in sweep order raises (a cell that shares
+    its key fails alike): a user on an element DegenerateGeometryError, a
+    non-finite row sum (user 2's: user 1's entries are finite)
+    DegenerateChannelError, as does a zero or non-finite power of user 1
+    (upw: of any user).
     """
     others = list(others)
-    grams = np.empty((len(others), 2, 2), dtype=complex)
     if model == UPW:
+        grams = np.empty((len(others), 2, 2), dtype=complex)
         beta0 = (cfg or UpwConfig.matched_to(geom)).beta0
         powers = _upw_powers([geom], [loc1, *others], beta0)[0]
         inner = _upw_entries([geom], [loc1], others, beta0)[0, 0]
@@ -448,6 +469,11 @@ def _pair_gram(
     np.conjugate(a1, out=a1)
     coordinates = _coordinates(others)
     _warn_if_any_near(geom, coordinates[0])
+    for axis, u1 in ((2, loc1.u_y), (3, loc1.u_z)):
+        if u1 == 0.0:
+            np.abs(coordinates[axis], out=coordinates[axis])
+    first, keys = _distinct(coordinates)  # keys[j]: the index of cell j's key
+    coordinates = coordinates[:, first]
     kinds = [(u_y == 0.0, u_z == 0.0) for u_y, u_z in coordinates[2:].T]
 
     def fold(fold_y: bool, fold_z: bool):
@@ -470,12 +496,13 @@ def _pair_gram(
         return zip(on_element, built.sum(axis=2), amp.sum(axis=2) * w_z[rows])
 
     walk = _pnusw_walk(geom, coordinates, [indices[kind] for kind in kinds], reduce)
-    pieces = []  # (on_element, G_12 row sums, |a_2|^2 row sums) of the cell in progress
+    grams = np.empty((len(first), 2, 2), dtype=complex)
+    pieces = []  # (on_element, G_12 row sums, |a_2|^2 row sums) of the key in progress
     for (users, rows, entries, m_y, m_z), results in walk:
         for k, piece in zip(range(users.start, users.stop), results):
             pieces.append(piece)
             if rows.stop < len(m_z) or entries.stop < len(m_y):
-                continue  # the cell goes on in the next box
+                continue  # the key goes on in the next box
             on_element, inner, power = zip(*pieces)
             pieces.clear()
             if any(on_element):
@@ -485,7 +512,7 @@ def _pair_gram(
                 raise DegenerateChannelError("channel entries must be finite")
             g12 = inner.sum()
             grams[k] = [[power1, g12], [g12.conjugate(), power.sum()]]
-    return grams
+    return grams[keys]
 
 
 def correlation(g) -> float:

@@ -15,10 +15,12 @@ The two sweeps that move user 2 against a fixed user 1 (correlation versus
 distance and the SNR-loss map) index each cell's 2 x 2 Gram in one (n, 2, 2)
 stack per model from channel._pair_gram, made before the first row: the
 plane-wave stack is one closed-form broadcast, and the spherical-wave stack
-builds user 1 once and streams every user 2 box by box (only the part of
-it that the array's mirror symmetry does not repeat; for a user 2 on the
+builds user 1 once and streams user 2s box by box (only the part of one
+that the array's mirror symmetry does not repeat; for a user 2 on the
 array's axis, such as every default correlation-versus-distance cell, only
-its distinct radii from the array center).  Every correlation is
+its distinct radii from the array center).  Cells whose user 2s are mirror
+images in user 1's symmetric axes, such as the default map's cells at y and
+-y, or repeats, share one walk and so one Gram.  Every correlation is
 channel.correlation of a Gram.
 
 A sweep runs its points in order on the calling thread.  The spherical-wave
@@ -275,9 +277,11 @@ def heatmap_snr_loss(
     Every cell reads the paper's two-user closed form alpha = q2 rho / (1 + q2),
     with q2 = p2 |a_2|^2 and rho the correlation of the two users' channels,
     both from the cell's 2 x 2 Gram (channel._pair_gram), so no cell factors
-    or solves anything.  pnusw builds user 1's response once and streams
-    user 2's band by band; upw builds nothing.  A channel whose power is 0 or
-    not finite raises DegenerateChannelError.
+    or solves anything.  pnusw builds user 1's response once and walks the
+    user 2s box by box, each cell and its mirror image at -y once where user 1
+    has u_y == 0.0 (the default map is then exactly symmetric in y); upw
+    builds nothing.  A channel whose power is 0 or not finite raises
+    DegenerateChannelError.
 
     Grid points with x <= 0 (outside the front half space) are emitted as
     missing values.  Long-form rows: (x, y, one loss factor per model).

@@ -667,6 +667,132 @@ class TestStreamedPairGrams:
                 with pytest.raises(DegenerateChannelError, match="finite"):
                     _pair_gram(geom, self.LOC1, sweep, "pnusw")
 
+    # user 1 on the array's axis, whose response is the same at m and -m on both axes
+    ON_AXIS_1 = UserLocation(30.0, math.pi / 2, 0.0)
+
+    @staticmethod
+    def mirror_z(loc):
+        """loc's mirror image at -u_z, as theta -> pi - theta; the caller checks that it is exact."""
+        return UserLocation(loc.r, math.pi - loc.theta, loc.phi)
+
+    @staticmethod
+    def mirror_y(loc):
+        """loc's mirror image at -u_y, as phi -> -phi (sin is odd, so exactly)."""
+        return UserLocation(loc.r, loc.theta, -loc.phi)
+
+    def shared_sweep(self):
+        """A sweep of 12 cells with 6 distinct keys against ON_AXIS_1, and each
+        cell's key: ±u_y pairs, ±u_z pairs, a four-cell ±u_y ±u_z set, an exact
+        duplicate, a pair whose theta -> pi - theta moves u_x by an ulp (two
+        keys), and an on-axis cell."""
+        a, b, c, d = (
+            UserLocation(55.0, 1.8, 0.3),  # off both axes
+            UserLocation(70.0, math.pi / 2, -0.4),  # folded on z
+            UserLocation(90.0, 2.0, 0.2),
+            UserLocation(120.0, 1.8, 0.0),  # folded on y
+        )
+        for loc in (a, d):
+            mirror = self.mirror_z(loc)
+            assert (mirror.r, mirror.u_x, mirror.u_y, mirror.u_z) == (
+                loc.r, loc.u_x, loc.u_y, -loc.u_z
+            )
+        assert self.mirror_z(c).u_x != c.u_x
+        my, mz = self.mirror_y, self.mirror_z
+        cells = [
+            (my(a), 0), (b, 1), (a, 0), (c, 2), (my(mz(a)), 0), (mz(c), 3),
+            (my(b), 1), (mz(a), 0), (b, 1), (mz(d), 4), (d, 4), (self.ON_AXIS[0], 5),
+        ]
+        return [loc for loc, _ in cells], [key for _, key in cells]
+
+    @pytest.mark.parametrize("num_y, num_z", [(7, 13), (8, 12), (200, 201)])
+    def test_mirrored_and_repeated_cells_share_one_walk(self, monkeypatch, num_y, num_z):
+        # each distinct key is walked once, in order of first occurrence, at |u_y|
+        # and |u_z|; every cell of a key gets its Gram bitwise, and so does the
+        # cell alone.  Each cell is held to fsum of the dense build at its own
+        # position, as the cells that share no walk are held
+        monkeypatch.setenv("XLMIMO_THREADS", "1")
+        walks = []
+        scheduler = ch._map_bands
+
+        def recording(fn, jobs):
+            walks.append(list(jobs))
+            return scheduler(fn, walks[-1])
+
+        monkeypatch.setattr(ch, "_map_bands", recording)
+        geom = make_geom(num_y=num_y, num_z=num_z)
+        loc1 = self.ON_AXIS_1
+        sweep, keys = self.shared_sweep()
+        grams = _pair_gram(geom, loc1, sweep, "pnusw")
+        walked = sorted({k for users, *_ in walks[-1] for k in range(users.start, users.stop)})
+        assert walked == list(range(len(set(keys))))
+        for g, loc2, key in zip(grams, sweep, keys):
+            assert g.tobytes() == grams[keys.index(key)].tobytes()
+            assert g.tobytes() == _pair_gram(geom, loc1, [loc2], "pnusw")[0].tobytes()
+            g11, g12, g22 = self.fsum_gram(geom, loc1, loc2)
+            radial = loc2.u_y == 0.0 and loc2.u_z == 0.0
+            bound = 1e-13 + (self.radial_phase_bound(geom, loc2) if radial else 0.0)
+            assert g[0, 0] == pytest.approx(g11, rel=1e-13, abs=0.0)
+            assert g[1, 1] == pytest.approx(g22, rel=1e-13, abs=0.0)
+            assert abs(g[0, 1] - g12) <= bound * math.sqrt(g11 * g22)
+            assert g[1, 0] == g[0, 1].conjugate()
+
+    def test_off_axis_user_one_shares_no_mirrored_cell(self, monkeypatch):
+        # user 1 at u_y != 0 in the x-y plane: ±u_y cells have different Grams, so
+        # each is walked at its own coordinates, as when no cell shared a walk
+        walked = []
+        walker = ch._pnusw_walk
+
+        def recording(geom, coordinates, indices, take):
+            walked.append(coordinates.copy())
+            return walker(geom, coordinates, indices, take)
+
+        monkeypatch.setattr(ch, "_pnusw_walk", recording)
+        geom = make_geom(num_y=9, num_z=10)
+        loc1 = UserLocation(40.0, math.pi / 2, 0.2)
+        assert loc1.u_y != 0.0 and loc1.u_z == 0.0
+        sweep = [UserLocation(r, math.pi / 2, phi) for r in (30.0, 80.0) for phi in (0.4, -0.4)]
+        grams = _pair_gram(geom, loc1, sweep, "pnusw")
+        assert walked[-1].tobytes() == ch._coordinates(sweep).tobytes()
+        assert grams[0].tobytes() != grams[1].tobytes()
+        alone = [_pair_gram(geom, loc1, [loc], "pnusw") for loc in sweep]
+        assert grams.tobytes() == np.concatenate(alone).tobytes()
+
+    def test_the_default_map_is_exactly_symmetric_in_y(self):
+        # user 1 on the axis and a symmetric y grid: each cell at -y shares the
+        # walk of its mirror at +y, so the pnusw column repeats itself exactly
+        cfg = cli.parse_config(experiment="snr-loss-heatmap", model="pnusw")
+        loc1, ys = cfg.users[0], cfg.sweep["y_values_m"]
+        assert loc1.u_y == loc1.u_z == 0.0 and sorted(-y for y in ys) == sorted(ys)
+        result = cli.dispatch(cfg)
+        alpha = {(x, y): value for x, y, value in result.rows}
+        assert len(alpha) == 121
+        assert all(alpha[x, -y] == value for (x, y), value in alpha.items())
+
+    @pytest.mark.parametrize("threads", ["1", "3"])
+    def test_the_first_failing_cell_raises_when_its_mirror_comes_first(
+        self, monkeypatch, threads
+    ):
+        # a cell that shares the key of a failing mirror image fails with it, and
+        # keys are walked in order of first occurrence (not, say, by range, which
+        # puts the on-element user first and the one at r = 1e308 last)
+        monkeypatch.setenv("XLMIMO_THREADS", threads)
+        for side in (201, 21):
+            geom = make_geom(num_y=side, num_z=side)
+            on_element = UserLocation(geom.spacing, math.pi / 2, math.pi / 2)  # element (1, 0)
+            far = UserLocation(1e308, 1.2, 0.3)
+            fine = UserLocation(60.0, 1.2, -0.3)
+            for loc in (on_element, far):
+                assert self.mirror_y(loc).u_y == -loc.u_y
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                warnings.simplefilter("ignore", NearArrayWarning)  # the on-element user is near
+                sweep = [fine, self.mirror_y(on_element), far, on_element]
+                with pytest.raises(DegenerateGeometryError, match="coincident"):
+                    _pair_gram(geom, self.ON_AXIS_1, sweep, "pnusw")
+                sweep = [fine, self.mirror_y(far), on_element, far]
+                with pytest.raises(DegenerateChannelError, match="finite"):
+                    _pair_gram(geom, self.ON_AXIS_1, sweep, "pnusw")
+
     def test_memory_is_user_one_and_a_few_bands(self, monkeypatch):
         # 50 cells at 200 x 200 on one thread: no cell may hold an M-sized array
         # (user 2, or the products of a reduction over it) beside user 1's response;
@@ -754,6 +880,64 @@ class TestChannelPower:
         xi = make_geom().occupation_ratio
         assert large > small
         assert large < xi / 2.0
+
+    @staticmethod
+    def pnusw_power(geom, loc):
+        """fsum of |a|^2 over the built spherical-wave response."""
+        a = _response_block(geom, [loc], "pnusw")[0].ravel()
+        return compensated_sum(a.real**2 + a.imag**2)
+
+    @staticmethod
+    def solid_angle(geom, loc):
+        """Solid angle the array's rectangle (edges at +-N d / 2) subtends at the user.
+
+        With (x, Y, Z) the rectangle's corners relative to the user, it is the
+        signed four-corner sum of arctan(Y Z / (x sqrt(x^2 + Y^2 + Z^2))).
+        """
+        x, y, z = user_position(loc)
+        ys = (-geom.num_y * geom.spacing / 2.0 - y, geom.num_y * geom.spacing / 2.0 - y)
+        zs = (-geom.num_z * geom.spacing / 2.0 - z, geom.num_z * geom.spacing / 2.0 - z)
+        return sum(
+            (-1) ** (i + j) * math.atan(ys[i] * zs[j] / (x * math.hypot(x, ys[i], zs[j])))
+            for i in (0, 1) for j in (0, 1)
+        )
+
+    @pytest.mark.parametrize(
+        "side, loc",
+        [
+            (10, UserLocation(50.0, math.pi / 2, 0.0)),
+            (200, UserLocation(5.0, math.pi / 2, 0.0)),
+            (200, UserLocation(20.0, 1.2, 0.3)),
+        ],
+    )
+    def test_power_is_a_midpoint_rule_for_the_solid_angle(self, side, loc):
+        # each element's gain xi d^2 x / (4 pi |q - w|^3) is the solid-angle
+        # integrand at the element's center times its cell's area d^2, so the
+        # power approximates xi / (4 pi) Omega to the midpoint rule's order (d / x)^2
+        geom = make_geom(num_y=side, num_z=side)
+        closed = geom.occupation_ratio / (4.0 * math.pi) * self.solid_angle(geom, loc)
+        x = user_position(loc).x
+        assert self.pnusw_power(geom, loc) == pytest.approx(closed, rel=(geom.spacing / x) ** 2)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        side=st.integers(1, 40),
+        r=st.floats(1.0, 1000.0),
+        theta=st.floats(math.pi / 4, 3 * math.pi / 4),
+        phi=st.floats(-1.2, 1.2),
+    )
+    def test_power_grows_with_the_array_and_stays_below_half_the_occupation(
+        self, side, r, theta, phi
+    ):
+        # a (side + 2)^2 array holds the side^2 one as its centered sub-grid plus a
+        # ring of positive gains.  The power is a midpoint rule for xi / (4 pi) Omega,
+        # Omega < 2 pi; here x >= 0.25 m, about four spacings, so the rule's error
+        # stays far below that gap and the power below xi / 2
+        loc = UserLocation(r, theta, phi)
+        small, large = (
+            self.pnusw_power(make_geom(num_y=n, num_z=n), loc) for n in (side, side + 2)
+        )
+        assert 0.0 < small < large < make_geom().occupation_ratio / 2.0
 
 
 class TestCorrelation:
