@@ -1,6 +1,7 @@
 """Tests for channel gains, response vectors, and correlation coefficients."""
 
 import cmath
+import itertools
 import math
 import os
 import sys
@@ -252,6 +253,77 @@ class TestResponseMatrix:
         with pytest.raises(ValueError, match="unknown channel model"):
             response_matrix(make_geom(), [UserLocation(30.0, 1.0, 0.2)], "fsw")
 
+    @pytest.mark.parametrize("num_y, num_z", [(7, 13), (8, 12)])
+    def test_far_pnusw_entries_lose_only_the_rounding_of_their_cycle_count(self, num_y, num_z):
+        # 10^4 and 10^6 m out, an entry's phase is 8e4 to 8e6 cycles: its computed
+        # cycle count r s / wavelength is off by a few eps of itself, and the
+        # phasor kernel may add no more than a few eps of the amplitude to that
+        eps = sys.float_info.epsilon
+        geom = make_geom(num_y=num_y, num_z=num_z)
+        users = [UserLocation(1e4, 1.1, 0.4), UserLocation(1e6, 2.0, -0.7)]
+        a = _response_block(geom, users, "pnusw")
+        with mpmath.workdps(50):
+            d, lam = mpmath.mpf(geom.spacing), mpmath.mpf(geom.wavelength)
+            for k, loc in enumerate(users):
+                r = mpmath.mpf(loc.r)
+                e = d / r
+                u_x, u_y, u_z = (mpmath.mpf(u) for u in (loc.u_x, loc.u_y, loc.u_z))
+                scale = mpmath.mpf(geom.occupation_ratio) * e * e * u_x / (4 * mpmath.pi)
+                for (i, m_z), (j, m_y) in itertools.product(
+                    enumerate(geom.indices_z()), enumerate(geom.indices_y())
+                ):
+                    m_y, m_z = mpmath.mpf(m_y), mpmath.mpf(m_z)
+                    s = mpmath.sqrt(1 - 2 * e * (m_y * u_y + m_z * u_z) + (m_y**2 + m_z**2) * e * e)
+                    amp = mpmath.sqrt(scale) / s**1.5
+                    cycles = r * s / lam
+                    want = amp * mpmath.expj(-2 * mpmath.pi * cycles)
+                    bound = (4 * eps * 2 * mpmath.pi * cycles + 4 * eps) * amp
+                    assert abs(mpmath.mpc(a[k, i, j]) - want) <= bound
+
+
+class TestPhasorKernel:
+    """_phasors, amp e^{-2 pi j cycles} for every spherical-wave entry, against mpmath."""
+
+    EXACT = [0.25, -0.25, 2.0**40 + 0.5, 2.0**52 - 0.5, -0.0, 1e-300]
+
+    def test_matches_mpmath_within_a_few_eps_of_the_amplitude(self):
+        # c - rint(c) is exact, so the error is the kernel's alone, also at huge
+        # cycle counts and at every half cycle, where the half-angle tangent is
+        # about +-1.6e16; amplitudes span the float range but for the ends, where
+        # amp / (1 + t^2) would leave it
+        eps = sys.float_info.epsilon
+        rng = np.random.default_rng(24)
+        cycles = np.concatenate([
+            rng.uniform(-3.0, 3.0, 300),
+            rng.uniform(1e3, 1e4, 300),
+            rng.uniform(1e6, 1e7, 300),
+            np.arange(-8, 9) / 2.0,
+            self.EXACT,
+        ])
+        amp = 10.0 ** rng.uniform(-250.0, 250.0, len(cycles))
+        amp[::3] = 1.0
+        given, kept = cycles.copy(), amp.copy()
+        out = np.empty(len(cycles), dtype=complex)
+        assert ch._phasors(cycles, amp, out) is out
+        assert amp.tobytes() == kept.tobytes()
+        with mpmath.workdps(50):
+            for c, a, got in zip(given, amp, out):
+                want = mpmath.mpf(a) * mpmath.expj(-2 * mpmath.pi * mpmath.mpf(c))
+                assert abs(mpmath.mpc(got) - want) <= 4 * eps * a
+                assert abs(abs(mpmath.mpc(got)) - a) <= 4 * eps * a
+
+    def test_non_finite_cycles_give_non_finite_entries_without_warnings(self):
+        # as the walker calls it: under np.errstate(all="ignore"), and a
+        # non-finite entry is for the caller to reject
+        cycles = np.array([math.inf, -math.inf, math.nan, 0.3])
+        out = np.empty(4, dtype=complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(all="ignore"):
+                ch._phasors(cycles, np.full(4, 2.0), out)
+        assert not np.isfinite(out[:3]).any()
+        assert np.isfinite(out[3])
+
 
 class TestBandedPnuswBuild:
     """The spherical-wave builder walks boxes of about one band (runs of whole
@@ -312,8 +384,9 @@ class TestBandedPnuswBuild:
             _response_block(geom, self.USERS + [on_element], "pnusw")
 
     def test_pool_threads_raise_no_numpy_warnings(self, monkeypatch):
-        # at r = 1e308 the phase overflows to inf, so both bands meet cos(inf) on
-        # pool threads; the block is rejected as non-finite, with no RuntimeWarning
+        # at r = 1e308 the cycle count overflows to inf, so both bands meet
+        # inf - rint(inf) and tan(nan) on pool threads; the block is rejected as
+        # non-finite, with no RuntimeWarning
         monkeypatch.setenv("XLMIMO_THREADS", "2")
         geom = make_geom(num_y=201, num_z=201)
         with warnings.catch_warnings():
@@ -632,22 +705,31 @@ class TestStreamedPairGrams:
 
     @pytest.mark.parametrize("threads", ["1", "3"])
     def test_the_first_failing_cell_raises(self, monkeypatch, threads):
-        # a user on element (1, 0), and one at r = 1e308 (phase inf, entries NaN)
-        # whose boxes are held back 50 ms.  At 201 x 201 its cell is two boxes, and
-        # with 3 threads both failing cells are in flight at once, so a later box
-        # may finish first; at 21 x 21 every cell (all in the x-y plane, so of one
-        # fold kind) shares one box.  Either way the earlier cell's error wins
+        # a user on element (1, 0), and one at r = 1e308 (cycle count inf, entries
+        # NaN) whose boxes are held back 50 ms.  At 201 x 201 its cell is two boxes,
+        # and with 3 threads both failing cells are in flight at once, so a later
+        # box may finish first; at 21 x 21 every cell (all in the x-y plane, so of
+        # one fold kind) shares one box.  Either way the earlier cell's error wins.
+        # A box's users index the walked keys, not the sweep's cells, so the far
+        # user's boxes are found by the r of the keys the walk is handed
         monkeypatch.setenv("XLMIMO_THREADS", threads)
-        scheduler, sweep = ch._map_bands, []
+        scheduler, walker, walked = ch._map_bands, ch._pnusw_walk, []
+
+        def recording(geom, coordinates, indices, take):
+            walked.append(coordinates)
+            return walker(geom, coordinates, indices, take)
 
         def slow_far_boxes(fn, jobs):
+            r = walked[-1][0]
+
             def box(users, *rest):
-                if any(loc.r > 1e300 for loc in sweep[users]):
+                if (r[users] > 1e300).any():
                     time.sleep(0.05)
                 return fn(users, *rest)
 
             return scheduler(box, jobs)
 
+        monkeypatch.setattr(ch, "_pnusw_walk", recording)
         monkeypatch.setattr(ch, "_map_bands", slow_far_boxes)
         for side, theta in ((201, 1.2), (21, math.pi / 2)):
             geom = make_geom(num_y=side, num_z=side)
@@ -660,12 +742,13 @@ class TestStreamedPairGrams:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 warnings.simplefilter("ignore", NearArrayWarning)  # the on-element user is near
-                sweep[:] = [fine, on_element, far, fine]
                 with pytest.raises(DegenerateGeometryError, match="coincident"):
-                    _pair_gram(geom, self.LOC1, sweep, "pnusw")
-                sweep[:] = [far, on_element, fine]
+                    _pair_gram(geom, self.LOC1, [fine, on_element, far, fine], "pnusw")
                 with pytest.raises(DegenerateChannelError, match="finite"):
-                    _pair_gram(geom, self.LOC1, sweep, "pnusw")
+                    _pair_gram(geom, self.LOC1, [far, on_element, fine], "pnusw")
+                # the repeat of fine shares its key: far is key 1 at cell 2
+                with pytest.raises(DegenerateChannelError, match="finite"):
+                    _pair_gram(geom, self.LOC1, [fine, fine, far, on_element], "pnusw")
 
     # user 1 on the array's axis, whose response is the same at m and -m on both axes
     ON_AXIS_1 = UserLocation(30.0, math.pi / 2, 0.0)
