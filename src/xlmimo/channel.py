@@ -32,15 +32,17 @@ that are mirror images in the fixed user's symmetric axes (its u_y or u_z
 exactly 0.0), or repeats, share one walk.  A user with u_y == 0.0 or
 u_z == 0.0 is walked only on the half of that axis that its mirror symmetry
 does not repeat, and one with both (on the array's axis) only at the
-distinct radii m_y^2 + m_z^2 of the kept quadrant.
+distinct radii m_y^2 + m_z^2 of the kept quadrant.  _nested_grams walks an
+M-sweep's largest array once and sums its Grams ring by ring from the boxes.
 
 One box walker (_pnusw_walk) builds every spherical-wave entry, one build
 job per box of at most 2^15 entries: a run of whole users (cells of one fold
-kind), else a band of one user's rows, else a slice of one row.  A job
-computes its whole box in one broadcast, and a walk of one box stays on the
-calling thread.  It gives each entry's phase in cycles, distance /
-wavelength, to the one phasor kernel (_phasors), which drops the whole
-cycles exactly and takes one tangent of the half angle that is left.
+kind), else a band of one user's rows, else a slice of one row (both of all
+K users, for _nested_grams).  A job computes its whole box in one broadcast,
+and a walk of one box stays on the calling thread.  It gives each entry's
+phase in cycles, distance / wavelength, to the one phasor kernel
+(_phasors), which drops the whole cycles exactly and takes one tangent of
+the half angle that is left.
 XLMIMO_THREADS (thread_count) caps the build threads; no result depends on
 it.
 """
@@ -58,7 +60,7 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateChannelError, DegenerateGeometryError
 from .geometry import ArrayGeometry, UserLocation, _warn_if_near, element_distance
-from .numerics import cdot  # noqa: F401  (importable from here as before)
+from .numerics import _gram, cdot  # noqa: F401  (cdot: importable from here as before)
 
 PNUSW = "pnusw"
 UPW = "upw"
@@ -156,43 +158,48 @@ def _cut(start: int, stop: int, most: int) -> list:
     return [slice(lo, min(lo + step, stop)) for lo in range(start, stop, step)]
 
 
-def _boxes(first: int, stop: int, num_rows: int, row_len: int) -> list:
+def _boxes(first: int, stop: int, num_rows: int, row_len: int, joint: bool = False) -> list:
     """The boxes (users, rows, entries), three slices in sweep order, that cut
     users first..stop-1, of num_rows rows of row_len entries each, into equal
-    parts of at most _BAND_ENTRIES entries."""
-    rows, entries = [slice(0, num_rows)], [slice(0, row_len)]
-    if num_rows * row_len <= _BAND_ENTRIES:  # runs of whole users
+    parts of at most _BAND_ENTRIES entries; joint boxes hold all users, one band centered."""
+    count = stop - first if joint else 1  # users per box, past runs of whole users
+    users, rows, entries = _cut(first, stop, count), [slice(0, num_rows)], [slice(0, row_len)]
+    if not joint and num_rows * row_len <= _BAND_ENTRIES:  # runs of whole users
         users = _cut(first, stop, _BAND_ENTRIES // (num_rows * row_len))
-    elif row_len <= _BAND_ENTRIES:  # bands of one user's rows
-        users, rows = _cut(first, stop, 1), _cut(0, num_rows, _BAND_ENTRIES // row_len)
+    elif count * row_len <= _BAND_ENTRIES:  # bands of rows
+        most = _BAND_ENTRIES // (count * row_len)
+        rows = _cut(0, num_rows, most)
+        if joint and (lo := (num_rows - most) // 2) > 0:  # one band centered: small windows whole
+            rows = _cut(0, lo, most) + [slice(lo, lo + most)] + _cut(lo + most, num_rows, most)
     else:  # slices of one row
-        users, rows = _cut(first, stop, 1), _cut(0, num_rows, 1)
-        entries = _cut(0, row_len, _BAND_ENTRIES)
+        rows, entries = _cut(0, num_rows, 1), _cut(0, row_len, max(_BAND_ENTRIES // count, 1))
     return [(k, z, m) for k in users for z in rows for m in entries]
 
 
-def _pnusw_walk(geom: ArrayGeometry, coordinates, indices, take):
+def _pnusw_walk(geom: ArrayGeometry, coordinates, indices, take, joint: bool = False, out=None):
     """Build spherical-wave users box by box (_map_bands), yielding (box, result) in order.
 
     User j, coordinates[:, j] = (r, u_x, u_y, u_z), is walked at the index
     vectors indices[j] = (m_y, m_z).  A run of users that share one pair (the
-    same object) is cut into _boxes; a box is (users, rows, entries, m_y, m_z),
-    and its job computes the whole box in one broadcast, through two buffers
-    of the box's size.  With e = spacing / r and f(m) = m^2 e^2 - 2 e u m per
-    axis, an entry's radicand t = (1 + f_z) + f_y is its squared distance
-    over r^2 (u_y == 0.0 makes m_y and -m_y bitwise equal), its amplitude
-    sqrt(scale) / (s sqrt(s)) and its phase in cycles r s / wavelength (the
-    phase is -2 pi times it), with s = sqrt(t).  A box's result is
-    take(users, rows, entries, cycles, amp, on_element), cycles and amp of
-    shape (users, rows, entries) and on_element[i] meaning a radicand t <= 0
-    for the box's user i (a user on an element); take runs on the job's
-    thread and may overwrite cycles and amp.
+    same object) is cut into _boxes (joint: every box holds the whole run); a
+    box is (users, rows, entries, m_y, m_z), and its job computes the whole
+    box in one broadcast, into one buffer of cycles, amp and phasors (these
+    into out[users, rows, entries] if out is given).  With e = spacing / r
+    and f(m) = m^2 e^2 - 2 e u m per axis, an entry's radicand t = (1 + f_z)
+    + f_y is its squared distance over r^2 (u_y == 0.0 makes m_y and -m_y
+    bitwise equal), its amplitude sqrt(scale) / (s sqrt(s)) and its phase in
+    cycles r s / wavelength (the phase is -2 pi times it), with s = sqrt(t).
+    A box's result is take(users, rows, entries, phasors, amp, on_element),
+    the entries amp e^{-2 pi j cycles} (_phasors) and amp of shape (users,
+    rows, entries), and on_element[i] meaning a radicand t <= 0 for the box's
+    user i (a user on an element); take runs on the job's thread and may
+    overwrite both.
     """
     boxes, first = [], 0
     for stop in range(1, len(indices) + 1):
         if stop == len(indices) or indices[stop] is not indices[first]:
             m_y, m_z = indices[first]
-            boxes += [(*box, m_y, m_z) for box in _boxes(first, stop, len(m_z), len(m_y))]
+            boxes += [(*b, m_y, m_z) for b in _boxes(first, stop, len(m_z), len(m_y), joint)]
             first = stop
     r, u_x, u_y, u_z = coordinates
     # overflow here leaves a non-finite entry, which the callers report
@@ -205,18 +212,22 @@ def _pnusw_walk(geom: ArrayGeometry, coordinates, indices, take):
     def walk(users, rows, entries, m_y, m_z):
         m_y, m_z = m_y[entries], m_z[rows, None]
         e2, e_y, e_z, root_scale, wave = terms[:, users, None, None]
-        cycles, amp = np.empty((2, users.stop - users.start, len(m_z), len(m_y)))
         with np.errstate(all="ignore"):
-            # f_y, then += f_z: a two-sided broadcast add would buffer twice as much
-            cycles[...] = m_y * m_y * e2 - e_y * m_y
-            cycles += 1.0 + (m_z * m_z * e2 - e_z * m_z)
+            f_y, f_z = m_y * m_y * e2 - e_y * m_y, 1.0 + (m_z * m_z * e2 - e_z * m_z)
+            # one buffer, after f_y's temporaries: two freed per box can refault the heap
+            shape = (users.stop - users.start, len(m_z), len(m_y))
+            buffer = np.empty((1 if out is not None else 2, *shape), dtype=complex)
+            cycles, amp = buffer[-1].view(float).reshape(2, *shape)
+            phasors = buffer[0] if out is None else out[users, rows, entries]
+            np.add(f_y, f_z, out=cycles)
             on_element = cycles.min(axis=(1, 2)) <= 0.0
             np.sqrt(cycles, out=cycles)
             np.sqrt(cycles, out=amp)
             amp *= cycles
             np.divide(root_scale, amp, out=amp)
             cycles *= wave
-            return take(users, rows, entries, cycles, amp, on_element)
+            _phasors(cycles, amp, phasors)
+            return take(users, rows, entries, phasors, amp, on_element)
 
     return zip(boxes, _map_bands(walk, boxes))
 
@@ -283,8 +294,8 @@ def _response_block(
     """Responses of K users as one (K, N_z, N_y) array.
 
     pnusw: an entry is _pnusw_walk's, written straight into the block (and the
-    same for any thread count); a build holds two buffers of at most a band
-    per build thread besides.  upw: an entry is one broadcast of
+    same for any thread count); a build holds a buffer of at most a band per
+    build thread besides.  upw: an entry is one broadcast of
     (common * e^{j c u_z m_z}) * e^{j c u_y m_y}, c = 2 pi spacing / wavelength.
     Entries depend only on the user and their own (m_y, m_z), so the centered
     sub-grid of a larger same-parity array is bitwise a direct build.  A
@@ -306,12 +317,12 @@ def _response_block(
     else:
         _warn_if_any_near(geom, coordinates[0])
 
-        def write(users, rows, entries, cycles, amp, on_element):
+        def check(users, rows, entries, phasors, amp, on_element):
             if on_element.any():
                 raise DegenerateGeometryError(_ON_ELEMENT)
-            _phasors(cycles, amp, out[users, rows, entries])
 
-        deque(_pnusw_walk(geom, coordinates, [(m_y, m_z)] * len(out), write), maxlen=0)
+        indices = [(m_y, m_z)] * len(out)
+        deque(_pnusw_walk(geom, coordinates, indices, check, out=out), maxlen=0)
     if not np.isfinite(out).all():
         raise DegenerateChannelError("channel entries must be finite")
     return out
@@ -508,9 +519,8 @@ def _pair_gram(
     del a1  # held on only by the unfolded kind's fold, if a cell needs it
     indices = {kind: (m_y, m_z) for kind, (_, m_y, m_z, _, _) in folds.items()}
 
-    def reduce(users, rows, entries, cycles, amp, on_element):
+    def reduce(users, rows, entries, built, amp, on_element):
         f, _, _, w_y, w_z = folds[kinds[users.start]]
-        built = _phasors(cycles, amp, np.empty(cycles.shape, dtype=complex))
         built *= f[rows, entries]
         amp *= amp
         amp *= w_y[entries]
@@ -534,6 +544,63 @@ def _pair_gram(
             g12 = inner.sum()
             grams[k] = [[power1, g12], [g12.conjugate(), power.sum()]]
     return grams[keys]
+
+
+def _nested_grams(geoms, users, model: str, cfg: UpwConfig | None = None) -> np.ndarray:
+    """The (n, K, K) stack of the Gram matrices A^H A of K users on each of geoms, in order.
+
+    upw is one broadcast of the closed form _upw_gram.  pnusw walks the
+    largest geometry once, all users in each box.  A geometry of its parity
+    on both axes and no larger on either is a centered window of it, with
+    bitwise the entries of a direct build; its ring is the at most four
+    strips around the previous such window if that is inside it (its Gram
+    then adds that window's), else the whole window.  A box gives a K x K
+    partial (numerics._gram) per ring strip it meets, summed per ring in box
+    order on the calling thread, so the stack is the same for any thread
+    count.  The geometries that do not nest take one more walk.  All share
+    spacing, element area and wavelength.  A user on an element raises
+    DegenerateGeometryError, a Gram that is not finite DegenerateChannelError.
+    """
+    if model == UPW:
+        return _upw_gram(geoms, users, cfg)
+    big = max(geoms, key=lambda g: g.num_elements)
+    gaps = [(big.num_z - g.num_z, big.num_y - g.num_y) for g in geoms]
+    nested = [i for i, (dz, dy) in enumerate(gaps) if min(dz, dy) >= 0 and dz % 2 == dy % 2 == 0]
+    strips, links, last = [], [], None  # strips (i, z0, z1, y0, y1) of geometry i's ring
+    for i in nested:
+        z0, y0 = gaps[i][0] // 2, gaps[i][1] // 2
+        z1, y1 = z0 + geoms[i].num_z, y0 + geoms[i].num_y
+        pz0, pz1, py0, py1 = z0, z0, y0, y0  # an empty window: the ring is the whole window
+        if last is not None and last[1] >= z0 and last[3] >= y0:  # the last window is inside
+            links.append((i, last[0]))
+            _, pz0, pz1, py0, py1 = last
+        # rows above and below the inner window, then columns left and right of it
+        parts = [(z0, pz0, y0, y1), (pz1, z1, y0, y1), (pz0, pz1, y0, py0), (pz0, pz1, py1, y1)]
+        strips += [(i, *p) for p in parts if p[0] < p[1] and p[2] < p[3]]
+        last = (i, z0, z1, y0, y1)
+
+    def reduce(users, rows, entries, box, amp, on_element):
+        if on_element.any():
+            raise DegenerateGeometryError(_ON_ELEMENT)
+        r, e = rows.start, entries.start  # each strip's part in the box, maybe empty
+        parts = [(i, box[:, max(z0 - r, 0) : max(z1 - r, 0), max(y0 - e, 0) : max(y1 - e, 0)])
+                 for i, z0, z1, y0, y1 in strips]
+        return [(i, _gram(part.reshape(len(part), -1).T)) for i, part in parts if part.size]
+
+    coordinates = _coordinates(users)
+    _warn_if_any_near(big, coordinates[0])
+    indices = [(big.indices_y(), big.indices_z())] * coordinates.shape[1]
+    grams = np.zeros((len(geoms),) + 2 * coordinates.shape[1:], dtype=complex)
+    for _, partials in _pnusw_walk(big, coordinates, indices, reduce, joint=True):
+        for i, partial in partials:  # a non-finite partial is rejected below
+            grams[i] += partial
+    for i, prev in links:
+        grams[i] += grams[prev]
+    rest = [i for i in range(len(geoms)) if i not in nested]  # one more walk, if any
+    grams[rest] = _nested_grams([geoms[i] for i in rest], users, model) if rest else 0.0
+    if not np.isfinite(grams).all():
+        raise DegenerateChannelError("channel entries must be finite")
+    return grams
 
 
 def correlation(g) -> float:

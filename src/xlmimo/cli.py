@@ -1,8 +1,8 @@
 """Command-line front end: JSON config in, CSV table plus JSON sidecar out.
 
 One table, ``_EXPERIMENTS``, holds all the CLI knows about each experiment:
-its default users and sweep blocks, its sweep resolver, its largest response
-block and its call into ``experiments``.  The defaults reproduce the
+its default users and sweep blocks, its sweep resolver, its largest array
+and user count and its call into ``experiments``.  The defaults reproduce the
 reference setup (wavelength 0.1256 m, half-wavelength spacing, element area
 wavelength^2 / (4 pi), 50 dB reference SNR), so ``xlmimo --experiment
 corr-vs-m`` runs out of the box.  Any key can be overridden from a JSON
@@ -53,8 +53,8 @@ DEFAULT_SNR_DB = 50.0
 
 # Most points one sweep may have, checked before any sweep axis is built.
 _MAX_SWEEP_POINTS = 100_000
-# Most entries (elements x users) of the largest response block a sweep may
-# build: 1 GiB of complex128, which admits a 1000 x 1000 array with 64 users.
+# Most elements x users of a sweep's largest array (no sweep holds that block
+# of responses; it bounds a run's size): 2^26 admits 1000 x 1000 with 64 users.
 _MAX_BLOCK_ENTRIES = 2**26
 
 # The keys of a user, in the order of UserLocation's fields (and UserRegion's).
@@ -294,7 +294,7 @@ class _Experiment(NamedTuple):
     users: list  # default users block; a config's users block must be as long
     sweep: dict  # default sweep block
     resolve: Callable[[dict, list], dict]  # (sweep block, users) -> explicit lists; pins reruns
-    block: Callable[[ArrayGeometry, dict], tuple[int, int]]  # largest; one SNR per user
+    block: Callable[[ArrayGeometry, dict], tuple[int, int]]  # largest M, K; one SNR per user
     run: Callable[..., xp.SweepResult]  # (cfg, models=, upw_cfg=) -> the sweep's table
     geometry: dict = {}  # overrides of the default geometry block
 

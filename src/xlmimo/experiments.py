@@ -7,10 +7,10 @@ the axis.  All internal math is linear; dB conversion happens once, when a
 row is materialized.
 
 The three M-sweeps (correlation, SINR and sum rate versus the element
-count) read every array's K x K Gram matrix from one step (_nested_grams):
-the plane-wave Gram is the paper's Dirichlet-kernel closed form and builds
-nothing, and the spherical-wave model builds the largest array once and
-sums each nested array's Gram ring by ring, so every element is read once.
+count) read every array's K x K Gram matrix from channel._nested_grams: the
+plane-wave Gram is the paper's Dirichlet-kernel closed form, and the
+spherical-wave model streams the largest array once and sums each nested
+array's Gram ring by ring, so every element is read once and no block is held.
 The two sweeps that move user 2 against a fixed user 1 (correlation versus
 distance and the SNR-loss map) index each cell's 2 x 2 Gram in one (n, 2, 2)
 stack per model from channel._pair_gram, made before the first row: the
@@ -27,10 +27,10 @@ A sweep runs its points in order on the calling thread.  The spherical-wave
 builds, which dominate the random drops and the fixed-user cells, run on the
 usable cores (the process's CPU affinity, capped by XLMIMO_THREADS; see
 channel.thread_count), one job per box of at most 2^15 entries: a run of
-whole users or cells, a band of one's rows, or a slice of one row; a build
-of one box stays on the calling thread.  Per-drop random streams derive
-from (seed, drop index), every build entry is the same for any thread
-count, and each cell sums its per-row partials in row order, so every table
+whole cells, a band of one's rows, or a slice of one row (of every user, in
+an M-sweep); a build of one box stays on the calling thread.  Per-drop random
+streams derive from (seed, drop index), every build entry is the same for any
+thread count, and each Gram sums its partials in box order, so every table
 is bit-identical for any XLMIMO_THREADS.
 """
 
@@ -43,10 +43,9 @@ import numpy as np
 
 from . import channel as ch
 from .channel import THREADS_ENV, thread_count  # noqa: F401  (importable from here as before)
-from .beamforming import SCHEMES, _mmse_loss, evaluate_scenario, response_matrix, sum_rate
+from .beamforming import SCHEMES, _mmse_loss, evaluate_scenario, sum_rate
 from .errors import DegenerateGeometryError
 from .geometry import ArrayGeometry, UserLocation, Vector3, cartesian_to_spherical
-from .numerics import gram
 
 # sample_users rejects draws with a direction cosine u_x below MIN_U_X (nearly
 # in the array plane, hence a nearly zero channel) and gives up after
@@ -134,53 +133,6 @@ def _check_models(models) -> tuple[str, ...]:
     return models
 
 
-def _nested_grams(geoms, users, model: str, upw_cfg: ch.UpwConfig | None = None) -> np.ndarray:
-    """The (n, K, K) stack of the Gram matrices A^H A of a sweep's geometries, in order.
-
-    upw builds nothing: the stack is one broadcast of the closed form channel._upw_gram.
-    pnusw builds the largest geometry once.  Centered element indices of one
-    parity nest, so a geometry of the same parity on both axes and no larger
-    on either is a centered sub-grid of it, whose entries are bitwise those of
-    a direct build.  Such a geometry that contains the previous such one
-    (no smaller on either axis) gets that one's Gram plus the Grams of the at
-    most four strips of elements added around it, so the nested geometries of
-    a sweep read each element once.  Any other nested geometry takes the Gram
-    of its whole sub-block, and a geometry that does not nest is built
-    directly.  All geometries must share spacing, element area and wavelength.
-    """
-    if model == ch.UPW:
-        return ch._upw_gram(geoms, users, upw_cfg)
-    big = max(geoms, key=lambda g: g.num_elements)
-    a_big = response_matrix(big, users, model).T.reshape(-1, big.num_z, big.num_y)
-
-    def block_gram(z0: int, z1: int, y0: int, y1: int) -> np.ndarray:
-        part = a_big[:, z0:z1, y0:y1]
-        return gram(part.reshape(len(part), -1).T)
-
-    grams, window, acc = [], None, None
-    for g in geoms:
-        dy, dz = big.num_y - g.num_y, big.num_z - g.num_z
-        if min(dy, dz) < 0 or dy % 2 or dz % 2:
-            grams.append(gram(response_matrix(g, users, model)))
-            continue
-        z0, y0 = dz // 2, dy // 2
-        z1, y1 = z0 + g.num_z, y0 + g.num_y
-        if window is None or window[0] < z0 or window[2] < y0:  # previous one not inside
-            acc = block_gram(z0, z1, y0, y1)
-        else:
-            pz0, pz1, py0, py1 = window
-            # rows above and below the previous window, then columns left and right of it
-            strips = (
-                (z0, pz0, y0, y1), (pz1, z1, y0, y1), (pz0, pz1, y0, py0), (pz0, pz1, py1, y1)
-            )
-            for zs, ze, ys, ye in strips:
-                if zs < ze and ys < ye:
-                    acc = acc + block_gram(zs, ze, ys, ye)
-        window = (z0, z1, y0, y1)
-        grams.append(acc)
-    return np.stack(grams)
-
-
 def sweep_correlation_vs_m(
     geom: ArrayGeometry,
     loc1: UserLocation,
@@ -193,7 +145,7 @@ def sweep_correlation_vs_m(
     models = _check_models(models)
     mz_values = sorted(int(v) for v in mz_values)
     geoms = [replace(geom, num_z=mz) for mz in mz_values]
-    grams = {model: _nested_grams(geoms, (loc1, loc2), model, upw_cfg) for model in models}
+    grams = {model: ch._nested_grams(geoms, (loc1, loc2), model, upw_cfg) for model in models}
 
     rows = [
         (g.num_elements, g.num_z) + tuple(ch.correlation(grams[model][gi]) for model in models)
@@ -248,7 +200,7 @@ def sweep_sinr_vs_m(
         raise IndexError(f"user index {user_index} out of range for K={len(users)}")
     geoms = [replace(geom, num_z=mz) for mz in mz_values]
     per_model = [
-        evaluate_scenario(None, snr, g=_nested_grams(geoms, users, model, upw_cfg))
+        evaluate_scenario(None, snr, g=ch._nested_grams(geoms, users, model, upw_cfg))
         for model in models
     ]
     columns = [gammas[scheme][:, user_index] for gammas in per_model for scheme in SCHEMES]
@@ -350,7 +302,7 @@ def sumrate_vs_m(
         users = sample_users(region, num_users, (seed, drop))
         rates = np.empty((len(geoms), len(models), len(SCHEMES)))
         for mi, model in enumerate(models):
-            gammas = evaluate_scenario(None, snr, g=_nested_grams(geoms, users, model, upw_cfg))
+            gammas = evaluate_scenario(None, snr, g=ch._nested_grams(geoms, users, model, upw_cfg))
             for si, scheme in enumerate(SCHEMES):
                 rates[:, mi, si] = [sum_rate(row) for row in gammas[scheme]]
         return rates

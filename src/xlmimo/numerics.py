@@ -2,8 +2,8 @@
 
 Channel powers and inner products are numpy pairwise sums over the
 elementwise products, and the Gram matrix of two or more columns is one
-BLAS ``A^H A`` product, for any number of rows: the nested M-sweeps sum it
-over strips of elements, some narrower than the user count.  Neither
+BLAS ``A^H A`` product, for any number of rows: the M-sweeps' build threads
+sum it (_gram) over strips of elements, some narrower than the user count.  Neither
 result depends on the BLAS or Python
 thread count, so every output is bitwise reproducible on one machine; the
 level-1 BLAS dot products (``np.vdot``, ``np.dot`` on vectors) are avoided
@@ -54,14 +54,20 @@ def gram(a: np.ndarray) -> np.ndarray:
     The result is exactly Hermitian with a real diagonal.  Any M is taken
     so that a Gram can be summed from the Grams of disjoint sets of rows,
     however few each holds.  A single column
-    goes through vector_power, because BLAS turns a one-column product
+    is summed as vector_power sums it, because BLAS turns a one-column product
     into a dot product whose rounding depends on the thread count.
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2:
         raise ValueError(f"expected a matrix, got shape {a.shape}")
+    return _gram(a)
+
+
+def _gram(a: np.ndarray) -> np.ndarray:
+    """gram's kernel; it calls no public function, so build threads may call it."""
     if a.shape[1] == 1:
-        return np.array([[vector_power(a[:, 0])]], dtype=complex)
+        column = a[:, 0]  # vector_power's sum
+        return np.array([[np.sum(column.real * column.real + column.imag * column.imag)]], complex)
     g = a.conj().T @ a
     return (g + g.conj().T) / 2.0
 

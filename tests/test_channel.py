@@ -1,6 +1,7 @@
 """Tests for channel gains, response vectors, and correlation coefficients."""
 
 import cmath
+import inspect
 import itertools
 import math
 import os
@@ -10,6 +11,7 @@ import time
 import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -29,7 +31,14 @@ from xlmimo.channel import (
     pnusw_gain,
 )
 from xlmimo.beamforming import evaluate_scenario, response_matrix
-from xlmimo.experiments import sweep_correlation_vs_distance
+from xlmimo.experiments import (
+    UserRegion,
+    sample_users,
+    sumrate_vs_m,
+    sweep_correlation_vs_distance,
+    sweep_correlation_vs_m,
+    sweep_sinr_vs_m,
+)
 from xlmimo.numerics import cdot, compensated_sum, gram, vector_power
 from xlmimo.errors import DegenerateChannelError, DegenerateGeometryError
 from xlmimo.geometry import (
@@ -715,9 +724,9 @@ class TestStreamedPairGrams:
         monkeypatch.setenv("XLMIMO_THREADS", threads)
         scheduler, walker, walked = ch._map_bands, ch._pnusw_walk, []
 
-        def recording(geom, coordinates, indices, take):
+        def recording(geom, coordinates, indices, take, **options):
             walked.append(coordinates)
-            return walker(geom, coordinates, indices, take)
+            return walker(geom, coordinates, indices, take, **options)
 
         def slow_far_boxes(fn, jobs):
             r = walked[-1][0]
@@ -825,9 +834,9 @@ class TestStreamedPairGrams:
         walked = []
         walker = ch._pnusw_walk
 
-        def recording(geom, coordinates, indices, take):
+        def recording(geom, coordinates, indices, take, **options):
             walked.append(coordinates.copy())
-            return walker(geom, coordinates, indices, take)
+            return walker(geom, coordinates, indices, take, **options)
 
         monkeypatch.setattr(ch, "_pnusw_walk", recording)
         geom = make_geom(num_y=9, num_z=10)
@@ -920,6 +929,91 @@ class TestStreamedPairGrams:
                 pool.shutdown()
         assert list(ch._pools) == [cap]
         assert 1 <= len(started) <= min(cap, 3)
+
+
+def default_drop():
+    """The geometries and users of the default sum-rate sweep's first drop."""
+    cfg = cli.parse_config(experiment="sumrate-vs-m", overrides=[])
+    geoms = [replace(cfg.geometry, num_y=s, num_z=s) for s in cfg.sweep["sides"]]
+    return geoms, sample_users(cfg.region, cfg.sweep["n_users"], (cfg.seed, 0))
+
+
+class TestStreamedNestedGrams:
+    """The M-sweeps' Grams walk the largest array in boxes of all users (a band
+    of their rows, or a slice of one row), each reduced to per-ring partials."""
+
+    def test_memory_is_a_few_box_buffers(self, monkeypatch):
+        # a default drop's spherical-wave stack (10 users, arrays up to 200 x 200)
+        # on one thread holds one box's buffer, its phasors, cycles and amp (32 B
+        # an entry), and a strip's copies, never the largest array's 6.4 MB block
+        monkeypatch.setenv("XLMIMO_THREADS", "1")
+        geoms, users = default_drop()
+        stack = lambda: ch._nested_grams(geoms, users, "pnusw")  # noqa: E731
+        stack()  # imports and first-call caches stay out of the peak
+        assert fresh_thread_peak(stack) <= 3 * 32 * ch._BAND_ENTRIES
+
+    def test_a_default_drop_is_one_job_per_band_of_all_users(self, monkeypatch):
+        # 200 rows of 10 users x 200 entries: 13 bands of at most 16 rows, where
+        # one-user bands of at most 163 rows would make 20 jobs
+        jobs = []
+        scheduler = ch._map_bands
+
+        def recording(fn, boxes):
+            jobs.append([users for users, *_ in boxes])
+            return scheduler(fn, boxes)
+
+        monkeypatch.setattr(ch, "_map_bands", recording)
+        cfg = cli.parse_config(experiment="sumrate-vs-m", overrides=[])
+        sumrate_vs_m(
+            cfg.geometry, cfg.region, cfg.sweep["n_users"], cfg.snr_linear(),
+            cfg.sweep["sides"], seed=cfg.seed, n_drops=1, models=("pnusw",),
+        )
+        assert jobs == [[slice(0, 10)] * 13]
+
+    def test_a_window_inside_the_centered_band_is_one_product(self):
+        # the default drop's 10 x 10 array, rows 95 to 104 of 200, lies in the band
+        # of rows 92 to 107: its Gram, the most ill-conditioned of the drop, is one
+        # product, bitwise a direct build's, as before the walk streamed it
+        geoms, users = default_drop()
+        assert slice(92, 108) in [rows for _, rows, _ in ch._boxes(0, 10, 200, 200, joint=True)]
+        direct = gram(response_matrix(geoms[0], users, "pnusw"))
+        assert ch._nested_grams(geoms, users, "pnusw")[0].tobytes() == direct.tobytes()
+
+    def test_build_threads_call_no_public_function(self, monkeypatch):
+        # _map_bands' contract, on which the benchmark tracer's one root span per
+        # calling thread rests: in threaded M-sweeps every public function of the
+        # package (numerics.gram and beamforming.response_matrix among them)
+        # runs on the calling thread, while the Gram partials run on build threads
+        monkeypatch.setenv("XLMIMO_THREADS", "3")
+        monkeypatch.setattr(ch, "_BAND_ENTRIES", 2**10)
+        calls, partials, wrapped = [], [], set()
+
+        def recorded(log, fn):
+            def call(*args, **kwargs):
+                log.append((fn.__qualname__, threading.current_thread().name))
+                return fn(*args, **kwargs)
+
+            return call
+
+        modules = [module for name, module in sys.modules.items() if name.startswith("xlmimo")]
+        for module in modules:
+            for attr, fn in list(vars(module).items()):
+                public = inspect.isfunction(fn) and not attr.startswith("_")
+                if public and fn.__module__.startswith("xlmimo"):
+                    monkeypatch.setattr(module, attr, recorded(calls, fn))
+                    wrapped.add(f"{module.__name__}.{attr}")
+        monkeypatch.setattr(ch, "_gram", recorded(partials, ch._gram))
+        geom = make_geom(num_y=10, num_z=11)
+        users = [UserLocation(25.0, math.pi / 2, 0.0), UserLocation(250.0, math.pi / 2, 0.0)]
+        region = UserRegion(r=(50.0, 100.0), theta=(0.1, 1.0), phi=(0.3, 1.0))
+        for k in (1, 3):  # one user: the one-column rule of the Gram kernel
+            sumrate_vs_m(geom, region, k, np.full(k, 1e5), [10, 20, 41], seed=6, n_drops=2)
+        sweep_sinr_vs_m(geom, users, [1e5, 1e5], mz_values=[11, 51, 101])
+        sweep_correlation_vs_m(geom, *users, mz_values=[11, 51, 101])
+        assert {"xlmimo.numerics.gram", "xlmimo.beamforming.response_matrix"} <= wrapped
+        assert "evaluate_scenario" in {fn for fn, _ in calls}
+        assert any(thread.startswith("xlmimo-build") for _, thread in partials)
+        assert not [call for call in calls if call[1].startswith("xlmimo-build")]
 
 
 class TestUpwResponse:

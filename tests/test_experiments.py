@@ -2,21 +2,22 @@
 
 import math
 import os
+import warnings
 
 import mpmath
 import numpy as np
 import pytest
 
+import xlmimo.beamforming as bf
 import xlmimo.channel as ch
 import xlmimo.experiments as xp
 from xlmimo.beamforming import evaluate_scenario, response_matrix, sum_rate
 from xlmimo.channel import UpwConfig, _upw_gram
-from xlmimo.errors import ConfigError, DegenerateGeometryError
+from xlmimo.errors import ConfigError, DegenerateChannelError, DegenerateGeometryError
 from xlmimo.experiments import (
     MIN_U_X,
     SweepResult,
     UserRegion,
-    _nested_grams,
     heatmap_snr_loss,
     sample_users,
     sumrate_vs_m,
@@ -146,37 +147,40 @@ class TestNestedResponses:
         UserRegion(r=(50.0, 100.0), theta=(0.2, 1.2), phi=(-0.6, 0.8)), 3, 7
     )
 
-    def assert_oracle(self, geoms, grams):
+    def assert_oracle(self, geoms, grams, users=USERS):
         for g, got in zip(geoms, grams):
-            exact = oracle_gram(response_matrix(g, self.USERS, "pnusw"))
+            exact = oracle_gram(response_matrix(g, users, "pnusw"))
             scale = np.sqrt(np.outer(exact.diagonal().real, exact.diagonal().real))
             assert np.all(np.abs(got - exact) <= 1e-12 * scale), g
 
     @pytest.mark.parametrize("model", ["pnusw", "upw"])
     @pytest.mark.parametrize("sides", [[4, 10, 16], [5, 11, 17]], ids=["even", "odd"])
     def test_sub_blocks_equal_direct_builds_bitwise(self, model, sides):
+        # upw is bitwise the closed form; a pnusw Gram sums its ring's partials
+        # box by box, rounded otherwise than one product of a direct build, so it
+        # is held to the exactly rounded sums of that build
         for geoms in ([make_geom(s, s + 4) for s in sides], [make_geom(10, mz) for mz in sides]):
-            grams = _nested_grams(geoms, self.USERS, model)
+            grams = ch._nested_grams(geoms, self.USERS, model)
             if model == "upw":
                 for g, got in zip(geoms, grams):
                     assert np.array_equal(got, _upw_gram(g, self.USERS))
                 continue
-            for got, want in zip(grams, ring_grams(geoms, self.USERS)):
-                assert got.tobytes() == want.tobytes()
             self.assert_oracle(geoms, grams)
 
     @pytest.mark.parametrize("model", ["pnusw", "upw"])
     def test_geometries_that_do_not_nest_are_built_directly(self, model):
         # mixed parity, a geometry longer than the largest one on z, and a
         # nested geometry narrower than the one before it; each chain lists
-        # the geometries that add a ring, and every other one has the Gram
-        # of a direct build
+        # the geometries that add a ring, and every other one, its own walk's
+        # whole window in one box, has the Gram of a direct build.  The odd
+        # sides 5 and 9 of the first chain do not nest in side 10 and take a
+        # second walk, in which 9 adds its ring to 5's
         for geoms, rings in (
-            ([make_geom(s, s) for s in (4, 5, 9, 10)], {3}),
+            ([make_geom(s, s) for s in (4, 5, 9, 10)], {2, 3}),
             ([make_geom(2, 30), make_geom(10, 10)], set()),
             ([make_geom(8, 2), make_geom(2, 8), make_geom(10, 10)], {2}),
         ):
-            grams = _nested_grams(geoms, self.USERS, model)
+            grams = ch._nested_grams(geoms, self.USERS, model)
             for i, (g, got) in enumerate(zip(geoms, grams)):
                 if model == "upw":
                     assert np.array_equal(got, _upw_gram(g, self.USERS))
@@ -187,18 +191,84 @@ class TestNestedResponses:
                 self.assert_oracle(geoms, grams)
 
     def test_m_sweeps_build_only_the_largest_spherical_wave_array(self, monkeypatch):
-        built = []
+        # one walk of the largest array per spherical-wave stack, and no response built
+        walked = []
+        walk = ch._pnusw_walk
 
-        def recording(geom, users, model, upw_cfg=None):
-            built.append((model, geom.num_y, geom.num_z))
-            return response_matrix(geom, users, model, upw_cfg)
+        def recording(geom, *args, **kwargs):
+            walked.append((geom.num_y, geom.num_z))
+            return walk(geom, *args, **kwargs)
 
-        monkeypatch.setattr(xp, "response_matrix", recording)
+        def no_build(*args, **kwargs):
+            raise AssertionError("an M-sweep built a response")
+
+        monkeypatch.setattr(ch, "_pnusw_walk", recording)
+        monkeypatch.setattr(bf, "response_matrix", no_build)
+        monkeypatch.setattr(ch, "_response_block", no_build)
         region = UserRegion(r=(50.0, 100.0), theta=(0.1, 1.0), phi=(0.3, 1.0))
         sumrate_vs_m(make_geom(), region, 3, np.full(3, PBAR), [4, 8, 10], seed=6, n_drops=1)
         sweep_sinr_vs_m(make_geom(), SAME_DIRECTION, [PBAR, PBAR], mz_values=[11, 21])
         sweep_correlation_vs_m(make_geom(), *SAME_DIRECTION, mz_values=[11, 21])
-        assert built == [("pnusw", 10, 10), ("pnusw", 10, 21), ("pnusw", 10, 21)]
+        assert walked == [(10, 10), (10, 21), (10, 21)]
+
+    # chains of one parity (even, odd on z), of both (the odd sides take a second
+    # walk) and with geometries that do not nest (longer on z, or narrower than the
+    # geometry before them)
+    CHAINS = {
+        "even": [make_geom(s, s + 4) for s in (4, 10, 16)],
+        "odd": [make_geom(10, mz) for mz in (5, 11, 17)],
+        "mixed": [make_geom(s, s) for s in (4, 5, 9, 10)],
+        "not-nesting": [make_geom(8, 2), make_geom(2, 8), make_geom(2, 30), make_geom(10, 10)],
+    }
+
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("chain", sorted(CHAINS))
+    def test_streamed_grams_match_the_oracle_for_any_box_and_thread_count(
+        self, monkeypatch, chain, k
+    ):
+        # as built (one box), bands of rows (at 64 entries: four rows of one user,
+        # one row of three), and slices of one row (7 and 1 entries): every stack
+        # is within the oracle's bound and bitwise the same at 1, 3 and 8 threads
+        geoms, users = self.CHAINS[chain], self.USERS[:k]
+        for band_entries in (None, 64, 7, 1):
+            if band_entries is not None:
+                monkeypatch.setattr(ch, "_BAND_ENTRIES", band_entries)
+            big = max(geoms, key=lambda g: g.num_elements)
+            boxes = ch._boxes(0, k, big.num_z, big.num_y, joint=True)
+            assert all(users == slice(0, k) for users, _, _ in boxes)
+            assert (len(boxes) == 1) == (band_entries is None)
+            stacks = []
+            for threads in ("1", "3", "8"):
+                monkeypatch.setenv("XLMIMO_THREADS", threads)
+                stacks.append(ch._nested_grams(geoms, users, "pnusw"))
+            assert len({stack.tobytes() for stack in stacks}) == 1
+            self.assert_oracle(geoms, stacks[0], users)
+
+    @pytest.mark.parametrize("threads", ["1", "3"])
+    @pytest.mark.filterwarnings("ignore::xlmimo.geometry.NearArrayWarning")
+    def test_a_user_on_an_element_in_a_later_band_is_degenerate(self, monkeypatch, threads):
+        # the last user sits on element (m_y, m_z) = (1, 0), in row 10 of 21: in
+        # the fourth of seven bands of 3 rows of all three users
+        monkeypatch.setenv("XLMIMO_THREADS", threads)
+        monkeypatch.setattr(ch, "_BAND_ENTRIES", 99)
+        geoms = [make_geom(11, mz) for mz in (11, 21)]
+        on_element = UserLocation(D, math.pi / 2, math.pi / 2)
+        assert ch._boxes(0, 3, 21, 11, joint=True)[3][1] == slice(9, 12)
+        with pytest.raises(DegenerateGeometryError, match="coincident"):
+            ch._nested_grams(geoms, self.USERS[:2] + [on_element], "pnusw")
+
+    def test_pool_threads_raise_no_numpy_warnings(self, monkeypatch):
+        # at r = 1e308 the cycle count overflows to inf, so every band meets
+        # inf - rint(inf) and tan(nan) on pool threads; the stack is rejected as
+        # non-finite, with no RuntimeWarning
+        monkeypatch.setenv("XLMIMO_THREADS", "2")
+        geoms = [make_geom(s, s) for s in (51, 201)]
+        far = UserLocation(1e308, 1.2, 0.3)
+        assert len(ch._boxes(0, 3, 201, 201, joint=True)) > 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateChannelError, match="finite"):
+                ch._nested_grams(geoms, self.USERS[:2] + [far], "pnusw")
 
     def test_m_sweeps_evaluate_each_model_in_one_call(self, monkeypatch):
         # one stacked call per model per sweep (sinr-vs-m) or per drop (sum rate)
