@@ -557,19 +557,23 @@ def _nested_grams(geoms, users, model: str, cfg: UpwConfig | None = None) -> np.
     then adds that window's), else the whole window.  A box gives a K x K
     partial (numerics._gram) per ring strip it meets, summed per ring in box
     order on the calling thread, so the stack is the same for any thread
-    count.  The geometries that do not nest take one more walk.  All share
-    spacing, element area and wavelength.  A user on an element raises
+    count.  A geometry that does not nest takes a walk of its own, whole.  All
+    share spacing, element area and wavelength.  A user on an element raises
     DegenerateGeometryError, a Gram that is not finite DegenerateChannelError.
     """
     if model == UPW:
         return _upw_gram(geoms, users, cfg)
     big = max(geoms, key=lambda g: g.num_elements)
-    gaps = [(big.num_z - g.num_z, big.num_y - g.num_y) for g in geoms]
-    nested = [i for i, (dz, dy) in enumerate(gaps) if min(dz, dy) >= 0 and dz % 2 == dy % 2 == 0]
+    coordinates = _coordinates(users)
+    grams = np.zeros((len(geoms),) + 2 * coordinates.shape[1:], dtype=complex)
     strips, links, last = [], [], None  # strips (i, z0, z1, y0, y1) of geometry i's ring
-    for i in nested:
-        z0, y0 = gaps[i][0] // 2, gaps[i][1] // 2
-        z1, y1 = z0 + geoms[i].num_z, y0 + geoms[i].num_y
+    for i, g in enumerate(geoms):
+        dz, dy = big.num_z - g.num_z, big.num_y - g.num_y
+        if min(dz, dy) < 0 or dz % 2 or dy % 2:  # does not nest: a walk of its own
+            grams[i] = _nested_grams([g], users, model)[0]
+            continue
+        z0, y0 = dz // 2, dy // 2
+        z1, y1 = z0 + g.num_z, y0 + g.num_y
         pz0, pz1, py0, py1 = z0, z0, y0, y0  # an empty window: the ring is the whole window
         if last is not None and last[1] >= z0 and last[3] >= y0:  # the last window is inside
             links.append((i, last[0]))
@@ -587,17 +591,13 @@ def _nested_grams(geoms, users, model: str, cfg: UpwConfig | None = None) -> np.
                  for i, z0, z1, y0, y1 in strips]
         return [(i, _gram(part.reshape(len(part), -1).T)) for i, part in parts if part.size]
 
-    coordinates = _coordinates(users)
     _warn_if_any_near(big, coordinates[0])
     indices = [(big.indices_y(), big.indices_z())] * coordinates.shape[1]
-    grams = np.zeros((len(geoms),) + 2 * coordinates.shape[1:], dtype=complex)
     for _, partials in _pnusw_walk(big, coordinates, indices, reduce, joint=True):
         for i, partial in partials:  # a non-finite partial is rejected below
             grams[i] += partial
     for i, prev in links:
         grams[i] += grams[prev]
-    rest = [i for i in range(len(geoms)) if i not in nested]  # one more walk, if any
-    grams[rest] = _nested_grams([geoms[i] for i in rest], users, model) if rest else 0.0
     if not np.isfinite(grams).all():
         raise DegenerateChannelError("channel entries must be finite")
     return grams

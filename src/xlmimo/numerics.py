@@ -41,10 +41,10 @@ def cdot(x, y) -> complex:
 
 
 def vector_power(x) -> float:
-    """Squared two-norm of a vector as a pairwise sum."""
+    """Squared two-norm of a vector as a pairwise sum; complex: its one-column Gram's."""
     x = np.asarray(x)
     if np.iscomplexobj(x):
-        return float(np.sum(x.real * x.real + x.imag * x.imag))
+        return float(_gram(x[:, None])[0, 0].real)
     return float(np.sum(x * x))
 
 
@@ -53,9 +53,9 @@ def gram(a: np.ndarray) -> np.ndarray:
 
     The result is exactly Hermitian with a real diagonal.  Any M is taken
     so that a Gram can be summed from the Grams of disjoint sets of rows,
-    however few each holds.  A single column
-    is summed as vector_power sums it, because BLAS turns a one-column product
-    into a dot product whose rounding depends on the thread count.
+    however few each holds.  A single column's power is one elementwise
+    pairwise sum (vector_power takes it), because BLAS turns a one-column
+    product into a dot product whose rounding depends on the thread count.
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2:
@@ -66,7 +66,7 @@ def gram(a: np.ndarray) -> np.ndarray:
 def _gram(a: np.ndarray) -> np.ndarray:
     """gram's kernel; it calls no public function, so build threads may call it."""
     if a.shape[1] == 1:
-        column = a[:, 0]  # vector_power's sum
+        column = a[:, 0]  # no BLAS dot product; vector_power sums a vector here
         return np.array([[np.sum(column.real * column.real + column.imag * column.imag)]], complex)
     g = a.conj().T @ a
     return (g + g.conj().T) / 2.0

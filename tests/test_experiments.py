@@ -141,7 +141,7 @@ def ring_grams(geoms, users):
 
 
 class TestNestedResponses:
-    """The nested-Gram step against ring strips of direct builds and the fsum oracle."""
+    """The nested-Gram step against direct builds, the closed form and the fsum oracle."""
 
     USERS = sample_users(
         UserRegion(r=(50.0, 100.0), theta=(0.2, 1.2), phi=(-0.6, 0.8)), 3, 7
@@ -155,7 +155,7 @@ class TestNestedResponses:
 
     @pytest.mark.parametrize("model", ["pnusw", "upw"])
     @pytest.mark.parametrize("sides", [[4, 10, 16], [5, 11, 17]], ids=["even", "odd"])
-    def test_sub_blocks_equal_direct_builds_bitwise(self, model, sides):
+    def test_nested_grams_match_the_oracle(self, model, sides):
         # upw is bitwise the closed form; a pnusw Gram sums its ring's partials
         # box by box, rounded otherwise than one product of a direct build, so it
         # is held to the exactly rounded sums of that build
@@ -171,12 +171,10 @@ class TestNestedResponses:
     def test_geometries_that_do_not_nest_are_built_directly(self, model):
         # mixed parity, a geometry longer than the largest one on z, and a
         # nested geometry narrower than the one before it; each chain lists
-        # the geometries that add a ring, and every other one, its own walk's
-        # whole window in one box, has the Gram of a direct build.  The odd
-        # sides 5 and 9 of the first chain do not nest in side 10 and take a
-        # second walk, in which 9 adds its ring to 5's
+        # the geometries that add a ring, and every other one has the Gram
+        # of a direct build
         for geoms, rings in (
-            ([make_geom(s, s) for s in (4, 5, 9, 10)], {2, 3}),
+            ([make_geom(s, s) for s in (4, 5, 9, 10)], {3}),
             ([make_geom(2, 30), make_geom(10, 10)], set()),
             ([make_geom(8, 2), make_geom(2, 8), make_geom(10, 10)], {2}),
         ):
@@ -211,8 +209,8 @@ class TestNestedResponses:
         sweep_correlation_vs_m(make_geom(), *SAME_DIRECTION, mz_values=[11, 21])
         assert walked == [(10, 10), (10, 21), (10, 21)]
 
-    # chains of one parity (even, odd on z), of both (the odd sides take a second
-    # walk) and with geometries that do not nest (longer on z, or narrower than the
+    # chains of one parity (even, odd on z), of both (the odd sides take a walk
+    # each) and with geometries that do not nest (longer on z, or narrower than the
     # geometry before them)
     CHAINS = {
         "even": [make_geom(s, s + 4) for s in (4, 10, 16)],
