@@ -26,39 +26,32 @@ Dirichlet kernels of the direction-cosine differences (_upw_gram), with the
 removable singularities filled in by their limits, so no plane-wave
 response is built for it.  _pair_gram gives the stack of one fixed user's
 Grams with many others under either model; under the spherical-wave model it
-builds the fixed user once and streams the other users box by box over the
-build threads, so no other user's response is ever held whole.  Other users
-that are mirror images in the fixed user's symmetric axes (its u_y or u_z
-exactly 0.0), or repeats, share one walk.  A user with u_y == 0.0 or
+builds the fixed user once and streams the other users box by box, so no
+other user's response is ever held whole.  Other users that are mirror
+images in the fixed user's symmetric axes (its u_y or u_z exactly 0.0), or
+repeats, share one walk.  A user with u_y == 0.0 or
 u_z == 0.0 is walked only on the half of that axis that its mirror symmetry
 does not repeat, and one with both (on the array's axis) only at the
 distinct radii m_y^2 + m_z^2 of the kept quadrant.  _nested_grams walks an
 M-sweep's largest array once and sums its Grams ring by ring from the boxes.
 
-One box walker (_pnusw_walk) builds every spherical-wave entry, one build
-job per box of at most 2^15 entries: a run of whole users (cells of one fold
-kind), else a band of one user's rows, else a slice of one row (both of all
-K users, for _nested_grams).  A job computes its whole box in one broadcast,
-and a walk of one box stays on the calling thread.  It gives each entry's
-phase in cycles, distance / wavelength, to the one phasor kernel
-(_phasors), which drops the whole cycles exactly and takes one tangent of
-the half angle that is left.
-XLMIMO_THREADS (thread_count) caps the build threads; no result depends on
-it.
+One box walker (_pnusw_walk) builds every spherical-wave entry, box by box
+in order on the calling thread, each box of at most 2^15 entries: a run of
+whole users (cells of one fold kind), else a band of one user's rows, else a
+slice of one row (both of all K users, for _nested_grams).  It computes a
+whole box in one broadcast and gives each entry's phase in cycles, distance
+/ wavelength, to the one phasor kernel (_phasors), which drops the whole
+cycles exactly and takes one tangent of the half angle that is left.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import threading
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateChannelError, DegenerateGeometryError
+from .errors import DegenerateChannelError, DegenerateGeometryError
 from .geometry import ArrayGeometry, UserLocation, _warn_if_near, element_distance
 from .numerics import _gram, cdot  # noqa: F401  (cdot: importable from here as before)
 
@@ -66,44 +59,9 @@ PNUSW = "pnusw"
 UPW = "upw"
 VALID_MODELS = (PNUSW, UPW)
 
-THREADS_ENV = "XLMIMO_THREADS"
-# Most build threads: a pool starts one thread per job in flight, up to its cap.
-_MAX_THREADS = 256
-
 # Most entries per box of a spherical-wave build (_boxes).
 _BAND_ENTRIES = 2**15
 _ON_ELEMENT = "a user is numerically coincident with an array element"
-
-# Build threads, one pool per thread cap, kept for the life of the process:
-# starting threads costs about as much as building a 40 000-element response.
-# A forked child starts with none, as the parent's threads do not exist there.
-_pools: dict[int, ThreadPoolExecutor] = {}
-_pools_lock = threading.Lock()
-os.register_at_fork(after_in_child=_pools.clear)
-
-
-def thread_count() -> int:
-    """Build threads: XLMIMO_THREADS (1 to 256), else the usable cores, at most 256."""
-    text = os.environ.get(THREADS_ENV)
-    if text is None:
-        affinity = getattr(os, "sched_getaffinity", None)
-        return min(len(affinity(0)) if affinity else os.cpu_count() or 1, _MAX_THREADS)
-    try:
-        threads = int(text)
-    except ValueError:
-        threads = 0
-    if not 1 <= threads <= _MAX_THREADS:
-        raise ConfigError(
-            f"{THREADS_ENV} must be a positive integer of at most {_MAX_THREADS}, got {text!r}"
-        )
-    return threads
-
-
-def _build_pool(threads: int) -> ThreadPoolExecutor:
-    with _pools_lock:
-        if threads not in _pools:
-            _pools[threads] = ThreadPoolExecutor(threads, thread_name_prefix="xlmimo-build")
-        return _pools[threads]
 
 
 @dataclass(frozen=True)
@@ -177,23 +135,22 @@ def _boxes(first: int, stop: int, num_rows: int, row_len: int, joint: bool = Fal
 
 
 def _pnusw_walk(geom: ArrayGeometry, coordinates, indices, take, joint: bool = False, out=None):
-    """Build spherical-wave users box by box (_map_bands), yielding (box, result) in order.
+    """Build spherical-wave users box by box, in order, yielding (box, result) lazily.
 
     User j, coordinates[:, j] = (r, u_x, u_y, u_z), is walked at the index
     vectors indices[j] = (m_y, m_z).  A run of users that share one pair (the
     same object) is cut into _boxes (joint: every box holds the whole run); a
-    box is (users, rows, entries, m_y, m_z), and its job computes the whole
-    box in one broadcast, into one buffer of cycles, amp and phasors (these
-    into out[users, rows, entries] if out is given).  With e = spacing / r
-    and f(m) = m^2 e^2 - 2 e u m per axis, an entry's radicand t = (1 + f_z)
-    + f_y is its squared distance over r^2 (u_y == 0.0 makes m_y and -m_y
-    bitwise equal), its amplitude sqrt(scale) / (s sqrt(s)) and its phase in
-    cycles r s / wavelength (the phase is -2 pi times it), with s = sqrt(t).
+    box is (users, rows, entries, m_y, m_z), computed whole in one broadcast
+    into one buffer of cycles, amp and phasors (these into out[users, rows,
+    entries] if out is given).  With e = spacing / r and f(m) = m^2 e^2 -
+    2 e u m per axis, an entry's radicand t = (1 + f_z) + f_y is its squared
+    distance over r^2 (u_y == 0.0 makes m_y and -m_y bitwise equal), its
+    amplitude sqrt(scale) / (s sqrt(s)) and its phase in cycles r s /
+    wavelength (the phase is -2 pi times it), with s = sqrt(t).
     A box's result is take(users, rows, entries, phasors, amp, on_element),
     the entries amp e^{-2 pi j cycles} (_phasors) and amp of shape (users,
     rows, entries), and on_element[i] meaning a radicand t <= 0 for the box's
-    user i (a user on an element); take runs on the job's thread and may
-    overwrite both.
+    user i (a user on an element); take may overwrite both.
     """
     boxes, first = [], 0
     for stop in range(1, len(indices) + 1):
@@ -229,7 +186,7 @@ def _pnusw_walk(geom: ArrayGeometry, coordinates, indices, take, joint: bool = F
             _phasors(cycles, amp, phasors)
             return take(users, rows, entries, phasors, amp, on_element)
 
-    return zip(boxes, _map_bands(walk, boxes))
+    return ((box, walk(*box)) for box in boxes)
 
 
 def _phasors(cycles, amp, out):
@@ -258,44 +215,13 @@ def _phasors(cycles, amp, out):
     return out
 
 
-def _map_bands(fn, jobs):
-    """fn(*job) for each job of the list jobs, yielded in job order.
-
-    With one thread (thread_count()) or one job, the jobs run on the calling
-    thread.  Otherwise they go to the kept build pool, at most 2 x threads
-    jobs in flight, so at most min(threads, len(jobs)) pool threads start.
-    fn must call no public function of the package (the benchmark tracer
-    wraps those, and keeps one root span per calling thread).  When a job
-    raises, its error is raised here, in job order, and the queued jobs are
-    cancelled.
-    """
-    threads = thread_count()
-    if threads == 1 or len(jobs) <= 1:
-        for job in jobs:
-            yield fn(*job)
-        return
-    pool = _build_pool(threads)
-    pending: deque = deque()
-    try:
-        for job in jobs:
-            pending.append(pool.submit(fn, *job))
-            if len(pending) >= 2 * threads:
-                yield pending.popleft().result()
-        while pending:
-            yield pending.popleft().result()
-    finally:
-        for future in pending:
-            future.cancel()
-
-
 def _response_block(
     geom: ArrayGeometry, users, model: str, cfg: UpwConfig | None = None
 ) -> np.ndarray:
     """Responses of K users as one (K, N_z, N_y) array.
 
-    pnusw: an entry is _pnusw_walk's, written straight into the block (and the
-    same for any thread count); a build holds a buffer of at most a band per
-    build thread besides.  upw: an entry is one broadcast of
+    pnusw: an entry is _pnusw_walk's, written straight into the block; a
+    build holds a buffer of at most a band besides.  upw: an entry is one broadcast of
     (common * e^{j c u_z m_z}) * e^{j c u_y m_y}, c = 2 pi spacing / wavelength.
     Entries depend only on the user and their own (m_y, m_z), so the centered
     sub-grid of a larger same-parity array is bitwise a direct build.  A
@@ -322,7 +248,8 @@ def _response_block(
                 raise DegenerateGeometryError(_ON_ELEMENT)
 
         indices = [(m_y, m_z)] * len(out)
-        deque(_pnusw_walk(geom, coordinates, indices, check, out=out), maxlen=0)
+        for _ in _pnusw_walk(geom, coordinates, indices, check, out=out):
+            pass
     if not np.isfinite(out).all():
         raise DegenerateChannelError("channel entries must be finite")
     return out
@@ -475,8 +402,7 @@ def _pair_gram(
     with both as one row at the kept quadrant's distinct radii, against that
     fold summed per radius (_radial).  A key sums its row sums of G_12 and
     |a_2|^2 (a row cut into slices: its slices' sums) in order, so every
-    matrix is the same for any thread count, and for any band size that cuts
-    no row.  The first failing cell in sweep order raises (a cell that shares
+    matrix is the same for any band size that cuts no row.  The first failing cell in sweep order raises (a cell that shares
     its key fails alike): a user on an element DegenerateGeometryError, a
     non-finite row sum (user 2's: user 1's entries are finite)
     DegenerateChannelError, as does a zero or non-finite power of user 1
@@ -556,8 +482,7 @@ def _nested_grams(geoms, users, model: str, cfg: UpwConfig | None = None) -> np.
     strips around the previous such window if that is inside it (its Gram
     then adds that window's), else the whole window.  A box gives a K x K
     partial (numerics._gram) per ring strip it meets, summed per ring in box
-    order on the calling thread, so the stack is the same for any thread
-    count.  A geometry that does not nest takes a walk of its own, whole.  All
+    order.  A geometry that does not nest takes a walk of its own, whole.  All
     share spacing, element area and wavelength.  A user on an element raises
     DegenerateGeometryError, a Gram that is not finite DegenerateChannelError.
     """

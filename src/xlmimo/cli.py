@@ -53,8 +53,8 @@ DEFAULT_SNR_DB = 50.0
 
 # Most points one sweep may have, checked before any sweep axis is built.
 _MAX_SWEEP_POINTS = 100_000
-# Most elements x users of a sweep's largest array (no sweep holds that block
-# of responses; it bounds a run's size): 2^26 admits 1000 x 1000 with 64 users.
+# Most elements x users of a sweep's largest array, a bound on a run's size
+# (no sweep holds that many responses at once): 2^26 admits 1000 x 1000 with 64 users.
 _MAX_BLOCK_ENTRIES = 2**26
 
 # The keys of a user, in the order of UserLocation's fields (and UserRegion's).
@@ -294,7 +294,7 @@ class _Experiment(NamedTuple):
     users: list  # default users block; a config's users block must be as long
     sweep: dict  # default sweep block
     resolve: Callable[[dict, list], dict]  # (sweep block, users) -> explicit lists; pins reruns
-    block: Callable[[ArrayGeometry, dict], tuple[int, int]]  # largest M, K; one SNR per user
+    block: Callable[[ArrayGeometry, dict], tuple[int, int]]  # largest array's M, K; one SNR a user
     run: Callable[..., xp.SweepResult]  # (cfg, models=, upw_cfg=) -> the sweep's table
     geometry: dict = {}  # overrides of the default geometry block
 
@@ -471,8 +471,8 @@ def parse_config(
     elements, num_snr = spec.block(geometry, sweep)
     if elements * num_snr > _MAX_BLOCK_ENTRIES:
         raise ConfigError(
-            f"a {elements} x {num_snr} response block (elements x users) has more than "
-            f"{_MAX_BLOCK_ENTRIES} entries"
+            f"elements x users of the sweep's largest array, {elements} x {num_snr}, "
+            f"is more than {_MAX_BLOCK_ENTRIES}"
         )
 
     snr_db = merged["snr_db"]
@@ -529,11 +529,10 @@ def sidecar_path(csv_path: str) -> str:
 def run(cfg: RunConfig, out: str | None = None) -> str:
     """Execute the configured experiment; write CSV and sidecar; return CSV path.
 
-    The sidecar's run block records, beside the table's shape, the wall time
-    and the thread cap of the run's response builds; neither enters the CSV.
+    The sidecar's run block records, beside the table's shape, the wall time,
+    which stays out of the CSV.
     """
     started = time.perf_counter()
-    threads = xp.thread_count()  # a malformed XLMIMO_THREADS is a config error in every experiment
     result = dispatch(cfg)
     csv_file = out or f"{cfg.experiment}.csv"
     write_csv(csv_file, result.columns, result.rows)
@@ -546,7 +545,6 @@ def run(cfg: RunConfig, out: str | None = None) -> str:
             "columns": list(result.columns),
             "n_rows": len(result.rows),
             "wall_time_s": time.perf_counter() - started,
-            "threads": threads,
         },
     }
     _write_atomic(sidecar_path(csv_file), json.dumps(sidecar, indent=2, sort_keys=True) + "\n")

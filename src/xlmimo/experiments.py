@@ -23,15 +23,12 @@ images in user 1's symmetric axes, such as the default map's cells at y and
 -y, or repeats, share one walk and so one Gram.  Every correlation is
 channel.correlation of a Gram.
 
-A sweep runs its points in order on the calling thread.  The spherical-wave
-builds, which dominate the random drops and the fixed-user cells, run on the
-usable cores (the process's CPU affinity, capped by XLMIMO_THREADS; see
-channel.thread_count), one job per box of at most 2^15 entries: a run of
-whole cells, a band of one's rows, or a slice of one row (of every user, in
-an M-sweep); a build of one box stays on the calling thread.  Per-drop random
-streams derive from (seed, drop index), every build entry is the same for any
-thread count, and each Gram sums its partials in box order, so every table
-is bit-identical for any XLMIMO_THREADS.
+A sweep runs its points, and the spherical-wave builds that dominate the
+random drops and the fixed-user cells, in order on the calling thread, one
+box of at most 2^15 entries at a time: a run of whole cells, a band of one's
+rows, or a slice of one row (of every user, in an M-sweep).  Per-drop random
+streams derive from (seed, drop index) and each Gram sums its partials in
+box order, so a rerun of a table is bit-identical.
 """
 
 from __future__ import annotations
@@ -42,10 +39,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import channel as ch
-from .channel import THREADS_ENV, thread_count  # noqa: F401  (importable from here as before)
 from .beamforming import SCHEMES, _mmse_loss, evaluate_scenario, sum_rate
 from .errors import DegenerateGeometryError
 from .geometry import ArrayGeometry, UserLocation, Vector3, cartesian_to_spherical
+
+# The name of a build-thread option that no longer exists, kept only because
+# perfbench/worker.py reads it from here (as cli.xp.THREADS_ENV).
+THREADS_ENV = "XLMIMO_THREADS"
 
 # sample_users rejects draws with a direction cosine u_x below MIN_U_X (nearly
 # in the array plane, hence a nearly zero channel) and gives up after

@@ -2,13 +2,13 @@
 
 Channel powers and inner products are numpy pairwise sums over the
 elementwise products, and the Gram matrix of two or more columns is one
-BLAS ``A^H A`` product, for any number of rows: the M-sweeps' build threads
-sum it (_gram) over strips of elements, some narrower than the user count.  Neither
-result depends on the BLAS or Python
-thread count, so every output is bitwise reproducible on one machine; the
-level-1 BLAS dot products (``np.vdot``, ``np.dot`` on vectors) are avoided
-because their last bits change with the BLAS thread count.  Across
-machines results agree to rounding.  compensated_sum (exactly rounded
+BLAS ``A^H A`` product, for any number of rows: the M-sweeps sum it (_gram)
+over strips of elements, some narrower than the user count.  Neither result
+depends on the BLAS thread count at up to 16 users, so every output is
+bitwise reproducible on one machine; the level-1 BLAS dot products
+(``np.vdot``, ``np.dot`` on vectors) are avoided because their last bits
+change with the BLAS thread count.  Across machines results agree to
+rounding.  compensated_sum (exactly rounded
 ``math.fsum``) is kept as the test oracle for these reductions.
 condition (blind to user powers) and hermitian_solve (numpy's Cholesky
 factor and two np.linalg.solve calls on it: LU solves, gesv, not triangular
@@ -64,7 +64,7 @@ def gram(a: np.ndarray) -> np.ndarray:
 
 
 def _gram(a: np.ndarray) -> np.ndarray:
-    """gram's kernel; it calls no public function, so build threads may call it."""
+    """gram's kernel, without its checks."""
     if a.shape[1] == 1:
         column = a[:, 0]  # no BLAS dot product; vector_power sums a vector here
         return np.array([[np.sum(column.real * column.real + column.imag * column.imag)]], complex)

@@ -306,14 +306,13 @@ def test_c09_dense_oracle_equivalence():
     budget.done("100 random cases, ZF and MMSE")
 
 
-def test_c10_determinism_from_sidecar_and_threads(tmp_path, monkeypatch):
+def test_c10_determinism_from_sidecar_and_threads(tmp_path, run_python):
     budget = _Budget("criterion 10: byte-identical reruns, thread independent", 120.0)
     corr_args = [
         "--experiment", "corr-vs-m",
         "--set", "geometry.num_y=4",
         "--set", "sweep.mz_values=[5,9,15]",
     ]
-    monkeypatch.setenv("XLMIMO_THREADS", "1")
     assert main(corr_args + ["--out", str(tmp_path / "corr1.csv")]) == 0
     reference = (tmp_path / "corr1.csv").read_bytes()
 
@@ -324,24 +323,24 @@ def test_c10_determinism_from_sidecar_and_threads(tmp_path, monkeypatch):
     ]) == 0
     assert (tmp_path / "corr2.csv").read_bytes() == reference
 
-    # rerun under a different thread count
-    monkeypatch.setenv("XLMIMO_THREADS", "4")
-    assert main(corr_args + ["--out", str(tmp_path / "corr3.csv")]) == 0
-    assert (tmp_path / "corr3.csv").read_bytes() == reference
-
-    # randomized experiment: sidecar + thread-count independence
-    sum_cfg = parse_config(
-        experiment="sumrate-vs-m",
-        overrides=[
-            ("sweep.sides", [4, 6]),
-            ("sweep.n_users", 2),
-            ("sweep.n_drops", 3),
-        ],
-        seed=5,
-    )
-    monkeypatch.setenv("XLMIMO_THREADS", "1")
-    run(sum_cfg, str(tmp_path / "sum1.csv"))
-    monkeypatch.setenv("XLMIMO_THREADS", "3")
+    # randomized experiment: rerun from the sidecar
+    sum_args = [
+        "--experiment", "sumrate-vs-m", "--seed", "5",
+        "--set", "sweep.sides=[4,6]",
+        "--set", "sweep.n_users=2",
+        "--set", "sweep.n_drops=3",
+    ]
+    assert main(sum_args + ["--out", str(tmp_path / "sum1.csv")]) == 0
     run(parse_config(str(tmp_path / "sum1.json")), str(tmp_path / "sum2.csv"))
-    assert (tmp_path / "sum1.csv").read_bytes() == (tmp_path / "sum2.csv").read_bytes()
+    sum_reference = (tmp_path / "sum1.csv").read_bytes()
+    assert (tmp_path / "sum2.csv").read_bytes() == sum_reference
+
+    # fresh processes at one and two BLAS threads, the one thread count that
+    # could move a table (it does not at up to 16 users; here 2)
+    for name, args, table in (("corr", corr_args, reference), ("sum", sum_args, sum_reference)):
+        for blas_threads in (1, 2):
+            out = tmp_path / f"{name}-blas{blas_threads}.csv"
+            proc = run_python(["-m", "xlmimo.cli", *args, "--out", str(out)], blas_threads=blas_threads)
+            assert proc.returncode == 0, proc.stderr
+            assert out.read_bytes() == table
     budget.done("corr-vs-m and sumrate-vs-m reruns byte-identical")

@@ -1,12 +1,9 @@
 """Tests for channel gains, response vectors, and correlation coefficients."""
 
 import cmath
-import inspect
 import itertools
 import math
-import os
 import sys
-import threading
 import time
 import tracemalloc
 import warnings
@@ -31,14 +28,7 @@ from xlmimo.channel import (
     pnusw_gain,
 )
 from xlmimo.beamforming import evaluate_scenario, response_matrix
-from xlmimo.experiments import (
-    UserRegion,
-    sample_users,
-    sumrate_vs_m,
-    sweep_correlation_vs_distance,
-    sweep_correlation_vs_m,
-    sweep_sinr_vs_m,
-)
+from xlmimo.experiments import sample_users, sumrate_vs_m, sweep_correlation_vs_distance
 from xlmimo.numerics import cdot, compensated_sum, gram, vector_power
 from xlmimo.errors import DegenerateChannelError, DegenerateGeometryError
 from xlmimo.geometry import (
@@ -92,6 +82,20 @@ def fresh_thread_peak(fn):
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+
+
+def recorded_walks(monkeypatch):
+    """The boxes of every _pnusw_walk from here on, one list per walk, as walked."""
+    walks, walker = [], ch._pnusw_walk
+
+    def recording(*args, **options):
+        walks.append([])
+        for box, result in walker(*args, **options):
+            walks[-1].append(box)
+            yield box, result
+
+    monkeypatch.setattr(ch, "_pnusw_walk", recording)
+    return walks
 
 
 def geometric_gain_oracle(geom, loc, m_y, m_z):
@@ -336,8 +340,8 @@ class TestPhasorKernel:
 
 class TestBandedPnuswBuild:
     """The spherical-wave builder walks boxes of about one band (runs of whole
-    users, bands of one user's m_z rows, or slices of one row) on up to
-    XLMIMO_THREADS threads; neither the boxes nor the threads may show."""
+    users, bands of one user's m_z rows, or slices of one row); the boxes may
+    not show."""
 
     USERS = [UserLocation(40.0, 1.2, 0.3), UserLocation(25.0, 1.6, -0.4)]
 
@@ -351,19 +355,15 @@ class TestBandedPnuswBuild:
                 builds = []
                 for band_entries in (ch._BAND_ENTRIES, 201, 67, 2**62):  # and one box
                     monkeypatch.setattr(ch, "_BAND_ENTRIES", band_entries)
-                    for threads in ("1", "3", "8"):
-                        monkeypatch.setenv("XLMIMO_THREADS", threads)
-                        builds.append(_response_block(geom, users, "pnusw").tobytes())
+                    builds.append(_response_block(geom, users, "pnusw").tobytes())
                     monkeypatch.undo()
                 assert len(set(builds)) == 1
 
     def test_concurrent_builds_under_thread_switching_stress(self, monkeypatch):
-        # more build threads than cores, a 1 us switch interval, 40 bands per block
-        # and four callers sharing one pool: every block is the serial one bitwise
+        # four concurrent callers, a 1 us switch interval and 40 bands per block:
+        # every block is the serial one bitwise
         geom = make_geom(num_y=201, num_z=101)
-        monkeypatch.setenv("XLMIMO_THREADS", "1")
         serial = _response_block(geom, self.USERS, "pnusw").tobytes()
-        monkeypatch.setenv("XLMIMO_THREADS", "8")
         monkeypatch.setattr(ch, "_BAND_ENTRIES", 2**10)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -380,59 +380,29 @@ class TestBandedPnuswBuild:
             sys.setswitchinterval(interval)
         assert builds == [serial] * 16
 
-    @pytest.mark.parametrize("threads", ["1", "3"])
     @pytest.mark.filterwarnings("ignore::xlmimo.geometry.NearArrayWarning")
-    def test_a_user_on_an_element_in_a_later_band_is_degenerate(self, monkeypatch, threads):
+    def test_a_user_on_an_element_in_a_later_band_is_degenerate(self):
         # the last user sits on element (m_y, m_z) = (1, 0): t = 0 exactly, in its
         # row 50, past its first band's 26 rows
-        monkeypatch.setenv("XLMIMO_THREADS", threads)
         geom = make_geom(num_y=1001, num_z=101)
         on_element = UserLocation(geom.spacing, math.pi / 2, math.pi / 2)
         assert ch._boxes(0, 1, geom.num_z, geom.num_y)[0][1] == slice(0, 26)
         with pytest.raises(DegenerateGeometryError, match="coincident"):
             _response_block(geom, self.USERS + [on_element], "pnusw")
 
-    def test_pool_threads_raise_no_numpy_warnings(self, monkeypatch):
+    def test_an_overflowing_cycle_count_raises_no_numpy_warnings(self):
         # at r = 1e308 the cycle count overflows to inf, so both bands meet
-        # inf - rint(inf) and tan(nan) on pool threads; the block is rejected as
-        # non-finite, with no RuntimeWarning
-        monkeypatch.setenv("XLMIMO_THREADS", "2")
+        # inf - rint(inf) and tan(nan); the block is rejected as non-finite, with
+        # no RuntimeWarning
         geom = make_geom(num_y=201, num_z=201)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DegenerateChannelError, match="finite"):
                 _response_block(geom, [UserLocation(1e308, 1.2, 0.3)], "pnusw")
 
-    def test_a_build_has_no_more_bands_in_flight_than_it_has_bands(self, monkeypatch):
-        # XLMIMO_THREADS unset on 64 cores: a walk of one box (a 100 x 100 user)
-        # stays on the calling thread, and a walk of n > 1 boxes, one user's two
-        # bands (201 x 201) or two users' four, starts at most min(64, n) threads
-        monkeypatch.delenv("XLMIMO_THREADS", raising=False)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
-        pools = []
-
-        def build_pool(threads):
-            pools.append(ThreadPoolExecutor(threads))
-            return pools[-1]
-
-        monkeypatch.setattr(ch, "_build_pool", build_pool)
-        small, geom = make_geom(num_y=100, num_z=100), make_geom(num_y=201, num_z=201)
-        assert len(ch._boxes(0, 1, small.num_z, small.num_y)) == 1
-        _response_block(small, self.USERS[:1], "pnusw")
-        assert pools == []
-        for users in (self.USERS[:1], self.USERS):
-            boxes = len(ch._boxes(0, len(users), geom.num_z, geom.num_y))
-            assert boxes == 2 * len(users)
-            _response_block(geom, users, "pnusw")
-            pools[-1].shutdown()
-            assert pools[-1]._max_workers == 64
-            assert 1 <= len(pools[-1]._threads) <= boxes
-        assert len(pools) == 2
-
-    def test_a_row_longer_than_a_band_is_built_in_slices(self, monkeypatch):
+    def test_a_row_longer_than_a_band_is_built_in_slices(self):
         # one row of 2^18 entries, 8 bands: besides its output and its index vector
         # the build holds a few band-sized buffers, no row-sized temporary
-        monkeypatch.setenv("XLMIMO_THREADS", "1")
         geom = make_geom(num_y=2**18, num_z=1)
         build = lambda: _response_block(geom, self.USERS[:1], "pnusw")  # noqa: E731
         build()  # imports and first-call caches stay out of the peak
@@ -445,63 +415,14 @@ class TestBandedPnuswBuild:
     # built and at 2^62 a box holds every run of users of one fold kind
     PACKINGS = [(1, (13, 11)), (2**10, (41, 39)), (None, (41, 39)), (2**62, (41, 39))]
 
-    @pytest.mark.parametrize("threads", ["1", "3"])
     @pytest.mark.parametrize("band_entries, shape", PACKINGS)
-    def test_a_block_is_bitwise_its_one_user_blocks(
-        self, monkeypatch, threads, band_entries, shape
-    ):
-        monkeypatch.setenv("XLMIMO_THREADS", threads)
+    def test_a_block_is_bitwise_its_one_user_blocks(self, monkeypatch, band_entries, shape):
         if band_entries is not None:
             monkeypatch.setattr(ch, "_BAND_ENTRIES", band_entries)
         geom = make_geom(*shape)
         users = random_users(np.random.default_rng(3), 5) + TestStreamedPairGrams.FOLDING
         alone = [_response_block(geom, [loc], "pnusw") for loc in users]
         assert _response_block(geom, users, "pnusw").tobytes() == np.concatenate(alone).tobytes()
-
-    def test_the_default_sinr_sweep_starts_no_build_thread(self, monkeypatch):
-        # XLMIMO_THREADS unset on 64 cores, on a fresh pool: the sweep's largest
-        # block, 2 users x 10 x 1001 = 20 020 entries, is at most one band, so every
-        # block stays on the calling thread
-        monkeypatch.delenv("XLMIMO_THREADS", raising=False)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
-        monkeypatch.setattr(ch, "_pools", {})
-        cfg = cli.parse_config(experiment="sinr-vs-m", overrides=[])
-        largest = max(cfg.sweep["mz_values"]) * cfg.geometry.num_y * len(cfg.users)
-        assert 1 < len(cfg.users) and largest <= ch._BAND_ENTRIES
-        before = {t.ident for t in threading.enumerate()}
-        try:
-            cli.dispatch(cfg)
-            started = [
-                t for t in threading.enumerate()
-                if t.name.startswith("xlmimo-build") and t.ident not in before
-            ]
-        finally:
-            for pool in ch._pools.values():
-                pool.shutdown()
-        assert ch._pools == {} and started == []
-
-    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-    def test_a_forked_child_builds_on_threads_of_its_own(self, run_python):
-        # the parent's build threads do not exist in a forked child; the child must
-        # start its own instead of queueing bands for none (alarm: a hang is a failure)
-        script = """if True:
-            import os, signal, sys
-            os.environ["XLMIMO_THREADS"] = "2"
-            import xlmimo.cli as cli
-            from xlmimo.channel import _response_block
-            cfg = cli.parse_config(experiment="snr-loss-heatmap", overrides=[])
-            users = cfg.users * 2
-            before = _response_block(cfg.geometry, users, "pnusw").tobytes()
-            pid = os.fork()
-            if pid == 0:
-                signal.alarm(20)
-                same = _response_block(cfg.geometry, users, "pnusw").tobytes() == before
-                os._exit(0 if same else 1)
-            sys.exit(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
-        """
-        proc = run_python(["-c", script], timeout=60.0)
-        assert proc.returncode == 0, proc.stderr
-
 
 class TestStreamedPairGrams:
     """The spherical-wave pair Grams walk every user 2 in boxes (runs of whole
@@ -556,7 +477,7 @@ class TestStreamedPairGrams:
                 assert abs(g[0, 1] - g12) <= bound * math.sqrt(g11 * g22)
                 assert g[1, 0] == g[0, 1].conjugate()
 
-    def test_bitwise_the_same_for_any_thread_count_and_band_size(self, monkeypatch):
+    def test_bitwise_the_same_for_any_band_size(self, monkeypatch):
         # at the default band size a band boundary falls inside every user 2's
         # rows: 2 bands of 101 rows at 201 x 201, 2 of 5 001 rows at 4 x 10 001;
         # bands of 201 entries hold one row at 201 x 201 (a shorter band would cut
@@ -567,20 +488,14 @@ class TestStreamedPairGrams:
             grams = []
             for band_entries in (ch._BAND_ENTRIES, 201, 2**62):  # and one band
                 monkeypatch.setattr(ch, "_BAND_ENTRIES", band_entries)
-                for threads in ("1", "3", "8"):
-                    monkeypatch.setenv("XLMIMO_THREADS", threads)
-                    grams.append(_pair_gram(geom, self.LOC1, others, "pnusw").tobytes())
+                grams.append(_pair_gram(geom, self.LOC1, others, "pnusw").tobytes())
                 monkeypatch.undo()
             assert len(set(grams)) == 1
 
-    @pytest.mark.parametrize("threads", ["1", "3"])
     @pytest.mark.parametrize("band_entries, shape", TestBandedPnuswBuild.PACKINGS)
-    def test_a_sweep_is_bitwise_its_one_cell_sweeps(
-        self, monkeypatch, threads, band_entries, shape
-    ):
+    def test_a_sweep_is_bitwise_its_one_cell_sweeps(self, monkeypatch, band_entries, shape):
         # cells of every fold kind, then a run of radial ones: however the walk
         # packs cells into boxes or cuts them, each matrix is bitwise its cell's alone
-        monkeypatch.setenv("XLMIMO_THREADS", threads)
         if band_entries is not None:
             monkeypatch.setattr(ch, "_BAND_ENTRIES", band_entries)
         geom = make_geom(*shape)
@@ -626,16 +541,8 @@ class TestStreamedPairGrams:
         # a folded axis of n indices keeps its n - n // 2 indices >= 0; a cell folded
         # on both (on-axis) walks the kept quadrant's distinct radii as one row.
         # Every cell here is a box of its own (its fold kind differs from its
-        # neighbours'), walked by the last _map_bands call, after user 1's build
-        monkeypatch.setenv("XLMIMO_THREADS", "1")
-        walks = []
-        scheduler = ch._map_bands
-
-        def recording(fn, jobs):
-            walks.append(list(jobs))
-            return scheduler(fn, walks[-1])
-
-        monkeypatch.setattr(ch, "_map_bands", recording)
+        # neighbours'), walked by the last walk, after user 1's build
+        walks = recorded_walks(monkeypatch)
         geom = make_geom(num_y=num_y, num_z=num_z)
         _pair_gram(geom, self.LOC1, self.FOLDING, "pnusw")
         boxes = walks[-1]
@@ -656,18 +563,16 @@ class TestStreamedPairGrams:
             (half_y, m_z), (m_y, half_z), radial, (m_y, m_z), (m_y, half_z), (half_y, m_z),
         ]
 
-    def test_folded_sweeps_are_bitwise_the_same_for_any_thread_count_and_band_size(
-        self, monkeypatch
-    ):
+    def test_folded_sweeps_are_bitwise_the_same_for_any_band_size(self, monkeypatch):
         # every fold kind in one sweep, then a run of radial cells; a band boundary
         # falls inside the kept rows of every user 2 at 401 x 401 as built (the
         # 201 x 201 quarter is 2 bands), and at 4 x 2 001 with bands of 2^10
         # entries.  A box holds a run of whole cells of one kind up to a band's
         # entries: as built, two radial cells per box at 401 x 401 and all four at
         # 4 x 2 001; one per box in bands of the longest walked row (a radial
-        # one).  Every stack is bitwise the same for any thread count, and for any
-        # band size that cuts no row.  Bands of 2^10 cut every radial row (13 788
-        # and 2 002 entries) into slices, whose sums only round otherwise
+        # one).  Every stack is bitwise the same for any band size that cuts no
+        # row.  Bands of 2^10 cut every radial row (13 788 and 2 002 entries) into
+        # slices, whose sums only round otherwise
         assert len(ch._boxes(0, 1, 201, 201)) == 2
         users = self.FOLDING + self.ON_AXIS
         for geom in (make_geom(num_y=401, num_z=401), make_geom(num_y=4, num_z=2_001)):
@@ -676,26 +581,20 @@ class TestStreamedPairGrams:
             stacks = {}
             for band_entries in (ch._BAND_ENTRIES, longest, 2**62, 2**10):
                 monkeypatch.setattr(ch, "_BAND_ENTRIES", band_entries)
-                for threads in ("1", "3", "8"):
-                    monkeypatch.setenv("XLMIMO_THREADS", threads)
-                    grams = _pair_gram(geom, self.LOC1, users, "pnusw")
-                    stacks.setdefault(band_entries, set()).add(grams.tobytes())
+                stacks[band_entries] = _pair_gram(geom, self.LOC1, users, "pnusw").tobytes()
                 monkeypatch.undo()
-            assert all(len(runs) == 1 for runs in stacks.values())
-            uncut = {stacks[band].pop() for band in (ch._BAND_ENTRIES, longest, 2**62)}
+            uncut = {stacks[band] for band in (ch._BAND_ENTRIES, longest, 2**62)}
             assert len(uncut) == 1
-            g, cut = (np.frombuffer(b, dtype=complex).reshape(-1, 2, 2) for b in (*uncut, *stacks[2**10]))
+            g, cut = (np.frombuffer(b, dtype=complex).reshape(-1, 2, 2) for b in (*uncut, stacks[2**10]))
             scale = np.sqrt(g[:, 0, 0].real * g[:, 1, 1].real)
             assert np.all(np.abs(cut - g) <= 1e-13 * scale[:, None, None])
 
     def test_concurrent_folded_sweeps_under_thread_switching_stress(self, monkeypatch):
-        # four callers share one 8-thread pool, each cell reading its kind's fold
-        # of user 1, with a 1 us switch interval: every stack is the serial one
+        # four concurrent callers, each cell reading its kind's fold of user 1,
+        # with a 1 us switch interval: every stack is the serial one
         geom = make_geom(num_y=201, num_z=101)
         monkeypatch.setattr(ch, "_BAND_ENTRIES", 2**10)
-        monkeypatch.setenv("XLMIMO_THREADS", "1")
         serial = _pair_gram(geom, self.LOC1, self.FOLDING, "pnusw").tobytes()
-        monkeypatch.setenv("XLMIMO_THREADS", "8")
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -712,34 +611,11 @@ class TestStreamedPairGrams:
             sys.setswitchinterval(interval)
         assert stacks == [serial] * 8
 
-    @pytest.mark.parametrize("threads", ["1", "3"])
-    def test_the_first_failing_cell_raises(self, monkeypatch, threads):
+    def test_the_first_failing_cell_raises(self):
         # a user on element (1, 0), and one at r = 1e308 (cycle count inf, entries
-        # NaN) whose boxes are held back 50 ms.  At 201 x 201 its cell is two boxes,
-        # and with 3 threads both failing cells are in flight at once, so a later
-        # box may finish first; at 21 x 21 every cell (all in the x-y plane, so of
-        # one fold kind) shares one box.  Either way the earlier cell's error wins.
-        # A box's users index the walked keys, not the sweep's cells, so the far
-        # user's boxes are found by the r of the keys the walk is handed
-        monkeypatch.setenv("XLMIMO_THREADS", threads)
-        scheduler, walker, walked = ch._map_bands, ch._pnusw_walk, []
-
-        def recording(geom, coordinates, indices, take, **options):
-            walked.append(coordinates)
-            return walker(geom, coordinates, indices, take, **options)
-
-        def slow_far_boxes(fn, jobs):
-            r = walked[-1][0]
-
-            def box(users, *rest):
-                if (r[users] > 1e300).any():
-                    time.sleep(0.05)
-                return fn(users, *rest)
-
-            return scheduler(box, jobs)
-
-        monkeypatch.setattr(ch, "_pnusw_walk", recording)
-        monkeypatch.setattr(ch, "_map_bands", slow_far_boxes)
+        # NaN).  At 201 x 201 its cell is two boxes; at 21 x 21 every cell (all in
+        # the x-y plane, so of one fold kind) shares one box.  Either way the
+        # earlier cell's error wins
         for side, theta in ((201, 1.2), (21, math.pi / 2)):
             geom = make_geom(num_y=side, num_z=side)
             on_element = UserLocation(geom.spacing, math.pi / 2, math.pi / 2)
@@ -802,15 +678,7 @@ class TestStreamedPairGrams:
         # and |u_z|; every cell of a key gets its Gram bitwise, and so does the
         # cell alone.  Each cell is held to fsum of the dense build at its own
         # position, as the cells that share no walk are held
-        monkeypatch.setenv("XLMIMO_THREADS", "1")
-        walks = []
-        scheduler = ch._map_bands
-
-        def recording(fn, jobs):
-            walks.append(list(jobs))
-            return scheduler(fn, walks[-1])
-
-        monkeypatch.setattr(ch, "_map_bands", recording)
+        walks = recorded_walks(monkeypatch)
         geom = make_geom(num_y=num_y, num_z=num_z)
         loc1 = self.ON_AXIS_1
         sweep, keys = self.shared_sweep()
@@ -860,14 +728,10 @@ class TestStreamedPairGrams:
         assert len(alpha) == 121
         assert all(alpha[x, -y] == value for (x, y), value in alpha.items())
 
-    @pytest.mark.parametrize("threads", ["1", "3"])
-    def test_the_first_failing_cell_raises_when_its_mirror_comes_first(
-        self, monkeypatch, threads
-    ):
+    def test_the_first_failing_cell_raises_when_its_mirror_comes_first(self):
         # a cell that shares the key of a failing mirror image fails with it, and
         # keys are walked in order of first occurrence (not, say, by range, which
         # puts the on-element user first and the one at r = 1e308 last)
-        monkeypatch.setenv("XLMIMO_THREADS", threads)
         for side in (201, 21):
             geom = make_geom(num_y=side, num_z=side)
             on_element = UserLocation(geom.spacing, math.pi / 2, math.pi / 2)  # element (1, 0)
@@ -885,12 +749,11 @@ class TestStreamedPairGrams:
                 with pytest.raises(DegenerateChannelError, match="finite"):
                     _pair_gram(geom, self.ON_AXIS_1, sweep, "pnusw")
 
-    def test_memory_is_user_one_and_a_few_bands(self, monkeypatch):
-        # 50 cells at 200 x 200 on one thread: no cell may hold an M-sized array
+    def test_memory_is_user_one_and_a_few_bands(self):
+        # 50 cells at 200 x 200: no cell may hold an M-sized array
         # (user 2, or the products of a reduction over it) beside user 1's response;
         # nor may user 1's fold when every user 2 is in the x-y plane (folded on z),
         # nor its radial grouping when every user 2 is on the axis (folded on both)
-        monkeypatch.setenv("XLMIMO_THREADS", "1")
         geom = make_geom(num_y=200, num_z=200)
         user_one = 16 * geom.num_elements
         (_, rows, _), *_ = ch._boxes(0, 1, geom.num_z, geom.num_y)
@@ -903,34 +766,6 @@ class TestStreamedPairGrams:
             sweep()  # imports and first-call caches stay out of the peak
             assert fresh_thread_peak(sweep) < user_one + 3 * band
 
-    @pytest.mark.parametrize("threads, cap", [(None, 64), ("3", 3)])
-    def test_no_more_build_threads_than_jobs(self, monkeypatch, threads, cap):
-        # 3 cells of one box each (22 801 entries), while user 1's one-box block
-        # stays on the calling thread, on a fresh pool: at most min(cap, 3)
-        # threads start, however many cores there are
-        if threads is None:
-            monkeypatch.delenv("XLMIMO_THREADS", raising=False)
-        else:
-            monkeypatch.setenv("XLMIMO_THREADS", threads)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
-        monkeypatch.setattr(ch, "_pools", {})
-        geom = make_geom(num_y=151, num_z=151)
-        assert len(ch._boxes(0, 1, geom.num_z, geom.num_y)) == 1
-        assert len(ch._boxes(0, 3, geom.num_z, geom.num_y)) == 3
-        before = {t.ident for t in threading.enumerate()}
-        try:
-            _pair_gram(geom, self.LOC1, random_users(np.random.default_rng(9), 3), "pnusw")
-            started = [
-                t for t in threading.enumerate()
-                if t.name.startswith("xlmimo-build") and t.ident not in before
-            ]
-        finally:
-            for pool in ch._pools.values():
-                pool.shutdown()
-        assert list(ch._pools) == [cap]
-        assert 1 <= len(started) <= min(cap, 3)
-
-
 def default_drop():
     """The geometries and users of the default sum-rate sweep's first drop."""
     cfg = cli.parse_config(experiment="sumrate-vs-m", overrides=[])
@@ -942,33 +777,25 @@ class TestStreamedNestedGrams:
     """The M-sweeps' Grams walk the largest array in boxes of all users (a band
     of their rows, or a slice of one row), each reduced to per-ring partials."""
 
-    def test_memory_is_a_few_box_buffers(self, monkeypatch):
+    def test_memory_is_a_few_box_buffers(self):
         # a default drop's spherical-wave stack (10 users, arrays up to 200 x 200)
-        # on one thread holds one box's buffer, its phasors, cycles and amp (32 B
-        # an entry), and a strip's copies, never the largest array's 6.4 MB block
-        monkeypatch.setenv("XLMIMO_THREADS", "1")
+        # holds one box's buffer, its phasors, cycles and amp (32 B an entry), and
+        # a strip's copies, never the largest array's 6.4 MB block
         geoms, users = default_drop()
         stack = lambda: ch._nested_grams(geoms, users, "pnusw")  # noqa: E731
         stack()  # imports and first-call caches stay out of the peak
         assert fresh_thread_peak(stack) <= 3 * 32 * ch._BAND_ENTRIES
 
-    def test_a_default_drop_is_one_job_per_band_of_all_users(self, monkeypatch):
+    def test_a_default_drop_is_one_box_per_band_of_all_users(self, monkeypatch):
         # 200 rows of 10 users x 200 entries: 13 bands of at most 16 rows, where
-        # one-user bands of at most 163 rows would make 20 jobs
-        jobs = []
-        scheduler = ch._map_bands
-
-        def recording(fn, boxes):
-            jobs.append([users for users, *_ in boxes])
-            return scheduler(fn, boxes)
-
-        monkeypatch.setattr(ch, "_map_bands", recording)
+        # one-user bands of at most 163 rows would make 20 boxes
+        walks = recorded_walks(monkeypatch)
         cfg = cli.parse_config(experiment="sumrate-vs-m", overrides=[])
         sumrate_vs_m(
             cfg.geometry, cfg.region, cfg.sweep["n_users"], cfg.snr_linear(),
             cfg.sweep["sides"], seed=cfg.seed, n_drops=1, models=("pnusw",),
         )
-        assert jobs == [[slice(0, 10)] * 13]
+        assert [[users for users, *_ in boxes] for boxes in walks] == [[slice(0, 10)] * 13]
 
     def test_a_window_inside_the_centered_band_is_one_product(self):
         # the default drop's 10 x 10 array, rows 95 to 104 of 200, lies in the band
@@ -978,43 +805,6 @@ class TestStreamedNestedGrams:
         assert slice(92, 108) in [rows for _, rows, _ in ch._boxes(0, 10, 200, 200, joint=True)]
         direct = gram(response_matrix(geoms[0], users, "pnusw"))
         assert ch._nested_grams(geoms, users, "pnusw")[0].tobytes() == direct.tobytes()
-
-    def test_build_threads_call_no_public_function(self, monkeypatch):
-        # _map_bands' contract, on which the benchmark tracer's one root span per
-        # calling thread rests: in threaded M-sweeps every public function of the
-        # package (numerics.gram and beamforming.response_matrix among them)
-        # runs on the calling thread, while the Gram partials run on build threads
-        monkeypatch.setenv("XLMIMO_THREADS", "3")
-        monkeypatch.setattr(ch, "_BAND_ENTRIES", 2**10)
-        calls, partials, wrapped = [], [], set()
-
-        def recorded(log, fn):
-            def call(*args, **kwargs):
-                log.append((fn.__qualname__, threading.current_thread().name))
-                return fn(*args, **kwargs)
-
-            return call
-
-        modules = [module for name, module in sys.modules.items() if name.startswith("xlmimo")]
-        for module in modules:
-            for attr, fn in list(vars(module).items()):
-                public = inspect.isfunction(fn) and not attr.startswith("_")
-                if public and fn.__module__.startswith("xlmimo"):
-                    monkeypatch.setattr(module, attr, recorded(calls, fn))
-                    wrapped.add(f"{module.__name__}.{attr}")
-        monkeypatch.setattr(ch, "_gram", recorded(partials, ch._gram))
-        geom = make_geom(num_y=10, num_z=11)
-        users = [UserLocation(25.0, math.pi / 2, 0.0), UserLocation(250.0, math.pi / 2, 0.0)]
-        region = UserRegion(r=(50.0, 100.0), theta=(0.1, 1.0), phi=(0.3, 1.0))
-        for k in (1, 3):  # one user: the one-column rule of the Gram kernel
-            sumrate_vs_m(geom, region, k, np.full(k, 1e5), [10, 20, 41], seed=6, n_drops=2)
-        sweep_sinr_vs_m(geom, users, [1e5, 1e5], mz_values=[11, 51, 101])
-        sweep_correlation_vs_m(geom, *users, mz_values=[11, 51, 101])
-        assert {"xlmimo.numerics.gram", "xlmimo.beamforming.response_matrix"} <= wrapped
-        assert "evaluate_scenario" in {fn for fn, _ in calls}
-        assert any(thread.startswith("xlmimo-build") for _, thread in partials)
-        assert not [call for call in calls if call[1].startswith("xlmimo-build")]
-
 
 class TestUpwResponse:
     def test_boresight_entries_are_identical(self):

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-import xlmimo.channel as ch
 from xlmimo.cli import (
     DEFAULT_ELEMENT_AREA,
     main,
@@ -241,22 +240,6 @@ class TestRun:
         lines = out.read_text().splitlines()
         assert lines[1] == "-5.0,0.0,,"
 
-    def test_sidecar_records_the_thread_cap(self, tmp_path, monkeypatch):
-        # the build threads go to the sidecar only, so the CSV stays byte-identical
-        cfg = parse_config(experiment="snr-loss-heatmap", overrides=SMALL["snr-loss-heatmap"])
-        tables = {}
-        for threads, cap in ((None, len(os.sched_getaffinity(0))), ("1", 1), ("4", 4)):
-            if threads is None:
-                monkeypatch.delenv("XLMIMO_THREADS", raising=False)
-            else:
-                monkeypatch.setenv("XLMIMO_THREADS", threads)
-            out = tmp_path / f"map{threads}.csv"
-            run(cfg, str(out))
-            sidecar = json.loads((tmp_path / f"map{threads}.json").read_text())
-            assert sidecar["run"]["threads"] == cap
-            tables[threads] = out.read_bytes()
-        assert tables[None] == tables["1"] == tables["4"]
-
     def test_no_temp_files_left_behind(self, tmp_path):
         cfg = parse_config(experiment="corr-vs-m", overrides=SMALL_CORR)
         run(cfg, str(tmp_path / "c.csv"))
@@ -296,47 +279,6 @@ class TestMain:
         code = main(["--experiment", "corr-vs-m", "--set", "geometry.num_y=0"])
         assert code == 1
         assert "config error" in capsys.readouterr().err
-
-    def test_bad_thread_count_is_a_config_error(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("XLMIMO_THREADS", "abc")
-        code = main([
-            "--experiment", "corr-vs-m",
-            "--out", str(tmp_path / "x.csv"),
-            "--set", "geometry.num_y=4",
-            "--set", "sweep.mz_values=[5]",
-        ])
-        assert code == 1
-        assert "config error: XLMIMO_THREADS" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("threads", ["0", "-4"])
-    def test_non_positive_thread_count_is_a_config_error(self, tmp_path, capsys, monkeypatch, threads):
-        # no value below 1 silently means one thread
-        monkeypatch.setenv("XLMIMO_THREADS", threads)
-        code = main([
-            "--experiment", "corr-vs-dist",
-            "--out", str(tmp_path / "x.csv"),
-            "--set", "geometry.num_y=4",
-            "--set", "sweep.separation_stop=2",
-        ])
-        assert code == 1
-        assert "config error: XLMIMO_THREADS must be a positive integer" in capsys.readouterr().err
-        assert not (tmp_path / "x.csv").exists()
-
-    def test_thread_count_above_the_ceiling_is_a_config_error(self, tmp_path, capsys, monkeypatch):
-        # 257 build threads are refused before any build, so no pool is made for them
-        monkeypatch.setenv("XLMIMO_THREADS", "257")
-        code = main([
-            "--experiment", "corr-vs-dist",
-            "--out", str(tmp_path / "x.csv"),
-            "--set", "geometry.num_y=4",
-            "--set", "sweep.separation_stop=2",
-        ])
-        assert code == 1
-        assert "config error: XLMIMO_THREADS must be a positive integer of at most 256" in (
-            capsys.readouterr().err
-        )
-        assert not (tmp_path / "x.csv").exists()
-        assert 257 not in ch._pools
 
     def test_numerical_error_exit_code(self, tmp_path, capsys):
         # a user pinned to the z axis has an exactly zero spherical channel
@@ -562,7 +504,7 @@ def test_oversized_arrays_are_config_errors(run_python, tmp_path, experiment, ov
         run_python, tmp_path, experiment, overrides, memory_limit=3 * 2**30
     )
     assert proc.returncode == 1, proc.stderr
-    assert proc.stderr.startswith("config error:") and "response block" in proc.stderr
+    assert proc.stderr.startswith("config error:") and "elements x users" in proc.stderr
 
 
 @pytest.mark.parametrize(
@@ -573,6 +515,9 @@ def test_oversized_arrays_are_config_errors(run_python, tmp_path, experiment, ov
         ("sumrate-vs-m", ["sweep.n_drops=2"]),
         ("sinr-vs-m", []),
         ("sumrate-vs-m", ["sweep.n_users=16", "sweep.sides=[10,40]", "sweep.n_drops=2"]),
+        ("sumrate-vs-m", ["sweep.sides=[10,100]", "sweep.n_drops=3"]),
+        ("corr-vs-dist", ["sweep.separation_stop=20"]),
+        ("snr-loss-heatmap", []),
     ],
 )
 def test_csv_is_byte_identical_across_blas_threads(run_python, tmp_path, experiment, overrides):
@@ -588,34 +533,23 @@ def test_csv_is_byte_identical_across_blas_threads(run_python, tmp_path, experim
     assert tables[0] == tables[1]
 
 
-@pytest.mark.parametrize(
-    "experiment, overrides",
-    [
-        ("sumrate-vs-m", ["sweep.sides=[10,100]", "sweep.n_drops=3"]),
-        ("corr-vs-dist", ["sweep.separation_stop=20"]),
-        ("snr-loss-heatmap", []),
-    ],
-)
-def test_csv_is_byte_identical_for_the_default_and_one_thread(
-    run_python, tmp_path, monkeypatch, experiment, overrides
-):
-    # every largest block here spans at least two bands, so the default builds on threads
-    tables, caps = [], []
-    for threads in (None, "1"):
-        if threads is None:
-            monkeypatch.delenv("XLMIMO_THREADS", raising=False)
-        else:
-            monkeypatch.setenv("XLMIMO_THREADS", threads)
-        out = tmp_path / f"t{threads}.csv"
-        args = ["-m", "xlmimo.cli", "--experiment", experiment, "--out", str(out)]
-        for item in overrides:
-            args += ["--set", item]
-        proc = run_python(args)
-        assert proc.returncode == 0, proc.stderr
-        tables.append(out.read_bytes())
-        caps.append(json.loads(out.with_suffix(".json").read_text())["run"]["threads"])
-    assert tables[0] == tables[1]
-    assert caps == [len(os.sched_getaffinity(0)), 1]
+def test_every_experiment_runs_on_the_calling_thread(run_python):
+    # in a fresh process: importing the CLI loads no thread pool module, and
+    # none of the five experiments leaves a thread behind (at their default
+    # sizes corr-vs-dist and the map walk many boxes)
+    runs = [(experiment, []) for experiment in sorted(SMALL) if experiment != "sumrate-vs-m"]
+    runs.append(("sumrate-vs-m", [["sweep.n_drops", 2]]))
+    script = """if True:
+        import json, sys, threading
+        import xlmimo.cli as cli
+        assert "concurrent.futures" not in sys.modules, "concurrent.futures is imported"
+        before = threading.enumerate()
+        for experiment, overrides in json.loads(sys.argv[1]):
+            cli.dispatch(cli.parse_config(experiment=experiment, overrides=overrides))
+            assert threading.enumerate() == before, f"{experiment} started a thread"
+    """
+    proc = run_python(["-c", script, json.dumps(runs)])
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_collinear_plane_wave_users_at_extreme_snr_are_one_numerical_error(run_python, tmp_path):
@@ -797,9 +731,8 @@ def fuzzed_runs(draw):
 ]))
 @example(case=("snr-loss-heatmap", [("sweep.x_values_m", [1.7e308]), ("sweep.y_values_m", [1.7e308])]))
 @example(case=("corr-vs-dist", [("users.0.r_m", 1e308), ("sweep.separations_m", [1e308])]))
-def test_any_config_gives_a_table_or_exits_1_or_2(tmp_path, monkeypatch, case):
+def test_any_config_gives_a_table_or_exits_1_or_2(tmp_path, case):
     # in process, so that a raw exception fails the test instead of printing a traceback
-    monkeypatch.setenv("XLMIMO_THREADS", "1")
     experiment, overrides = case
     args = ["--experiment", experiment, "--out", str(tmp_path / "fuzz.csv")]
     for key, value in SMALL[experiment] + overrides:

@@ -1,7 +1,6 @@
 """Tests for the sweep generators and random user sampling."""
 
 import math
-import os
 import warnings
 
 import mpmath
@@ -13,7 +12,7 @@ import xlmimo.channel as ch
 import xlmimo.experiments as xp
 from xlmimo.beamforming import evaluate_scenario, response_matrix, sum_rate
 from xlmimo.channel import UpwConfig, _upw_gram
-from xlmimo.errors import ConfigError, DegenerateChannelError, DegenerateGeometryError
+from xlmimo.errors import DegenerateChannelError, DegenerateGeometryError
 from xlmimo.experiments import (
     MIN_U_X,
     SweepResult,
@@ -24,7 +23,6 @@ from xlmimo.experiments import (
     sweep_correlation_vs_distance,
     sweep_correlation_vs_m,
     sweep_sinr_vs_m,
-    thread_count,
 )
 from xlmimo.geometry import (
     ArrayGeometry,
@@ -221,12 +219,10 @@ class TestNestedResponses:
 
     @pytest.mark.parametrize("k", [1, 3])
     @pytest.mark.parametrize("chain", sorted(CHAINS))
-    def test_streamed_grams_match_the_oracle_for_any_box_and_thread_count(
-        self, monkeypatch, chain, k
-    ):
+    def test_streamed_grams_match_the_oracle_for_any_box(self, monkeypatch, chain, k):
         # as built (one box), bands of rows (at 64 entries: four rows of one user,
         # one row of three), and slices of one row (7 and 1 entries): every stack
-        # is within the oracle's bound and bitwise the same at 1, 3 and 8 threads
+        # is within the oracle's bound
         geoms, users = self.CHAINS[chain], self.USERS[:k]
         for band_entries in (None, 64, 7, 1):
             if band_entries is not None:
@@ -235,19 +231,12 @@ class TestNestedResponses:
             boxes = ch._boxes(0, k, big.num_z, big.num_y, joint=True)
             assert all(users == slice(0, k) for users, _, _ in boxes)
             assert (len(boxes) == 1) == (band_entries is None)
-            stacks = []
-            for threads in ("1", "3", "8"):
-                monkeypatch.setenv("XLMIMO_THREADS", threads)
-                stacks.append(ch._nested_grams(geoms, users, "pnusw"))
-            assert len({stack.tobytes() for stack in stacks}) == 1
-            self.assert_oracle(geoms, stacks[0], users)
+            self.assert_oracle(geoms, ch._nested_grams(geoms, users, "pnusw"), users)
 
-    @pytest.mark.parametrize("threads", ["1", "3"])
     @pytest.mark.filterwarnings("ignore::xlmimo.geometry.NearArrayWarning")
-    def test_a_user_on_an_element_in_a_later_band_is_degenerate(self, monkeypatch, threads):
+    def test_a_user_on_an_element_in_a_later_band_is_degenerate(self, monkeypatch):
         # the last user sits on element (m_y, m_z) = (1, 0), in row 10 of 21: in
         # the fourth of seven bands of 3 rows of all three users
-        monkeypatch.setenv("XLMIMO_THREADS", threads)
         monkeypatch.setattr(ch, "_BAND_ENTRIES", 99)
         geoms = [make_geom(11, mz) for mz in (11, 21)]
         on_element = UserLocation(D, math.pi / 2, math.pi / 2)
@@ -255,11 +244,10 @@ class TestNestedResponses:
         with pytest.raises(DegenerateGeometryError, match="coincident"):
             ch._nested_grams(geoms, self.USERS[:2] + [on_element], "pnusw")
 
-    def test_pool_threads_raise_no_numpy_warnings(self, monkeypatch):
+    def test_an_overflowing_cycle_count_raises_no_numpy_warnings(self):
         # at r = 1e308 the cycle count overflows to inf, so every band meets
-        # inf - rint(inf) and tan(nan) on pool threads; the stack is rejected as
-        # non-finite, with no RuntimeWarning
-        monkeypatch.setenv("XLMIMO_THREADS", "2")
+        # inf - rint(inf) and tan(nan); the stack is rejected as non-finite, with
+        # no RuntimeWarning
         geoms = [make_geom(s, s) for s in (51, 201)]
         far = UserLocation(1e308, 1.2, 0.3)
         assert len(ch._boxes(0, 3, 201, 201, joint=True)) > 1
@@ -504,6 +492,15 @@ class TestHeatmap:
             expected = mp_mmse_loss(geom, loc1, loc2, mpmath.mpf(PBAR), model)
         assert alpha == pytest.approx(float(expected), rel=1e-9, abs=0.0)
 
+    def test_near_array_cells_warn(self):
+        # the near cell (0.3, 0) builds its two bands and warns
+        geom = make_geom(num_y=201, num_z=201)
+        assert geom.num_elements > ch._BAND_ENTRIES
+        loc1 = UserLocation(100.0, math.pi / 2, 0.0)
+        with pytest.warns(NearArrayWarning):
+            res = heatmap_snr_loss(geom, loc1, [0.3], [-60.0, 0.0], [PBAR, PBAR], models=("pnusw",))
+        assert all(row[2] is not None for row in res.rows)
+
     def test_rows_cover_grid_in_order(self):
         geom = make_geom(num_y=4, num_z=4)
         loc1 = UserLocation(100.0, math.pi / 2, 0.0)
@@ -563,63 +560,3 @@ class TestSumrateVsM:
             make_geom(), self.REGION, 2, [PBAR] * 2, [(2, 3), 4], seed=9, n_drops=2
         )
         assert [(row[1], row[2]) for row in res.rows] == [(2, 3), (4, 4)]
-
-
-class TestDeterminismUnderThreads:
-    def test_thread_count_env(self, monkeypatch):
-        monkeypatch.delenv("XLMIMO_THREADS", raising=False)
-        assert thread_count() == len(os.sched_getaffinity(0))
-        monkeypatch.delattr(os, "sched_getaffinity")
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        assert thread_count() == 3
-        monkeypatch.setenv("XLMIMO_THREADS", "6")
-        assert thread_count() == 6
-        monkeypatch.setenv("XLMIMO_THREADS", "abc")
-        with pytest.raises(ConfigError, match="XLMIMO_THREADS"):
-            thread_count()
-
-    def test_thread_count_ceiling(self, monkeypatch):
-        # a pool starts a thread per job in flight up to its cap, so no cap passes
-        # 256, set or by default; nothing here starts a thread
-        monkeypatch.setenv("XLMIMO_THREADS", "256")
-        assert thread_count() == 256
-        monkeypatch.setenv("XLMIMO_THREADS", "257")
-        with pytest.raises(ConfigError, match="at most 256, got '257'"):
-            thread_count()
-        monkeypatch.delenv("XLMIMO_THREADS")
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(1000)), raising=False)
-        assert thread_count() == 256
-
-    def test_sweeps_identical_across_thread_counts(self, monkeypatch):
-        region = UserRegion(r=(50.0, 100.0), theta=(0.1, 1.0), phi=(0.3, 1.0))
-        kwargs = dict(seed=13, n_drops=6)
-        monkeypatch.setenv("XLMIMO_THREADS", "1")
-        serial = sumrate_vs_m(make_geom(), region, 3, [PBAR] * 3, [4, 8], **kwargs)
-        loc1 = UserLocation(40.0, 1.3, 0.2)
-        fixed_user_sweeps = (
-            lambda: sweep_correlation_vs_m(make_geom(), *SAME_DIRECTION, mz_values=[11, 51, 91]),
-            lambda: sweep_correlation_vs_distance(
-                make_geom(), loc1, (1.2, 0.3), separations=range(0, 60, 7)
-            ),
-            lambda: heatmap_snr_loss(
-                make_geom(), loc1, np.linspace(-10.0, 90.0, 6), np.linspace(-40.0, 40.0, 5),
-                [PBAR, PBAR],
-            ),
-        )
-        tables_serial = [sweep().rows for sweep in fixed_user_sweeps]
-        monkeypatch.setenv("XLMIMO_THREADS", "4")
-        threaded = sumrate_vs_m(make_geom(), region, 3, [PBAR] * 3, [4, 8], **kwargs)
-        assert serial.rows == threaded.rows
-        assert [sweep().rows for sweep in fixed_user_sweeps] == tables_serial
-
-    def test_near_array_cells_warn_under_the_default_threads(self, monkeypatch):
-        # XLMIMO_THREADS unset on 4 cores: the near cell (0.3, 0) builds its two
-        # bands on pool threads and still warns, from the calling thread
-        monkeypatch.delenv("XLMIMO_THREADS", raising=False)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
-        geom = make_geom(num_y=201, num_z=201)
-        assert geom.num_elements > ch._BAND_ENTRIES
-        loc1 = UserLocation(100.0, math.pi / 2, 0.0)
-        with pytest.warns(NearArrayWarning):
-            res = heatmap_snr_loss(geom, loc1, [0.3], [-60.0, 0.0], [PBAR, PBAR], models=("pnusw",))
-        assert all(row[2] is not None for row in res.rows)
