@@ -4,6 +4,7 @@ import cmath
 import itertools
 import math
 import sys
+import threading
 import time
 import tracemalloc
 import warnings
@@ -423,6 +424,35 @@ class TestBandedPnuswBuild:
         users = random_users(np.random.default_rng(3), 5) + TestStreamedPairGrams.FOLDING
         alone = [_response_block(geom, [loc], "pnusw") for loc in users]
         assert _response_block(geom, users, "pnusw").tobytes() == np.concatenate(alone).tobytes()
+
+    @pytest.mark.parametrize("band_entries, shape", PACKINGS)
+    def test_a_walk_computes_each_box_on_the_calling_thread_when_it_is_taken(
+        self, monkeypatch, band_entries, shape
+    ):
+        # the boxes come in _boxes order, each computed only when the walk is
+        # advanced to it, so a walk holds one box's buffer at a time
+        if band_entries is not None:
+            monkeypatch.setattr(ch, "_BAND_ENTRIES", band_entries)
+        geom = make_geom(*shape)
+        users = random_users(np.random.default_rng(3), 5)
+        taken = []
+
+        def take(users, rows, entries, phasors, amp, on_element):
+            taken.append((users, rows, entries, threading.get_ident()))
+            return phasors.copy()
+
+        indices = [(geom.indices_y(), geom.indices_z())] * len(users)
+        walk = ch._pnusw_walk(geom, ch._coordinates(users), indices, take)
+        boxes = ch._boxes(0, len(users), geom.num_z, geom.num_y)
+        block = np.empty((len(users), geom.num_z, geom.num_y), dtype=complex)
+        assert taken == []
+        for i, (box, phasors) in enumerate(walk):
+            assert box[:3] == boxes[i]
+            assert taken == [(*b, threading.get_ident()) for b in boxes[: i + 1]]
+            block[box[:3]] = phasors
+        assert len(taken) == len(boxes)
+        assert block.tobytes() == _response_block(geom, users, "pnusw").tobytes()
+
 
 class TestStreamedPairGrams:
     """The spherical-wave pair Grams walk every user 2 in boxes (runs of whole

@@ -9,8 +9,11 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import xlmimo.channel as ch
 from xlmimo.cli import (
+    _EXPERIMENTS,
     DEFAULT_ELEMENT_AREA,
+    dispatch,
     main,
     parse_angle,
     parse_config,
@@ -38,6 +41,27 @@ class TestParseAngle:
         for value in ("pi/0", 10**400, "1e400"):
             with pytest.raises(ConfigError):
                 parse_angle(value)
+
+
+# (experiment, overrides at the bound, overrides one past it): the largest
+# array's elements x users (a user per SNR) is 2^26, and then more
+AT_THE_ARRAY_BOUND = [
+    ("corr-vs-m", [("geometry.num_y", 1), ("sweep.mz_values", [2**25])],
+     [("geometry.num_y", 1), ("sweep.mz_values", [2**25 + 1])]),
+    ("corr-vs-dist", [("geometry.num_y", 2**13), ("geometry.num_z", 2**13)],
+     [("geometry.num_y", 2**13), ("geometry.num_z", 2**13 + 1)]),
+    ("sinr-vs-m", [("geometry.num_y", 1), ("sweep.mz_values", [2**25])],
+     [("geometry.num_y", 1), ("sweep.mz_values", [2**25 + 1])]),
+    ("snr-loss-heatmap", [("geometry.num_y", 2**12), ("geometry.num_z", 2**13)],
+     [("geometry.num_y", 2**12), ("geometry.num_z", 2**13 + 1)]),
+    ("sumrate-vs-m", [("sweep.sides", [2**13]), ("sweep.n_users", 1)],
+     [("sweep.sides", [2**13 + 1]), ("sweep.n_users", 1)]),
+]
+ARRAY_BOUND_CASES = [
+    pytest.param(case[0], case[index], kind == "past", id=f"{case[0]}-{kind}")
+    for kind, index in (("at", 1), ("past", 2))
+    for case in AT_THE_ARRAY_BOUND
+]
 
 
 class TestParseConfig:
@@ -133,6 +157,14 @@ class TestParseConfig:
     def test_array_bound_admits_a_1000_square_with_64_users(self):
         overrides = [("sweep.sides", [1000]), ("sweep.n_users", 64)]
         assert parse_config(experiment="sumrate-vs-m", overrides=overrides).sweep["n_users"] == 64
+
+    @pytest.mark.parametrize("experiment, overrides, over", ARRAY_BOUND_CASES)
+    def test_the_array_bound_is_2_26_elements_x_users(self, experiment, overrides, over):
+        if not over:
+            assert parse_config(experiment=experiment, overrides=overrides).experiment == experiment
+            return
+        with pytest.raises(ConfigError, match=r"elements x users of the sweep's largest array"):
+            parse_config(experiment=experiment, overrides=overrides)
 
     def test_sidecar_config_block_must_be_an_object(self, tmp_path):
         path = tmp_path / "side.json"
@@ -240,6 +272,21 @@ class TestRun:
         lines = out.read_text().splitlines()
         assert lines[1] == "-5.0,0.0,,"
 
+    @pytest.mark.parametrize("experiment", sorted(SMALL))
+    def test_the_array_bound_counts_the_largest_array_walked(self, monkeypatch, experiment):
+        # the bound's elements are those of the largest spherical-wave array
+        # the sweep walks, at the small sizes below
+        cfg = parse_config(experiment=experiment, overrides=SMALL[experiment], model="pnusw")
+        walked, walker = [], ch._pnusw_walk
+
+        def recording(geom, *args, **options):
+            walked.append(geom.num_elements)
+            return walker(geom, *args, **options)
+
+        monkeypatch.setattr(ch, "_pnusw_walk", recording)
+        dispatch(cfg)
+        assert max(walked) == _EXPERIMENTS[experiment].block(cfg.geometry, cfg.sweep)[0]
+
     def test_no_temp_files_left_behind(self, tmp_path):
         cfg = parse_config(experiment="corr-vs-m", overrides=SMALL_CORR)
         run(cfg, str(tmp_path / "c.csv"))
@@ -279,6 +326,25 @@ class TestMain:
         code = main(["--experiment", "corr-vs-m", "--set", "geometry.num_y=0"])
         assert code == 1
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("threads", ["abc", "0", "-4", "257", "1", "3"])
+    def test_xlmimo_threads_changes_nothing(self, tmp_path, monkeypatch, threads):
+        # builds run on the calling thread, so the variable, whose bad values
+        # were once config errors, reaches neither the table nor the sidecar
+        args = [
+            "--experiment", "corr-vs-dist",
+            "--set", "geometry.num_y=4",
+            "--set", "sweep.separation_stop=2",
+        ]
+        monkeypatch.delenv("XLMIMO_THREADS", raising=False)
+        assert main([*args, "--out", str(tmp_path / "unset.csv")]) == 0
+        monkeypatch.setenv("XLMIMO_THREADS", threads)
+        assert main([*args, "--out", str(tmp_path / "set.csv")]) == 0
+        assert (tmp_path / "set.csv").read_bytes() == (tmp_path / "unset.csv").read_bytes()
+        unset, set_ = (
+            json.loads((tmp_path / f"{name}.json").read_text())["run"] for name in ("unset", "set")
+        )
+        assert "threads" not in set_ and set(set_) == set(unset)
 
     def test_numerical_error_exit_code(self, tmp_path, capsys):
         # a user pinned to the z axis has an exactly zero spherical channel

@@ -560,3 +560,9 @@ class TestSumrateVsM:
             make_geom(), self.REGION, 2, [PBAR] * 2, [(2, 3), 4], seed=9, n_drops=2
         )
         assert [(row[1], row[2]) for row in res.rows] == [(2, 3), (4, 4)]
+
+
+def test_the_benchmark_worker_finds_the_old_thread_variable():
+    # perfbench/worker.py still sets and reads the variable under this name,
+    # although no sweep reads it any longer
+    assert xp.THREADS_ENV == "XLMIMO_THREADS"
