@@ -41,7 +41,10 @@ whole users (cells of one fold kind), else a band of one user's rows, else a
 slice of one row (both of all K users, for _nested_grams).  It computes a
 whole box in one broadcast and gives each entry's phase in cycles, distance
 / wavelength, to the one phasor kernel (_phasors), which drops the whole
-cycles exactly and takes one tangent of the half angle that is left.
+cycles exactly and takes one tangent of the half angle that is left, and
+writes into any two float arrays: the .real and .imag views of a complex
+buffer, or, for _nested_grams, two contiguous planes, each ring strip of
+which is one real product of the box's planes.
 """
 
 from __future__ import annotations
@@ -53,7 +56,8 @@ import numpy as np
 
 from .errors import DegenerateChannelError, DegenerateGeometryError
 from .geometry import ArrayGeometry, UserLocation, _warn_if_near, element_distance
-from .numerics import _gram, cdot  # noqa: F401  (cdot: importable from here as before)
+from .numerics import _hermitian, _products  # the Gram kernel's two halves
+from .numerics import cdot  # noqa: F401  (importable from here as before)
 
 PNUSW = "pnusw"
 UPW = "upw"
@@ -119,7 +123,7 @@ def _cut(start: int, stop: int, most: int) -> list:
 def _boxes(first: int, stop: int, num_rows: int, row_len: int, joint: bool = False) -> list:
     """The boxes (users, rows, entries), three slices in sweep order, that cut
     users first..stop-1, of num_rows rows of row_len entries each, into equal
-    parts of at most _BAND_ENTRIES entries; joint boxes hold all users, one band centered."""
+    parts of at most _BAND_ENTRIES entries; joint boxes hold all users."""
     count = stop - first if joint else 1  # users per box, past runs of whole users
     users, rows, entries = _cut(first, stop, count), [slice(0, num_rows)], [slice(0, row_len)]
     if not joint and num_rows * row_len <= _BAND_ENTRIES:  # runs of whole users
@@ -127,8 +131,6 @@ def _boxes(first: int, stop: int, num_rows: int, row_len: int, joint: bool = Fal
     elif count * row_len <= _BAND_ENTRIES:  # bands of rows
         most = _BAND_ENTRIES // (count * row_len)
         rows = _cut(0, num_rows, most)
-        if joint and (lo := (num_rows - most) // 2) > 0:  # one band centered: small windows whole
-            rows = _cut(0, lo, most) + [slice(lo, lo + most)] + _cut(lo + most, num_rows, most)
     else:  # slices of one row
         rows, entries = _cut(0, num_rows, 1), _cut(0, row_len, max(_BAND_ENTRIES // count, 1))
     return [(k, z, m) for k in users for z in rows for m in entries]
@@ -142,15 +144,18 @@ def _pnusw_walk(geom: ArrayGeometry, coordinates, indices, take, joint: bool = F
     same object) is cut into _boxes (joint: every box holds the whole run); a
     box is (users, rows, entries, m_y, m_z), computed whole in one broadcast
     into one buffer of cycles, amp and phasors (these into out[users, rows,
-    entries] if out is given).  With e = spacing / r and f(m) = m^2 e^2 -
-    2 e u m per axis, an entry's radicand t = (1 + f_z) + f_y is its squared
+    entries] if out is given; joint: one float buffer of cycles, amp and the
+    phasors' real and imaginary planes).  With e = spacing / r and f(m) =
+    m^2 e^2 - 2 e u m per axis, an entry's radicand t = (1 + f_z) + f_y is its squared
     distance over r^2 (u_y == 0.0 makes m_y and -m_y bitwise equal), its
     amplitude sqrt(scale) / (s sqrt(s)) and its phase in cycles r s /
     wavelength (the phase is -2 pi times it), with s = sqrt(t).
     A box's result is take(users, rows, entries, phasors, amp, on_element),
     the entries amp e^{-2 pi j cycles} (_phasors) and amp of shape (users,
     rows, entries), and on_element[i] meaning a radicand t <= 0 for the box's
-    user i (a user on an element); take may overwrite both.
+    user i (a user on an element); take may overwrite both.  A joint walk
+    hands take the phasors as their (2, users, rows, entries) real and
+    imaginary planes.
     """
     boxes, first = [], 0
     for stop in range(1, len(indices) + 1):
@@ -173,9 +178,15 @@ def _pnusw_walk(geom: ArrayGeometry, coordinates, indices, take, joint: bool = F
             f_y, f_z = m_y * m_y * e2 - e_y * m_y, 1.0 + (m_z * m_z * e2 - e_z * m_z)
             # one buffer, after f_y's temporaries: two freed per box can refault the heap
             shape = (users.stop - users.start, len(m_z), len(m_y))
-            buffer = np.empty((1 if out is not None else 2, *shape), dtype=complex)
-            cycles, amp = buffer[-1].view(float).reshape(2, *shape)
-            phasors = buffer[0] if out is None else out[users, rows, entries]
+            if joint:
+                buffer = np.empty((4, *shape))
+                cycles, amp, re, im = buffer
+                phasors = buffer[2:]
+            else:
+                buffer = np.empty((1 if out is not None else 2, *shape), dtype=complex)
+                cycles, amp = buffer[-1].view(float).reshape(2, *shape)
+                phasors = buffer[0] if out is None else out[users, rows, entries]
+                re, im = phasors.real, phasors.imag
             np.add(f_y, f_z, out=cycles)
             on_element = cycles.min(axis=(1, 2)) <= 0.0
             np.sqrt(cycles, out=cycles)
@@ -183,14 +194,14 @@ def _pnusw_walk(geom: ArrayGeometry, coordinates, indices, take, joint: bool = F
             amp *= cycles
             np.divide(root_scale, amp, out=amp)
             cycles *= wave
-            _phasors(cycles, amp, phasors)
+            _phasors(cycles, amp, re, im)
             return take(users, rows, entries, phasors, amp, on_element)
 
     return ((box, walk(*box)) for box in boxes)
 
 
-def _phasors(cycles, amp, out):
-    """out = amp e^{-2 pi j cycles}; returns out, overwrites cycles, leaves amp.
+def _phasors(cycles, amp, re, im):
+    """re + j im = amp e^{-2 pi j cycles}, into two float arrays; overwrites cycles, leaves amp.
 
     frac = c - rint(c), exact for |c| < 2^52 (a larger float is whole), drops
     the whole cycles; t = tan(-pi frac) is finite even at frac = +-1/2, and
@@ -198,9 +209,9 @@ def _phasors(cycles, amp, out):
     amp / (1 + t^2) leaves the normal range only for amp below about 6e-276,
     whose square is 0 anyway.  numpy's float64 tan is a SIMD loop, several
     times faster than its cos and sin, and bitwise the same for any stride,
-    length or offset.  out.real and out.imag are the temporaries.
+    length or offset.  re and im are the temporaries, so contiguous planes
+    and the .real and .imag views of a complex array get the same entries.
     """
-    re, im = out.real, out.imag
     np.rint(cycles, out=re)
     cycles -= re
     cycles *= -math.pi
@@ -212,7 +223,6 @@ def _phasors(cycles, amp, out):
     re *= im
     t += t
     im *= t
-    return out
 
 
 def _response_block(
@@ -480,22 +490,26 @@ def _nested_grams(geoms, users, model: str, cfg: UpwConfig | None = None) -> np.
     on both axes and no larger on either is a centered window of it, with
     bitwise the entries of a direct build; its ring is the at most four
     strips around the previous such window if that is inside it (its Gram
-    then adds that window's), else the whole window.  A box gives a K x K
-    partial (numerics._gram) per ring strip it meets, summed per ring in box
-    order.  A geometry that does not nest takes a walk of its own, whole.  All
-    share spacing, element area and wavelength.  A user on an element raises
+    then adds that window's), else the whole window.  Each ring strip a box
+    meets adds its real products (numerics._products, one real product of
+    the strip's stacked planes) to its ring's sum, in box order; each
+    ring's Gram is formed from its sum once, after the walk.  A geometry
+    that does not nest takes a walk of its own, whole.  All share spacing,
+    element area and wavelength.  A user on an element raises
     DegenerateGeometryError, a Gram that is not finite DegenerateChannelError.
     """
     if model == UPW:
         return _upw_gram(geoms, users, cfg)
     big = max(geoms, key=lambda g: g.num_elements)
     coordinates = _coordinates(users)
-    grams = np.zeros((len(geoms),) + 2 * coordinates.shape[1:], dtype=complex)
+    k = coordinates.shape[1]
+    sums = np.zeros((len(geoms), 2 * k, 2 * k))  # each ring's real products
+    alone = {}  # the Grams of the geometries that do not nest, by index
     strips, links, last = [], [], None  # strips (i, z0, z1, y0, y1) of geometry i's ring
     for i, g in enumerate(geoms):
         dz, dy = big.num_z - g.num_z, big.num_y - g.num_y
         if min(dz, dy) < 0 or dz % 2 or dy % 2:  # does not nest: a walk of its own
-            grams[i] = _nested_grams([g], users, model)[0]
+            alone[i] = _nested_grams([g], users, model)[0]
             continue
         z0, y0 = dz // 2, dy // 2
         z1, y1 = z0 + g.num_z, y0 + g.num_y
@@ -508,19 +522,23 @@ def _nested_grams(geoms, users, model: str, cfg: UpwConfig | None = None) -> np.
         strips += [(i, *p) for p in parts if p[0] < p[1] and p[2] < p[3]]
         last = (i, z0, z1, y0, y1)
 
-    def reduce(users, rows, entries, box, amp, on_element):
+    def reduce(users, rows, entries, planes, amp, on_element):
         if on_element.any():
             raise DegenerateGeometryError(_ON_ELEMENT)
-        r, e = rows.start, entries.start  # each strip's part in the box, maybe empty
-        parts = [(i, box[:, max(z0 - r, 0) : max(z1 - r, 0), max(y0 - e, 0) : max(y1 - e, 0)])
-                 for i, z0, z1, y0, y1 in strips]
-        return [(i, _gram(part.reshape(len(part), -1).T)) for i, part in parts if part.size]
+        r, e = rows.start, entries.start
+        for i, z0, z1, y0, y1 in strips:  # each strip's part in the box
+            z0, z1, y0, y1 = max(z0, r), min(z1, rows.stop), max(y0, e), min(y1, entries.stop)
+            if z0 < z1 and y0 < y1:
+                part = planes[:, :, z0 - r : z1 - r, y0 - e : y1 - e]
+                sums[i] += _products(part.reshape(2 * k, -1))
 
     _warn_if_any_near(big, coordinates[0])
-    indices = [(big.indices_y(), big.indices_z())] * coordinates.shape[1]
-    for _, partials in _pnusw_walk(big, coordinates, indices, reduce, joint=True):
-        for i, partial in partials:  # a non-finite partial is rejected below
-            grams[i] += partial
+    indices = [(big.indices_y(), big.indices_z())] * k
+    for _ in _pnusw_walk(big, coordinates, indices, reduce, joint=True):
+        pass
+    grams = _hermitian(sums)  # a non-finite sum is rejected below
+    for i, g in alone.items():
+        grams[i] = g
     for i, prev in links:
         grams[i] += grams[prev]
     if not np.isfinite(grams).all():

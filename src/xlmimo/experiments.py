@@ -28,7 +28,11 @@ random drops and the fixed-user cells, in order on the calling thread, one
 box of at most 2^15 entries at a time: a run of whole cells, a band of one's
 rows, or a slice of one row (of every user, in an M-sweep).  Per-drop random
 streams derive from (seed, drop index) and each Gram sums its partials in
-box order, so a rerun of a table is bit-identical.
+box order, so a rerun of a table is bit-identical.  The sum-rate sweep
+takes every Gram of a chunk of whole drops first and then factors them in
+one stacked evaluate_scenario call; each matrix of a stack gets bitwise the
+SINRs it gets alone, and a failing chunk is factored again a drop and a
+model at a time, so the first failure in drop order raises.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import channel as ch
-from .beamforming import SCHEMES, _mmse_loss, evaluate_scenario, sum_rate
+from .beamforming import SCHEMES, _mmse_loss, evaluate_scenario
 from .errors import DegenerateGeometryError
 from .geometry import ArrayGeometry, UserLocation, Vector3, cartesian_to_spherical
 
@@ -52,6 +56,9 @@ THREADS_ENV = "XLMIMO_THREADS"
 # MAX_REJECTIONS consecutive rejections.
 MIN_U_X = 1e-3
 MAX_REJECTIONS = 10_000
+
+# Most K x K entries a sum-rate sweep factors in one stack (a chunk of whole drops).
+_CHUNK_ENTRIES = 2**16
 
 
 @dataclass
@@ -278,7 +285,8 @@ def sumrate_vs_m(
     m_values entries are either a single integer side (square array) or an
     explicit (num_y, num_z) pair.  Each drop d samples its users from the
     stream seeded by (seed, d) and is reused across every array size, so
-    curves vary only through the geometry.
+    curves vary only through the geometry.  A drop's sum rate under a
+    scheme is sum_k log2(1 + gamma_k), one numpy sum per row of SINRs.
     """
     models = _check_models(models)
     snr = np.asarray(snr, dtype=float)
@@ -298,16 +306,33 @@ def sumrate_vs_m(
         raise ValueError("num_users exceeds the smallest array size in the sweep")
     geoms = [replace(geom, num_y=ny, num_z=nz) for ny, nz in pairs]
 
-    def run_drop(drop: int) -> np.ndarray:
-        users = sample_users(region, num_users, (seed, drop))
-        rates = np.empty((len(geoms), len(models), len(SCHEMES)))
-        for mi, model in enumerate(models):
-            gammas = evaluate_scenario(None, snr, g=ch._nested_grams(geoms, users, model, upw_cfg))
-            for si, scheme in enumerate(SCHEMES):
-                rates[:, mi, si] = [sum_rate(row) for row in gammas[scheme]]
-        return rates
+    def rates(g: np.ndarray) -> np.ndarray:
+        """The sum rates, (..., schemes), of a stack of Grams g, (..., K, K), in one call."""
+        gammas = evaluate_scenario(None, snr, g=g.reshape(-1, num_users, num_users))
+        rate = [np.log2(1.0 + gammas[scheme]).sum(axis=-1) for scheme in SCHEMES]
+        return np.stack(rate, axis=-1).reshape(*g.shape[:-2], len(SCHEMES))
 
-    stacked = np.stack([run_drop(drop) for drop in range(n_drops)])
+    def run_chunk(drops) -> np.ndarray:
+        """(drops, sizes, models, schemes) sum rates: every drop's Grams, then one factoring."""
+        grams = []  # per drop, its models' (sizes, K, K) stacks so far
+        try:
+            for drop in drops:
+                users = sample_users(region, num_users, (seed, drop))
+                grams.append([])
+                for model in models:
+                    grams[-1].append(ch._nested_grams(geoms, users, model, upw_cfg))
+            return rates(np.array(grams)).swapaxes(1, 2)
+        except (ValueError, ArithmeticError):  # every error a walk or a factoring raises
+            # a drop at a time, each model in turn: the first failure in sweep order raises
+            for stacks in grams:
+                for g in stacks:
+                    rates(g)
+            raise
+
+    chunk = max(_CHUNK_ENTRIES // (len(geoms) * len(models) * num_users**2), 1)
+    stacked = np.concatenate(
+        [run_chunk(range(lo, min(lo + chunk, n_drops))) for lo in range(0, n_drops, chunk)]
+    )
     mean = stacked.mean(axis=0)
     if n_drops > 1:
         stderr = stacked.std(axis=0, ddof=1) / math.sqrt(n_drops)

@@ -1,9 +1,12 @@
 """Deterministic complex reductions, the Gram matrix and K x K Hermitian solves.
 
 Channel powers and inner products are numpy pairwise sums over the
-elementwise products, and the Gram matrix of two or more columns is one
-BLAS ``A^H A`` product, for any number of rows: the M-sweeps sum it (_gram)
-over strips of elements, some narrower than the user count.  Neither result
+elementwise products.  The Gram matrix of two or more columns is one real
+BLAS product: the columns' real and imaginary parts, stacked as the rows of
+one 2K x M matrix B, give B B^T (numpy's syrk), and G is read off its four
+K x K blocks, exactly Hermitian, for any number of rows (_gram); the
+M-sweeps sum the blocks (_products) over strips of elements, some narrower
+than the user count, and form G once (_hermitian).  Neither result
 depends on the BLAS thread count at up to 16 users, so every output is
 bitwise reproducible on one machine; the level-1 BLAS dot products
 (``np.vdot``, ``np.dot`` on vectors) are avoided because their last bits
@@ -44,7 +47,7 @@ def vector_power(x) -> float:
     """Squared two-norm of a vector as a pairwise sum; complex: its one-column Gram's."""
     x = np.asarray(x)
     if np.iscomplexobj(x):
-        return float(_gram(x[:, None])[0, 0].real)
+        return float(_gram(_planes(x[:, None]))[0, 0].real)
     return float(np.sum(x * x))
 
 
@@ -60,16 +63,50 @@ def gram(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2:
         raise ValueError(f"expected a matrix, got shape {a.shape}")
-    return _gram(a)
+    return _gram(_planes(a))
 
 
-def _gram(a: np.ndarray) -> np.ndarray:
-    """gram's kernel, without its checks."""
-    if a.shape[1] == 1:
-        column = a[:, 0]  # no BLAS dot product; vector_power sums a vector here
-        return np.array([[np.sum(column.real * column.real + column.imag * column.imag)]], complex)
-    g = a.conj().T @ a
-    return (g + g.conj().T) / 2.0
+def _planes(a: np.ndarray) -> np.ndarray:
+    """The (2, n, M) real and imaginary planes of the n columns of an M x n complex matrix."""
+    return np.stack([a.real.T, a.imag.T])
+
+
+def _gram(planes: np.ndarray) -> np.ndarray:
+    """gram's kernel, without its checks: the Gram of the columns whose real
+    and imaginary parts are the rows of planes[0] and planes[1]."""
+    _, n, m = planes.shape
+    return _hermitian(_products(planes.reshape(2 * n, m)))
+
+
+def _products(b: np.ndarray) -> np.ndarray:
+    """The real 2n x 2n products b @ b.T of the 2n x M stacked planes b, n columns.
+
+    For n >= 2 this is one product of b with its own transpose, which numpy
+    hands to BLAS syrk: half the work of a complex A^H A, exactly symmetric.
+    For one column BLAS would take dot products, whose rounding depends on
+    the thread count, so there the [0, 0] entry is the column's power as
+    one elementwise pairwise sum, and the rest is 0.  Products of disjoint
+    sets of elements add up to those of their union (_hermitian).
+    """
+    if len(b) != 2:
+        return b @ b.T
+    out = np.zeros((2, 2))
+    out[0, 0] = np.sum(b[0] * b[0] + b[1] * b[1])
+    return out
+
+
+def _hermitian(s: np.ndarray) -> np.ndarray:
+    """The n x n complex Gram of real products s (_products), or of an (..., 2n, 2n) stack.
+
+    With s = [[S_rr, S_ri], [S_ir, S_ii]], G = (S_rr + S_ii) + j (S_ri - S_ir):
+    exactly Hermitian, with a zero imaginary diagonal, for every exactly
+    symmetric s.
+    """
+    n = s.shape[-1] // 2
+    g = np.empty(s.shape[:-2] + (n, n), dtype=complex)
+    g.real = s[..., :n, :n] + s[..., n:, n:]
+    g.imag = s[..., :n, n:] - s[..., n:, :n]
+    return g
 
 
 def _check_hermitian(h: np.ndarray) -> np.ndarray:

@@ -296,9 +296,23 @@ class TestResponseMatrix:
 
 
 class TestPhasorKernel:
-    """_phasors, amp e^{-2 pi j cycles} for every spherical-wave entry, against mpmath."""
+    """_phasors, amp e^{-2 pi j cycles} into two float planes for every
+    spherical-wave entry, against mpmath."""
 
     EXACT = [0.25, -0.25, 2.0**40 + 0.5, 2.0**52 - 0.5, -0.0, 1e-300]
+    # whole and half cycles, fractions a few ulp either side of +-1/2, and
+    # non-finite counts
+    EDGES = [0.5, -0.5, 1.5, -1.5, 2.0**51 + 0.5, np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0),
+             np.nextafter(-0.5, 0.0), np.nextafter(-0.5, -1.0), 1e3 + 0.5, math.inf, -math.inf,
+             math.nan, 3.0, -0.0]
+
+    @staticmethod
+    def phasors(cycles, amp):
+        """_phasors into two fresh planes, as a complex array; cycles is left as given."""
+        re, im = np.empty((2, len(cycles)))
+        with np.errstate(all="ignore"):
+            ch._phasors(cycles.copy(), amp, re, im)
+        return re + 1j * im
 
     def test_matches_mpmath_within_a_few_eps_of_the_amplitude(self):
         # c - rint(c) is exact, so the error is the kernel's alone, also at huge
@@ -313,15 +327,15 @@ class TestPhasorKernel:
             rng.uniform(1e6, 1e7, 300),
             np.arange(-8, 9) / 2.0,
             self.EXACT,
+            self.EDGES[:10],
         ])
         amp = 10.0 ** rng.uniform(-250.0, 250.0, len(cycles))
         amp[::3] = 1.0
-        given, kept = cycles.copy(), amp.copy()
-        out = np.empty(len(cycles), dtype=complex)
-        assert ch._phasors(cycles, amp, out) is out
+        kept = amp.copy()
+        out = self.phasors(cycles, amp)
         assert amp.tobytes() == kept.tobytes()
         with mpmath.workdps(50):
-            for c, a, got in zip(given, amp, out):
+            for c, a, got in zip(cycles, amp, out):
                 want = mpmath.mpf(a) * mpmath.expj(-2 * mpmath.pi * mpmath.mpf(c))
                 assert abs(mpmath.mpc(got) - want) <= 4 * eps * a
                 assert abs(abs(mpmath.mpc(got)) - a) <= 4 * eps * a
@@ -330,13 +344,29 @@ class TestPhasorKernel:
         # as the walker calls it: under np.errstate(all="ignore"), and a
         # non-finite entry is for the caller to reject
         cycles = np.array([math.inf, -math.inf, math.nan, 0.3])
-        out = np.empty(4, dtype=complex)
+        re, im = np.empty((2, 4))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with np.errstate(all="ignore"):
-                ch._phasors(cycles, np.full(4, 2.0), out)
-        assert not np.isfinite(out[:3]).any()
-        assert np.isfinite(out[3])
+                ch._phasors(cycles, np.full(4, 2.0), re, im)
+        assert not np.isfinite(re[:3] + 1j * im[:3]).any()
+        assert np.isfinite(re[3]) and np.isfinite(im[3])
+
+    def test_contiguous_planes_and_complex_views_get_the_same_entries(self):
+        # the joint walk writes two contiguous float planes, the other walks the
+        # .real and .imag views of a complex buffer (stride 16 B): bitwise the
+        # same entries, also at the half cycles and for non-finite cycle counts
+        rng = np.random.default_rng(27)
+        cycles = np.concatenate([rng.uniform(-1e6, 1e6, 4099), self.EDGES])
+        amp = 10.0 ** rng.uniform(-30.0, 30.0, len(cycles))
+        planes = np.empty((2, len(cycles)))
+        views = np.empty(len(cycles), dtype=complex)
+        with np.errstate(all="ignore"):
+            ch._phasors(cycles.copy(), amp, *planes)
+            ch._phasors(cycles.copy(), amp, views.real, views.imag)
+        assert planes[0].tobytes() == views.real.tobytes()
+        assert planes[1].tobytes() == views.imag.tobytes()
+        assert not np.isfinite(planes[:, len(cycles) - 5 : len(cycles) - 2]).any()
 
 
 class TestBandedPnuswBuild:
@@ -827,14 +857,44 @@ class TestStreamedNestedGrams:
         )
         assert [[users for users, *_ in boxes] for boxes in walks] == [[slice(0, 10)] * 13]
 
-    def test_a_window_inside_the_centered_band_is_one_product(self):
-        # the default drop's 10 x 10 array, rows 95 to 104 of 200, lies in the band
-        # of rows 92 to 107: its Gram, the most ill-conditioned of the drop, is one
-        # product, bitwise a direct build's, as before the walk streamed it
+    def test_the_smallest_window_of_a_default_drop_matches_the_oracle(self):
+        # the default drop's 10 x 10 array, rows 95 to 104 of 200, straddles the
+        # bands of rows 80 to 95 and 96 to 111: its Gram, the most ill-conditioned
+        # of the drop, sums two real partials, so it is held to the exactly rounded
+        # sums of a direct build, and is exactly Hermitian
         geoms, users = default_drop()
-        assert slice(92, 108) in [rows for _, rows, _ in ch._boxes(0, 10, 200, 200, joint=True)]
-        direct = gram(response_matrix(geoms[0], users, "pnusw"))
-        assert ch._nested_grams(geoms, users, "pnusw")[0].tobytes() == direct.tobytes()
+        bands = [rows for _, rows, _ in ch._boxes(0, 10, 200, 200, joint=True)]
+        assert slice(80, 96) in bands and slice(96, 112) in bands
+        a = response_matrix(geoms[0], users, "pnusw")
+        got = ch._nested_grams(geoms, users, "pnusw")[0]
+        assert np.array_equal(got, got.conj().T)
+        powers = [compensated_sum(a[:, i].real ** 2 + a[:, i].imag ** 2) for i in range(10)]
+        for i in range(10):
+            for j in range(10):
+                prod = np.conj(a[:, i]) * a[:, j]
+                exact = complex(compensated_sum(prod.real), compensated_sum(prod.imag))
+                assert abs(got[i, j] - exact) <= 1e-12 * math.sqrt(powers[i] * powers[j])
+
+    def test_a_joint_walk_hands_its_reduce_the_planes_of_a_direct_build(self, monkeypatch):
+        # the joint walk writes its phasors into two contiguous float planes:
+        # bitwise the real and imaginary parts of _response_block's entries, in
+        # bands of rows (64 entries) and slices of one row (7)
+        geom, users = make_geom(num_y=13, num_z=9), random_users(np.random.default_rng(8), 3)
+        direct = _response_block(geom, users, "pnusw")
+        for band_entries in (64, 7):
+            monkeypatch.setattr(ch, "_BAND_ENTRIES", band_entries)
+            planes = np.empty((2, *direct.shape))
+
+            def take(users, rows, entries, phasors, amp, on_element):
+                assert phasors.shape[0] == 2 and phasors[0].flags.c_contiguous
+                planes[:, users, rows, entries] = phasors
+
+            indices = [(geom.indices_y(), geom.indices_z())] * len(users)
+            for _ in ch._pnusw_walk(geom, ch._coordinates(users), indices, take, joint=True):
+                pass
+            assert planes[0].tobytes() == direct.real.tobytes()
+            assert planes[1].tobytes() == direct.imag.tobytes()
+
 
 class TestUpwResponse:
     def test_boresight_entries_are_identical(self):

@@ -12,7 +12,7 @@ import xlmimo.channel as ch
 import xlmimo.experiments as xp
 from xlmimo.beamforming import evaluate_scenario, response_matrix, sum_rate
 from xlmimo.channel import UpwConfig, _upw_gram
-from xlmimo.errors import DegenerateChannelError, DegenerateGeometryError
+from xlmimo.errors import DegenerateChannelError, DegenerateGeometryError, NearSingularError
 from xlmimo.experiments import (
     MIN_U_X,
     SweepResult,
@@ -256,8 +256,9 @@ class TestNestedResponses:
             with pytest.raises(DegenerateChannelError, match="finite"):
                 ch._nested_grams(geoms, self.USERS[:2] + [far], "pnusw")
 
-    def test_m_sweeps_evaluate_each_model_in_one_call(self, monkeypatch):
-        # one stacked call per model per sweep (sinr-vs-m) or per drop (sum rate)
+    def test_m_sweeps_factor_one_stack_per_model_or_chunk_of_drops(self, monkeypatch):
+        # sinr-vs-m: one stacked call per model; sum rate: one per chunk of whole
+        # drops, every model of each (3 sizes x 2 models x 9 entries a drop)
         shapes = []
 
         def recording(a, snr, *, g=None):
@@ -267,10 +268,59 @@ class TestNestedResponses:
         monkeypatch.setattr(xp, "evaluate_scenario", recording)
         sweep_sinr_vs_m(make_geom(), SAME_DIRECTION, [PBAR, PBAR], mz_values=[11, 21, 31])
         assert shapes == [(3, 2, 2)] * 2
-        shapes.clear()
         region = UserRegion(r=(50.0, 100.0), theta=(0.1, 1.0), phi=(0.3, 1.0))
-        sumrate_vs_m(make_geom(), region, 3, np.full(3, PBAR), [4, 8, 10], seed=6, n_drops=2)
-        assert shapes == [(3, 3, 3)] * 4
+        for chunk_entries, want in ((2**16, [(18, 3, 3)]), (108, [(12, 3, 3), (6, 3, 3)]),
+                                    (53, [(6, 3, 3)] * 3), (1, [(6, 3, 3)] * 3)):
+            monkeypatch.setattr(xp, "_CHUNK_ENTRIES", chunk_entries)
+            shapes.clear()
+            sumrate_vs_m(make_geom(), region, 3, np.full(3, PBAR), [4, 8, 10], seed=6, n_drops=3)
+            assert shapes == want
+
+    def test_the_table_is_the_same_for_any_chunk_of_drops(self, monkeypatch):
+        # a stack's rows are bitwise what each matrix gives alone, and each rate
+        # sums its own users' log2 terms, so the chunking does not show
+        region = UserRegion(r=(50.0, 100.0), theta=(0.1, 1.0), phi=(0.3, 1.0))
+        tables = []
+        for chunk_entries in (1, 144, 216, 2**16):  # 1, 2, 3 and all 5 drops of 72 entries
+            monkeypatch.setattr(xp, "_CHUNK_ENTRIES", chunk_entries)
+            res = sumrate_vs_m(make_geom(), region, 3, np.full(3, PBAR), [4, 5, 9, 10], 6, 5)
+            tables.append(res.rows)
+        assert all(rows == tables[0] for rows in tables)
+
+    @pytest.mark.parametrize("failing", ["factoring", "walk"])
+    def test_the_first_failing_drop_raises_its_own_error(self, monkeypatch, failing):
+        # drop 0 passes; from drop 1 on, the Grams are made rank one, so W fails
+        # its gate with a condition number per drop and model (upw's larger), or,
+        # with "walk", each later upw walk and drop 2's pnusw walk raise instead.
+        # Each drop's pnusw factoring comes before its upw walk, and drops come
+        # in order, so drop 1's pnusw NearSingularError is raised, whatever the chunk
+        region = UserRegion(r=(50.0, 100.0), theta=(0.1, 1.0), phi=(0.3, 1.0))
+        snr, nested = np.full(3, PBAR), ch._nested_grams
+
+        def collinear(geoms, users, model, cfg=None):
+            drop, g = len(made) // 2, nested(geoms, users, model, cfg)
+            if drop > 0:
+                if failing == "walk" and (model == "upw" or drop == 2):
+                    raise DegenerateGeometryError("a later walk")
+                root = np.sqrt(np.diagonal(g, axis1=-2, axis2=-1).real)
+                root *= 10.0 ** (4 + drop + (model == "upw"))
+                g = (root[:, :, None] * root[:, None, :]).astype(complex)
+            made.append(g)
+            return g
+
+        monkeypatch.setattr(ch, "_nested_grams", collinear)
+        for chunk_entries in (1, 108, 2**16):  # 1, 2 and all 3 drops a chunk
+            monkeypatch.setattr(xp, "_CHUNK_ENTRIES", chunk_entries)
+            made = []
+            with pytest.raises(NearSingularError) as got:
+                sumrate_vs_m(make_geom(), region, 3, snr, [4, 8, 10], seed=6, n_drops=3)
+            worst = []
+            for g in made[2:]:  # each later stack alone
+                with pytest.raises(NearSingularError) as alone:
+                    evaluate_scenario(None, snr, g=g)
+                worst.append(alone.value.cond_estimate)
+            assert got.value.cond_estimate == worst[0] < min(worst[1:], default=math.inf)
+            assert f"{worst[0]:.3e}" in str(got.value)
 
     def test_mixed_parity_sum_rate_matches_direct_builds(self):
         # sides 4 and 5 take whole direct Grams and side 10 adds its ring to

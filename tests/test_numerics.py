@@ -11,6 +11,7 @@ from xlmimo.beamforming import evaluate_scenario, mmse, mrc, zf
 from xlmimo.errors import NearSingularError, ZeroForcingInfeasibleError
 from xlmimo.numerics import (
     MAX_CONDITION,
+    _gram,
     cdot,
     compensated_sum,
     condition,
@@ -68,11 +69,19 @@ class TestOracle:
 
 KERNEL_DIGEST = """
 import hashlib
+from dataclasses import replace
 import numpy as np
+import xlmimo.channel as ch
+import xlmimo.cli as cli
+from xlmimo.experiments import sample_users
 from xlmimo.numerics import cdot, gram, vector_power
 rng = np.random.default_rng(2021)
-a = rng.standard_normal((40_000, 10)) + 1j * rng.standard_normal((40_000, 10))
-out = [gram(a), gram(a[:10_010, :2]), gram(a[:, :1]), cdot(a[:, 0], a[:, 1]), vector_power(a[:, 3])]
+a = rng.standard_normal((40_000, 16)) + 1j * rng.standard_normal((40_000, 16))
+cfg = cli.parse_config(experiment="sumrate-vs-m", overrides=[])
+geoms = [replace(cfg.geometry, num_y=s, num_z=s) for s in cfg.sweep["sides"]]
+users = sample_users(cfg.region, cfg.sweep["n_users"], (cfg.seed, 0))
+out = [gram(a[:, :10]), gram(a[:10_010, :2]), gram(a[:, :1]), cdot(a[:, 0], a[:, 1]),
+       vector_power(a[:, 3]), gram(a), ch._nested_grams(geoms, users, "pnusw")]
 print(hashlib.sha256(b"".join(np.asarray(x).tobytes() for x in out)).hexdigest())
 """
 
@@ -119,6 +128,41 @@ class TestGram:
         wide = complex_randn(rng, 2, 3)
         tall = np.vstack([wide, np.zeros((1, 3))])
         assert np.array_equal(gram(wide), gram(tall))
+
+
+class TestGramKernel:
+    """_gram on the real and imaginary planes (2, K, n) of K columns: one real
+    product of the stacked planes with its own transpose, for K >= 2."""
+
+    @pytest.mark.parametrize("n", [1, 5, 40_000])
+    @pytest.mark.parametrize("k", [1, 2, 10, 16])
+    def test_is_bitwise_hermitian_with_a_zero_imaginary_diagonal(self, k, n):
+        g = _gram(np.random.default_rng(k * n).standard_normal((2, k, n)))
+        assert g.shape == (k, k)
+        assert np.array_equal(g, g.conj().T)
+        assert np.all(np.diagonal(g).imag == 0.0)
+
+    @pytest.mark.parametrize("n", [1, 5, 40_000])
+    @pytest.mark.parametrize("k", [2, 10, 16])
+    def test_matches_compensated_sum(self, k, n):
+        planes = np.random.default_rng(k + n).standard_normal((2, k, n))
+        g = _gram(planes)
+        a = planes[0].T + 1j * planes[1].T
+        powers = [compensated_sum(a[:, i].real ** 2 + a[:, i].imag ** 2) for i in range(k)]
+        for i in range(k):
+            for j in range(i, k):  # the lower triangle is the upper's conjugate (above)
+                prod = np.conj(a[:, i]) * a[:, j]
+                exact = complex(compensated_sum(prod.real), compensated_sum(prod.imag))
+                assert abs(g[i, j] - exact) <= 1e-12 * math.sqrt(powers[i] * powers[j])
+
+    def test_one_column_is_one_pairwise_sum(self):
+        # no BLAS dot product, whose rounding depends on the thread count
+        re, im = planes = np.random.default_rng(17).standard_normal((2, 1, 10_001))
+        g = _gram(planes)
+        assert g.tobytes() == np.array([[np.sum(re[0] * re[0] + im[0] * im[0])]], complex).tobytes()
+        column = re[0] + 1j * im[0]
+        assert vector_power(column) == g[0, 0].real
+        assert gram(column[:, None]).tobytes() == g.tobytes()
 
 
 class TestHermitianSolve:
