@@ -20,7 +20,7 @@ from .beamforming import (
     two_user_sinrs,
     zf,
 )
-from .channel import UpwConfig, correlation, pnusw_gain
+from .channel import UpwConfig, correlation
 from .errors import (
     ConfigError,
     DegenerateChannelError,
@@ -32,11 +32,7 @@ from .experiments import SweepResult, UserRegion, sample_users
 from .geometry import (
     ArrayGeometry,
     UserLocation,
-    Vector3,
     cartesian_to_spherical,
-    element_distance,
-    element_position,
-    user_position,
 )
 
 __all__ = [
@@ -50,22 +46,17 @@ __all__ = [
     "UpwConfig",
     "UserLocation",
     "UserRegion",
-    "Vector3",
     "ZeroForcingInfeasibleError",
     "cartesian_to_spherical",
     "correlation",
-    "element_distance",
-    "element_position",
     "evaluate_scenario",
     "mmse",
     "mrc",
-    "pnusw_gain",
     "response_matrix",
     "sample_users",
     "sinr",
     "solve_user",
     "sum_rate",
     "two_user_sinrs",
-    "user_position",
     "zf",
 ]

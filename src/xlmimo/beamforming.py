@@ -244,12 +244,17 @@ def two_user_sinrs(a1, a2, p1: float, p2: float) -> tuple[float, float, float]:
     return gamma_mrc, gamma_zf, gamma_mmse
 
 
-def sum_rate(gammas) -> float:
-    """Achievable sum rate sum_k log2(1 + gamma_k), bits/s/Hz."""
+def sum_rate(gammas):
+    """Achievable sum rate sum_k log2(1 + gamma_k), bits/s/Hz, over the last axis.
+
+    One vector of K SINRs gives a float, an (..., K) stack the (...) array of
+    its rows' sum rates, each bitwise its row's alone.  A negative SINR
+    anywhere raises ValueError.
+    """
     gammas = np.asarray(gammas, dtype=float)
     if np.any(gammas < 0.0):
         raise ValueError("SINRs must be non-negative")
-    return math.fsum(math.log2(1.0 + g) for g in gammas)
+    return np.log2(1.0 + gammas).sum(axis=-1)
 
 
 def solve_user(a: np.ndarray, snr, scheme: str, k: int) -> BeamformerReport:

@@ -55,7 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateChannelError, DegenerateGeometryError
-from .geometry import ArrayGeometry, UserLocation, _warn_if_near, element_distance
+from .geometry import ArrayGeometry, UserLocation, _warn_if_near
 from .numerics import _hermitian, _products  # the Gram kernel's two halves
 from .numerics import cdot  # noqa: F401  (importable from here as before)
 
@@ -93,24 +93,10 @@ class UpwConfig:
         return cls(beta0=geom.element_area / (4.0 * math.pi))
 
 
-def pnusw_gain(geom: ArrayGeometry, loc: UserLocation, m_y: float, m_z: float) -> float:
-    """Spherical-model power gain between the user and one element."""
-    dist = element_distance(geom, loc, m_y, m_z)
-    eps = geom.spacing / loc.r
-    scale = geom.occupation_ratio * eps * eps * loc.u_x / (4.0 * math.pi)
-    return scale * (loc.r / dist) ** 3
-
-
 def _coordinates(users) -> np.ndarray:
     """The (4, K) array of users' (r, u_x, u_y, u_z)."""
     params = np.array([(loc.r, loc.u_x, loc.u_y, loc.u_z) for loc in users], dtype=float)
     return params.reshape(-1, 4).T
-
-
-def _warn_if_any_near(geom: ArrayGeometry, r) -> None:
-    """Warn NearArrayWarning once if any of the ranges r is near the array."""
-    with np.errstate(all="ignore"):
-        _warn_if_near(float((geom.spacing / r).max(initial=0.0)))
 
 
 def _cut(start: int, stop: int, most: int) -> list:
@@ -251,7 +237,7 @@ def _response_block(
         along_z = common * np.exp(1j * ((c * u_z) * m_z))
         np.multiply(along_z[:, :, None], np.exp(1j * ((c * u_y) * m_y))[:, None, :], out=out)
     else:
-        _warn_if_any_near(geom, coordinates[0])
+        _warn_if_near(geom, coordinates[0])
 
         def check(users, rows, entries, phasors, amp, on_element):
             if on_element.any():
@@ -436,7 +422,7 @@ def _pair_gram(
         raise DegenerateChannelError("a user has a zero or non-finite channel")
     np.conjugate(a1, out=a1)
     coordinates = _coordinates(others)
-    _warn_if_any_near(geom, coordinates[0])
+    _warn_if_near(geom, coordinates[0])
     for axis, u1 in ((2, loc1.u_y), (3, loc1.u_z)):
         if u1 == 0.0:
             np.abs(coordinates[axis], out=coordinates[axis])
@@ -532,7 +518,7 @@ def _nested_grams(geoms, users, model: str, cfg: UpwConfig | None = None) -> np.
                 part = planes[:, :, z0 - r : z1 - r, y0 - e : y1 - e]
                 sums[i] += _products(part.reshape(2 * k, -1))
 
-    _warn_if_any_near(big, coordinates[0])
+    _warn_if_near(big, coordinates[0])
     indices = [(big.indices_y(), big.indices_z())] * k
     for _ in _pnusw_walk(big, coordinates, indices, reduce, joint=True):
         pass

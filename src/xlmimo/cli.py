@@ -29,6 +29,7 @@ import os
 import re
 import sys
 import time
+import warnings
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -44,7 +45,7 @@ from .errors import (
     NearSingularError,
     ZeroForcingInfeasibleError,
 )
-from .geometry import ArrayGeometry, UserLocation
+from .geometry import ArrayGeometry, NearArrayWarning, UserLocation
 
 DEFAULT_WAVELENGTH = 0.1256
 DEFAULT_SPACING = DEFAULT_WAVELENGTH / 2.0
@@ -569,6 +570,19 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+def _one_line_warnings(show):
+    """A warnings.showwarning that prints a NearArrayWarning as one "warning:
+    <message>" line on stderr, with no file or source line, and hands any other to show."""
+
+    def showwarning(message, category, *where, **options):
+        if issubclass(category, NearArrayWarning):
+            print(f"warning: {message}", file=sys.stderr)
+        else:
+            show(message, category, *where, **options)
+
+    return showwarning
+
+
 def main(argv=None) -> int:
     parser = _ArgumentParser(
         prog="xlmimo",
@@ -602,7 +616,9 @@ def main(argv=None) -> int:
             model=args.model,
             seed=args.seed,
         )
-        csv_file = run(cfg, args.out)
+        with warnings.catch_warnings():  # restores showwarning on the way out
+            warnings.showwarning = _one_line_warnings(warnings.showwarning)
+            csv_file = run(cfg, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

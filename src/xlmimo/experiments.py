@@ -43,9 +43,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import channel as ch
-from .beamforming import SCHEMES, _mmse_loss, evaluate_scenario
+from .beamforming import SCHEMES, _mmse_loss, evaluate_scenario, sum_rate
 from .errors import DegenerateGeometryError
-from .geometry import ArrayGeometry, UserLocation, Vector3, cartesian_to_spherical
+from .geometry import ArrayGeometry, UserLocation, cartesian_to_spherical
 
 # The name of a build-thread option that no longer exists, kept only because
 # perfbench/worker.py reads it from here (as cli.xp.THREADS_ENV).
@@ -255,7 +255,7 @@ def heatmap_snr_loss(
     cells = [(x, y) for x in x_values for y in y_values]
     behind = sum(x <= 0.0 for x, _ in cells)  # a prefix: x is sorted and outer
     front = cells[behind:]
-    others = [cartesian_to_spherical(Vector3(x, y, 0.0)) for x, y in front]
+    others = [cartesian_to_spherical((x, y, 0.0)) for x, y in front]
     grams = [ch._pair_gram(geom, loc1, others, model, upw_cfg) for model in models]
 
     def loss(g: np.ndarray) -> float:
@@ -286,7 +286,8 @@ def sumrate_vs_m(
     explicit (num_y, num_z) pair.  Each drop d samples its users from the
     stream seeded by (seed, d) and is reused across every array size, so
     curves vary only through the geometry.  A drop's sum rate under a
-    scheme is sum_k log2(1 + gamma_k), one numpy sum per row of SINRs.
+    scheme is beamforming.sum_rate of its SINRs, one call per scheme for a
+    chunk's whole stack of them.
     """
     models = _check_models(models)
     snr = np.asarray(snr, dtype=float)
@@ -309,7 +310,7 @@ def sumrate_vs_m(
     def rates(g: np.ndarray) -> np.ndarray:
         """The sum rates, (..., schemes), of a stack of Grams g, (..., K, K), in one call."""
         gammas = evaluate_scenario(None, snr, g=g.reshape(-1, num_users, num_users))
-        rate = [np.log2(1.0 + gammas[scheme]).sum(axis=-1) for scheme in SCHEMES]
+        rate = [sum_rate(gammas[scheme]) for scheme in SCHEMES]
         return np.stack(rate, axis=-1).reshape(*g.shape[:-2], len(SCHEMES))
 
     def run_chunk(drops) -> np.ndarray:

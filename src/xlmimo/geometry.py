@@ -22,10 +22,8 @@ user and the element at index (m_y, m_z) is
     r * sqrt(1 - 2*m_y*e*u_y - 2*m_z*e*u_z + (m_y^2 + m_z^2) * e^2)
 
 with e = spacing / r, which equals the Euclidean distance between the two
-points.  element_distance evaluates this form for one element and serves,
-with the Euclidean form, as the oracle for the vectorized response builder
-in channel, which computes the same radicand in a separable order and so
-agrees to rounding, not bit for bit.
+points.  channel's response builder evaluates this form for every element
+at once, with the radicand summed in a separable order.
 """
 
 from __future__ import annotations
@@ -33,7 +31,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -46,17 +43,6 @@ NEAR_ARRAY_RATIO = 0.1
 
 class NearArrayWarning(UserWarning):
     """User range is within a few element spacings of the array."""
-
-
-class Vector3(NamedTuple):
-    """Cartesian point, meters."""
-
-    x: float
-    y: float
-    z: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -154,33 +140,11 @@ class UserLocation:
         return math.sin(math.pi / 2 - self.theta)
 
 
-def _checked_index(count: int, m: float, name: str) -> float:
-    """Validate a centered element index against an axis with `count` elements."""
-    offset = m + (count - 1) / 2.0
-    if abs(offset - round(offset)) > 1e-9 or not -1e-9 <= offset <= count - 1 + 1e-9:
-        raise IndexError(
-            f"{name}={m} is not on the centered index grid of {count} elements"
-        )
-    return float(m)
-
-
-def element_position(geom: ArrayGeometry, m_y: float, m_z: float) -> Vector3:
-    """Center of the element at index (m_y, m_z): (0, m_y*d, m_z*d)."""
-    m_y = _checked_index(geom.num_y, m_y, "m_y")
-    m_z = _checked_index(geom.num_z, m_z, "m_z")
-    return Vector3(0.0, m_y * geom.spacing, m_z * geom.spacing)
-
-
-def user_position(loc: UserLocation) -> Vector3:
-    """Cartesian user position r * (u_x, u_y, u_z)."""
-    return Vector3(loc.r * loc.u_x, loc.r * loc.u_y, loc.r * loc.u_z)
-
-
 def cartesian_to_spherical(p) -> UserLocation:
     """Convert a point in the x >= 0 half space to (r, theta, phi).
 
     The polar-degenerate directions (on the z axis) get phi = 0 so the
-    conversion is deterministic and round-trips through user_position.
+    conversion is deterministic, and r * (u_x, u_y, u_z) gives the point back.
     """
     x, y, z = (float(v) for v in p)
     r = math.hypot(x, y, z)
@@ -194,30 +158,15 @@ def cartesian_to_spherical(p) -> UserLocation:
     return UserLocation(r=r, theta=theta, phi=phi)
 
 
-def _warn_if_near(eps: float) -> None:
+def _warn_if_near(geom: ArrayGeometry, r) -> None:
+    """Warn NearArrayWarning, from the caller, once if any of the ranges r (an array) is
+    within 1 / NEAR_ARRAY_RATIO element spacings of the array."""
+    with np.errstate(all="ignore"):
+        eps = float((geom.spacing / r).max(initial=0.0))
     if eps >= NEAR_ARRAY_RATIO:
         warnings.warn(
             f"element spacing is {eps:.3g} of the user range; "
             "the scenario is unusually close to the array",
             NearArrayWarning,
-            stacklevel=3,
+            stacklevel=2,
         )
-
-
-def element_distance(geom: ArrayGeometry, loc: UserLocation, m_y: float, m_z: float) -> float:
-    """Exact distance between the user and the (m_y, m_z) element center."""
-    m_y = _checked_index(geom.num_y, m_y, "m_y")
-    m_z = _checked_index(geom.num_z, m_z, "m_z")
-    eps = geom.spacing / loc.r
-    _warn_if_near(eps)
-    radicand = (
-        1.0
-        - (2.0 * eps * loc.u_y) * m_y
-        - (2.0 * eps * loc.u_z) * m_z
-        + (m_y * m_y + m_z * m_z) * (eps * eps)
-    )
-    if radicand <= 0.0:
-        raise DegenerateGeometryError(
-            f"user at r={loc.r} coincides with element ({m_y}, {m_z})"
-        )
-    return loc.r * math.sqrt(radicand)

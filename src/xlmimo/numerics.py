@@ -11,8 +11,7 @@ depends on the BLAS thread count at up to 16 users, so every output is
 bitwise reproducible on one machine; the level-1 BLAS dot products
 (``np.vdot``, ``np.dot`` on vectors) are avoided because their last bits
 change with the BLAS thread count.  Across machines results agree to
-rounding.  compensated_sum (exactly rounded
-``math.fsum``) is kept as the test oracle for these reductions.
+rounding.
 condition (blind to user powers) and hermitian_solve (numpy's Cholesky
 factor and two np.linalg.solve calls on it: LU solves, gesv, not triangular
 ones) take only matrices sized by the user count, the Gram matrix and its
@@ -22,20 +21,12 @@ or factors an M x M matrix.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import NearSingularError
 
 # Largest condition number a K x K matrix may have: 1 / (1e3 * machine epsilon).
 MAX_CONDITION = 1.0 / (1e3 * np.finfo(float).eps)
-
-
-def compensated_sum(values) -> float:
-    """Exactly rounded sum of real values; result is order independent."""
-    arr = np.asarray(values, dtype=float)
-    return math.fsum(arr.tolist())
 
 
 def cdot(x, y) -> complex:

@@ -826,3 +826,19 @@ class TestSumRate:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             sum_rate([-0.5])
+        for row in range(4):  # in any row of a stack
+            gammas = np.ones((4, 3))
+            gammas[row, 2] = -1e-300
+            with pytest.raises(ValueError, match="non-negative"):
+                sum_rate(gammas)
+
+    def test_a_stack_gives_its_rows_bitwise(self):
+        # one pairwise sum per row of SINRs, as the sum-rate sweep takes them
+        rng = np.random.default_rng(28)
+        for k in (1, 3, 10, 64):
+            gammas = rng.exponential(1e4, (5, k))
+            got = sum_rate(gammas)
+            assert got.shape == (5,)
+            assert got.tobytes() == np.array([sum_rate(row) for row in gammas]).tobytes()
+        stack = rng.exponential(1e4, (2, 3, 4))
+        assert sum_rate(stack).tobytes() == np.array([sum_rate(m) for m in stack]).tobytes()

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 import xlmimo.channel as ch
 import xlmimo.cli as cli
+from oracles import compensated_sum, element_distance, element_position, pnusw_gain, user_position
 from xlmimo.channel import (
     UpwConfig,
     _dirichlet,
@@ -26,20 +27,12 @@ from xlmimo.channel import (
     _response_block,
     _upw_gram,
     correlation,
-    pnusw_gain,
 )
 from xlmimo.beamforming import evaluate_scenario, response_matrix
 from xlmimo.experiments import sample_users, sumrate_vs_m, sweep_correlation_vs_distance
-from xlmimo.numerics import cdot, compensated_sum, gram, vector_power
+from xlmimo.numerics import cdot, gram, vector_power
 from xlmimo.errors import DegenerateChannelError, DegenerateGeometryError
-from xlmimo.geometry import (
-    ArrayGeometry,
-    NearArrayWarning,
-    UserLocation,
-    element_distance,
-    element_position,
-    user_position,
-)
+from xlmimo.geometry import ArrayGeometry, NearArrayWarning, UserLocation
 
 LAM = 0.1256
 D = LAM / 2.0
@@ -101,9 +94,7 @@ def recorded_walks(monkeypatch):
 
 def geometric_gain_oracle(geom, loc, m_y, m_z):
     """First-principles form: area * (q - w) . x_hat / (4 pi |q - w|^3)."""
-    q = user_position(loc).as_array()
-    w = element_position(geom, m_y, m_z).as_array()
-    diff = q - w
+    diff = user_position(loc) - element_position(geom, m_y, m_z)
     dist = np.linalg.norm(diff)
     return geom.element_area * diff[0] / (4.0 * math.pi * dist**3)
 
@@ -973,7 +964,7 @@ class TestChannelPower:
         # power approximates xi / (4 pi) Omega to the midpoint rule's order (d / x)^2
         geom = make_geom(num_y=side, num_z=side)
         closed = geom.occupation_ratio / (4.0 * math.pi) * self.solid_angle(geom, loc)
-        x = user_position(loc).x
+        x = user_position(loc)[0]
         assert self.pnusw_power(geom, loc) == pytest.approx(closed, rel=(geom.spacing / x) ** 2)
 
     @settings(max_examples=25, deadline=None)

@@ -456,6 +456,21 @@ def run_with_overrides(run_python, tmp_path, experiment, overrides, **kwargs):
     return run_python(args, timeout=60.0, **kwargs)
 
 
+def test_a_near_array_user_prints_one_warning_line(run_python, tmp_path):
+    # a map cell 0.05 m from the array center, 1.26 element spacings of its range
+    overrides = ["sweep.x_values_m=[0.05,60]", "sweep.y_values_m=[0]"]
+    proc = run_with_overrides(run_python, tmp_path, "snr-loss-heatmap", overrides)
+    assert proc.returncode == 0, proc.stderr
+    assert len((tmp_path / "t.csv").read_text().splitlines()) == 3
+    assert proc.stderr.splitlines() == [
+        "warning: element spacing is 1.26 of the user range; "
+        "the scenario is unusually close to the array"
+    ]
+    assert "channel.py" not in proc.stderr and "Traceback" not in proc.stderr
+    far = run_with_overrides(run_python, tmp_path, "snr-loss-heatmap", ["sweep.x_values_m=[60]"])
+    assert far.returncode == 0 and far.stderr == ""
+
+
 @pytest.mark.parametrize(
     "experiment, overrides",
     [

@@ -10,7 +10,8 @@ import pytest
 import xlmimo.beamforming as bf
 import xlmimo.channel as ch
 import xlmimo.experiments as xp
-from xlmimo.beamforming import evaluate_scenario, response_matrix, sum_rate
+from oracles import compensated_sum
+from xlmimo.beamforming import evaluate_scenario, response_matrix
 from xlmimo.channel import UpwConfig, _upw_gram
 from xlmimo.errors import DegenerateChannelError, DegenerateGeometryError, NearSingularError
 from xlmimo.experiments import (
@@ -24,14 +25,8 @@ from xlmimo.experiments import (
     sweep_correlation_vs_m,
     sweep_sinr_vs_m,
 )
-from xlmimo.geometry import (
-    ArrayGeometry,
-    NearArrayWarning,
-    UserLocation,
-    Vector3,
-    cartesian_to_spherical,
-)
-from xlmimo.numerics import compensated_sum, gram, vector_power
+from xlmimo.geometry import ArrayGeometry, NearArrayWarning, UserLocation, cartesian_to_spherical
+from xlmimo.numerics import gram, vector_power
 
 LAM = 0.1256
 D = LAM / 2.0
@@ -113,6 +108,11 @@ def oracle_gram(a):
             prod = np.conj(a[:, i]) * a[:, j]
             out[i, j] = complex(compensated_sum(prod.real), compensated_sum(prod.imag))
     return out
+
+
+def exact_sum_rate(gammas) -> float:
+    """sum_k log2(1 + gamma_k), summed exactly rounded: apart from the sweep's own sum."""
+    return compensated_sum(np.log2(1.0 + np.asarray(gammas)))
 
 
 def ring_grams(geoms, users):
@@ -342,7 +342,7 @@ class TestNestedResponses:
                     else:
                         g = ring_grams([make_geom(s, s) for s in (4, 10)], users)[side == 10]
                     for scheme, gammas in evaluate_scenario(None, snr, g=g).items():
-                        rates[scheme].append(sum_rate(gammas))
+                        rates[scheme].append(exact_sum_rate(gammas))
                 for scheme, values in rates.items():
                     got = row[res.columns.index(f"{model}_{scheme}_sumrate_bpshz")]
                     assert got == pytest.approx(np.mean(values), rel=1e-15)
@@ -522,7 +522,7 @@ class TestHeatmap:
         xs, ys = np.linspace(50.0, 150.0, 11), np.linspace(-50.0, 50.0, 11)
         res = heatmap_snr_loss(geom, loc1, xs, ys, snr)
         for x, y, *alphas in res.rows:
-            loc2 = cartesian_to_spherical(Vector3(x, y, 0.0))
+            loc2 = cartesian_to_spherical((x, y, 0.0))
             for model, alpha in zip(("pnusw", "upw"), alphas):
                 a = response_matrix(geom, [loc1, loc2], model)
                 gamma = evaluate_scenario(a, snr)["mmse"][0]
@@ -536,7 +536,7 @@ class TestHeatmap:
     def test_matches_mpmath_at_default_size(self, model, x, y):
         geom = make_geom(num_y=200, num_z=200)
         loc1 = UserLocation(100.0, math.pi / 2, 0.0)
-        loc2 = cartesian_to_spherical(Vector3(x, y, 0.0))
+        loc2 = cartesian_to_spherical((x, y, 0.0))
         alpha = heatmap_snr_loss(geom, loc1, [x], [y], [PBAR, PBAR], models=(model,)).rows[0][2]
         with mpmath.workdps(50):
             expected = mp_mmse_loss(geom, loc1, loc2, mpmath.mpf(PBAR), model)
@@ -581,7 +581,7 @@ class TestSumrateVsM:
         users = sample_users(self.REGION, 1, (2, 0))
         geom = make_geom(num_y=6, num_z=6)
         a = response_matrix(geom, users, "pnusw")
-        expected = sum_rate(evaluate_scenario(a, np.array([PBAR]))["mrc"])
+        expected = exact_sum_rate(evaluate_scenario(a, np.array([PBAR]))["mrc"])
         row = res.rows[0]
         assert row[res.columns.index("pnusw_mrc_sumrate_bpshz")] == pytest.approx(
             expected, rel=1e-12

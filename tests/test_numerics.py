@@ -7,13 +7,13 @@ import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve
 
+from oracles import compensated_sum
 from xlmimo.beamforming import evaluate_scenario, mmse, mrc, zf
 from xlmimo.errors import NearSingularError, ZeroForcingInfeasibleError
 from xlmimo.numerics import (
     MAX_CONDITION,
     _gram,
     cdot,
-    compensated_sum,
     condition,
     gram,
     hermitian_solve,

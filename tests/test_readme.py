@@ -22,7 +22,7 @@ def test_minimal_api_session_runs(capsys):
 def test_every_cited_name_is_importable():
     cited = set(re.findall(r"`([A-Za-z][\w.]*)`", README)) - OTHER_SOFTWARE
     names = sorted(name for name in cited if not name.isupper())  # skip environment variables
-    assert {"correlation", "response_matrix", "solve_user", "pnusw_gain"} <= set(names)
+    assert {"correlation", "response_matrix", "solve_user"} <= set(names)
     for name in names:
         if name.startswith("xlmimo."):
             importlib.import_module(name)
