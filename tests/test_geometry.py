@@ -5,13 +5,13 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import element_distance, element_position, pnusw_gain, user_position
 from xlmimo.beamforming import response_matrix
 from xlmimo.errors import DegenerateGeometryError
-from xlmimo.geometry import ArrayGeometry, UserLocation, cartesian_to_spherical
+from xlmimo.geometry import ArrayGeometry, NearArrayWarning, UserLocation, cartesian_to_spherical
 
 LAM = 0.1256
 D = LAM / 2.0
@@ -24,6 +24,18 @@ def make_geom(num_y=11, num_z=11, spacing=D, area=AREA, wavelength=LAM):
     )
 
 
+def _geom_from(num_y, num_z, spacing, fill):
+    return make_geom(num_y=num_y, num_z=num_z, spacing=spacing, area=fill * spacing**2)
+
+
+geometries = st.builds(
+    _geom_from,
+    num_y=st.integers(min_value=1, max_value=12),
+    num_z=st.integers(min_value=1, max_value=12),
+    spacing=st.floats(min_value=0.01, max_value=1.0),
+    fill=st.floats(min_value=0.05, max_value=1.0),
+)
+
 # r stays above the largest array half-diagonal so no draw lands on an element
 locations = st.builds(
     UserLocation,
@@ -31,6 +43,35 @@ locations = st.builds(
     theta=st.floats(min_value=0.0, max_value=math.pi),
     phi=st.floats(min_value=-math.pi / 2, max_value=math.pi / 2),
 )
+
+# the same, kept off the array plane (u_x >= 0.003) so every entry has an amplitude
+front_locations = st.builds(
+    UserLocation,
+    r=st.floats(min_value=15.0, max_value=500.0),
+    theta=st.floats(min_value=0.05, max_value=math.pi - 0.05),
+    phi=st.floats(min_value=-1.5, max_value=1.5),
+)
+
+
+def walked_distances(geom, loc):
+    """Each element's distance to loc as the spherical-wave build has it, (num_z, num_y).
+
+    An entry's amplitude is sqrt(scale) / s^(3/2), with s its distance over r
+    and scale = xi e^2 u_x / (4 pi), e = spacing / r; so s = (sqrt(scale) / |a|)^(2/3).
+    """
+    amp = np.abs(response_matrix(geom, [loc], "pnusw")[:, 0]).reshape(geom.num_z, geom.num_y)
+    eps = geom.spacing / loc.r
+    scale = geom.occupation_ratio * eps * eps * loc.u_x / (4.0 * math.pi)
+    return loc.r * (math.sqrt(scale) / amp) ** (2.0 / 3.0)
+
+
+def euclidean_distances(geom, loc):
+    """|q - (0, m_y d, m_z d)| for every element, (num_z, num_y)."""
+    q = user_position(loc)
+    return np.array([
+        [np.linalg.norm(q - element_position(geom, m_y, m_z)) for m_y in geom.indices_y()]
+        for m_z in geom.indices_z()
+    ])
 
 
 class TestArrayGeometry:
@@ -77,6 +118,32 @@ class TestIndexGrid:
         oracle = [pnusw_gain(g, loc, m_y, m_z) for m_y, m_z in order]
         assert gains == pytest.approx(oracle, rel=1e-12)
         assert len(set(oracle)) == len(order)
+
+
+class TestElementPosition:
+    """The element at index (m_y, m_z) sits at (0, m_y d, m_z d), as the builds see it."""
+
+    def test_center_element(self):
+        # an odd array's middle entry is at the origin, r from any user
+        geom = make_geom()
+        loc = UserLocation(25.0, 1.1, 0.3)
+        assert geom.indices_y()[5] == geom.indices_z()[5] == 0.0
+        assert walked_distances(geom, loc)[5, 5] == pytest.approx(25.0, rel=1e-14)
+
+    def test_direct_scaling(self):
+        geom = make_geom(spacing=0.0628)
+        loc = UserLocation(25.0, 1.2, -0.4)
+        element = np.array([0.0, 0.0628, -0.1256])  # (m_y, m_z) = (1, -2): row 5 - 2, column 5 + 1
+        oracle = np.linalg.norm(user_position(loc) - element)
+        assert walked_distances(geom, loc)[3, 6] == pytest.approx(oracle, rel=1e-12)
+
+    def test_even_count_uses_half_integer_grid(self):
+        # two elements along y sit at +-d/2: a boresight user sees both at sqrt(r^2 + d^2/4)
+        geom = make_geom(num_y=2, num_z=1)
+        loc = UserLocation(25.0, math.pi / 2, 0.0)
+        got = walked_distances(geom, loc)[0]
+        assert got == pytest.approx([math.hypot(25.0, 0.5 * D)] * 2, rel=1e-12)
+        assert got == pytest.approx(euclidean_distances(geom, loc)[0], rel=1e-12)
 
 
 class TestUserLocation:
@@ -133,6 +200,10 @@ class TestUserPosition:
         assert pos[1] == pytest.approx(25.0, rel=1e-12)
         assert pos[2] == pytest.approx(0.0, abs=1e-12)
 
+    @given(locations)
+    def test_norm_equals_range(self, loc):
+        assert np.linalg.norm(user_position(loc)) == pytest.approx(loc.r, rel=1e-12)
+
 
 class TestCartesianToSpherical:
     def test_boresight(self):
@@ -187,3 +258,27 @@ class TestElementDistance:
         g = make_geom()
         loc = UserLocation(25.0, math.pi / 2, 0.0)
         assert element_distance(g, loc, 0, 3) == element_distance(g, loc, 3, 0)
+
+    def test_user_on_element_is_degenerate(self):
+        # (r=d, theta=pi/2, phi=pi/2) sits exactly on element (1, 0) of an odd
+        # array, and (d/2, pi/2, pi/2) on element (1/2, 0) of an even one
+        for geom, r in ((make_geom(), D), (make_geom(num_y=2, num_z=1), D / 2)):
+            with pytest.warns(NearArrayWarning):
+                with pytest.raises(DegenerateGeometryError, match="coincident"):
+                    response_matrix(geom, [UserLocation(r, math.pi / 2, math.pi / 2)], "pnusw")
+
+    @settings(max_examples=200, deadline=None)
+    @given(geom=geometries, loc=front_locations)
+    def test_algebraic_equals_euclidean(self, geom, loc):
+        # the build's paper-form radicand against |q - w| from Cartesian points
+        got = walked_distances(geom, loc)
+        assert got == pytest.approx(euclidean_distances(geom, loc), rel=1e-12)
+
+    def test_close_range_warning(self):
+        g = make_geom()
+        with pytest.warns(NearArrayWarning):
+            response_matrix(g, [UserLocation(5 * g.spacing, math.pi / 2, 0.0)], "pnusw")
+
+    def test_no_warning_at_realistic_range(self, recwarn):
+        response_matrix(make_geom(), [UserLocation(25.0, math.pi / 2, 0.0)], "pnusw")
+        assert not [w for w in recwarn.list if w.category is NearArrayWarning]
