@@ -25,15 +25,15 @@ plane-wave model the Gram matrix of any users has a closed form in signed
 Dirichlet kernels of the direction-cosine differences (_upw_gram), with the
 removable singularities filled in by their limits, so no plane-wave
 response is built for it.  _pair_gram gives the stack of one fixed user's
-Grams with many others under either model; under the spherical-wave model it
-builds the fixed user once and streams the other users box by box, so no
-other user's response is ever held whole.  Other users that are mirror
-images in the fixed user's symmetric axes (its u_y or u_z exactly 0.0), or
-repeats, share one walk.  A user with u_y == 0.0 or
-u_z == 0.0 is walked only on the half of that axis that its mirror symmetry
-does not repeat, and one with both (on the array's axis) only at the
-distinct radii m_y^2 + m_z^2 of the kept quadrant.  _nested_grams walks an
-M-sweep's largest array once and sums its Grams ring by ring from the boxes.
+Grams with many others, handed over as one (4, n) coordinate array; under
+the spherical-wave model it builds the fixed user once, streams the others
+box by box (none is ever held whole) and assembles their Grams a box at a
+time.  Others that are mirror images in the fixed user's symmetric axes
+(its u_y or u_z exactly 0.0), or repeats, share one walk.  One with u_y ==
+0.0 or u_z == 0.0 is walked only on the half of that axis that its mirror
+symmetry does not repeat, and one with both (on the array's axis) only at
+the distinct radii m_y^2 + m_z^2 of the kept quadrant.  _nested_grams walks
+an M-sweep's largest array once and sums its Grams ring by ring from the boxes.
 
 One box walker (_pnusw_walk) builds every spherical-wave entry, box by box
 in order on the calling thread, each box of at most 2^15 entries: a run of
@@ -110,38 +110,36 @@ def _boxes(first: int, stop: int, num_rows: int, row_len: int, joint: bool = Fal
     """The boxes (users, rows, entries), three slices in sweep order, that cut
     users first..stop-1, of num_rows rows of row_len entries each, into equal
     parts of at most _BAND_ENTRIES entries; joint boxes hold all users."""
-    count = stop - first if joint else 1  # users per box, past runs of whole users
-    users, rows, entries = _cut(first, stop, count), [slice(0, num_rows)], [slice(0, row_len)]
+    count = stop - first if joint else 1  # users per box
+    rows, entries = [slice(0, num_rows)], [slice(0, row_len)]
     if not joint and num_rows * row_len <= _BAND_ENTRIES:  # runs of whole users
-        users = _cut(first, stop, _BAND_ENTRIES // (num_rows * row_len))
+        count = _BAND_ENTRIES // (num_rows * row_len)
     elif count * row_len <= _BAND_ENTRIES:  # bands of rows
-        most = _BAND_ENTRIES // (count * row_len)
-        rows = _cut(0, num_rows, most)
+        rows = _cut(0, num_rows, _BAND_ENTRIES // (count * row_len))
     else:  # slices of one row
         rows, entries = _cut(0, num_rows, 1), _cut(0, row_len, max(_BAND_ENTRIES // count, 1))
-    return [(k, z, m) for k in users for z in rows for m in entries]
+    return [(k, z, m) for k in _cut(first, stop, count) for z in rows for m in entries]
 
 
-def _pnusw_walk(geom: ArrayGeometry, coordinates, indices, take, joint: bool = False, out=None):
+def _pnusw_walk(geom: ArrayGeometry, coordinates, indices, take, joint: bool = False):
     """Build spherical-wave users box by box, in order, yielding (box, result) lazily.
 
     User j, coordinates[:, j] = (r, u_x, u_y, u_z), is walked at the index
     vectors indices[j] = (m_y, m_z).  A run of users that share one pair (the
     same object) is cut into _boxes (joint: every box holds the whole run); a
     box is (users, rows, entries, m_y, m_z), computed whole in one broadcast
-    into one buffer of cycles, amp and phasors (these into out[users, rows,
-    entries] if out is given; joint: one float buffer of cycles, amp and the
-    phasors' real and imaginary planes).  With e = spacing / r and f(m) =
-    m^2 e^2 - 2 e u m per axis, an entry's radicand t = (1 + f_z) + f_y is its squared
-    distance over r^2 (u_y == 0.0 makes m_y and -m_y bitwise equal), its
-    amplitude sqrt(scale) / (s sqrt(s)) and its phase in cycles r s /
-    wavelength (the phase is -2 pi times it), with s = sqrt(t).
-    A box's result is take(users, rows, entries, phasors, amp, on_element),
-    the entries amp e^{-2 pi j cycles} (_phasors) and amp of shape (users,
-    rows, entries), and on_element[i] meaning a radicand t <= 0 for the box's
-    user i (a user on an element); take may overwrite both.  A joint walk
-    hands take the phasors as their (2, users, rows, entries) real and
-    imaginary planes.
+    into one buffer of cycles, amp and phasors (joint: one float buffer of
+    cycles, amp and the phasors' real and imaginary planes).  With e =
+    spacing / r and f(m) = m^2 e^2 - 2 e u m per axis, an entry's radicand
+    t = (1 + f_z) + f_y is its squared distance over r^2 (u_y == 0.0 makes
+    m_y and -m_y bitwise equal), its amplitude sqrt(scale) / (s sqrt(s)) and
+    its phase in cycles r s / wavelength (the phase is -2 pi times it), with
+    s = sqrt(t).  A box's result is take(users, rows, entries, phasors, amp,
+    on_element), the entries amp e^{-2 pi j cycles} (_phasors) and amp of
+    shape (users, rows, entries), and on_element[i] meaning a radicand t <= 0
+    for the box's user i (a user on an element); take may overwrite both.  A
+    joint walk hands take the phasors as their (2, users, rows, entries) real
+    and imaginary planes.
     """
     boxes, first = [], 0
     for stop in range(1, len(indices) + 1):
@@ -169,9 +167,8 @@ def _pnusw_walk(geom: ArrayGeometry, coordinates, indices, take, joint: bool = F
                 cycles, amp, re, im = buffer
                 phasors = buffer[2:]
             else:
-                buffer = np.empty((1 if out is not None else 2, *shape), dtype=complex)
-                cycles, amp = buffer[-1].view(float).reshape(2, *shape)
-                phasors = buffer[0] if out is None else out[users, rows, entries]
+                phasors, buffer = np.empty((2, *shape), dtype=complex)
+                cycles, amp = buffer.view(float).reshape(2, *shape)
                 re, im = phasors.real, phasors.imag
             np.add(f_y, f_z, out=cycles)
             on_element = cycles.min(axis=(1, 2)) <= 0.0
@@ -216,7 +213,7 @@ def _response_block(
 ) -> np.ndarray:
     """Responses of K users as one (K, N_z, N_y) array.
 
-    pnusw: an entry is _pnusw_walk's, written straight into the block; a
+    pnusw: an entry is _pnusw_walk's, copied into the block box by box; a
     build holds a buffer of at most a band besides.  upw: an entry is one broadcast of
     (common * e^{j c u_z m_z}) * e^{j c u_y m_y}, c = 2 pi spacing / wavelength.
     Entries depend only on the user and their own (m_y, m_z), so the centered
@@ -242,9 +239,9 @@ def _response_block(
         def check(users, rows, entries, phasors, amp, on_element):
             if on_element.any():
                 raise DegenerateGeometryError(_ON_ELEMENT)
+            out[users, rows, entries] = phasors
 
-        indices = [(m_y, m_z)] * len(out)
-        for _ in _pnusw_walk(geom, coordinates, indices, check, out=out):
+        for _ in _pnusw_walk(geom, coordinates, [(m_y, m_z)] * len(out), check):
             pass
     if not np.isfinite(out).all():
         raise DegenerateChannelError("channel entries must be finite")
@@ -295,8 +292,9 @@ def _upw_gram(geoms, users, cfg: UpwConfig | None = None) -> np.ndarray:
     if len({(g.spacing, g.element_area, g.wavelength) for g in stack}) > 1:
         raise ValueError("stacked geometries must share spacing, element area and wavelength")
     beta0 = (cfg or UpwConfig.matched_to(stack[0])).beta0
-    powers = _upw_powers(stack, users, beta0)
-    g = _upw_entries(stack, users, users, beta0)
+    coordinates = _coordinates(users)
+    powers = _upw_powers(stack, coordinates[0], beta0)
+    g = _upw_entries(stack, coordinates, coordinates, beta0)
     if not np.isfinite(g).all():
         raise DegenerateChannelError("channel entries must be finite")
     np.einsum("...ii->...i", g)[...] = powers
@@ -308,9 +306,8 @@ def _upw_sizes(stack):
     return np.array([(g.num_y, g.num_z, g.num_elements) for g in stack]).T[:, :, None, None]
 
 
-def _upw_powers(stack, users, beta0: float) -> np.ndarray:
-    """(n, K) plane-wave powers M beta0 / r^2; one that is 0 or not finite raises."""
-    r = _coordinates(users)[0]
+def _upw_powers(stack, r, beta0: float) -> np.ndarray:
+    """(n, K) plane-wave powers M beta0 / r^2 of ranges r; one that is 0 or not finite raises."""
     with np.errstate(over="ignore"):
         powers = _upw_sizes(stack)[2][:, 0] * beta0 / r / r
     if not np.all((powers > 0.0) & (powers < math.inf)):
@@ -319,13 +316,13 @@ def _upw_powers(stack, users, beta0: float) -> np.ndarray:
 
 
 def _upw_entries(stack, rows, cols, beta0: float) -> np.ndarray:
-    """(n, len(rows), len(cols)) plane-wave Gram entries G_ki, k of rows and i of cols.
+    """(n, K_k, K_i) plane-wave Gram entries G_ki, k of the (4, K_k) coordinates rows, i of cols.
 
     The off-diagonal formula of _upw_gram; each entry depends only on its own
     pair of users and geometry.
     """
     num_y, num_z, _ = _upw_sizes(stack)
-    (r_k, _, u_yk, u_zk), (r_i, _, u_yi, u_zi) = _coordinates(rows), _coordinates(cols)
+    (r_k, _, u_yk, u_zk), (r_i, _, u_yi, u_zi) = rows, cols
     geom = stack[0]
     d_norm = geom.spacing / geom.wavelength
     root_beta0 = math.sqrt(beta0)
@@ -378,42 +375,42 @@ def _distinct(keys):
 
 
 def _pair_gram(
-    geom: ArrayGeometry, loc1: UserLocation, others, model: str, cfg: UpwConfig | None = None
+    geom: ArrayGeometry, loc1: UserLocation, coordinates, model: str, cfg: UpwConfig | None = None
 ) -> np.ndarray:
-    """The (n, 2, 2) stack of the Gram matrices of (user 1, others[j]) on geom.
+    """The (n, 2, 2) stack of the Gram matrices of user 1 and each user 2 on geom.
 
-    upw builds nothing: the stack is one broadcast of _upw_gram's formula
-    over user 1 and all of others, and each matrix is bitwise the G_11, G_12
-    and G_22 of _upw_gram on that pair alone.  pnusw builds user 1's response
-    once (_response_block), sums its power row by row over band-sized boxes,
-    and walks user 2s (_pnusw_walk), never whole, against user 1's
-    conjugate.  Where user 1's u_y (u_z) is 0.0, its response is the same at
-    m and -m on that axis, so user 2 and its mirror image at -u_y (-u_z) have
-    the same Gram: each user 2 is keyed by (r, u_x, u_y, u_z) with that
-    coordinate replaced by its absolute value, each distinct key (compared
-    bitwise, in order of first occurrence) is walked once at those
-    coordinates, and its Gram is every cell's that shares it.  A key with
-    u_y == 0.0 or u_z == 0.0 is walked only at m >= 0 on that axis, against
-    user 1's conjugate folded onto it (_mirror, once per fold kind), and one
-    with both as one row at the kept quadrant's distinct radii, against that
-    fold summed per radius (_radial).  A key sums its row sums of G_12 and
-    |a_2|^2 (a row cut into slices: its slices' sums) in order, so every
-    matrix is the same for any band size that cuts no row.  The first failing cell in sweep order raises (a cell that shares
-    its key fails alike): a user on an element DegenerateGeometryError, a
-    non-finite row sum (user 2's: user 1's entries are finite)
-    DegenerateChannelError, as does a zero or non-finite power of user 1
-    (upw: of any user).
+    User 2 j is coordinates[:, j] = (r, u_x, u_y, u_z) of a (4, n) float
+    array (_coordinates), which is left as it is.  upw builds nothing: the
+    stack is one broadcast of _upw_gram's formula, each matrix bitwise the
+    G_11, G_12 and G_22 of _upw_gram on that pair alone.  pnusw builds user
+    1's response once (_response_block), sums its power row by row over
+    band-sized boxes, and walks user 2s (_pnusw_walk), never whole, against
+    user 1's conjugate.  Where user 1's u_y (u_z) is 0.0, its response is the
+    same at m and -m on that axis, so user 2 and its mirror image at -u_y
+    (-u_z) have the same Gram: each user 2 is keyed by its coordinates with
+    that one replaced by its absolute value, each distinct key (compared
+    bitwise, in order of first occurrence) is walked once, and its Gram is
+    every cell's that shares it.  A key with u_y == 0.0 or u_z == 0.0 is
+    walked only at m >= 0 on that axis, against user 1's conjugate folded
+    onto it (_mirror, once per fold kind), and one with both as one row at
+    the kept quadrant's distinct radii, against that fold summed per radius
+    (_radial).  A box gives its keys' row sums of G_12 and |a_2|^2 as arrays
+    (a key cut into bands or slices joins its boxes' first), and each key
+    sums its row sums in order, so every matrix is the same for any band
+    size that cuts no row.  The first failing cell in sweep order raises (a
+    cell that shares its key fails alike): a user on an element
+    DegenerateGeometryError, a non-finite row sum (user 2's: user 1's
+    entries are finite) DegenerateChannelError, as does a zero or non-finite
+    power of user 1 (upw: of any user).
     """
-    others = list(others)
     if model == UPW:
-        grams = np.empty((len(others), 2, 2), dtype=complex)
+        grams = np.empty((coordinates.shape[1], 2, 2), dtype=complex)
         beta0 = (cfg or UpwConfig.matched_to(geom)).beta0
-        powers = _upw_powers([geom], [loc1, *others], beta0)[0]
-        inner = _upw_entries([geom], [loc1], others, beta0)[0, 0]
-        grams[:, 0, 0] = powers[0]
-        grams[:, 0, 1] = inner
-        grams[:, 1, 0] = inner.conjugate()
-        grams[:, 1, 1] = powers[1:]
+        one = _coordinates([loc1])
+        powers = _upw_powers([geom], np.append(one[0], coordinates[0]), beta0)[0]
+        inner = _upw_entries([geom], one, coordinates, beta0)[0, 0]
+        grams[:, 0, 0], grams[:, 1, 1] = powers[0], powers[1:]
+        grams[:, 0, 1], grams[:, 1, 0] = inner, inner.conjugate()
         return grams
     a1 = _response_block(geom, (loc1,), model)[0]
     bands = (a1[rows, entries] for _, rows, entries in _boxes(0, 1, geom.num_z, geom.num_y))
@@ -421,14 +418,12 @@ def _pair_gram(
     if not 0.0 < power1 < math.inf:
         raise DegenerateChannelError("a user has a zero or non-finite channel")
     np.conjugate(a1, out=a1)
-    coordinates = _coordinates(others)
     _warn_if_near(geom, coordinates[0])
-    for axis, u1 in ((2, loc1.u_y), (3, loc1.u_z)):
-        if u1 == 0.0:
-            np.abs(coordinates[axis], out=coordinates[axis])
+    mirrored = [[False], [False], [loc1.u_y == 0.0], [loc1.u_z == 0.0]]  # user 1's symmetric axes
+    coordinates = np.where(mirrored, np.abs(coordinates), coordinates)
     first, keys = _distinct(coordinates)  # keys[j]: the index of cell j's key
     coordinates = coordinates[:, first]
-    kinds = [(u_y == 0.0, u_z == 0.0) for u_y, u_z in coordinates[2:].T]
+    kinds = list(zip(*(coordinates[2:] == 0.0).tolist()))  # each key's (u_y, u_z) == 0.0
 
     def fold(fold_y: bool, fold_z: bool):
         f, m_y, w_y = _mirror(a1, geom.indices_y(), fold_y)
@@ -446,25 +441,26 @@ def _pair_gram(
         built *= f[rows, entries]
         amp *= amp
         amp *= w_y[entries]
-        return zip(on_element, built.sum(axis=2), amp.sum(axis=2) * w_z[rows])
+        return on_element[:, None], built.sum(axis=2), amp.sum(axis=2) * w_z[rows]
 
     walk = _pnusw_walk(geom, coordinates, [indices[kind] for kind in kinds], reduce)
-    grams = np.empty((len(first), 2, 2), dtype=complex)
-    pieces = []  # (on_element, G_12 row sums, |a_2|^2 row sums) of the key in progress
-    for (users, rows, entries, m_y, m_z), results in walk:
-        for k, piece in zip(range(users.start, users.stop), results):
-            pieces.append(piece)
-            if rows.stop < len(m_z) or entries.stop < len(m_y):
-                continue  # the key goes on in the next box
-            on_element, inner, power = zip(*pieces)
-            pieces.clear()
-            if any(on_element):
+    grams = np.full((len(first), 2, 2), power1, dtype=complex)  # the rest is set box by box
+    pieces = []  # (on_element, G_12 row sums, |a_2|^2 row sums) of each box of the key in progress
+    for (users, rows, entries, m_y, m_z), piece in walk:
+        pieces.append(piece)
+        if rows.stop < len(m_z) or entries.stop < len(m_y):
+            continue  # the box's one key goes on in the next box
+        on_element, inner, power = (np.concatenate(p, axis=1) for p in zip(*pieces))
+        pieces.clear()
+        on_element = on_element.any(axis=1)
+        failed = on_element | ~(np.isfinite(inner).all(axis=1) & np.isfinite(power).all(axis=1))
+        if failed.any():  # the box's first failing key
+            if on_element[failed.argmax()]:
                 raise DegenerateGeometryError(_ON_ELEMENT)
-            inner, power = np.concatenate(inner), np.concatenate(power)
-            if not (np.isfinite(inner).all() and np.isfinite(power).all()):
-                raise DegenerateChannelError("channel entries must be finite")
-            g12 = inner.sum()
-            grams[k] = [[power1, g12], [g12.conjugate(), power.sum()]]
+            raise DegenerateChannelError("channel entries must be finite")
+        g12 = inner.sum(axis=1)
+        grams[users, 0, 1], grams[users, 1, 0] = g12, g12.conjugate()
+        grams[users, 1, 1] = power.sum(axis=1)
     return grams[keys]
 
 

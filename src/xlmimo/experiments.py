@@ -12,16 +12,16 @@ plane-wave Gram is the paper's Dirichlet-kernel closed form, and the
 spherical-wave model streams the largest array once and sums each nested
 array's Gram ring by ring, so every element is read once and no block is held.
 The two sweeps that move user 2 against a fixed user 1 (correlation versus
-distance and the SNR-loss map) index each cell's 2 x 2 Gram in one (n, 2, 2)
-stack per model from channel._pair_gram, made before the first row: the
-plane-wave stack is one closed-form broadcast, and the spherical-wave stack
-builds user 1 once and streams user 2s box by box (only the part of one
-that the array's mirror symmetry does not repeat; for a user 2 on the
-array's axis, such as every default correlation-versus-distance cell, only
-its distinct radii from the array center).  Cells whose user 2s are mirror
-images in user 1's symmetric axes, such as the default map's cells at y and
--y, or repeats, share one walk and so one Gram.  Every correlation is
-channel.correlation of a Gram.
+distance and the SNR-loss map) hand all their cells to channel._pair_gram
+as one (4, n) coordinate array and index each cell's 2 x 2 Gram in the
+(n, 2, 2) stack it gives per model: the plane-wave stack is one closed-form
+broadcast, and the spherical-wave stack builds user 1 once and streams user
+2s box by box, assembling their Grams a box at a time (only the part of a
+user 2 that the array's mirror symmetry does not repeat; on the array's
+axis, as in every default correlation-versus-distance cell, only its
+distinct radii).  Cells whose user 2s are mirror images in user 1's
+symmetric axes, such as the default map's cells at y and -y, or repeats,
+share one walk and so one Gram.  Every correlation is channel.correlation.
 
 A sweep runs its points, and the spherical-wave builds that dominate the
 random drops and the fixed-user cells, in order on the calling thread, one
@@ -176,12 +176,16 @@ def sweep_correlation_vs_distance(
     models = _check_models(models)
     theta2, phi2 = direction2
     separations = sorted(float(s) for s in separations)
-    others = [UserLocation(r=loc1.r + sep, theta=theta2, phi=phi2) for sep in separations]
-    grams = [ch._pair_gram(geom, loc1, others, model, upw_cfg) for model in models]
+    with np.errstate(over="ignore"):  # a range that overflows to inf raises below
+        r = loc1.r + np.array(separations)
+    for end in (*r[:1], *r[-1:], 1.0):  # the nearest and farthest ranges bound every cell's
+        u = UserLocation(float(end), theta2, phi2)  # last at r = 1: only its cosines are read
+    coordinates = np.vstack([r, np.full((3, len(r)), [[u.u_x], [u.u_y], [u.u_z]])])
+    grams = [ch._pair_gram(geom, loc1, coordinates, model, upw_cfg) for model in models]
 
     rows = [
-        (sep, loc2.r) + tuple(ch.correlation(g[j]) for g in grams)
-        for j, (sep, loc2) in enumerate(zip(separations, others))
+        (sep, r2) + tuple(ch.correlation(g[j]) for g in grams)
+        for j, (sep, r2) in enumerate(zip(separations, r.tolist()))
     ]
     return SweepResult(
         columns=["separation_m", "r2_m"] + [f"{model}_rho_linear" for model in models],
@@ -236,11 +240,9 @@ def heatmap_snr_loss(
     Every cell reads the paper's two-user closed form alpha = q2 rho / (1 + q2),
     with q2 = p2 |a_2|^2 and rho the correlation of the two users' channels,
     both from the cell's 2 x 2 Gram (channel._pair_gram), so no cell factors
-    or solves anything.  pnusw builds user 1's response once and walks the
-    user 2s box by box, each cell and its mirror image at -y once where user 1
-    has u_y == 0.0 (the default map is then exactly symmetric in y); upw
-    builds nothing.  A channel whose power is 0 or not finite raises
-    DegenerateChannelError.
+    or solves anything.  A cell and its mirror image at -y share one walk where
+    user 1 has u_y == 0.0, so the default map is exactly symmetric in y.  A
+    channel whose power is 0 or not finite raises DegenerateChannelError.
 
     Grid points with x <= 0 (outside the front half space) are emitted as
     missing values.  Long-form rows: (x, y, one loss factor per model).
@@ -255,8 +257,8 @@ def heatmap_snr_loss(
     cells = [(x, y) for x in x_values for y in y_values]
     behind = sum(x <= 0.0 for x, _ in cells)  # a prefix: x is sorted and outer
     front = cells[behind:]
-    others = [cartesian_to_spherical((x, y, 0.0)) for x, y in front]
-    grams = [ch._pair_gram(geom, loc1, others, model, upw_cfg) for model in models]
+    coordinates = ch._coordinates(cartesian_to_spherical((x, y, 0.0)) for x, y in front)
+    grams = [ch._pair_gram(geom, loc1, coordinates, model, upw_cfg) for model in models]
 
     def loss(g: np.ndarray) -> float:
         return _mmse_loss(p2 * float(g[1, 1].real), ch.correlation(g))

@@ -160,9 +160,10 @@ def cartesian_to_spherical(p) -> UserLocation:
 
 def _warn_if_near(geom: ArrayGeometry, r) -> None:
     """Warn NearArrayWarning, from the caller, once if any of the ranges r (an array) is
-    within 1 / NEAR_ARRAY_RATIO element spacings of the array."""
+    within 1 / NEAR_ARRAY_RATIO element spacings of the array; a non-finite ratio is skipped."""
     with np.errstate(all="ignore"):
-        eps = float((geom.spacing / r).max(initial=0.0))
+        eps = geom.spacing / r
+    eps = float(eps[np.isfinite(eps)].max(initial=0.0))
     if eps >= NEAR_ARRAY_RATIO:
         warnings.warn(
             f"element spacing is {eps:.3g} of the user range; "

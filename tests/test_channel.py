@@ -517,7 +517,7 @@ class TestStreamedPairGrams:
         geom = make_geom(num_y=num_y, num_z=num_z)
         others = random_users(np.random.default_rng(num_y), 4) + [self.LOC1] + self.ON_AXIS
         for loc1 in (self.LOC1, UserLocation(30.0, math.pi / 2, 0.0)):
-            grams = _pair_gram(geom, loc1, others, "pnusw")
+            grams = _pair_gram(geom, loc1, ch._coordinates(others), "pnusw")
             assert grams.shape == (len(others), 2, 2)
             for g, loc2 in zip(grams, others):
                 g11, g12, g22 = self.fsum_gram(geom, loc1, loc2)
@@ -533,7 +533,7 @@ class TestStreamedPairGrams:
         # rows: 2 bands of 101 rows at 201 x 201, 2 of 5 001 rows at 4 x 10 001;
         # bands of 201 entries hold one row at 201 x 201 (a shorter band would cut
         # the rows, whose sums then round otherwise)
-        others = random_users(np.random.default_rng(5), 3)
+        others = ch._coordinates(random_users(np.random.default_rng(5), 3))
         for geom in (make_geom(num_y=201, num_z=201), make_geom(num_y=4, num_z=10_001)):
             assert len(ch._boxes(0, 1, geom.num_z, geom.num_y)) == 2
             grams = []
@@ -551,8 +551,8 @@ class TestStreamedPairGrams:
             monkeypatch.setattr(ch, "_BAND_ENTRIES", band_entries)
         geom = make_geom(*shape)
         users = self.FOLDING + self.ON_AXIS
-        alone = [_pair_gram(geom, self.LOC1, [loc], "pnusw") for loc in users]
-        grams = _pair_gram(geom, self.LOC1, users, "pnusw")
+        alone = [_pair_gram(geom, self.LOC1, ch._coordinates([loc]), "pnusw") for loc in users]
+        grams = _pair_gram(geom, self.LOC1, ch._coordinates(users), "pnusw")
         assert grams.tobytes() == np.concatenate(alone).tobytes()
 
     # user 2s folded on y only (u_y == 0), z only (u_z == 0), on both and on neither
@@ -573,7 +573,7 @@ class TestStreamedPairGrams:
         assert kinds == {(True, False), (False, True), (True, True), (False, False)}
         geom = make_geom(num_y=num_y, num_z=num_z)
         for loc1 in (self.LOC1, UserLocation(30.0, math.pi / 2, 0.0)):
-            grams = _pair_gram(geom, loc1, self.FOLDING, "pnusw")
+            grams = _pair_gram(geom, loc1, ch._coordinates(self.FOLDING), "pnusw")
             for g, loc2 in zip(grams, self.FOLDING):
                 g11, g12, g22 = self.fsum_gram(geom, loc1, loc2)
                 assert g[0, 0] == pytest.approx(g11, rel=1e-13, abs=0.0)
@@ -595,7 +595,7 @@ class TestStreamedPairGrams:
         # neighbours'), walked by the last walk, after user 1's build
         walks = recorded_walks(monkeypatch)
         geom = make_geom(num_y=num_y, num_z=num_z)
-        _pair_gram(geom, self.LOC1, self.FOLDING, "pnusw")
+        _pair_gram(geom, self.LOC1, ch._coordinates(self.FOLDING), "pnusw")
         boxes = walks[-1]
         assert [(users.start, users.stop) for users, *_ in boxes] == [
             (k, k + 1) for k in range(len(self.FOLDING))
@@ -625,7 +625,7 @@ class TestStreamedPairGrams:
         # row.  Bands of 2^10 cut every radial row (13 788 and 2 002 entries) into
         # slices, whose sums only round otherwise
         assert len(ch._boxes(0, 1, 201, 201)) == 2
-        users = self.FOLDING + self.ON_AXIS
+        users = ch._coordinates(self.FOLDING + self.ON_AXIS)
         for geom in (make_geom(num_y=401, num_z=401), make_geom(num_y=4, num_z=2_001)):
             longest = max(len(self.kept_radii(geom)), geom.num_y)
             assert longest > 2**10
@@ -645,7 +645,8 @@ class TestStreamedPairGrams:
         # with a 1 us switch interval: every stack is the serial one
         geom = make_geom(num_y=201, num_z=101)
         monkeypatch.setattr(ch, "_BAND_ENTRIES", 2**10)
-        serial = _pair_gram(geom, self.LOC1, self.FOLDING, "pnusw").tobytes()
+        folding = ch._coordinates(self.FOLDING)
+        serial = _pair_gram(geom, self.LOC1, folding, "pnusw").tobytes()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -653,7 +654,7 @@ class TestStreamedPairGrams:
             with ThreadPoolExecutor(4) as callers:
                 stacks = list(
                     callers.map(
-                        lambda _: _pair_gram(geom, self.LOC1, self.FOLDING, "pnusw").tobytes(),
+                        lambda _: _pair_gram(geom, self.LOC1, folding, "pnusw").tobytes(),
                         range(8),
                     )
                 )
@@ -675,16 +676,17 @@ class TestStreamedPairGrams:
             if side == 21:  # the z-folded cells keep 11 rows of 21 entries: one box
                 assert on_element.u_z == far.u_z == fine.u_z == 0.0
                 assert len(ch._boxes(0, 4, side // 2 + 1, side)) == 1
+            cells = lambda *users: ch._coordinates(users)  # noqa: E731
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 warnings.simplefilter("ignore", NearArrayWarning)  # the on-element user is near
                 with pytest.raises(DegenerateGeometryError, match="coincident"):
-                    _pair_gram(geom, self.LOC1, [fine, on_element, far, fine], "pnusw")
+                    _pair_gram(geom, self.LOC1, cells(fine, on_element, far, fine), "pnusw")
                 with pytest.raises(DegenerateChannelError, match="finite"):
-                    _pair_gram(geom, self.LOC1, [far, on_element, fine], "pnusw")
+                    _pair_gram(geom, self.LOC1, cells(far, on_element, fine), "pnusw")
                 # the repeat of fine shares its key: far is key 1 at cell 2
                 with pytest.raises(DegenerateChannelError, match="finite"):
-                    _pair_gram(geom, self.LOC1, [fine, fine, far, on_element], "pnusw")
+                    _pair_gram(geom, self.LOC1, cells(fine, fine, far, on_element), "pnusw")
 
     # user 1 on the array's axis, whose response is the same at m and -m on both axes
     ON_AXIS_1 = UserLocation(30.0, math.pi / 2, 0.0)
@@ -733,12 +735,15 @@ class TestStreamedPairGrams:
         geom = make_geom(num_y=num_y, num_z=num_z)
         loc1 = self.ON_AXIS_1
         sweep, keys = self.shared_sweep()
-        grams = _pair_gram(geom, loc1, sweep, "pnusw")
+        coordinates = ch._coordinates(sweep)
+        grams = _pair_gram(geom, loc1, coordinates, "pnusw")
+        assert coordinates.tobytes() == ch._coordinates(sweep).tobytes()  # keyed on a copy
         walked = sorted({k for users, *_ in walks[-1] for k in range(users.start, users.stop)})
         assert walked == list(range(len(set(keys))))
         for g, loc2, key in zip(grams, sweep, keys):
             assert g.tobytes() == grams[keys.index(key)].tobytes()
-            assert g.tobytes() == _pair_gram(geom, loc1, [loc2], "pnusw")[0].tobytes()
+            alone = _pair_gram(geom, loc1, ch._coordinates([loc2]), "pnusw")
+            assert g.tobytes() == alone[0].tobytes()
             g11, g12, g22 = self.fsum_gram(geom, loc1, loc2)
             radial = loc2.u_y == 0.0 and loc2.u_z == 0.0
             bound = 1e-13 + (self.radial_phase_bound(geom, loc2) if radial else 0.0)
@@ -762,10 +767,10 @@ class TestStreamedPairGrams:
         loc1 = UserLocation(40.0, math.pi / 2, 0.2)
         assert loc1.u_y != 0.0 and loc1.u_z == 0.0
         sweep = [UserLocation(r, math.pi / 2, phi) for r in (30.0, 80.0) for phi in (0.4, -0.4)]
-        grams = _pair_gram(geom, loc1, sweep, "pnusw")
+        grams = _pair_gram(geom, loc1, ch._coordinates(sweep), "pnusw")
         assert walked[-1].tobytes() == ch._coordinates(sweep).tobytes()
         assert grams[0].tobytes() != grams[1].tobytes()
-        alone = [_pair_gram(geom, loc1, [loc], "pnusw") for loc in sweep]
+        alone = [_pair_gram(geom, loc1, ch._coordinates([loc]), "pnusw") for loc in sweep]
         assert grams.tobytes() == np.concatenate(alone).tobytes()
 
     def test_the_default_map_is_exactly_symmetric_in_y(self):
@@ -795,10 +800,10 @@ class TestStreamedPairGrams:
                 warnings.simplefilter("ignore", NearArrayWarning)  # the on-element user is near
                 sweep = [fine, self.mirror_y(on_element), far, on_element]
                 with pytest.raises(DegenerateGeometryError, match="coincident"):
-                    _pair_gram(geom, self.ON_AXIS_1, sweep, "pnusw")
+                    _pair_gram(geom, self.ON_AXIS_1, ch._coordinates(sweep), "pnusw")
                 sweep = [fine, self.mirror_y(far), on_element, far]
                 with pytest.raises(DegenerateChannelError, match="finite"):
-                    _pair_gram(geom, self.ON_AXIS_1, sweep, "pnusw")
+                    _pair_gram(geom, self.ON_AXIS_1, ch._coordinates(sweep), "pnusw")
 
     def test_memory_is_user_one_and_a_few_bands(self):
         # 50 cells at 200 x 200: no cell may hold an M-sized array
@@ -1223,7 +1228,7 @@ class TestUpwGram:
         with pytest.raises(DegenerateChannelError, match="zero or non-finite"):
             _upw_gram([make_geom(), make_geom(num_z=31)], users)
         with pytest.raises(DegenerateChannelError, match="zero or non-finite"):
-            _pair_gram(make_geom(), users[0], users[1:], "upw")
+            _pair_gram(make_geom(), users[0], ch._coordinates(users[1:]), "upw")
 
     def test_pair_grams_are_the_two_user_grams_bitwise(self):
         # one broadcast over user 1 and all others, against one _upw_gram per pair;
@@ -1233,7 +1238,7 @@ class TestUpwGram:
         others += [UserLocation(70.0, loc1.theta, loc1.phi), UserLocation(3.0, 1.5, 0.9)]
         for geom in (make_geom(num_y=20, num_z=31), make_geom(7, 8, spacing=LAM)):
             for cfg in (None, UpwConfig(beta0=2.5e-4)):
-                grams = _pair_gram(geom, loc1, others, "upw", cfg)
+                grams = _pair_gram(geom, loc1, ch._coordinates(others), "upw", cfg)
                 for j, loc2 in enumerate(others):
                     got, alone = grams[j], _upw_gram(geom, (loc1, loc2), cfg)
                     read = ([0, 0, 1], [0, 1, 1])  # G_11, G_12, G_22

@@ -471,6 +471,21 @@ def test_a_near_array_user_prints_one_warning_line(run_python, tmp_path):
     assert far.returncode == 0 and far.stderr == ""
 
 
+@pytest.mark.parametrize("r, warned", [("1e-320", None), ("1e-300", "6.28e+298")])
+def test_a_range_too_small_for_its_ratio_gives_only_the_numerical_error(
+    run_python, tmp_path, r, warned
+):
+    # spacing / 1e-320 overflows to inf, which no warning line reports; a finite
+    # ratio, however large, is still reported before the numerical error
+    overrides = [f"users.0.r_m={r}", "sweep.mz_values=[11]"]
+    proc = run_with_overrides(run_python, tmp_path, "corr-vs-m", overrides)
+    assert proc.returncode == 2, proc.stderr
+    assert "numerical error:" in proc.stderr
+    assert "inf of the user range" not in proc.stderr
+    warning = f"warning: element spacing is {warned} of the user range"
+    assert (warning in proc.stderr) == (warned is not None), proc.stderr
+
+
 @pytest.mark.parametrize(
     "experiment, overrides",
     [

@@ -389,6 +389,31 @@ class TestCorrelationVsDistance:
         assert all(row[3] == pytest.approx(1.0, abs=1e-12) for row in res.rows)
         assert res.rows[-1][2] < res.rows[0][2]
 
+    @pytest.mark.parametrize(
+        "shape, separations",
+        [
+            ((201, 201), [0.0, 0.5, 7.25]),  # each cell is two bands of rows
+            ((16, 16), [0.01 * k for k in range(300)]),  # three boxes of 100 cells
+        ],
+    )
+    @pytest.mark.parametrize(
+        "loc1", [UserLocation(40.0, 1.3, 0.2), UserLocation(30.0, math.pi / 2, 0.0)]
+    )
+    def test_rows_are_bitwise_the_per_cell_grams(self, shape, separations, loc1):
+        # the sweep hands its cells over as one coordinate array; with user 1 off
+        # the axis and on it (which keys each cell at |u_y| and |u_z|), each row is
+        # the one a cell built as its own UserLocation and walked alone gets
+        geom = make_geom(*shape)
+        theta2, phi2 = 1.2, -0.3
+        res = sweep_correlation_vs_distance(geom, loc1, (theta2, phi2), separations)
+        want = []
+        for s in separations:
+            cell = ch._coordinates([UserLocation(loc1.r + s, theta2, phi2)])
+            rhos = [ch.correlation(ch._pair_gram(geom, loc1, cell, m)[0]) for m in ch.VALID_MODELS]
+            want.append((s, loc1.r + s, *rhos))
+        assert res.columns == ["separation_m", "r2_m", "pnusw_rho_linear", "upw_rho_linear"]
+        assert np.array(res.rows).tobytes() == np.array(want).tobytes()
+
     def test_fixed_user_sweeps_build_user_one_once_and_no_plane_wave_response(self, monkeypatch):
         # both sweeps that move user 2 read upw Grams in closed form and build the
         # spherical-wave user 1 once; every user 2 is streamed band by band, with
