@@ -20,14 +20,14 @@ with a scheme-specific loss factor alpha in [0, 1]:
   A P^1/2 W^-1 e_k.
 
 Every SINR, loss factor and beamformer comes from one K x K step per
-scenario (_factorize): it gates the Gram matrix G and W by their condition
-numbers and forms their Cholesky inverses.  evaluate_scenario() reads all
-users' SINRs off their diagonals, from gram(A) or from a G the caller
-already holds (the M-sweeps accumulate it without forming A); zf() and
-mmse() multiply A by one of their columns.  An (n, K, K) stack of Grams
-sharing one SNR vector is factored in one call; nothing is M x M.
-sinr() evaluates the quotient directly and serves as the consistency
-oracle for the beamformers.
+scenario (_factorize): one numerics.hermitian_solve call each gates the
+Gram matrix G and W by their condition numbers and forms their Cholesky
+inverses.  evaluate_scenario() reads all users' SINRs off their diagonals,
+from gram(A) or from a G the caller already holds (the M-sweeps accumulate
+it without forming A); zf() and mmse() multiply A by one of their columns.
+An (n, K, K) stack of Grams sharing one SNR vector is factored in one call;
+nothing is M x M.  sinr() evaluates the quotient directly and serves as the
+consistency oracle for the beamformers.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from .errors import (
     ZeroForcingInfeasibleError,
 )
 from .geometry import ArrayGeometry
-from .numerics import MAX_CONDITION, cdot, condition, gram, hermitian_solve, vector_power
+from .numerics import MAX_CONDITION, cdot, gram, hermitian_solve, vector_power
 
 SCHEMES = ("mrc", "zf", "mmse")
 
@@ -117,25 +117,21 @@ def _factorize(g: np.ndarray, snr=None):
 
     Takes the Gram matrix G = A^H A, or an (n, K, K) stack of them, and
     returns (G^-1, residual, W^-1, SINRs) with W = I + P^1/2 G P^1/2, each
-    with the stack's leading axis; the SINRs are evaluate_scenario's.  Every
-    G and W passes one gate: numerics.condition, which no user's power
-    changes, at most MAX_CONDITION.  The passing Grams are inverted in one
-    solve; a failing G^-1 is NaN, as for M < K.  residual[k] = 1 / [G^-1]_kk
-    is the power of a_k left after projecting out the interferers, or 0.0
-    where zero forcing is infeasible: at most ZF_COLLINEAR_TOL of the user's
-    own power, or G failed.  W^-1 and the SINRs are None without snr, which
-    must hold K positive finite SNRs.  A failing W raises NearSingularError
-    with the largest condition number; a channel power of 0 or above
-    _MAX_POWER raises DegenerateChannelError.
+    with the stack's leading axis; the SINRs are evaluate_scenario's.  One
+    numerics.hermitian_solve call gates and inverts the G stack, and one the
+    W stack; a failing G^-1 is NaN, as for M < K.  residual[k] = 1 /
+    [G^-1]_kk is the power of a_k left after projecting out the
+    interferers, or 0.0 where zero forcing is infeasible: at most
+    ZF_COLLINEAR_TOL of the user's own power, or G failed.  W^-1 and the
+    SINRs are None without snr, which must hold K positive finite SNRs.  A
+    failing W raises NearSingularError with the largest condition number; a
+    channel power of 0 or above _MAX_POWER raises DegenerateChannelError.
     """
     k_users = g.shape[-1]
     powers = _diagonal(g).real
     if not np.all((powers > 0.0) & (powers <= _MAX_POWER)):
         raise DegenerateChannelError("a user's channel power is zero or too large to square")
-    eye = np.eye(k_users)
-    ok = condition(g) <= MAX_CONDITION
-    g_inv = np.full(g.shape, np.nan, dtype=complex)
-    g_inv[ok] = hermitian_solve(g[ok], eye)
+    g_inv, _ = hermitian_solve(g)
     residual = 1.0 / _diagonal(g_inv).real
     residual = np.where(residual > ZF_COLLINEAR_TOL * powers, residual, 0.0)
     if snr is None:
@@ -146,14 +142,13 @@ def _factorize(g: np.ndarray, snr=None):
     h = root[:, None] * g * root[None, :]
     # p_k G_kk exactly, as in the MRC SINR, so MMSE equals MRC where interference vanishes
     _diagonal(h)[...] = snr * powers
-    w = eye + h
-    worst = float(condition(w).max(initial=0.0))
+    w_inv, cond = hermitian_solve(np.eye(k_users) + h)
+    worst = float(cond.max(initial=0.0))
     if worst > MAX_CONDITION:
         raise NearSingularError(
             f"condition number {worst:.3e} exceeds {MAX_CONDITION:.3e}; collinear user channels",
             cond_estimate=worst,
         )
-    w_inv = hermitian_solve(w, eye)
     scaled = g / np.sqrt(powers)[..., None]
     coupling = scaled.real**2 + scaled.imag**2
     _diagonal(coupling)[...] = 0.0

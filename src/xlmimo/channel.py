@@ -121,25 +121,24 @@ def _boxes(first: int, stop: int, num_rows: int, row_len: int, joint: bool = Fal
     return [(k, z, m) for k in _cut(first, stop, count) for z in rows for m in entries]
 
 
-def _pnusw_walk(geom: ArrayGeometry, coordinates, indices, take, joint: bool = False):
-    """Build spherical-wave users box by box, in order, yielding (box, result) lazily.
+def _pnusw_walk(geom: ArrayGeometry, coordinates, indices, joint: bool = False):
+    """Build spherical-wave users box by box, in order, yielding (box, phasors, amp, on_element).
 
     User j, coordinates[:, j] = (r, u_x, u_y, u_z), is walked at the index
     vectors indices[j] = (m_y, m_z).  A run of users that share one pair (the
     same object) is cut into _boxes (joint: every box holds the whole run); a
     box is (users, rows, entries, m_y, m_z), computed whole in one broadcast
-    into one buffer of cycles, amp and phasors (joint: one float buffer of
-    cycles, amp and the phasors' real and imaginary planes).  With e =
-    spacing / r and f(m) = m^2 e^2 - 2 e u m per axis, an entry's radicand
-    t = (1 + f_z) + f_y is its squared distance over r^2 (u_y == 0.0 makes
-    m_y and -m_y bitwise equal), its amplitude sqrt(scale) / (s sqrt(s)) and
-    its phase in cycles r s / wavelength (the phase is -2 pi times it), with
-    s = sqrt(t).  A box's result is take(users, rows, entries, phasors, amp,
-    on_element), the entries amp e^{-2 pi j cycles} (_phasors) and amp of
-    shape (users, rows, entries), and on_element[i] meaning a radicand t <= 0
-    for the box's user i (a user on an element); take may overwrite both.  A
-    joint walk hands take the phasors as their (2, users, rows, entries) real
-    and imaginary planes.
+    when the walk is advanced to it, into the walk's one buffer, sized to
+    its largest box, so the next box overwrites what a box yields.  With e =
+    spacing / r and f(m) = m^2 e^2 - 2 e u m per axis, an entry's radicand t
+    = (1 + f_z) + f_y is its squared distance over r^2 (u_y == 0.0 makes m_y
+    and -m_y bitwise equal), its amplitude sqrt(scale) / (s sqrt(s)) and its
+    phase in cycles r s / wavelength (the phase is -2 pi times it), with s =
+    sqrt(t).  phasors, the entries amp e^{-2 pi j cycles} (_phasors), and
+    amp have shape (users, rows, entries) (joint: the phasors are their (2,
+    users, rows, entries) real and imaginary planes), and on_element[i]
+    means a radicand t <= 0 for the box's user i (a user on an element); the
+    caller may overwrite them.
     """
     boxes, first = [], 0
     for stop in range(1, len(indices) + 1):
@@ -154,23 +153,27 @@ def _pnusw_walk(geom: ArrayGeometry, coordinates, indices, take, joint: bool = F
         scale = geom.occupation_ratio * e * e * u_x / (4.0 * math.pi)
         wave = r / geom.wavelength
         terms = np.array([e * e, 2.0 * e * u_y, 2.0 * e * u_z, np.sqrt(scale), wave])
-
-    def walk(users, rows, entries, m_y, m_z):
+    shapes = [(k.stop - k.start, z.stop - z.start, m.stop - m.start) for k, z, m, _, _ in boxes]
+    store = np.empty(4 * max(map(math.prod, shapes), default=0))  # every box's one buffer
+    for box, shape in zip(boxes, shapes):
+        users, rows, entries, m_y, m_z = box
         m_y, m_z = m_y[entries], m_z[rows, None]
         e2, e_y, e_z, root_scale, wave = terms[:, users, None, None]
-        with np.errstate(all="ignore"):
-            f_y, f_z = m_y * m_y * e2 - e_y * m_y, 1.0 + (m_z * m_z * e2 - e_z * m_z)
-            # one buffer, after f_y's temporaries: two freed per box can refault the heap
-            shape = (users.stop - users.start, len(m_z), len(m_y))
+        buffer = store[: 4 * math.prod(shape)]
+        with np.errstate(all="ignore"):  # exited before the yield: the caller keeps its own
             if joint:
-                buffer = np.empty((4, *shape))
-                cycles, amp, re, im = buffer
+                cycles, amp, re, im = buffer = buffer.reshape(4, *shape)
                 phasors = buffer[2:]
             else:
-                phasors, buffer = np.empty((2, *shape), dtype=complex)
-                cycles, amp = buffer.view(float).reshape(2, *shape)
+                phasors, pair = buffer.view(complex).reshape(2, *shape)
+                cycles, amp = pair.view(float).reshape(2, *shape)
                 re, im = phasors.real, phasors.imag
-            np.add(f_y, f_z, out=cycles)
+            f_y, f_z = amp[:, :1], im[:, :, :1]  # in planes _phasors overwrites: no temporaries
+            np.multiply(m_y * m_y, e2, out=f_y)
+            f_y -= np.multiply(e_y, m_y, out=re[:, :1])
+            np.multiply(m_z * m_z, e2, out=f_z)
+            f_z -= np.multiply(e_z, m_z, out=re[:, :, :1])
+            np.add(f_y, np.add(f_z, 1.0, out=f_z), out=cycles)
             on_element = cycles.min(axis=(1, 2)) <= 0.0
             np.sqrt(cycles, out=cycles)
             np.sqrt(cycles, out=amp)
@@ -178,9 +181,7 @@ def _pnusw_walk(geom: ArrayGeometry, coordinates, indices, take, joint: bool = F
             np.divide(root_scale, amp, out=amp)
             cycles *= wave
             _phasors(cycles, amp, re, im)
-            return take(users, rows, entries, phasors, amp, on_element)
-
-    return ((box, walk(*box)) for box in boxes)
+        yield box, phasors, amp, on_element
 
 
 def _phasors(cycles, amp, re, im):
@@ -235,14 +236,11 @@ def _response_block(
         np.multiply(along_z[:, :, None], np.exp(1j * ((c * u_y) * m_y))[:, None, :], out=out)
     else:
         _warn_if_near(geom, coordinates[0])
-
-        def check(users, rows, entries, phasors, amp, on_element):
+        walk = _pnusw_walk(geom, coordinates, [(m_y, m_z)] * len(out))
+        for (users, rows, entries, _, _), phasors, _, on_element in walk:
             if on_element.any():
                 raise DegenerateGeometryError(_ON_ELEMENT)
             out[users, rows, entries] = phasors
-
-        for _ in _pnusw_walk(geom, coordinates, [(m_y, m_z)] * len(out), check):
-            pass
     if not np.isfinite(out).all():
         raise DegenerateChannelError("channel entries must be finite")
     return out
@@ -436,18 +434,15 @@ def _pair_gram(
     del a1  # held on only by the unfolded kind's fold, if a cell needs it
     indices = {kind: (m_y, m_z) for kind, (_, m_y, m_z, _, _) in folds.items()}
 
-    def reduce(users, rows, entries, built, amp, on_element):
+    walk = _pnusw_walk(geom, coordinates, [indices[kind] for kind in kinds])
+    grams = np.full((len(first), 2, 2), power1, dtype=complex)  # the rest is set box by box
+    pieces = []  # (on_element, G_12 row sums, |a_2|^2 row sums) of each box of the key in progress
+    for (users, rows, entries, m_y, m_z), built, amp, on_element in walk:
         f, _, _, w_y, w_z = folds[kinds[users.start]]
         built *= f[rows, entries]
         amp *= amp
         amp *= w_y[entries]
-        return on_element[:, None], built.sum(axis=2), amp.sum(axis=2) * w_z[rows]
-
-    walk = _pnusw_walk(geom, coordinates, [indices[kind] for kind in kinds], reduce)
-    grams = np.full((len(first), 2, 2), power1, dtype=complex)  # the rest is set box by box
-    pieces = []  # (on_element, G_12 row sums, |a_2|^2 row sums) of each box of the key in progress
-    for (users, rows, entries, m_y, m_z), piece in walk:
-        pieces.append(piece)
+        pieces.append((on_element[:, None], built.sum(axis=2), amp.sum(axis=2) * w_z[rows]))
         if rows.stop < len(m_z) or entries.stop < len(m_y):
             continue  # the box's one key goes on in the next box
         on_element, inner, power = (np.concatenate(p, axis=1) for p in zip(*pieces))
@@ -504,7 +499,9 @@ def _nested_grams(geoms, users, model: str, cfg: UpwConfig | None = None) -> np.
         strips += [(i, *p) for p in parts if p[0] < p[1] and p[2] < p[3]]
         last = (i, z0, z1, y0, y1)
 
-    def reduce(users, rows, entries, planes, amp, on_element):
+    _warn_if_near(big, coordinates[0])
+    walk = _pnusw_walk(big, coordinates, [(big.indices_y(), big.indices_z())] * k, joint=True)
+    for (_, rows, entries, _, _), planes, _, on_element in walk:
         if on_element.any():
             raise DegenerateGeometryError(_ON_ELEMENT)
         r, e = rows.start, entries.start
@@ -513,11 +510,6 @@ def _nested_grams(geoms, users, model: str, cfg: UpwConfig | None = None) -> np.
             if z0 < z1 and y0 < y1:
                 part = planes[:, :, z0 - r : z1 - r, y0 - e : y1 - e]
                 sums[i] += _products(part.reshape(2 * k, -1))
-
-    _warn_if_near(big, coordinates[0])
-    indices = [(big.indices_y(), big.indices_z())] * k
-    for _ in _pnusw_walk(big, coordinates, indices, reduce, joint=True):
-        pass
     grams = _hermitian(sums)  # a non-finite sum is rejected below
     for i, g in alone.items():
         grams[i] = g

@@ -507,10 +507,16 @@ def _cell(value) -> str:
 
 
 def _write_atomic(path: str, data: str) -> None:
+    """Write data to path through a temp file, which a failed write removes (a config error)."""
     tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", newline="") as handle:
-        handle.write(data)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", newline="") as handle:
+            handle.write(data)
+        os.replace(tmp, path)
+    except OSError as exc:
+        if os.path.isfile(tmp):
+            os.remove(tmp)
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def write_csv(path: str, columns, rows) -> None:

@@ -10,10 +10,10 @@ class DegenerateChannelError(ValueError):
 
 
 class NearSingularError(ArithmeticError):
-    """Hermitian system is too ill-conditioned to solve reliably.
+    """A K x K matrix is too ill-conditioned to invert: collinear user channels.
 
-    Raised when user channels are (numerically) collinear.  Carries the exact
-    condition number of the matrix's unit-diagonal form (numerics.condition).
+    Carries the exact condition number of its unit-diagonal form (numerics.condition),
+    or inf when a matrix that passed numerics.hermitian_solve's gate has no Cholesky factor.
     """
 
     def __init__(self, message: str, cond_estimate: float = float("inf")):

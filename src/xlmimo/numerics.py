@@ -1,4 +1,4 @@
-"""Deterministic complex reductions, the Gram matrix and K x K Hermitian solves.
+"""Deterministic complex reductions, the Gram matrix and the gated K x K inverse.
 
 Channel powers and inner products are numpy pairwise sums over the
 elementwise products.  The Gram matrix of two or more columns is one real
@@ -12,11 +12,11 @@ bitwise reproducible on one machine; the level-1 BLAS dot products
 (``np.vdot``, ``np.dot`` on vectors) are avoided because their last bits
 change with the BLAS thread count.  Across machines results agree to
 rounding.
-condition (blind to user powers) and hermitian_solve (numpy's Cholesky
-factor and two np.linalg.solve calls on it: LU solves, gesv, not triangular
-ones) take only matrices sized by the user count, the Gram matrix and its
-MMSE counterpart, one or a whole stack in one call; nothing here allocates
-or factors an M x M matrix.
+hermitian_solve, the one K x K call, checks a matrix or a whole stack
+once, gates each by its condition number (condition, blind to user powers)
+and inverts those that pass through numpy's Cholesky factor and two
+np.linalg.solve calls on it (LU solves, gesv, not triangular ones).  It
+takes only the K x K Gram matrix and its MMSE counterpart; nothing is M x M.
 """
 
 from __future__ import annotations
@@ -128,32 +128,24 @@ def condition(h: np.ndarray) -> np.ndarray:
         return np.where(valid & (eig[..., 0] > 0.0), eig[..., -1] / eig[..., 0], np.inf)
 
 
-def hermitian_solve(h: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve H X = B for Hermitian positive definite H, or a stack of them, via Cholesky.
+def hermitian_solve(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(H^-1, condition(H)) of a Hermitian H, or of each H of an (..., n, n) stack.
 
-    h is one n x n matrix or an (..., n, n) stack, and b one length-n vector
-    or n-row matrix shared by every system; X has shape h.shape[:-2] +
-    b.shape.  H = L L^H, then L Y = B and L^H X = Y, each solved by
-    np.linalg.solve, which LU-factors the triangular L (gesv) rather than
-    substituting through it; each matrix of a stack takes the LAPACK calls
-    it would take alone, so its solution is bitwise that of a one-matrix
-    call.  Every system is solved, or NearSingularError is raised when some
-    H is numerically indefinite; callers gate conditioning with condition.
+    H^-1 is NaN where condition(H), which checks h, exceeds MAX_CONDITION.
+    Every other H = L L^H is inverted by two np.linalg.solve calls, L Y = I
+    and L^H X = Y, which LU-factor the triangular L (gesv) rather than
+    substitute through it.  Each H takes the LAPACK calls it would take
+    alone, so its inverse is bitwise a one-matrix call's; a Cholesky failure
+    after the gate raises NearSingularError.
     """
-    h = _check_hermitian(h)
-    b = np.asarray(b, dtype=complex)
-    n = h.shape[-1]
-    if b.ndim not in (1, 2) or b.shape[0] != n:
-        raise ValueError(f"right-hand side has shape {b.shape}, expected {n} rows")
-    out_shape = h.shape[:-2] + b.shape
-    if n == 0:
-        return np.zeros(out_shape, dtype=complex)
-    if not np.isfinite(b).all():
-        raise ValueError("array must not contain infs or NaNs")
+    cond = condition(h)
+    h = np.asarray(h, dtype=complex)
+    ok = (cond <= MAX_CONDITION)[..., None, None]
+    eye = np.eye(h.shape[-1], dtype=complex)
     try:
-        factor = np.linalg.cholesky(h)
+        factor = np.linalg.cholesky(np.where(ok, h, eye))
     except np.linalg.LinAlgError:
         raise NearSingularError("matrix is not numerically positive definite") from None
-    rhs = np.broadcast_to(b.reshape(n, -1), h.shape[:-2] + (n, b.size // n))
-    y = np.linalg.solve(factor, rhs)
-    return np.linalg.solve(np.swapaxes(factor, -2, -1).conj(), y).reshape(out_shape)
+    y = np.linalg.solve(factor, np.broadcast_to(eye, h.shape))
+    inverse = np.linalg.solve(np.swapaxes(factor, -2, -1).conj(), y)
+    return np.where(ok, inverse, np.nan), cond

@@ -630,7 +630,7 @@ class TestEvaluateScenario:
             np.fill_diagonal(coupling, 0.0)
             old_mrc = snr * powers / ((coupling * snr).sum(axis=1) / powers + 1.0)
             root = np.sqrt(snr)
-            w_inv = hermitian_solve(np.eye(k) + root[:, None] * g * root[None, :], np.eye(k))
+            w_inv, _ = hermitian_solve(np.eye(k) + root[:, None] * g * root[None, :])
             res = evaluate_scenario(a, snr)
             assert res["mrc"] == pytest.approx(old_mrc, rel=1e-12)
             assert res["mmse"] == pytest.approx(1.0 / w_inv.diagonal().real - 1.0, rel=1e-12)

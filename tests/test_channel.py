@@ -84,9 +84,9 @@ def recorded_walks(monkeypatch):
 
     def recording(*args, **options):
         walks.append([])
-        for box, result in walker(*args, **options):
+        for box, *result in walker(*args, **options):
             walks[-1].append(box)
-            yield box, result
+            yield box, *result
 
     monkeypatch.setattr(ch, "_pnusw_walk", recording)
     return walks
@@ -456,20 +456,22 @@ class TestBandedPnuswBuild:
             monkeypatch.setattr(ch, "_BAND_ENTRIES", band_entries)
         geom = make_geom(*shape)
         users = random_users(np.random.default_rng(3), 5)
-        taken = []
+        taken, phasors_kernel = [], ch._phasors
 
-        def take(users, rows, entries, phasors, amp, on_element):
-            taken.append((users, rows, entries, threading.get_ident()))
-            return phasors.copy()
+        def recording(cycles, *args):  # once per box, as it is computed
+            taken.append((cycles.shape, threading.get_ident()))
+            phasors_kernel(cycles, *args)
 
+        monkeypatch.setattr(ch, "_phasors", recording)
         indices = [(geom.indices_y(), geom.indices_z())] * len(users)
-        walk = ch._pnusw_walk(geom, ch._coordinates(users), indices, take)
+        walk = ch._pnusw_walk(geom, ch._coordinates(users), indices)
         boxes = ch._boxes(0, len(users), geom.num_z, geom.num_y)
         block = np.empty((len(users), geom.num_z, geom.num_y), dtype=complex)
         assert taken == []
-        for i, (box, phasors) in enumerate(walk):
+        for i, (box, phasors, _, _) in enumerate(walk):
             assert box[:3] == boxes[i]
-            assert taken == [(*b, threading.get_ident()) for b in boxes[: i + 1]]
+            shapes = [tuple(s.stop - s.start for s in b) for b in boxes[: i + 1]]
+            assert taken == [(shape, threading.get_ident()) for shape in shapes]
             block[box[:3]] = phasors
         assert len(taken) == len(boxes)
         assert block.tobytes() == _response_block(geom, users, "pnusw").tobytes()
@@ -758,9 +760,9 @@ class TestStreamedPairGrams:
         walked = []
         walker = ch._pnusw_walk
 
-        def recording(geom, coordinates, indices, take, **options):
+        def recording(geom, coordinates, indices, **options):
             walked.append(coordinates.copy())
-            return walker(geom, coordinates, indices, take, **options)
+            return walker(geom, coordinates, indices, **options)
 
         monkeypatch.setattr(ch, "_pnusw_walk", recording)
         geom = make_geom(num_y=9, num_z=10)
@@ -880,14 +882,11 @@ class TestStreamedNestedGrams:
         for band_entries in (64, 7):
             monkeypatch.setattr(ch, "_BAND_ENTRIES", band_entries)
             planes = np.empty((2, *direct.shape))
-
-            def take(users, rows, entries, phasors, amp, on_element):
-                assert phasors.shape[0] == 2 and phasors[0].flags.c_contiguous
-                planes[:, users, rows, entries] = phasors
-
             indices = [(geom.indices_y(), geom.indices_z())] * len(users)
-            for _ in ch._pnusw_walk(geom, ch._coordinates(users), indices, take, joint=True):
-                pass
+            walk = ch._pnusw_walk(geom, ch._coordinates(users), indices, joint=True)
+            for (k, rows, entries, _, _), phasors, _, _ in walk:
+                assert phasors.shape[0] == 2 and phasors[0].flags.c_contiguous
+                planes[:, k, rows, entries] = phasors
             assert planes[0].tobytes() == direct.real.tobytes()
             assert planes[1].tobytes() == direct.imag.tobytes()
 

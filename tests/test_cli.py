@@ -562,6 +562,26 @@ def test_usage_errors_are_config_errors(run_python, args):
     assert proc.stderr.startswith("config error:") and "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("out, reason", [
+    ("missing/x.csv", "No such file or directory"),  # no such directory
+    ("x.csv", "Is a directory"),  # the CSV path is a directory
+    ("s.csv", "Is a directory"),  # the sidecar path (s.json) is a directory
+])
+def test_an_unwritable_output_is_one_config_error_line(run_python, tmp_path, out, reason):
+    (tmp_path / "x.csv").mkdir()
+    (tmp_path / "s.json").mkdir()
+    path = tmp_path / out
+    proc = run_python([
+        "-m", "xlmimo.cli", "--experiment", "corr-vs-m", "--set", "sweep.mz_values=[11]",
+        "--out", str(path),
+    ], timeout=60.0)
+    assert proc.returncode == 1, proc.stderr
+    target = path.with_suffix(".json") if out == "s.csv" else path
+    assert proc.stderr == f"config error: cannot write {target}: {reason}\n"
+    assert proc.stdout == ""
+    assert not [p for p in tmp_path.rglob("*") if ".tmp." in p.name]
+
+
 def test_help_exits_zero(run_python):
     proc = run_python(["-m", "xlmimo.cli", "--help"], timeout=60.0)
     assert proc.returncode == 0, proc.stderr

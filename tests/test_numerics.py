@@ -167,21 +167,20 @@ class TestGramKernel:
 
 class TestHermitianSolve:
     def test_identity(self):
-        b = np.array([1.0 + 2j, -3.0])
-        assert hermitian_solve(np.eye(2), b) == pytest.approx(b)
+        inverse, cond = hermitian_solve(np.eye(2))
+        assert inverse.tobytes() == np.eye(2, dtype=complex).tobytes()
+        assert cond == 1.0
 
     def test_diagonal(self):
-        h = np.diag([1.0, 2.0]).astype(complex)
-        x = hermitian_solve(h, np.array([2.0, 2.0]))
-        assert x == pytest.approx(np.array([2.0, 1.0]))
+        inverse, _ = hermitian_solve(np.diag([1.0, 2.0]).astype(complex))
+        assert inverse == pytest.approx(np.diag([1.0, 0.5]))
 
     def test_random_pd_residual(self):
         rng = np.random.default_rng(4)
         g = complex_randn(rng, 12, 6)
         h = gram(g) + np.eye(6)
-        b = complex_randn(rng, 6, 2)
-        x = hermitian_solve(h, b)
-        assert np.linalg.norm(h @ x - b) <= 1e-10 * np.linalg.norm(b)
+        inverse, _ = hermitian_solve(h)
+        assert np.linalg.norm(h @ inverse - np.eye(6)) <= 1e-10 * np.linalg.norm(np.eye(6))
 
     @pytest.mark.parametrize("k", [2, 10])
     def test_matches_scipy_cho_solve(self, k):
@@ -190,76 +189,102 @@ class TestHermitianSolve:
         rng = np.random.default_rng(k)
         h = gram(complex_randn(rng, 3 * k, k)) + np.eye(k)
         tol = 8.0 * np.linalg.cond(h) * np.finfo(float).eps
-        for b in (np.eye(k), complex_randn(rng, k)):
-            oracle = cho_solve(cho_factor(h, lower=True), b)
-            x = hermitian_solve(h, b)
-            assert x.shape == oracle.shape
-            assert np.linalg.norm(x - oracle) <= tol * np.linalg.norm(oracle)
+        oracle = cho_solve(cho_factor(h, lower=True), np.eye(k))
+        inverse, cond = hermitian_solve(h)
+        assert inverse.shape == oracle.shape
+        assert np.linalg.norm(inverse - oracle) <= tol * np.linalg.norm(oracle)
+        assert cond == condition(h)
 
     def test_stack_equals_one_matrix_calls_bitwise(self):
         rng = np.random.default_rng(20)
         h = np.stack([gram(complex_randn(rng, 30, 10)) + np.eye(10) for _ in range(5)])
-        for b in (np.eye(10), complex_randn(rng, 10), complex_randn(rng, 10, 3)):
-            x = hermitian_solve(h, b)
-            assert x.shape == (5,) + b.shape
-            for i in range(5):
-                assert x[i].tobytes() == hermitian_solve(h[i], b).tobytes()
+        col = complex_randn(rng, 30)
+        h[3] = gram(np.column_stack([col] * 10))  # fails: NaN, and the rest stay as they are
+        inverse, cond = hermitian_solve(h)
+        assert inverse.shape == h.shape and cond.shape == (5,)
+        for i in range(5):
+            alone = hermitian_solve(h[i])
+            assert inverse[i].tobytes() == alone[0].tobytes()
+            assert cond[i].tobytes() == alone[1].tobytes()
 
-    def test_stack_raises_when_any_one_matrix_fails(self):
+    def test_stack_fails_matrix_by_matrix(self):
         rng = np.random.default_rng(21)
         good = np.stack([gram(complex_randn(rng, 12, 3)) + np.eye(3) for _ in range(4)])
         col = complex_randn(rng, 12)
-        collinear, indefinite = good.copy(), good.copy()
-        collinear[2] = gram(np.column_stack([col, col, 1j * col]))
-        indefinite[3] = np.diag([1.0, -1.0, 1.0])
-        with pytest.raises(NearSingularError) as excinfo:
-            hermitian_solve(collinear, np.eye(3))
-        assert excinfo.value.cond_estimate > MAX_CONDITION
-        with pytest.raises(NearSingularError, match="positive definite"):
-            hermitian_solve(indefinite, np.eye(3))
+        h = good.copy()
+        h[2] = gram(np.column_stack([col, col, 1j * col]))  # collinear
+        h[3] = np.diag([1.0, -1.0, 1.0])  # indefinite
+        inverse, cond = hermitian_solve(h)
+        assert np.isnan(inverse[2:]).all() and cond[2] > MAX_CONDITION and np.isinf(cond[3])
+        assert inverse[:2].tobytes() == hermitian_solve(good[:2])[0].tobytes()
         skewed = good.copy()
         skewed[1, 0, 2] += 1.0
         with pytest.raises(ValueError, match="Hermitian"):
-            hermitian_solve(skewed, np.eye(3))
+            hermitian_solve(skewed)
         nonfinite = good.copy()
         nonfinite[0, 1, 1] = np.nan
         with pytest.raises(ValueError, match="infs or NaNs"):
-            hermitian_solve(nonfinite, np.eye(3))
+            hermitian_solve(nonfinite)
 
     def test_stack_shape_checks(self):
-        h = np.stack([np.eye(3)] * 4)
         with pytest.raises(ValueError, match="square"):
-            hermitian_solve(np.ones((4, 3, 2)), np.eye(3))
-        for b in (np.ones(2), np.ones((2, 3)), np.ones((4, 3, 1)), np.array(1.0)):
-            with pytest.raises(ValueError, match="right-hand side"):
-                hermitian_solve(h, b)
-        assert hermitian_solve(np.zeros((4, 0, 0)), np.zeros(0)).shape == (4, 0)
-        assert hermitian_solve(np.zeros((0, 3, 3)), np.eye(3)).shape == (0, 3, 3)
+            hermitian_solve(np.ones((4, 3, 2)))
+        with pytest.raises(ValueError, match="square"):
+            hermitian_solve(np.ones(3))
+        inverse, cond = hermitian_solve(np.zeros((0, 3, 3)))
+        assert inverse.shape == (0, 3, 3) and cond.shape == (0,)
 
     def test_rejects_non_finite_input(self):
         with pytest.raises(ValueError, match="infs or NaNs"):
-            hermitian_solve(np.array([[1.0, 0.0], [0.0, np.nan]]), np.ones(2))
+            hermitian_solve(np.array([[1.0, 0.0], [0.0, np.nan]]))
         with pytest.raises(ValueError, match="infs or NaNs"):
-            hermitian_solve(np.eye(2), np.array([1.0, np.inf]))
+            hermitian_solve(np.array([[1.0, np.inf], [np.inf, 1.0]]))
 
-    def test_indefinite_raises(self):
-        with pytest.raises(NearSingularError, match="positive definite"):
-            hermitian_solve(np.diag([1.0, -1.0]), np.ones(2))
-
-    def test_empty_system(self):
-        assert hermitian_solve(np.zeros((0, 0)), np.zeros((0,))).shape == (0,)
+    def test_indefinite_reads_nan(self):
+        inverse, cond = hermitian_solve(np.diag([1.0, -1.0]))
+        assert np.isnan(inverse).all() and np.isinf(cond)
 
     def test_rejects_non_hermitian(self):
         h = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)
         with pytest.raises(ValueError, match="Hermitian"):
-            hermitian_solve(h, np.ones(2))
+            hermitian_solve(h)
 
-    def test_singular_raises_with_condition_estimate(self):
+    def test_singular_reads_nan_with_its_condition(self):
         col = np.array([1.0, 1.0j, 0.5])
         h = gram(np.column_stack([col, col]))
-        with pytest.raises(NearSingularError) as excinfo:
-            hermitian_solve(h, np.ones(2))
-        assert excinfo.value.cond_estimate > MAX_CONDITION
+        inverse, cond = hermitian_solve(h)
+        assert np.isnan(inverse).all() and cond > MAX_CONDITION
+
+    def test_a_cholesky_failure_after_the_gate_raises(self, monkeypatch):
+        def fails(h):
+            raise np.linalg.LinAlgError("not positive definite")
+
+        monkeypatch.setattr(np.linalg, "cholesky", fails)
+        with pytest.raises(NearSingularError, match="positive definite") as excinfo:
+            hermitian_solve(np.eye(2))
+        assert excinfo.value.cond_estimate == math.inf
+
+    def test_inverses_do_not_depend_on_the_blas_thread_count(self, run_python):
+        # bitwise at 1 and 2 BLAS threads: inverses and condition numbers at
+        # K <= 16 (README's promise), condition alone at K = 64 (its gate decisions)
+        script = """
+import hashlib, numpy as np
+from xlmimo.numerics import condition, gram, hermitian_solve
+rng = np.random.default_rng(7)
+def stack(k, n):
+    a = rng.standard_normal((n, 3 * k, k)) + 1j * rng.standard_normal((n, 3 * k, k))
+    return np.stack([gram(m) for m in a])
+digest = hashlib.sha256()
+for k in (2, 10, 16):
+    for part in hermitian_solve(stack(k, 20)):
+        digest.update(part.tobytes())
+digest.update(condition(stack(64, 4)).tobytes())
+print(digest.hexdigest())
+"""
+        runs = [run_python(["-c", script], blas_threads=t) for t in (1, 2)]
+        for run in runs:
+            assert run.returncode == 0, run.stderr
+        assert runs[0].stdout == runs[1].stdout
 
 
 def unit_diagonal(h):
