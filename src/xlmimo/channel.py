@@ -32,8 +32,9 @@ time.  Others that are mirror images in the fixed user's symmetric axes
 (its u_y or u_z exactly 0.0), or repeats, share one walk.  One with u_y ==
 0.0 or u_z == 0.0 is walked only on the half of that axis that its mirror
 symmetry does not repeat, and one with both (on the array's axis) only at
-the distinct radii m_y^2 + m_z^2 of the kept quadrant.  _nested_grams walks
-an M-sweep's largest array once and sums its Grams ring by ring from the boxes.
+the distinct radii m_y^2 + m_z^2 of the kept quadrant.  _nested_grams takes
+an M-sweep as one geometry and its (num_y, num_z) sizes, walks the largest
+size once and sums the Grams ring by ring from the boxes.
 
 One box walker (_pnusw_walk) builds every spherical-wave entry, box by box
 in order on the calling thread, each box of at most 2^15 entries: a run of
@@ -50,7 +51,7 @@ which is one real product of the box's planes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -269,8 +270,8 @@ def _dirichlet(count, x):
     return sign * np.where(np.abs(frac) < 1e-12, count, ratio)
 
 
-def _upw_gram(geoms, users, cfg: UpwConfig | None = None) -> np.ndarray:
-    """Plane-wave Gram matrix A^H A of K users in closed form, without building A.
+def _upw_gram(geom: ArrayGeometry, sizes, users, cfg: UpwConfig | None = None) -> np.ndarray:
+    """Plane-wave Gram matrices A^H A of K users in closed form, without building A.
 
     G_ki = beta0 / (r_k r_i) e^{-j 2 pi (r_i - r_k) / lambda} D_{N_y}(x_y) D_{N_z}(x_z),
     with x = (d / lambda)(u_i - u_k) per axis and D the signed Dirichlet kernel;
@@ -279,49 +280,40 @@ def _upw_gram(geoms, users, cfg: UpwConfig | None = None) -> np.ndarray:
     DegenerateChannelError, and so does an entry that is not finite (d /
     lambda beyond the float range).  The phase reads each range modulo
     lambda (fmod is exact), so it stays accurate however many wavelengths
-    away the users are.  The result is exactly Hermitian.
+    away the users are.  Every matrix is exactly Hermitian.
 
-    geoms is one ArrayGeometry, giving the K x K matrix, or a sequence of
-    geometries that share spacing, element area and wavelength, giving the
-    (n, K, K) stack of their Grams in one broadcast; each matrix of the
-    stack is bitwise the one its geometry gives alone.
+    The result is the (n, K, K) stack of the Grams of the n (num_y, num_z)
+    sizes, in one broadcast, on geom's spacing, element area and wavelength
+    (never its own size); each matrix is bitwise the one its size gives alone.
     """
-    stack = [geoms] if isinstance(geoms, ArrayGeometry) else list(geoms)
-    if len({(g.spacing, g.element_area, g.wavelength) for g in stack}) > 1:
-        raise ValueError("stacked geometries must share spacing, element area and wavelength")
-    beta0 = (cfg or UpwConfig.matched_to(stack[0])).beta0
+    beta0 = (cfg or UpwConfig.matched_to(geom)).beta0
+    sizes = np.array(sizes, dtype=int)
     coordinates = _coordinates(users)
-    powers = _upw_powers(stack, coordinates[0], beta0)
-    g = _upw_entries(stack, coordinates, coordinates, beta0)
+    powers = _upw_powers(sizes, coordinates[0], beta0)
+    g = _upw_entries(geom, sizes, coordinates, coordinates, beta0)
     if not np.isfinite(g).all():
         raise DegenerateChannelError("channel entries must be finite")
     np.einsum("...ii->...i", g)[...] = powers
-    return g[0] if isinstance(geoms, ArrayGeometry) else g
+    return g
 
 
-def _upw_sizes(stack):
-    """(num_y, num_z, num_elements), each an (n, 1, 1) array over the geometries of stack."""
-    return np.array([(g.num_y, g.num_z, g.num_elements) for g in stack]).T[:, :, None, None]
-
-
-def _upw_powers(stack, r, beta0: float) -> np.ndarray:
+def _upw_powers(sizes, r, beta0: float) -> np.ndarray:
     """(n, K) plane-wave powers M beta0 / r^2 of ranges r; one that is 0 or not finite raises."""
     with np.errstate(over="ignore"):
-        powers = _upw_sizes(stack)[2][:, 0] * beta0 / r / r
+        powers = (sizes[:, 0] * sizes[:, 1])[:, None] * beta0 / r / r
     if not np.all((powers > 0.0) & (powers < math.inf)):
         raise DegenerateChannelError("a user has a zero or non-finite channel")
     return powers
 
 
-def _upw_entries(stack, rows, cols, beta0: float) -> np.ndarray:
+def _upw_entries(geom: ArrayGeometry, sizes, rows, cols, beta0: float) -> np.ndarray:
     """(n, K_k, K_i) plane-wave Gram entries G_ki, k of the (4, K_k) coordinates rows, i of cols.
 
     The off-diagonal formula of _upw_gram; each entry depends only on its own
-    pair of users and geometry.
+    pair of users and its row (num_y, num_z) of the (n, 2) integer array sizes.
     """
-    num_y, num_z, _ = _upw_sizes(stack)
+    num_y, num_z = sizes.T[:, :, None, None]
     (r_k, _, u_yk, u_zk), (r_i, _, u_yi, u_zi) = rows, cols
-    geom = stack[0]
     d_norm = geom.spacing / geom.wavelength
     root_beta0 = math.sqrt(beta0)
     cycles_k, cycles_i = (np.fmod(r, geom.wavelength) / geom.wavelength for r in (r_k, r_i))
@@ -404,9 +396,9 @@ def _pair_gram(
     if model == UPW:
         grams = np.empty((coordinates.shape[1], 2, 2), dtype=complex)
         beta0 = (cfg or UpwConfig.matched_to(geom)).beta0
-        one = _coordinates([loc1])
-        powers = _upw_powers([geom], np.append(one[0], coordinates[0]), beta0)[0]
-        inner = _upw_entries([geom], one, coordinates, beta0)[0, 0]
+        one, sizes = _coordinates([loc1]), np.array([(geom.num_y, geom.num_z)])
+        powers = _upw_powers(sizes, np.append(one[0], coordinates[0]), beta0)[0]
+        inner = _upw_entries(geom, sizes, one, coordinates, beta0)[0, 0]
         grams[:, 0, 0], grams[:, 1, 1] = powers[0], powers[1:]
         grams[:, 0, 1], grams[:, 1, 0] = inner, inner.conjugate()
         return grams
@@ -459,37 +451,41 @@ def _pair_gram(
     return grams[keys]
 
 
-def _nested_grams(geoms, users, model: str, cfg: UpwConfig | None = None) -> np.ndarray:
-    """The (n, K, K) stack of the Gram matrices A^H A of K users on each of geoms, in order.
+def _nested_grams(geom, sizes, users, model: str, cfg: UpwConfig | None = None) -> np.ndarray:
+    """The (n, K, K) stack of the Gram matrices A^H A of K users, one per size, in order.
 
-    upw is one broadcast of the closed form _upw_gram.  pnusw walks the
-    largest geometry once, all users in each box.  A geometry of its parity
-    on both axes and no larger on either is a centered window of it, with
-    bitwise the entries of a direct build; its ring is the at most four
-    strips around the previous such window if that is inside it (its Gram
-    then adds that window's), else the whole window.  Each ring strip a box
-    meets adds its real products (numerics._products, one real product of
-    the strip's stacked planes) to its ring's sum, in box order; each
-    ring's Gram is formed from its sum once, after the walk.  A geometry
-    that does not nest takes a walk of its own, whole.  All share spacing,
-    element area and wavelength.  A user on an element raises
-    DegenerateGeometryError, a Gram that is not finite DegenerateChannelError.
+    Each size is a (num_y, num_z) on geom's spacing, element area and
+    wavelength; geom's own size is never read.  upw is one broadcast of the
+    closed form _upw_gram.  pnusw walks the largest size once, all users in
+    each box.  A size of its parity on both axes and no larger on either is
+    a centered window of it, with bitwise the entries of a direct build; its
+    ring is the at most four strips around the previous such window if that
+    is inside it (its Gram then adds that window's), else the whole window.
+    Each ring strip a box meets adds its real products (numerics._products,
+    one real product of the strip's stacked planes) to its ring's sum, in
+    box order; each ring's Gram is formed from its sum once, after the walk.
+    A size that does not nest takes a walk of its own, whole.  A size below
+    1 raises ValueError, a user on an element DegenerateGeometryError, and a
+    Gram that is not finite DegenerateChannelError.
     """
+    if min(min(size) for size in sizes) < 1:
+        raise ValueError(f"array sizes must be positive, got {sizes!r}")
     if model == UPW:
-        return _upw_gram(geoms, users, cfg)
-    big = max(geoms, key=lambda g: g.num_elements)
+        return _upw_gram(geom, sizes, users, cfg)
+    big_y, big_z = max(sizes, key=lambda size: size[0] * size[1])
+    big = replace(geom, num_y=big_y, num_z=big_z)
     coordinates = _coordinates(users)
     k = coordinates.shape[1]
-    sums = np.zeros((len(geoms), 2 * k, 2 * k))  # each ring's real products
-    alone = {}  # the Grams of the geometries that do not nest, by index
-    strips, links, last = [], [], None  # strips (i, z0, z1, y0, y1) of geometry i's ring
-    for i, g in enumerate(geoms):
-        dz, dy = big.num_z - g.num_z, big.num_y - g.num_y
+    sums = np.zeros((len(sizes), 2 * k, 2 * k))  # each ring's real products
+    alone = {}  # the Grams of the sizes that do not nest, by index
+    strips, links, last = [], [], None  # strips (i, z0, z1, y0, y1) of size i's ring
+    for i, (num_y, num_z) in enumerate(sizes):
+        dz, dy = big.num_z - num_z, big.num_y - num_y
         if min(dz, dy) < 0 or dz % 2 or dy % 2:  # does not nest: a walk of its own
-            alone[i] = _nested_grams([g], users, model)[0]
+            alone[i] = _nested_grams(geom, [(num_y, num_z)], users, model)[0]
             continue
         z0, y0 = dz // 2, dy // 2
-        z1, y1 = z0 + g.num_z, y0 + g.num_y
+        z1, y1 = z0 + num_z, y0 + num_y
         pz0, pz1, py0, py1 = z0, z0, y0, y0  # an empty window: the ring is the whole window
         if last is not None and last[1] >= z0 and last[3] >= y0:  # the last window is inside
             links.append((i, last[0]))

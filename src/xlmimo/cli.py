@@ -540,8 +540,13 @@ def run(cfg: RunConfig, out: str | None = None) -> str:
     which stays out of the CSV.
     """
     started = time.perf_counter()
-    result = dispatch(cfg)
     csv_file = out or f"{cfg.experiment}.csv"
+    for path in (csv_file, sidecar_path(csv_file)):  # an unwritable one fails before the sweep
+        folder = os.path.dirname(path) or "."
+        writable = os.path.isdir(folder) and os.access(folder, os.W_OK | os.X_OK)
+        if os.path.isdir(path) or not writable:
+            _write_atomic(path, "")  # raises the config error the write would, leaving nothing
+    result = dispatch(cfg)
     write_csv(csv_file, result.columns, result.rows)
     sidecar = {
         "config": cfg.resolved(),

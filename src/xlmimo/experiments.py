@@ -7,7 +7,8 @@ the axis.  All internal math is linear; dB conversion happens once, when a
 row is materialized.
 
 The three M-sweeps (correlation, SINR and sum rate versus the element
-count) read every array's K x K Gram matrix from channel._nested_grams: the
+count) hand one geometry and their (num_y, num_z) sizes to
+channel._nested_grams, which gives every size's K x K Gram matrix: the
 plane-wave Gram is the paper's Dirichlet-kernel closed form, and the
 spherical-wave model streams the largest array once and sums each nested
 array's Gram ring by ring, so every element is read once and no block is held.
@@ -38,7 +39,7 @@ model at a time, so the first failure in drop order raises.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -150,13 +151,12 @@ def sweep_correlation_vs_m(
 ) -> SweepResult:
     """Correlation of two fixed users as the z-axis element count grows."""
     models = _check_models(models)
-    mz_values = sorted(int(v) for v in mz_values)
-    geoms = [replace(geom, num_z=mz) for mz in mz_values]
-    grams = {model: ch._nested_grams(geoms, (loc1, loc2), model, upw_cfg) for model in models}
+    sizes = [(geom.num_y, mz) for mz in sorted(int(v) for v in mz_values)]
+    grams = [ch._nested_grams(geom, sizes, (loc1, loc2), model, upw_cfg) for model in models]
 
     rows = [
-        (g.num_elements, g.num_z) + tuple(ch.correlation(grams[model][gi]) for model in models)
-        for gi, g in enumerate(geoms)
+        (ny * mz, mz) + tuple(ch.correlation(g[i]) for g in grams)
+        for i, (ny, mz) in enumerate(sizes)
     ]
     return SweepResult(
         columns=["m", "m_z"] + [f"{model}_rho_linear" for model in models],
@@ -206,18 +206,17 @@ def sweep_sinr_vs_m(
     models = _check_models(models)
     users = tuple(users)
     snr = np.asarray(snr, dtype=float)
-    mz_values = sorted(int(v) for v in mz_values)
     if not 0 <= user_index < len(users):
         raise IndexError(f"user index {user_index} out of range for K={len(users)}")
-    geoms = [replace(geom, num_z=mz) for mz in mz_values]
+    sizes = [(geom.num_y, mz) for mz in sorted(int(v) for v in mz_values)]
     per_model = [
-        evaluate_scenario(None, snr, g=ch._nested_grams(geoms, users, model, upw_cfg))
+        evaluate_scenario(None, snr, g=ch._nested_grams(geom, sizes, users, model, upw_cfg))
         for model in models
     ]
     columns = [gammas[scheme][:, user_index] for gammas in per_model for scheme in SCHEMES]
     rows = [
-        (g.num_elements, g.num_z) + tuple(_to_db(column[gi]) for column in columns)
-        for gi, g in enumerate(geoms)
+        (ny * mz, mz) + tuple(_to_db(column[i]) for column in columns)
+        for i, (ny, mz) in enumerate(sizes)
     ]
     return SweepResult(
         columns=["m", "m_z"]
@@ -287,7 +286,7 @@ def sumrate_vs_m(
     m_values entries are either a single integer side (square array) or an
     explicit (num_y, num_z) pair.  Each drop d samples its users from the
     stream seeded by (seed, d) and is reused across every array size, so
-    curves vary only through the geometry.  A drop's sum rate under a
+    curves vary only through the size.  A drop's sum rate under a
     scheme is beamforming.sum_rate of its SINRs, one call per scheme for a
     chunk's whole stack of them.
     """
@@ -307,7 +306,6 @@ def sumrate_vs_m(
     pairs.sort(key=lambda p: p[0] * p[1])
     if num_users > min(p[0] * p[1] for p in pairs):
         raise ValueError("num_users exceeds the smallest array size in the sweep")
-    geoms = [replace(geom, num_y=ny, num_z=nz) for ny, nz in pairs]
 
     def rates(g: np.ndarray) -> np.ndarray:
         """The sum rates, (..., schemes), of a stack of Grams g, (..., K, K), in one call."""
@@ -323,7 +321,7 @@ def sumrate_vs_m(
                 users = sample_users(region, num_users, (seed, drop))
                 grams.append([])
                 for model in models:
-                    grams[-1].append(ch._nested_grams(geoms, users, model, upw_cfg))
+                    grams[-1].append(ch._nested_grams(geom, pairs, users, model, upw_cfg))
             return rates(np.array(grams)).swapaxes(1, 2)
         except (ValueError, ArithmeticError):  # every error a walk or a factoring raises
             # a drop at a time, each model in turn: the first failure in sweep order raises
@@ -332,7 +330,7 @@ def sumrate_vs_m(
                     rates(g)
             raise
 
-    chunk = max(_CHUNK_ENTRIES // (len(geoms) * len(models) * num_users**2), 1)
+    chunk = max(_CHUNK_ENTRIES // (len(pairs) * len(models) * num_users**2), 1)
     stacked = np.concatenate(
         [run_chunk(range(lo, min(lo + chunk, n_drops))) for lo in range(0, n_drops, chunk)]
     )

@@ -101,10 +101,10 @@ def _hermitian(s: np.ndarray) -> np.ndarray:
 
 
 def _check_hermitian(h: np.ndarray) -> np.ndarray:
-    """h as a complex array of square matrices, checked to be finite and Hermitian within 1e-10."""
+    """h as a complex array of n x n matrices, n >= 1, checked finite and Hermitian within 1e-10."""
     h = np.asarray(h, dtype=complex)
-    if h.ndim < 2 or h.shape[-1] != h.shape[-2]:
-        raise ValueError(f"expected a square matrix or a stack of them, got shape {h.shape}")
+    if h.ndim < 2 or h.shape[-1] != h.shape[-2] or h.shape[-1] == 0:
+        raise ValueError(f"expected square matrices of at least 1 x 1, got shape {h.shape}")
     if not np.isfinite(h).all():
         raise ValueError("array must not contain infs or NaNs")
     scale = np.abs(h).max(axis=(-2, -1), initial=0.0)

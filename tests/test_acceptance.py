@@ -130,7 +130,7 @@ def test_c02_upw_closed_correlation_matches_direct_sum():
     for geom, u1, u2 in pairs[:500]:
         a1, a2 = column(geom, u1, "upw"), column(geom, u2, "upw")
         direct = abs(cdot(a1, a2)) ** 2 / (vector_power(a1) * vector_power(a2))
-        closed = correlation(_upw_gram(geom, (u1, u2)))
+        closed = correlation(_upw_gram(geom, [(geom.num_y, geom.num_z)], (u1, u2))[0])
         assert closed == pytest.approx(direct, abs=1e-9)
         worst = max(worst, abs(closed - direct))
     budget.done(f"500 pairs, worst abs diff {worst:.1e}")

@@ -517,7 +517,7 @@ class TestEvaluateScenario:
         # nearly orthogonal, at 110 dB.  ZF and MMSE both exist and agree with
         # 60-digit arithmetic on the same Gram.
         users = (UserLocation(1.0, math.pi / 2, 0.0), UserLocation(3e6, math.pi / 2, 0.5))
-        grams = _upw_gram([make_geom(num_y=10, num_z=mz) for mz in (11, 101)], users)
+        grams = _upw_gram(make_geom(), [(10, mz) for mz in (11, 101)], users)
         snr = np.full(2, 1e11 / BETA0)
         res = evaluate_scenario(None, snr, g=grams)
         for i, g in enumerate(grams):
@@ -688,7 +688,7 @@ class TestStackedScenarios:
     def test_all_infeasible_plane_wave_stack(self):
         # the default sinr-vs-m pair shares a direction: every Gram is rank 1
         users = (UserLocation(25.0, math.pi / 2, 0.0), UserLocation(250.0, math.pi / 2, 0.0))
-        grams = _upw_gram([make_geom(num_y=10, num_z=mz) for mz in (11, 21, 51, 101)], users)
+        grams = _upw_gram(make_geom(), [(10, mz) for mz in (11, 21, 51, 101)], users)
         snr = np.full(2, PBAR)
         stacked = evaluate_scenario(None, snr, g=grams)
         assert_rows_bitwise(stacked, grams, snr)
@@ -708,7 +708,7 @@ class TestStackedScenarios:
         # plane-wave users sharing a direction at 200 dB: W = I + H is numerically
         # singular, and the stack raises as its matrix does alone
         users = [UserLocation(r, 1.2, 0.3) for r in (55.0, 70.0, 90.0)]
-        grams = _upw_gram([make_geom(4, 4), make_geom(6, 6)], users)
+        grams = _upw_gram(make_geom(), [(4, 4), (6, 6)], users)
         snr = np.full(3, 1e20 / BETA0)
         with pytest.raises(NearSingularError):
             evaluate_scenario(None, snr, g=grams[0])
@@ -733,7 +733,7 @@ class TestStackedScenarios:
         )
         users = sample_users(region, 10, (0, 62))
         sides = (10, 20, 40)
-        grams = _upw_gram([make_geom(s, s) for s in sides], users)
+        grams = _upw_gram(make_geom(), [(s, s) for s in sides], users)
         snr = np.full(10, PBAR)
         got = evaluate_scenario(None, snr, g=grams)["mmse"][1, 5]
         g = grams[1]

@@ -55,6 +55,11 @@ def column(geom, loc, model, cfg=None):
     return response_matrix(geom, (loc,), model, cfg)[:, 0]
 
 
+def upw_gram(geom, users, cfg=None):
+    """The closed-form plane-wave Gram of users on geom's own size."""
+    return _upw_gram(geom, [(geom.num_y, geom.num_z)], users, cfg)[0]
+
+
 def pair_gram(a, b):
     """2 x 2 Gram matrix of two vectors from pairwise sums."""
     inner = cdot(a, b)
@@ -825,10 +830,10 @@ class TestStreamedPairGrams:
             assert fresh_thread_peak(sweep) < user_one + 3 * band
 
 def default_drop():
-    """The geometries and users of the default sum-rate sweep's first drop."""
+    """The geometry, array sizes and users of the default sum-rate sweep's first drop."""
     cfg = cli.parse_config(experiment="sumrate-vs-m", overrides=[])
-    geoms = [replace(cfg.geometry, num_y=s, num_z=s) for s in cfg.sweep["sides"]]
-    return geoms, sample_users(cfg.region, cfg.sweep["n_users"], (cfg.seed, 0))
+    sizes = [(s, s) for s in cfg.sweep["sides"]]
+    return cfg.geometry, sizes, sample_users(cfg.region, cfg.sweep["n_users"], (cfg.seed, 0))
 
 
 class TestStreamedNestedGrams:
@@ -839,8 +844,8 @@ class TestStreamedNestedGrams:
         # a default drop's spherical-wave stack (10 users, arrays up to 200 x 200)
         # holds one box's buffer, its phasors, cycles and amp (32 B an entry), and
         # a strip's copies, never the largest array's 6.4 MB block
-        geoms, users = default_drop()
-        stack = lambda: ch._nested_grams(geoms, users, "pnusw")  # noqa: E731
+        geom, sizes, users = default_drop()
+        stack = lambda: ch._nested_grams(geom, sizes, users, "pnusw")  # noqa: E731
         stack()  # imports and first-call caches stay out of the peak
         assert fresh_thread_peak(stack) <= 3 * 32 * ch._BAND_ENTRIES
 
@@ -860,11 +865,11 @@ class TestStreamedNestedGrams:
         # bands of rows 80 to 95 and 96 to 111: its Gram, the most ill-conditioned
         # of the drop, sums two real partials, so it is held to the exactly rounded
         # sums of a direct build, and is exactly Hermitian
-        geoms, users = default_drop()
+        geom, sizes, users = default_drop()
         bands = [rows for _, rows, _ in ch._boxes(0, 10, 200, 200, joint=True)]
         assert slice(80, 96) in bands and slice(96, 112) in bands
-        a = response_matrix(geoms[0], users, "pnusw")
-        got = ch._nested_grams(geoms, users, "pnusw")[0]
+        a = response_matrix(replace(geom, num_y=10, num_z=10), users, "pnusw")
+        got = ch._nested_grams(geom, sizes, users, "pnusw")[0]
         assert np.array_equal(got, got.conj().T)
         powers = [compensated_sum(a[:, i].real ** 2 + a[:, i].imag ** 2) for i in range(10)]
         for i in range(10):
@@ -1052,7 +1057,7 @@ class TestCorrelation:
         exact = mp_upw_gram(geom, (u1, u2), UpwConfig.matched_to(geom).beta0)
         want = abs(exact[0, 1]) ** 2 / (exact[0, 0].real * exact[1, 1].real)
         assert want < 1e-30
-        assert correlation(_upw_gram(geom, (u1, u2))) == pytest.approx(want, abs=1e-30)
+        assert correlation(upw_gram(geom, (u1, u2))) == pytest.approx(want, abs=1e-30)
 
     def test_orthogonal_vectors(self):
         a, b = np.array([1.0, 0.0j]), np.array([0.0j, 1.0])
@@ -1109,13 +1114,13 @@ class TestUpwPowerClosed:
         for cfg in (None, UpwConfig(beta0=2.5e-4)):
             for loc in (UserLocation(80.0, 1.0, 0.7), UserLocation(94.3, math.pi / 2, -0.56)):
                 built = column(geom, loc, "upw", cfg)
-                power = _upw_gram(geom, (loc,), cfg)[0, 0].real
+                power = upw_gram(geom, (loc,), cfg)[0, 0].real
                 assert power == pytest.approx(vector_power(built), rel=1e-12)
 
     @pytest.mark.parametrize("r", [1e200, 1e-200])
     def test_zero_or_infinite_power_is_degenerate(self, r):
         with pytest.raises(DegenerateChannelError, match="zero or non-finite"):
-            _upw_gram(make_geom(), (UserLocation(r, math.pi / 2, 0.0),))
+            upw_gram(make_geom(), (UserLocation(r, math.pi / 2, 0.0),))
 
 
 def mp_upw_gram(geom, users, beta0):
@@ -1161,11 +1166,11 @@ class TestUpwGram:
         for cfg in (None, UpwConfig(beta0=2.5e-4)):
             beta0 = (cfg or UpwConfig.matched_to(geom)).beta0
             for users in (near, far):
-                g = _upw_gram(geom, users, cfg)
+                g = upw_gram(geom, users, cfg)
                 assert np.array_equal(g, g.conj().T)
                 self.assert_close(g, mp_upw_gram(geom, users, beta0))
             built = gram(response_matrix(geom, near, "upw", cfg))
-            self.assert_close(_upw_gram(geom, near, cfg), built)
+            self.assert_close(upw_gram(geom, near, cfg), built)
 
     @pytest.mark.parametrize("num_y", [8, 7])
     def test_grating_lobes_keep_the_kernel_sign(self, num_y):
@@ -1175,7 +1180,7 @@ class TestUpwGram:
         phi = math.asin(0.5)
         users = [UserLocation(3.0, math.pi / 2, phi), UserLocation(4.5, math.pi / 2, -phi)]
         assert _dirichlet(num_y, -1.0) == (-num_y if num_y % 2 == 0 else num_y)
-        g = _upw_gram(geom, users)
+        g = upw_gram(geom, users)
         self.assert_close(g, mp_upw_gram(geom, users, UpwConfig.matched_to(geom).beta0))
         self.assert_close(g, gram(response_matrix(geom, users, "upw")))
         # a full grating lobe makes the two channels collinear, so ZF is infeasible
@@ -1185,47 +1190,43 @@ class TestUpwGram:
     def test_users_sharing_a_direction_give_a_rank_one_gram(self):
         geom = make_geom(num_y=10, num_z=11)
         users = [UserLocation(r, 1.1, 0.4) for r in (2.0, 3.7, 5.5)]
-        g = _upw_gram(geom, users)
+        g = upw_gram(geom, users)
         self.assert_close(g, gram(response_matrix(geom, users, "upw")))
         beta0 = UpwConfig.matched_to(geom).beta0
         self.assert_close(g, mp_upw_gram(geom, users, beta0))
         # fully correlated users far out: their relative phase must not lose the
         # ~1e-13 of a cycle that r / lambda ~ 1000 rounds away
         far = [UserLocation(r, 1.1, 0.4) for r in (60.0, 117.3, 171.9)]
-        self.assert_close(_upw_gram(geom, far), mp_upw_gram(geom, far, beta0))
+        self.assert_close(upw_gram(geom, far), mp_upw_gram(geom, far, beta0))
         res = evaluate_scenario(None, np.full(3, 1e5), g=g)
         assert np.array_equal(res["zf"], np.zeros(3))
         assert np.all(res["mmse"] > 0.0)
 
 
-    def test_stack_of_geometries_equals_one_geometry_calls_bitwise(self):
+    def test_stack_of_sizes_equals_one_size_calls_bitwise(self):
         # an M-sweep's Grams in one broadcast: mixed parities and shapes, grating
-        # lobes (d = lambda) and users sharing a direction among them
+        # lobes (d = lambda) and users sharing a direction among them; the
+        # geometry's own size is read by neither
         rng = np.random.default_rng(24)
         users = [UserLocation(rng.uniform(2.0, 170.0), rng.uniform(0.3, 2.8),
                               rng.uniform(-1.4, 1.4)) for _ in range(4)]
         users.append(UserLocation(40.0, users[0].theta, users[0].phi))
+        sizes = [(10, 11), (10, 101), (7, 8), (1, 1), (200, 200)]
         for spacing in (D, LAM):
-            geoms = [make_geom(ny, nz, spacing=spacing)
-                     for ny, nz in ((10, 11), (10, 101), (7, 8), (1, 1), (200, 200))]
+            geom = make_geom(3, 5, spacing=spacing)
             for cfg in (None, UpwConfig(beta0=2.5e-4)):
-                stack = _upw_gram(geoms, users, cfg)
-                assert stack.shape == (len(geoms), 5, 5)
-                for geom, got in zip(geoms, stack):
-                    assert got.tobytes() == _upw_gram(geom, users, cfg).tobytes()
-
-    def test_stack_needs_one_spacing_and_wavelength(self):
-        users = [UserLocation(30.0, 1.0, 0.2), UserLocation(40.0, 1.2, 0.1)]
-        others = (make_geom(spacing=LAM), make_geom(wavelength=2 * LAM), make_geom(area=AREA / 2))
-        for other in others:
-            with pytest.raises(ValueError, match="share"):
-                _upw_gram([make_geom(), other], users)
+                stack = _upw_gram(geom, sizes, users, cfg)
+                assert stack.shape == (len(sizes), 5, 5)
+                for size, got in zip(sizes, stack):
+                    assert got.tobytes() == _upw_gram(geom, [size], users, cfg)[0].tobytes()
+                    alone = upw_gram(replace(geom, num_y=size[0], num_z=size[1]), users, cfg)
+                    assert got.tobytes() == alone.tobytes()
 
     @pytest.mark.parametrize("r", [1e200, 1e-200])
     def test_stack_with_a_zero_or_infinite_power_is_degenerate(self, r):
         users = [UserLocation(30.0, 1.0, 0.2), UserLocation(r, 1.2, 0.1)]
         with pytest.raises(DegenerateChannelError, match="zero or non-finite"):
-            _upw_gram([make_geom(), make_geom(num_z=31)], users)
+            _upw_gram(make_geom(), [(11, 11), (11, 31)], users)
         with pytest.raises(DegenerateChannelError, match="zero or non-finite"):
             _pair_gram(make_geom(), users[0], ch._coordinates(users[1:]), "upw")
 
@@ -1239,7 +1240,7 @@ class TestUpwGram:
             for cfg in (None, UpwConfig(beta0=2.5e-4)):
                 grams = _pair_gram(geom, loc1, ch._coordinates(others), "upw", cfg)
                 for j, loc2 in enumerate(others):
-                    got, alone = grams[j], _upw_gram(geom, (loc1, loc2), cfg)
+                    got, alone = grams[j], upw_gram(geom, (loc1, loc2), cfg)
                     read = ([0, 0, 1], [0, 1, 1])  # G_11, G_12, G_22
                     assert got[read].tobytes() == alone[read].tobytes()
                     assert got[1, 0] == got[0, 1].conjugate()
@@ -1251,7 +1252,7 @@ class TestUpwCorrelationClosed:
         geom = make_geom(num_y=10, num_z=21)
         u1 = UserLocation(25.0, math.pi / 2, 0.0)
         u2 = UserLocation(250.0, math.pi / 2, 0.0)
-        assert correlation(_upw_gram(geom, (u1, u2))) == 1.0
+        assert correlation(upw_gram(geom, (u1, u2))) == 1.0
 
     def test_dirichlet_null(self):
         # d/lambda = 1/2 and delta u_y = 2/num_y puts the first factor at sin(pi)
@@ -1259,7 +1260,7 @@ class TestUpwCorrelationClosed:
         geom = make_geom(num_y=num_y, num_z=3)
         u1 = UserLocation(30.0, math.pi / 2, math.asin(1.0 / num_y))
         u2 = UserLocation(30.0, math.pi / 2, -math.asin(1.0 / num_y))
-        assert correlation(_upw_gram(geom, (u1, u2))) == pytest.approx(0.0, abs=1e-20)
+        assert correlation(upw_gram(geom, (u1, u2))) == pytest.approx(0.0, abs=1e-20)
 
     def test_matches_direct_computation(self):
         geom = make_geom(num_y=7, num_z=7)
@@ -1269,7 +1270,7 @@ class TestUpwCorrelationClosed:
             u1 = UserLocation(rng.uniform(20, 200), rng.uniform(0.3, 2.8), rng.uniform(-1.4, 1.4))
             u2 = UserLocation(rng.uniform(20, 200), rng.uniform(0.3, 2.8), rng.uniform(-1.4, 1.4))
             direct = direct_rho(column(geom, u1, "upw", cfg), column(geom, u2, "upw", cfg))
-            assert correlation(_upw_gram(geom, (u1, u2), cfg)) == pytest.approx(direct, abs=1e-9)
+            assert correlation(upw_gram(geom, (u1, u2), cfg)) == pytest.approx(direct, abs=1e-9)
 
     def test_near_integer_arguments_match_direct(self):
         geom = make_geom(num_y=9, num_z=4)
@@ -1279,5 +1280,5 @@ class TestUpwCorrelationClosed:
             # delta u_y = 2 - delta, so (d/lambda) * delta u_y sits next to 1
             u2 = UserLocation(40.0, math.pi / 2, -math.asin(1.0 - delta))
             direct = direct_rho(column(geom, u1, "upw", cfg), column(geom, u2, "upw", cfg))
-            closed = correlation(_upw_gram(geom, (u1, u2), cfg))
+            closed = correlation(upw_gram(geom, (u1, u2), cfg))
             assert closed == pytest.approx(direct, abs=1e-9)

@@ -10,6 +10,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import xlmimo.channel as ch
+import xlmimo.cli as cli
 from xlmimo.cli import (
     _EXPERIMENTS,
     DEFAULT_ELEMENT_AREA,
@@ -287,6 +288,22 @@ class TestRun:
         dispatch(cfg)
         assert max(walked) == _EXPERIMENTS[experiment].block(cfg.geometry, cfg.sweep)[0]
 
+    @pytest.mark.parametrize("experiment, overrides", [
+        ("sinr-vs-m", [("geometry.num_z", 3)]),
+        ("corr-vs-m", [("geometry.num_z", 999)]),
+        ("sumrate-vs-m", [("geometry.num_y", 7), ("geometry.num_z", 5)]),
+    ])
+    def test_an_m_sweep_ignores_the_geometry_size_it_sweeps(self, tmp_path, experiment, overrides):
+        # an M-sweep sets the array's size itself (num_z; the sum rate both
+        # axes), so the geometry block's own size there leaves the table as it is
+        common = [("sweep.n_drops", 2)] if experiment == "sumrate-vs-m" else []
+        tables = []
+        for extra in ([], overrides):
+            out = tmp_path / f"{len(tables)}.csv"
+            run(parse_config(experiment=experiment, overrides=common + extra), str(out))
+            tables.append(out.read_bytes())
+        assert tables[0] == tables[1]
+
     def test_no_temp_files_left_behind(self, tmp_path):
         cfg = parse_config(experiment="corr-vs-m", overrides=SMALL_CORR)
         run(cfg, str(tmp_path / "c.csv"))
@@ -562,11 +579,14 @@ def test_usage_errors_are_config_errors(run_python, args):
     assert proc.stderr.startswith("config error:") and "Traceback" not in proc.stderr
 
 
-@pytest.mark.parametrize("out, reason", [
+UNWRITABLE_OUTPUTS = [
     ("missing/x.csv", "No such file or directory"),  # no such directory
     ("x.csv", "Is a directory"),  # the CSV path is a directory
     ("s.csv", "Is a directory"),  # the sidecar path (s.json) is a directory
-])
+]
+
+
+@pytest.mark.parametrize("out, reason", UNWRITABLE_OUTPUTS)
 def test_an_unwritable_output_is_one_config_error_line(run_python, tmp_path, out, reason):
     (tmp_path / "x.csv").mkdir()
     (tmp_path / "s.json").mkdir()
@@ -580,6 +600,22 @@ def test_an_unwritable_output_is_one_config_error_line(run_python, tmp_path, out
     assert proc.stderr == f"config error: cannot write {target}: {reason}\n"
     assert proc.stdout == ""
     assert not [p for p in tmp_path.rglob("*") if ".tmp." in p.name]
+    assert not (tmp_path / "s.csv").exists()  # no table without its sidecar
+
+
+@pytest.mark.parametrize("out, reason", UNWRITABLE_OUTPUTS)
+def test_an_unwritable_output_fails_before_the_sweep(tmp_path, monkeypatch, capsys, out, reason):
+    def no_sweep(cfg):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(cli, "dispatch", no_sweep)
+    (tmp_path / "x.csv").mkdir()
+    (tmp_path / "s.json").mkdir()
+    path = tmp_path / out
+    assert main(["--experiment", "sumrate-vs-m", "--out", str(path)]) == 1
+    target = path.with_suffix(".json") if out == "s.csv" else path
+    assert capsys.readouterr().err == f"config error: cannot write {target}: {reason}\n"
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["s.json", "x.csv"]
 
 
 def test_help_exits_zero(run_python):

@@ -41,6 +41,16 @@ def make_geom(num_y=10, num_z=11):
     )
 
 
+def sizes_of(geoms):
+    """Each geometry's (num_y, num_z), as channel._nested_grams takes them."""
+    return [(g.num_y, g.num_z) for g in geoms]
+
+
+def upw_gram(geom, users):
+    """The closed-form plane-wave Gram of users on geom's own size."""
+    return _upw_gram(geom, [(geom.num_y, geom.num_z)], users)[0]
+
+
 SAME_DIRECTION = (
     UserLocation(25.0, math.pi / 2, 0.0),
     UserLocation(250.0, math.pi / 2, 0.0),
@@ -158,10 +168,10 @@ class TestNestedResponses:
         # box by box, rounded otherwise than one product of a direct build, so it
         # is held to the exactly rounded sums of that build
         for geoms in ([make_geom(s, s + 4) for s in sides], [make_geom(10, mz) for mz in sides]):
-            grams = ch._nested_grams(geoms, self.USERS, model)
+            grams = ch._nested_grams(make_geom(), sizes_of(geoms), self.USERS, model)
             if model == "upw":
                 for g, got in zip(geoms, grams):
-                    assert np.array_equal(got, _upw_gram(g, self.USERS))
+                    assert np.array_equal(got, upw_gram(g, self.USERS))
                 continue
             self.assert_oracle(geoms, grams)
 
@@ -176,15 +186,24 @@ class TestNestedResponses:
             ([make_geom(2, 30), make_geom(10, 10)], set()),
             ([make_geom(8, 2), make_geom(2, 8), make_geom(10, 10)], {2}),
         ):
-            grams = ch._nested_grams(geoms, self.USERS, model)
+            grams = ch._nested_grams(make_geom(), sizes_of(geoms), self.USERS, model)
             for i, (g, got) in enumerate(zip(geoms, grams)):
                 if model == "upw":
-                    assert np.array_equal(got, _upw_gram(g, self.USERS))
+                    assert np.array_equal(got, upw_gram(g, self.USERS))
                 elif i not in rings:
                     direct = gram(response_matrix(g, self.USERS, model))
                     assert got.tobytes() == direct.tobytes()
             if model == "pnusw":
                 self.assert_oracle(geoms, grams)
+
+    @pytest.mark.parametrize("model", ["pnusw", "upw"])
+    def test_a_size_below_one_is_rejected(self, model):
+        # (10, 0) and (-2, -2) would nest in (10, 10) as empty windows, read as zero Grams
+        for sizes in ([(10, 0), (10, 10)], [(-2, -2), (10, 10)], [(11, 11), (0, 11)]):
+            with pytest.raises(ValueError, match="positive"):
+                ch._nested_grams(make_geom(), sizes, self.USERS, model)
+        with pytest.raises(ValueError, match="positive"):
+            sweep_sinr_vs_m(make_geom(), SAME_DIRECTION, [PBAR, PBAR], [0, 11], models=(model,))
 
     def test_m_sweeps_build_only_the_largest_spherical_wave_array(self, monkeypatch):
         # one walk of the largest array per spherical-wave stack, and no response built
@@ -231,7 +250,8 @@ class TestNestedResponses:
             boxes = ch._boxes(0, k, big.num_z, big.num_y, joint=True)
             assert all(users == slice(0, k) for users, _, _ in boxes)
             assert (len(boxes) == 1) == (band_entries is None)
-            self.assert_oracle(geoms, ch._nested_grams(geoms, users, "pnusw"), users)
+            grams = ch._nested_grams(make_geom(), sizes_of(geoms), users, "pnusw")
+            self.assert_oracle(geoms, grams, users)
 
     @pytest.mark.filterwarnings("ignore::xlmimo.geometry.NearArrayWarning")
     def test_a_user_on_an_element_in_a_later_band_is_degenerate(self, monkeypatch):
@@ -242,7 +262,7 @@ class TestNestedResponses:
         on_element = UserLocation(D, math.pi / 2, math.pi / 2)
         assert ch._boxes(0, 3, 21, 11, joint=True)[3][1] == slice(9, 12)
         with pytest.raises(DegenerateGeometryError, match="coincident"):
-            ch._nested_grams(geoms, self.USERS[:2] + [on_element], "pnusw")
+            ch._nested_grams(make_geom(), sizes_of(geoms), self.USERS[:2] + [on_element], "pnusw")
 
     def test_an_overflowing_cycle_count_raises_no_numpy_warnings(self):
         # at r = 1e308 the cycle count overflows to inf, so every band meets
@@ -254,7 +274,7 @@ class TestNestedResponses:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DegenerateChannelError, match="finite"):
-                ch._nested_grams(geoms, self.USERS[:2] + [far], "pnusw")
+                ch._nested_grams(make_geom(), sizes_of(geoms), self.USERS[:2] + [far], "pnusw")
 
     def test_m_sweeps_factor_one_stack_per_model_or_chunk_of_drops(self, monkeypatch):
         # sinr-vs-m: one stacked call per model; sum rate: one per chunk of whole
@@ -297,8 +317,8 @@ class TestNestedResponses:
         region = UserRegion(r=(50.0, 100.0), theta=(0.1, 1.0), phi=(0.3, 1.0))
         snr, nested = np.full(3, PBAR), ch._nested_grams
 
-        def collinear(geoms, users, model, cfg=None):
-            drop, g = len(made) // 2, nested(geoms, users, model, cfg)
+        def collinear(geom, sizes, users, model, cfg=None):
+            drop, g = len(made) // 2, nested(geom, sizes, users, model, cfg)
             if drop > 0:
                 if failing == "walk" and (model == "upw" or drop == 2):
                     raise DegenerateGeometryError("a later walk")
@@ -336,7 +356,7 @@ class TestNestedResponses:
                     users = sample_users(region, 3, (6, drop))
                     geom = make_geom(side, side)
                     if model == "upw":
-                        g = _upw_gram(geom, users)
+                        g = upw_gram(geom, users)
                     elif side == 5:
                         g = gram(response_matrix(geom, users, model))
                     else:

@@ -69,7 +69,6 @@ class TestOracle:
 
 KERNEL_DIGEST = """
 import hashlib
-from dataclasses import replace
 import numpy as np
 import xlmimo.channel as ch
 import xlmimo.cli as cli
@@ -78,10 +77,10 @@ from xlmimo.numerics import cdot, gram, vector_power
 rng = np.random.default_rng(2021)
 a = rng.standard_normal((40_000, 16)) + 1j * rng.standard_normal((40_000, 16))
 cfg = cli.parse_config(experiment="sumrate-vs-m", overrides=[])
-geoms = [replace(cfg.geometry, num_y=s, num_z=s) for s in cfg.sweep["sides"]]
+sizes = [(s, s) for s in cfg.sweep["sides"]]
 users = sample_users(cfg.region, cfg.sweep["n_users"], (cfg.seed, 0))
 out = [gram(a[:, :10]), gram(a[:10_010, :2]), gram(a[:, :1]), cdot(a[:, 0], a[:, 1]),
-       vector_power(a[:, 3]), gram(a), ch._nested_grams(geoms, users, "pnusw")]
+       vector_power(a[:, 3]), gram(a), ch._nested_grams(cfg.geometry, sizes, users, "pnusw")]
 print(hashlib.sha256(b"".join(np.asarray(x).tobytes() for x in out)).hexdigest())
 """
 
@@ -231,6 +230,11 @@ class TestHermitianSolve:
             hermitian_solve(np.ones((4, 3, 2)))
         with pytest.raises(ValueError, match="square"):
             hermitian_solve(np.ones(3))
+        for empty in (np.zeros((0, 0)), np.zeros((3, 0, 0))):  # no 0 x 0 matrix
+            with pytest.raises(ValueError, match="square"):
+                hermitian_solve(empty)
+            with pytest.raises(ValueError, match="square"):
+                condition(empty)
         inverse, cond = hermitian_solve(np.zeros((0, 3, 3)))
         assert inverse.shape == (0, 3, 3) and cond.shape == (0,)
 
